@@ -114,11 +114,10 @@ def _witness_candidates(m: "ModuleData") -> list[tuple[Fraction, ...]]:
         e = [Fraction(0)] * n
         e[i] = Fraction(1)
         candidates.append(tuple(e))
-    ident = Matrix.identity(n)
     for g in sorted(m.action):
         mat = m.action[g]
         for lam in sorted(set(rational_roots(char_poly(mat)))):
-            eig = kernel(mat - lam * ident)
+            eig = kernel(mat.shift(lam))
             candidates.extend(eig.basis.columns())
     return candidates
 

@@ -36,10 +36,10 @@ from .factory import (
     tensor_product,
 )
 from .modfile import read_module, write_module, write_report
-from .presentations import AFFINE_BOREL, AFFINE_FULL, UGEQ0, check_presentation
+from .presentations import AFFINE_FULL, UGEQ0, check_presentation
 from .report import CheckResult, VerificationReport
 from .scalars import QParam, as_scalar, scalar_str
-from .weights import analyze_borel, analyze_full, analyze_ugeq0
+from .weights import WeightData, analyze_full, analyze_weights
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -57,26 +57,10 @@ def _session_q(value: str | None) -> QParam | None:
         raise ModuleFormatError(str(exc)) from exc
 
 
-def _describe(m: ModuleData) -> str:
-    if m.kind == AFFINE_FULL:
-        wd = analyze_full(m)
-        return (
-            f"presentation={m.kind} dim={m.dim} type=({wd.eps0},{wd.eps1}) "
-            f"diameter={wd.diameter}"
-        )
-    if m.kind == UGEQ0:
-        wl = analyze_ugeq0(m)
-        return (
-            f"presentation={m.kind} dim={m.dim} type={wl.alpha} "
-            f"diameter={wl.diameter}"
-        )
-    if m.kind == AFFINE_BOREL:
-        wb = analyze_borel(m)
-        return (
-            f"presentation={m.kind} dim={m.dim} type=({wb.alpha},{wb.beta}) "
-            f"diameter={wb.diameter}"
-        )
-    return f"presentation={m.kind} dim={m.dim}"
+def _describe(m: ModuleData, weights: WeightData | None) -> str:
+    """One summary line of a module and its weight analysis."""
+    line = f"presentation={m.kind} dim={m.dim}"
+    return line if weights is None else f"{line} {weights.summary}"
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -91,27 +75,19 @@ def cmd_build(args: argparse.Namespace) -> int:
         m2 = read_module(args.inputs[1], _session_q(args.q))
         module = tensor_product(m1, m2)
     write_module(module, args.out)
-    print(f"wrote {args.out}: {_describe(module)}")
+    print(f"wrote {args.out}: {_describe(module, analyze_weights(module))}")
     return EXIT_OK
 
 
 def _weight_checks(m: ModuleData) -> list[CheckResult]:
     """The weight-ladder verification as report entries."""
     try:
-        if m.kind == AFFINE_FULL:
-            wd = analyze_full(m)
-            detail = f"type=({wd.eps0},{wd.eps1}) diameter={wd.diameter}"
-        elif m.kind == UGEQ0:
-            wl = analyze_ugeq0(m)
-            detail = f"type={wl.alpha} diameter={wl.diameter}"
-        elif m.kind == AFFINE_BOREL:
-            wb = analyze_borel(m)
-            detail = f"type=({wb.alpha},{wb.beta}) diameter={wb.diameter}"
-        else:
-            return []
-        return [CheckResult("weight-ladder", "weight analysis", True, (), detail)]
+        weights = analyze_weights(m)
     except WeightLadderError as exc:
         return [CheckResult("weight-ladder", "weight analysis", False, (), str(exc))]
+    if weights is None:
+        return []
+    return [CheckResult("weight-ladder", "weight analysis", True, (), weights.summary)]
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -137,7 +113,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
     else:
         restricted = restrict_to_borel(module)
     write_module(restricted, args.out)
-    print(f"wrote {args.out}: {_describe(restricted)}")
+    print(f"wrote {args.out}: {_describe(restricted, analyze_weights(restricted))}")
     return EXIT_OK
 
 
@@ -166,7 +142,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
             }
         )
         write_report(report, args.trace)
-    print(f"wrote {args.out}: {_describe(full)} ({len(trace.checks)} checks passed)")
+    print(
+        f"wrote {args.out}: {_describe(full, trace.output_weights)} "
+        f"({len(trace.checks)} checks passed)"
+    )
     return EXIT_OK
 
 

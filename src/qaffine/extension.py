@@ -21,6 +21,11 @@ intermediate identity with exactly-zero residuals:
    commutation suite and assemble, with any choice of signs (eps0, eps1),
    into a full module of type (eps0, eps1) and the same diameter.
 
+The weight spaces, both flags and both split decompositions are each held
+as a linalg.Ladder (zero off its ends, partial sums computed once), and
+every "operator moves each space of a ladder one step" check is one call of
+linalg.first_escape, the containment primitive the weight analysis shares.
+
 Every check failure aborts with the check's name; the engine doubles as a
 certificate generator for the whole chain of identities. Conversely, for a
 module obtained by restricting a full module of matching type, the extension
@@ -31,14 +36,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache, reduce
+from itertools import accumulate
+from typing import Sequence
 
 from .errors import IrreducibilityError, RelationError
 from .factory import ModuleData, build_module
-from .linalg import Matrix, Subspace, image, kernel, subspace_intersect, subspace_sum
+from .linalg import (
+    Ladder,
+    Matrix,
+    Subspace,
+    first_escape,
+    kernel,
+    subspace_intersect,
+    subspace_sum,
+)
 from .presentations import AFFINE_FULL, UGEQ0, check_presentation
 from .report import CheckLog, CheckResult
 from .scalars import QParam, as_scalar, qint
-from .weights import WeightLadder, analyze_full, analyze_ugeq0
+from .weights import FullWeightData, WeightLadder, analyze_full, analyze_ugeq0
 
 ANCHOR_SPLIT = "split pair A, A*"
 ANCHOR_FLAGS = "eigenflag decompositions"
@@ -66,6 +82,7 @@ class ExtensionTrace:
     bstar_mat: Matrix | None = None
     r_mat: Matrix | None = None
     l_mat: Matrix | None = None
+    output_weights: FullWeightData | None = None
     checks: list[CheckResult] = field(default_factory=list)
 
     def check_names(self) -> list[str]:
@@ -89,9 +106,8 @@ def _weyl_residual(
     x: Matrix, y: Matrix, target: Fraction, q: QParam
 ) -> Matrix:
     """(q x y - q^-1 y x)/(q - q^-1) - target I."""
-    n = x.rows
     lhs = (q.q * (x @ y) - (1 / q.q) * (y @ x)).scale(1 / q.weyl_denominator)
-    return lhs - target * Matrix.identity(n)
+    return lhs.shift(target)
 
 
 def _serre_residual(x: Matrix, y: Matrix, q: QParam) -> Matrix:
@@ -102,57 +118,61 @@ def _serre_residual(x: Matrix, y: Matrix, q: QParam) -> Matrix:
     return (x3 @ y) - three * (x2 @ y @ x) + three * (x @ y @ x2) - (y @ x3)
 
 
-def _shift(mat: Matrix, c: Fraction) -> Matrix:
-    return mat - c * Matrix.identity(mat.rows)
+@dataclass(frozen=True)
+class _Eigenvalues:
+    """The closed-form eigenvalue lists of one run, indexed i = 0..d."""
+
+    theta: tuple[Fraction, ...]  # alpha q^(2i-d): A on V_i, K on U_i
+    theta_star: tuple[Fraction, ...]  # alpha^-1 q^(d-2i): A* on V*_i, K^-1 on U_i
+    theta_rev: tuple[Fraction, ...]  # theta reversed
+    theta_star_rev: tuple[Fraction, ...]  # theta_star reversed
+    b: tuple[Fraction, ...]  # q^(2i-d): B on W_i
+    bstar: tuple[Fraction, ...]  # q^(d-2i): B* on W*_i
 
 
-def _moves_into(
-    log: CheckLog,
-    name: str,
-    anchor: str,
-    mat: Matrix,
-    shifts: list[Fraction] | None,
-    spaces: tuple[Subspace, ...] | list[Subspace],
-    targets: list[Subspace],
-) -> None:
-    """Check (mat - shifts[i] I)(spaces[i]) inside targets[i] for every i;
-    with shifts None, check mat(spaces[i]) inside targets[i]."""
-    ok = True
-    detail = ""
-    for i, space in enumerate(spaces):
-        op = mat if shifts is None else _shift(mat, shifts[i])
-        if not targets[i].contains(image(op, space)):
-            ok = False
-            detail = f"containment fails at index {i}"
-            break
-    log.condition(name, anchor, ok, detail)
+@lru_cache(maxsize=None)
+def _eigenvalues(q: QParam, alpha: Fraction, d: int) -> _Eigenvalues:
+    theta = tuple(alpha * q.pow(2 * i - d) for i in range(d + 1))
+    theta_star = tuple(q.pow(d - 2 * i) / alpha for i in range(d + 1))
+    b = tuple(q.pow(2 * i - d) for i in range(d + 1))
+    return _Eigenvalues(
+        theta, theta_star, theta[::-1], theta_star[::-1], b, b[::-1]
+    )
+
+
+def _moves_into(log: CheckLog, anchor: str, moves: tuple) -> None:
+    """For each move (name, mat, shifts, spaces, targets), log whether
+    (mat - shifts[i] I)(spaces[i]) lies inside targets[i] for every i; with
+    shifts None, whether mat(spaces[i]) does."""
+    for name, mat, shifts, spaces, targets in moves:
+        i = first_escape(mat, shifts, spaces, targets)
+        log.condition(name, anchor, i is None, f"containment fails at index {i}")
+
+
+def _nears(ladder: Ladder) -> list[Subspace]:
+    return [ladder.near(i) for i in range(len(ladder))]
 
 
 def _check_decomposition(
-    log: CheckLog,
-    name: str,
-    anchor: str,
-    spaces: list[Subspace],
-    ambient: int,
+    log: CheckLog, name: str, anchor: str, ladder: Ladder
 ) -> None:
     """All spaces nonzero, pairwise independent, summing to the full space."""
-    if any(s.dim == 0 for s in spaces):
+    if any(s.dim == 0 for s in ladder):
         log.condition(name, anchor, False, "a component is zero")
         return
-    running = Subspace.zero(ambient)
-    for i, s in enumerate(spaces):
-        merged = subspace_sum(running, s)
-        if merged.dim != running.dim + s.dim:
+    sizes = list(accumulate(s.dim for s in ladder))
+    for i, running in enumerate(ladder.head):
+        if running.dim != sizes[i]:
             log.condition(
                 name, anchor, False, f"component {i} overlaps the preceding sum"
             )
             return
-        running = merged
+    total = ladder.head[-1]
     log.condition(
         name,
         anchor,
-        running == Subspace.full(ambient),
-        f"components span dimension {running.dim} of {ambient}",
+        total == Subspace.full(total.ambient_dim),
+        f"components span dimension {total.dim} of {total.ambient_dim}",
     )
 
 
@@ -180,7 +200,7 @@ def eigen_flags(
     astar_mat: Matrix,
     ladder: WeightLadder,
     log: CheckLog,
-) -> tuple[list[Subspace], list[Subspace]]:
+) -> tuple[Ladder, Ladder]:
     """Eigenspace ladders of A and A* at their closed-form eigenvalues.
 
     The eigenvalues are alpha q^(2i-d) for A and alpha^-1 q^(d-2i) for A*;
@@ -190,118 +210,48 @@ def eigen_flags(
     flags, and the tridiagonal action of each split operator on the other's
     flag.
     """
-    q, alpha, d, n = m.q, ladder.alpha, ladder.diameter, m.dim
-    v_spaces = [
-        kernel(_shift(a_mat, alpha * q.pow(2 * i - d))) for i in range(d + 1)
-    ]
-    vstar_spaces = [
-        kernel(_shift(astar_mat, q.pow(d - 2 * i) / alpha)) for i in range(d + 1)
-    ]
-    log.condition(
-        "eigendecomp(A)", ANCHOR_FLAGS,
-        sum(s.dim for s in v_spaces) == n and all(s.dim > 0 for s in v_spaces),
-        f"eigenspace dims {[s.dim for s in v_spaces]} do not fill dimension {n}",
-    )
-    log.condition(
-        "eigendecomp(Astar)", ANCHOR_FLAGS,
-        sum(s.dim for s in vstar_spaces) == n
-        and all(s.dim > 0 for s in vstar_spaces),
-        f"eigenspace dims {[s.dim for s in vstar_spaces]} do not fill dimension {n}",
-    )
-    u_tail = _suffix_sums(ladder.spaces, n)
-    v_tail = _suffix_sums(v_spaces, n)
-    u_head = _prefix_sums(ladder.spaces, n)
-    vstar_head = _prefix_sums(vstar_spaces, n)
+    n = m.dim
+    ev = _eigenvalues(m.q, ladder.alpha, ladder.diameter)
+    K, Kinv = m.action["K"], m.action["Kinv"]
+    u = Ladder(ladder.spaces)
+    v = Ladder(kernel(a_mat.shift(t)) for t in ev.theta)
+    vstar = Ladder(kernel(astar_mat.shift(t)) for t in ev.theta_star)
+    for name, flag in (("eigendecomp(A)", v), ("eigendecomp(Astar)", vstar)):
+        dims = [s.dim for s in flag]
+        log.condition(
+            name, ANCHOR_FLAGS, sum(dims) == n and all(dims),
+            f"eigenspace dims {dims} do not fill dimension {n}",
+        )
     log.condition(
         "flag-tail-match", ANCHOR_FLAGS,
-        all(u_tail[i] == v_tail[i] for i in range(d + 1)),
+        u.tail == v.tail,
         "suffix sums of the A-flag do not match the weight-space suffix sums",
     )
     log.condition(
         "flag-head-match", ANCHOR_FLAGS,
-        all(u_head[i] == vstar_head[i] for i in range(d + 1)),
+        u.head == vstar.head,
         "prefix sums of the A*-flag do not match the weight-space prefix sums",
     )
     log.condition(
         "weight-from-flags", ANCHOR_FLAGS,
         all(
-            ladder.spaces[i] == subspace_intersect(vstar_head[i], v_tail[i])
-            for i in range(d + 1)
+            s == subspace_intersect(head, tail)
+            for s, head, tail in zip(u, vstar.head, v.tail)
         ),
         "weight spaces differ from head(A*-flag) n tail(A-flag)",
     )
-    zero = Subspace.zero(n)
-
-    def at(spaces, i: int) -> Subspace:
-        return spaces[i] if 0 <= i <= d else zero
-
-    _moves_into(
-        log, "move(A,U)", ANCHOR_FLAGS, a_mat,
-        [alpha * q.pow(2 * i - d) for i in range(d + 1)], ladder.spaces,
-        [at(ladder.spaces, i + 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(Astar,U)", ANCHOR_FLAGS, astar_mat,
-        [q.pow(d - 2 * i) / alpha for i in range(d + 1)], ladder.spaces,
-        [at(ladder.spaces, i - 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(Kinv,V)", ANCHOR_FLAGS, m.action["Kinv"],
-        [q.pow(d - 2 * i) / alpha for i in range(d + 1)], v_spaces,
-        [at(v_spaces, i + 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(K,V-tail)", ANCHOR_FLAGS, m.action["K"],
-        [alpha * q.pow(2 * i - d) for i in range(d + 1)], v_spaces,
-        [v_tail[i + 1] if i + 1 <= d else zero for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(K,Vstar)", ANCHOR_FLAGS, m.action["K"],
-        [alpha * q.pow(2 * i - d) for i in range(d + 1)], vstar_spaces,
-        [at(vstar_spaces, i - 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(Kinv,Vstar-head)", ANCHOR_FLAGS, m.action["Kinv"],
-        [q.pow(d - 2 * i) / alpha for i in range(d + 1)], vstar_spaces,
-        [vstar_head[i - 1] if i - 1 >= 0 else zero for i in range(d + 1)],
-    )
-
-    def neighborhood(spaces: list[Subspace], i: int) -> Subspace:
-        out = zero
-        for j in (i - 1, i, i + 1):
-            if 0 <= j <= d:
-                out = subspace_sum(out, spaces[j])
-        return out
-
-    _moves_into(
-        log, "tridiag(Astar,V)", ANCHOR_FLAGS, astar_mat, None, v_spaces,
-        [neighborhood(v_spaces, i) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "tridiag(A,Vstar)", ANCHOR_FLAGS, a_mat, None, vstar_spaces,
-        [neighborhood(vstar_spaces, i) for i in range(d + 1)],
-    )
-    return v_spaces, vstar_spaces
-
-
-def _prefix_sums(spaces, n: int) -> list[Subspace]:
-    """prefix[i] = spaces[0] + ... + spaces[i]."""
-    out = []
-    running = Subspace.zero(n)
-    for s in spaces:
-        running = subspace_sum(running, s)
-        out.append(running)
-    return out
-
-
-def _suffix_sums(spaces, n: int) -> list[Subspace]:
-    """suffix[i] = spaces[i] + ... + spaces[d]."""
-    out: list[Subspace] = []
-    running = Subspace.zero(n)
-    for s in reversed(spaces):
-        running = subspace_sum(running, s)
-        out.append(running)
-    return list(reversed(out))
+    _moves_into(log, ANCHOR_FLAGS, (
+        ("move(A,U)", a_mat, ev.theta, u, u.step(1)),
+        ("move(Astar,U)", astar_mat, ev.theta_star, u, u.step(-1)),
+        ("move(Kinv,V)", Kinv, ev.theta_star, v, v.step(1)),
+        ("move(K,V-tail)", K, ev.theta, v, Ladder(v.tail).step(1)),
+        ("move(K,Vstar)", K, ev.theta, vstar, vstar.step(-1)),
+        ("move(Kinv,Vstar-head)", Kinv, ev.theta_star, vstar,
+         Ladder(vstar.head).step(-1)),
+        ("tridiag(Astar,V)", astar_mat, None, v, _nears(v)),
+        ("tridiag(A,Vstar)", a_mat, None, vstar, _nears(vstar)),
+    ))
+    return v, vstar
 
 
 def build_w_grid(
@@ -309,10 +259,10 @@ def build_w_grid(
     ladder: WeightLadder,
     a_mat: Matrix,
     astar_mat: Matrix,
-    v_spaces: list[Subspace],
-    vstar_spaces: list[Subspace],
+    v: Ladder,
+    vstar: Ladder,
     log: CheckLog,
-) -> tuple[dict[tuple[int, int], Subspace], list[Subspace], list[Subspace]]:
+) -> tuple[dict[tuple[int, int], Subspace], Ladder, Ladder]:
     """The intersection grid W(i,j) and the two split decompositions.
 
     W(i,j) intersects the A*-flag prefix of depth i with the A-flag prefix of
@@ -320,46 +270,30 @@ def build_w_grid(
     rows/columns are the plain prefix sums, and the antidiagonal spaces
     W_i = W(i, d-i) and their mirrors W*_i decompose the module.
     """
-    q, alpha, d, n = m.q, ladder.alpha, ladder.diameter, m.dim
-    zero = Subspace.zero(n)
-    v_head = _prefix_sums(v_spaces, n)
-    vstar_head = _prefix_sums(vstar_spaces, n)
-    v_tail = _suffix_sums(v_spaces, n)
-    vstar_tail = _suffix_sums(vstar_spaces, n)
-
-    grid: dict[tuple[int, int], Subspace] = {}
-    for i in range(d + 1):
-        for j in range(d + 1):
-            grid[(i, j)] = subspace_intersect(vstar_head[i], v_head[j])
-
-    def grid_at(i: int, j: int) -> Subspace:
-        if i < 0 or j < 0:
-            return zero
-        return grid[(min(i, d), min(j, d))]
-
-    w_spaces = [grid[(i, d - i)] for i in range(d + 1)]
-    wstar_spaces = [
-        subspace_intersect(vstar_tail[d - i], v_tail[i]) for i in range(d + 1)
-    ]
+    d = ladder.diameter
+    ev = _eigenvalues(m.q, ladder.alpha, d)
+    K, Kinv = m.action["K"], m.action["Kinv"]
+    zero = Subspace.zero(m.dim)
+    cells = [(i, j) for i in range(d + 1) for j in range(d + 1)]
+    grid = {(i, j): subspace_intersect(vstar.head[i], v.head[j]) for i, j in cells}
+    w = Ladder(grid[(i, d - i)] for i in range(d + 1))
+    wstar = Ladder(
+        subspace_intersect(vstar.tail[d - i], v.tail[i]) for i in range(d + 1)
+    )
 
     log.condition(
         "grid-boundary(row)", ANCHOR_GRID,
-        all(grid[(i, d)] == vstar_head[i] for i in range(d + 1)),
+        all(grid[(i, d)] == vstar.head[i] for i in range(d + 1)),
         "W(i,d) differs from the A*-flag prefix",
     )
     log.condition(
         "grid-boundary(col)", ANCHOR_GRID,
-        all(grid[(d, j)] == v_head[j] for j in range(d + 1)),
+        all(grid[(d, j)] == v.head[j] for j in range(d + 1)),
         "W(d,j) differs from the A-flag prefix",
     )
     log.condition(
         "grid-vanishing", ANCHOR_GRID,
-        all(
-            grid[(i, j)].dim == 0
-            for i in range(d + 1)
-            for j in range(d + 1)
-            if i + j < d
-        ),
+        all(grid[(i, j)].dim == 0 for i, j in cells if i + j < d),
         "a grid space below the antidiagonal is nonzero",
     )
     log.condition(
@@ -373,108 +307,62 @@ def build_w_grid(
         "grid dimensions are not monotone",
     )
 
-    ok_moves = {"A": True, "Astar": True, "Kinv": True, "K": True}
-    detail = {"A": "", "Astar": "", "Kinv": "", "K": ""}
-    K, Kinv = m.action["K"], m.action["Kinv"]
-    for i in range(d + 1):
-        for j in range(d + 1):
-            space = grid[(i, j)]
-            checks = [
-                ("A", _shift(a_mat, alpha * q.pow(2 * j - d)), grid_at(i + 1, j - 1)),
-                (
-                    "Astar",
-                    _shift(astar_mat, q.pow(d - 2 * i) / alpha),
-                    grid_at(i - 1, j + 1),
-                ),
-                ("Kinv", _shift(Kinv, q.pow(d - 2 * i) / alpha), grid_at(i - 1, j + 1)),
-            ]
-            k_target = zero
-            for h in range(1, i + 1):
-                k_target = subspace_sum(k_target, grid_at(i - h, j + h))
-            checks.append(("K", _shift(K, alpha * q.pow(2 * i - d)), k_target))
-            for key, op, target in checks:
-                if ok_moves[key] and not target.contains(image(op, space)):
-                    ok_moves[key] = False
-                    detail[key] = f"grid move fails at ({i},{j})"
-    for key in ("A", "Astar", "Kinv", "K"):
-        log.condition(f"grid-move({key})", ANCHOR_GRID, ok_moves[key], detail[key])
+    # Past its last row or column the grid repeats that row or column; before
+    # its first one it is zero.
+    up = [grid[(min(i + 1, d), j - 1)] if j else zero for i, j in cells]
+    down = [grid[(i - 1, min(j + 1, d))] if i else zero for i, j in cells]
+    k_sums = [
+        reduce(
+            subspace_sum, (grid[(i - h, min(j + h, d))] for h in range(1, i + 1)), zero
+        )
+        for i, j in cells
+    ]
+    grid_moves = (
+        ("A", a_mat, [ev.theta[j] for _, j in cells], up),
+        ("Astar", astar_mat, [ev.theta_star[i] for i, _ in cells], down),
+        ("Kinv", Kinv, [ev.theta_star[i] for i, _ in cells], down),
+        ("K", K, [ev.theta[i] for i, _ in cells], k_sums),
+    )
+    spaces = [grid[c] for c in cells]
+    for key, mat, shifts, targets in grid_moves:
+        k = first_escape(mat, shifts, spaces, targets)
+        log.condition(
+            f"grid-move({key})", ANCHOR_GRID, k is None,
+            "" if k is None else "grid move fails at ({},{})".format(*cells[k]),
+        )
 
-    _check_decomposition(log, "decomposition(W)", ANCHOR_GRID, w_spaces, n)
-    _check_decomposition(log, "decomposition(Wstar)", ANCHOR_GRID, wstar_spaces, n)
+    _check_decomposition(log, "decomposition(W)", ANCHOR_GRID, w)
+    _check_decomposition(log, "decomposition(Wstar)", ANCHOR_GRID, wstar)
 
-    def at(spaces: list[Subspace], i: int) -> Subspace:
-        return spaces[i] if 0 <= i <= d else zero
+    _moves_into(log, ANCHOR_GRID, (
+        ("ladder(W):A-up", a_mat, ev.theta_rev, w, w.step(1)),
+        ("ladder(W):Astar-down", astar_mat, ev.theta_star, w, w.step(-1)),
+        ("ladder(W):Kinv-down", Kinv, ev.theta_star, w, w.step(-1)),
+        ("ladder(W):K-head", K, ev.theta, w, Ladder(w.head).step(-1)),
+        ("ladder(Wstar):A-up", a_mat, ev.theta, wstar, wstar.step(1)),
+        ("ladder(Wstar):Astar-down", astar_mat, ev.theta_star_rev, wstar,
+         wstar.step(-1)),
+        ("ladder(Wstar):K-up", K, ev.theta, wstar, wstar.step(1)),
+        ("ladder(Wstar):Kinv-tail", Kinv, ev.theta_star, wstar,
+         Ladder(wstar.tail).step(1)),
+    ))
 
-    _moves_into(
-        log, "ladder(W):A-up", ANCHOR_GRID, a_mat,
-        [alpha * q.pow(d - 2 * i) for i in range(d + 1)], w_spaces,
-        [at(w_spaces, i + 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "ladder(W):Astar-down", ANCHOR_GRID, astar_mat,
-        [q.pow(d - 2 * i) / alpha for i in range(d + 1)], w_spaces,
-        [at(w_spaces, i - 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "ladder(W):Kinv-down", ANCHOR_GRID, Kinv,
-        [q.pow(d - 2 * i) / alpha for i in range(d + 1)], w_spaces,
-        [at(w_spaces, i - 1) for i in range(d + 1)],
-    )
-    w_head = _prefix_sums(w_spaces, n)
-    _moves_into(
-        log, "ladder(W):K-head", ANCHOR_GRID, K,
-        [alpha * q.pow(2 * i - d) for i in range(d + 1)], w_spaces,
-        [zero] + w_head[:-1],
-    )
-    _moves_into(
-        log, "ladder(Wstar):A-up", ANCHOR_GRID, a_mat,
-        [alpha * q.pow(2 * i - d) for i in range(d + 1)], wstar_spaces,
-        [at(wstar_spaces, i + 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "ladder(Wstar):Astar-down", ANCHOR_GRID, astar_mat,
-        [q.pow(2 * i - d) / alpha for i in range(d + 1)], wstar_spaces,
-        [at(wstar_spaces, i - 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "ladder(Wstar):K-up", ANCHOR_GRID, K,
-        [alpha * q.pow(2 * i - d) for i in range(d + 1)], wstar_spaces,
-        [at(wstar_spaces, i + 1) for i in range(d + 1)],
-    )
-    wstar_tail_sums = _suffix_sums(wstar_spaces, n)
-    _moves_into(
-        log, "ladder(Wstar):Kinv-tail", ANCHOR_GRID, Kinv,
-        [q.pow(d - 2 * i) / alpha for i in range(d + 1)], wstar_spaces,
-        wstar_tail_sums[1:] + [zero],
-    )
-
-    w_tail = _suffix_sums(w_spaces, n)
-    log.condition(
-        "sum(W-tail)", ANCHOR_GRID,
-        all(w_tail[i] == v_head[d - i] for i in range(d + 1)),
-        "suffix sums of W do not match prefix sums of the A-flag",
-    )
-    log.condition(
-        "sum(W-head)", ANCHOR_GRID,
-        all(w_head[i] == vstar_head[i] for i in range(d + 1)),
-        "prefix sums of W do not match prefix sums of the A*-flag",
-    )
-    log.condition(
-        "sum(Wstar-tail)", ANCHOR_GRID,
-        all(wstar_tail_sums[i] == v_tail[i] for i in range(d + 1)),
-        "suffix sums of W* do not match suffix sums of the A-flag",
-    )
-    wstar_head = _prefix_sums(wstar_spaces, n)
-    log.condition(
-        "sum(Wstar-head)", ANCHOR_GRID,
-        all(wstar_head[i] == vstar_tail[d - i] for i in range(d + 1)),
-        "prefix sums of W* do not match suffix sums of the A*-flag",
-    )
-    return grid, w_spaces, wstar_spaces
+    for name, ok, detail in (
+        ("sum(W-tail)", w.tail == v.head[::-1],
+         "suffix sums of W do not match prefix sums of the A-flag"),
+        ("sum(W-head)", w.head == vstar.head,
+         "prefix sums of W do not match prefix sums of the A*-flag"),
+        ("sum(Wstar-tail)", wstar.tail == v.tail,
+         "suffix sums of W* do not match suffix sums of the A-flag"),
+        ("sum(Wstar-head)", wstar.head == vstar.tail[::-1],
+         "prefix sums of W* do not match suffix sums of the A*-flag"),
+    ):
+        log.condition(name, ANCHOR_GRID, ok, detail)
+    return grid, w, wstar
 
 
 def _projector_operator(
-    spaces: list[Subspace], eigenvalues: list[Fraction], n: int
+    spaces: Ladder, eigenvalues: Sequence[Fraction], n: int
 ) -> Matrix:
     """The operator with spaces[i] as eigenspace for eigenvalues[i], built by
     one change of basis from the concatenated echelon bases."""
@@ -492,98 +380,43 @@ def build_b_bstar(
     ladder: WeightLadder,
     a_mat: Matrix,
     astar_mat: Matrix,
-    v_spaces: list[Subspace],
-    vstar_spaces: list[Subspace],
-    w_spaces: list[Subspace],
-    wstar_spaces: list[Subspace],
+    v: Ladder,
+    vstar: Ladder,
+    w: Ladder,
+    wstar: Ladder,
     log: CheckLog,
 ) -> tuple[Matrix, Matrix]:
     """The split operators: B has eigenvalue q^(2i-d) on W_i, B* has
     eigenvalue q^(d-2i) on W*_i. Verifies the Weyl pairings with A, A* and
     K^{±1}, the q-Serre relations, and all one-step moves on the three
     ladders."""
-    q, alpha, d, n = m.q, ladder.alpha, ladder.diameter, m.dim
-    b_mat = _projector_operator(
-        w_spaces, [q.pow(2 * i - d) for i in range(d + 1)], n
-    )
-    bstar_mat = _projector_operator(
-        wstar_spaces, [q.pow(d - 2 * i) for i in range(d + 1)], n
-    )
-    log.matrix_zero(
-        "weyl(A,B)", ANCHOR_B, _weyl_residual(a_mat, b_mat, alpha, q)
-    )
-    log.matrix_zero(
-        "weyl(B,Astar)", ANCHOR_B, _weyl_residual(b_mat, astar_mat, 1 / alpha, q)
-    )
-    log.matrix_zero(
-        "weyl(Astar,Bstar)", ANCHOR_B,
-        _weyl_residual(astar_mat, bstar_mat, 1 / alpha, q),
-    )
-    log.matrix_zero(
-        "weyl(Bstar,A)", ANCHOR_B, _weyl_residual(bstar_mat, a_mat, alpha, q)
-    )
-    log.matrix_zero(
-        "weyl(B,Kinv)", ANCHOR_B,
-        _weyl_residual(b_mat, m.action["Kinv"], 1 / alpha, q),
-    )
-    log.matrix_zero(
-        "weyl(Bstar,K)", ANCHOR_B,
-        _weyl_residual(bstar_mat, m.action["K"], alpha, q),
-    )
+    q, alpha, n = m.q, ladder.alpha, m.dim
+    ev = _eigenvalues(q, alpha, ladder.diameter)
+    b_mat = _projector_operator(w, ev.b, n)
+    bstar_mat = _projector_operator(wstar, ev.bstar, n)
+    for name, x, y, target in (
+        ("weyl(A,B)", a_mat, b_mat, alpha),
+        ("weyl(B,Astar)", b_mat, astar_mat, 1 / alpha),
+        ("weyl(Astar,Bstar)", astar_mat, bstar_mat, 1 / alpha),
+        ("weyl(Bstar,A)", bstar_mat, a_mat, alpha),
+        ("weyl(B,Kinv)", b_mat, m.action["Kinv"], 1 / alpha),
+        ("weyl(Bstar,K)", bstar_mat, m.action["K"], alpha),
+    ):
+        log.matrix_zero(name, ANCHOR_B, _weyl_residual(x, y, target, q))
     log.matrix_zero("serre(B,Bstar)", ANCHOR_B, _serre_residual(b_mat, bstar_mat, q))
     log.matrix_zero("serre(Bstar,B)", ANCHOR_B, _serre_residual(bstar_mat, b_mat, q))
 
-    zero = Subspace.zero(n)
-
-    def at(spaces, i: int) -> Subspace:
-        return spaces[i] if 0 <= i <= d else zero
-
-    _moves_into(
-        log, "move(B,V)", ANCHOR_B, b_mat,
-        [q.pow(d - 2 * i) for i in range(d + 1)], v_spaces,
-        [at(v_spaces, i - 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(B,Vstar)", ANCHOR_B, b_mat,
-        [q.pow(2 * i - d) for i in range(d + 1)], vstar_spaces,
-        [at(vstar_spaces, i - 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(Bstar,V)", ANCHOR_B, bstar_mat,
-        [q.pow(d - 2 * i) for i in range(d + 1)], v_spaces,
-        [at(v_spaces, i + 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(Bstar,Vstar)", ANCHOR_B, bstar_mat,
-        [q.pow(2 * i - d) for i in range(d + 1)], vstar_spaces,
-        [at(vstar_spaces, i + 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(B,U)", ANCHOR_B, b_mat,
-        [q.pow(2 * i - d) for i in range(d + 1)], ladder.spaces,
-        [at(ladder.spaces, i - 1) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "move(Bstar,U)", ANCHOR_B, bstar_mat,
-        [q.pow(d - 2 * i) for i in range(d + 1)], ladder.spaces,
-        [at(ladder.spaces, i + 1) for i in range(d + 1)],
-    )
-
-    def neighborhood(spaces, i: int) -> Subspace:
-        out = zero
-        for j in (i - 1, i, i + 1):
-            if 0 <= j <= d:
-                out = subspace_sum(out, spaces[j])
-        return out
-
-    _moves_into(
-        log, "tridiag(B,Wstar)", ANCHOR_B, b_mat, None, wstar_spaces,
-        [neighborhood(wstar_spaces, i) for i in range(d + 1)],
-    )
-    _moves_into(
-        log, "tridiag(Bstar,W)", ANCHOR_B, bstar_mat, None, w_spaces,
-        [neighborhood(w_spaces, i) for i in range(d + 1)],
-    )
+    u = Ladder(ladder.spaces)
+    _moves_into(log, ANCHOR_B, (
+        ("move(B,V)", b_mat, ev.bstar, v, v.step(-1)),
+        ("move(B,Vstar)", b_mat, ev.b, vstar, vstar.step(-1)),
+        ("move(Bstar,V)", bstar_mat, ev.bstar, v, v.step(1)),
+        ("move(Bstar,Vstar)", bstar_mat, ev.b, vstar, vstar.step(1)),
+        ("move(B,U)", b_mat, ev.b, u, u.step(-1)),
+        ("move(Bstar,U)", bstar_mat, ev.bstar, u, u.step(1)),
+        ("tridiag(B,Wstar)", b_mat, None, wstar, _nears(wstar)),
+        ("tridiag(Bstar,W)", bstar_mat, None, w, _nears(w)),
+    ))
     return b_mat, bstar_mat
 
 
@@ -596,13 +429,12 @@ def _lowering_suite(
 ) -> tuple[Matrix, Matrix]:
     """r and l, plus the complete commutation suite they satisfy with R, L
     and K^{±1}."""
-    q, alpha, n = m.q, ladder.alpha, m.dim
+    q, alpha = m.q, ladder.alpha
     K, Kinv = m.action["K"], m.action["Kinv"]
     R, L = m.action["R"], m.action["L"]
-    ident = Matrix.identity(n)
     denom = q.lowering_denominator
-    r_mat = (alpha * ident - K @ bstar_mat).scale(1 / denom)
-    l_mat = ((1 / alpha) * ident - Kinv @ b_mat).scale(1 / denom)
+    r_mat = (K @ bstar_mat).shift(alpha).scale(-1 / denom)
+    l_mat = (Kinv @ b_mat).shift(1 / alpha).scale(-1 / denom)
 
     log.matrix_zero(
         "reconstruct(B)", ANCHOR_LOWER,
@@ -679,16 +511,12 @@ def extend(
         astar_mat=astar_mat,
         checks=log.entries,
     )
-    v_spaces, vstar_spaces = eigen_flags(m, a_mat, astar_mat, ladder, log)
-    trace.v_spaces, trace.vstar_spaces = tuple(v_spaces), tuple(vstar_spaces)
-    grid, w_spaces, wstar_spaces = build_w_grid(
-        m, ladder, a_mat, astar_mat, v_spaces, vstar_spaces, log
-    )
-    trace.w_grid = grid
-    trace.w_spaces, trace.wstar_spaces = tuple(w_spaces), tuple(wstar_spaces)
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log)
+    trace.v_spaces, trace.vstar_spaces = v.spaces, vstar.spaces
+    trace.w_grid, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log)
+    trace.w_spaces, trace.wstar_spaces = w.spaces, wstar.spaces
     b_mat, bstar_mat = build_b_bstar(
-        m, ladder, a_mat, astar_mat, v_spaces, vstar_spaces,
-        w_spaces, wstar_spaces, log,
+        m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log
     )
     trace.b_mat, trace.bstar_mat = b_mat, bstar_mat
     r_mat, l_mat = _lowering_suite(m, ladder, b_mat, bstar_mat, log)
@@ -728,4 +556,5 @@ def extend(
         out_weights.diameter == d,
         f"assembled diameter {out_weights.diameter}, input diameter {d}",
     )
+    trace.output_weights = out_weights
     return full, trace

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .scalars import ONE, ZERO, as_scalar
@@ -185,12 +187,14 @@ class Matrix:
             k >>= 1
         return result
 
-    def transpose(self) -> Matrix:
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
+    def shift(self, c: Fraction) -> Matrix:
+        """self - c I, subtracting c on the diagonal only."""
+        if not self.is_square:
+            raise ValueError("shift of a non-square matrix")
+        entries = list(self.entries)
+        for k in range(0, len(entries), self.cols + 1):
+            entries[k] -= c
+        return Matrix(self.rows, self.cols, tuple(entries))
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -401,6 +405,70 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return Subspace.from_vectors(n, tails)
 
 
+@dataclass(frozen=True)
+class Ladder:
+    """Subspaces spaces[0..d] of one ambient space that operators move along
+    one step at a time (weight spaces, eigenflags, split decompositions).
+
+    Off its ends the ladder is the zero space. The partial sums head[i] =
+    spaces[0] + ... + spaces[i] and tail[i] = spaces[i] + ... + spaces[d] are
+    computed once, on first use.
+    """
+
+    spaces: tuple[Subspace, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "spaces", tuple(self.spaces))
+
+    def __len__(self) -> int:
+        return len(self.spaces)
+
+    def __iter__(self):
+        return iter(self.spaces)
+
+    def at(self, i: int) -> Subspace:
+        if 0 <= i < len(self.spaces):
+            return self.spaces[i]
+        return Subspace.zero(self.spaces[0].ambient_dim)
+
+    def step(self, k: int) -> tuple[Subspace, ...]:
+        """(at(k), at(1 + k), ..., at(d + k)): the targets of a k-step move."""
+        return tuple(self.at(i + k) for i in range(len(self.spaces)))
+
+    def near(self, i: int) -> Subspace:
+        """at(i - 1) + at(i) + at(i + 1)."""
+        return subspace_sum(subspace_sum(self.at(i - 1), self.at(i)), self.at(i + 1))
+
+    @cached_property
+    def head(self) -> tuple[Subspace, ...]:
+        return tuple(accumulate(self.spaces, subspace_sum))
+
+    @cached_property
+    def tail(self) -> tuple[Subspace, ...]:
+        return tuple(accumulate(reversed(self.spaces), subspace_sum))[::-1]
+
+
+def first_escape(
+    mat: Matrix,
+    shifts: Sequence[Fraction] | None,
+    spaces: Iterable[Subspace],
+    targets: Iterable[Subspace],
+) -> int | None:
+    """The first index i at which (mat - shifts[i] I)(spaces[i]) is not inside
+    targets[i], or None when every image is. With shifts None the operator is
+    mat itself. Each distinct shift builds its operator once."""
+    shifted: dict[Fraction, Matrix] = {}
+    for i, (space, target) in enumerate(zip(spaces, targets)):
+        op = mat
+        if shifts is not None:
+            op = shifted.get(shifts[i])
+            if op is None:
+                op = shifted[shifts[i]] = mat.shift(shifts[i])
+        if not target.contains(image(op, space)):
+            return i
+    return None
+
+
 class SpanAccumulator:
     """Incremental span builder: insert vectors one at a time and track the
     dimension, without recomputing a full echelon form at each step."""
@@ -447,8 +515,7 @@ def char_poly(m: Matrix) -> list[Fraction]:
     coeffs = [ONE] + [ZERO] * n
     work = Matrix.zero(n, n)
     for k in range(1, n + 1):
-        shifted = work + coeffs[k - 1] * Matrix.identity(n)
-        work = m @ shifted
+        work = m @ work.shift(-coeffs[k - 1])
         coeffs[k] = -work.trace() / k
     return coeffs
 
@@ -464,7 +531,7 @@ def eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
 def eval_poly_matrix(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
     acc = Matrix.zero(m.rows, m.cols)
     for c in coeffs:
-        acc = acc @ m + c * Matrix.identity(m.rows)
+        acc = (acc @ m).shift(-c)
     return acc
 
 

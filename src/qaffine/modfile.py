@@ -13,7 +13,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ModuleFormatError, RelationError
+from .errors import ModuleFormatError
 from .factory import ModuleData, build_module
 from .linalg import Matrix
 from .presentations import ALPHABETS
@@ -128,8 +128,6 @@ def read_module(
         raise ModuleFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
         module = module_from_dict(doc, session_q, validate=validate)
-    except RelationError:
-        raise
     except ModuleFormatError as exc:
         raise ModuleFormatError(f"{path}: {exc}") from exc
     return module

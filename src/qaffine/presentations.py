@@ -62,8 +62,6 @@ INVERSE_PAIRS: dict[str, tuple[tuple[GeneratorName, GeneratorName], ...]] = {
     FINITE: (("k", "kinv"),),
 }
 
-PRESENTATIONS = tuple(ALPHABETS)
-
 Word = tuple[GeneratorName, ...]
 Term = tuple[Fraction, Word]
 FormalSum = tuple[Term, ...]

@@ -52,9 +52,6 @@ class VerificationReport:
     def failing(self) -> list[CheckResult]:
         return [e for e in self.entries if not e.passed]
 
-    def names(self) -> list[str]:
-        return [e.name for e in self.entries]
-
     def to_dict(self) -> dict:
         return {
             "subject": self.subject,

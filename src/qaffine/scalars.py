@@ -14,6 +14,7 @@ powers and :func:`qint`.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -22,9 +23,14 @@ Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+# The "p" or "p/q" string form; anything else Fraction(str) would take (decimals,
+# exponents, underscores) is refused, so a short string cannot encode a huge
+# number. CPython's int-string digit limit caps long digit runs.
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
-    """Coerce an int, a "p/q" string or a Fraction to an exact Scalar."""
+    """Coerce an int, a "p" or "p/q" string or a Fraction to an exact Scalar."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
@@ -32,8 +38,11 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        if not _RATIONAL.fullmatch(text):
+            raise ValueError(f"not an exact rational: {value!r}")
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")

@@ -1,9 +1,10 @@
 """Weight-space decompositions, types and diameters.
 
-Every analyzer walks the spectrum of the K-type generator: the rational
-eigenvalues must form a single q^2-ladder zeta, q^2 zeta, ..., q^(2d) zeta,
-the generator must act semisimply, and the raising/lowering generators must
-move each weight space to its neighbors. Irreducibility is never assumed;
+One analyzer, driven by a small per-presentation table, walks the spectrum
+of the K-type generator: the rational eigenvalues must form a single
+q^2-ladder zeta, q^2 zeta, ..., q^(2d) zeta, the generator must act
+semisimply, and the raising/lowering generators must move each weight space
+to its neighbors on the weight Ladder. Irreducibility is never assumed;
 all of these properties are verified directly and a WeightLadderError names
 whichever one fails, because callers may feed non-irreducible or hand-edited
 module files.
@@ -19,7 +20,15 @@ from fractions import Fraction
 from typing import TYPE_CHECKING
 
 from .errors import WeightLadderError
-from .linalg import Matrix, Subspace, char_poly, image, kernel, rational_roots
+from .linalg import (
+    Ladder,
+    Matrix,
+    Subspace,
+    char_poly,
+    first_escape,
+    kernel,
+    rational_roots,
+)
 from .presentations import AFFINE_BOREL, AFFINE_FULL, UGEQ0
 from .scalars import QParam
 
@@ -36,6 +45,10 @@ class WeightLadder:
     diameter: int
     spaces: tuple[Subspace, ...]
 
+    @property
+    def summary(self) -> str:
+        return f"type={self.alpha} diameter={self.diameter}"
+
 
 @dataclass(frozen=True)
 class FullWeightData:
@@ -47,6 +60,10 @@ class FullWeightData:
     diameter: int
     spaces: tuple[Subspace, ...]
 
+    @property
+    def summary(self) -> str:
+        return f"type=({self.eps0},{self.eps1}) diameter={self.diameter}"
+
 
 @dataclass(frozen=True)
 class BorelWeightData:
@@ -57,6 +74,13 @@ class BorelWeightData:
     beta: Fraction
     diameter: int
     spaces: tuple[Subspace, ...]
+
+    @property
+    def summary(self) -> str:
+        return f"type=({self.alpha},{self.beta}) diameter={self.diameter}"
+
+
+WeightData = WeightLadder | FullWeightData | BorelWeightData
 
 
 def k_ladder(K: Matrix, q: QParam, label: str = "K") -> tuple[Fraction, list[Subspace]]:
@@ -74,10 +98,11 @@ def k_ladder(K: Matrix, q: QParam, label: str = "K") -> tuple[Fraction, list[Sub
             f"({len(roots)} of {n} found)"
         )
     distinct = sorted(set(roots))
-    if any(r == 0 for r in distinct):
+    present = set(distinct)
+    if 0 in present:
         raise WeightLadderError(f"{label} is singular")
     q2 = q.pow(2)
-    bottoms = [r for r in distinct if r / q2 not in set(distinct)]
+    bottoms = [r for r in distinct if r / q2 not in present]
     if len(bottoms) != 1:
         raise WeightLadderError(
             f"eigenvalues of {label} do not form a single q^2-ladder: "
@@ -85,56 +110,101 @@ def k_ladder(K: Matrix, q: QParam, label: str = "K") -> tuple[Fraction, list[Sub
         )
     zeta = bottoms[0]
     values = [zeta]
-    while values[-1] * q2 in set(distinct):
+    while values[-1] * q2 in present:
         values.append(values[-1] * q2)
-    if set(values) != set(distinct):
+    if set(values) != present:
         raise WeightLadderError(
             f"eigenvalues of {label} do not form a single q^2-ladder"
         )
-    spaces = [kernel(K - v * Matrix.identity(n)) for v in values]
+    spaces = [kernel(K.shift(v)) for v in values]
     if sum(s.dim for s in spaces) != n:
         raise WeightLadderError(f"{label} does not act semisimply")
     return zeta, spaces
 
 
-def _check_moves(
-    name: str,
-    mat: Matrix,
-    spaces: list[Subspace],
-    step: int,
-) -> None:
-    """Verify mat(spaces[i]) lies in spaces[i + step] (zero off the ends)."""
-    n = spaces[0].ambient_dim
+def _scalar_action(mat: Matrix, label: str) -> Fraction:
+    """The scalar c with mat = c I, or a WeightLadderError."""
+    c = mat.at(0, 0)
+    if not mat.shift(c).is_zero():
+        raise WeightLadderError(f"{label} does not act as a scalar")
+    return c
+
+
+@dataclass(frozen=True)
+class _Shape:
+    """How one presentation carries its weight ladder."""
+
+    article: str  # of the presentation name, for the kind guard's message
+    k: str  # the generator whose q^2-ladder gives the weight spaces
+    partner: str | None  # K1: k times partner must act as a scalar gamma
+    scalar: str  # the name of gamma / alpha, the partner's type value
+    signs: bool  # whether alpha and gamma / alpha must be 1 or -1
+    moves: tuple[tuple[str, int], ...]  # (generator, step) along the ladder
+    result: type
+
+
+_SHAPES = {
+    UGEQ0: _Shape("a", "K", None, "", False, (("R", +1), ("L", -1)), WeightLadder),
+    AFFINE_FULL: _Shape(
+        "an", "K0", "K1", "eps1", True,
+        (("e0p", +1), ("e1m", +1), ("e0m", -1), ("e1p", -1)), FullWeightData,
+    ),
+    AFFINE_BOREL: _Shape(
+        "an", "K0", "K1", "beta", False, (("e0p", +1), ("e1p", -1)), BorelWeightData,
+    ),
+}
+
+
+def _analyze(kind: str, m: "ModuleData") -> WeightData:
+    """Type, diameter and weight spaces of a module of the given kind.
+
+    The k ladder fixes alpha and d; the partner's type value comes from the
+    scalar action of k times partner. Verifies the partner's eigenvalues on
+    each weight space, and that every listed generator moves each weight
+    space by its step (zero off the ends of the ladder).
+    """
+    shape = _SHAPES[kind]
+    if m.kind != kind:
+        raise WeightLadderError(f"expected {shape.article} {kind} module, got {m.kind}")
+    zeta, spaces = k_ladder(m.action[shape.k], m.q, shape.k)
+    ladder = Ladder(spaces)
     d = len(spaces) - 1
-    for i, space in enumerate(spaces):
-        j = i + step
-        target = spaces[j] if 0 <= j <= d else Subspace.zero(n)
-        if not target.contains(image(mat, space)):
+    alpha = zeta * m.q.pow(d)
+    if shape.signs and alpha * alpha != 1:
+        raise WeightLadderError(
+            f"{shape.k} ladder is not centered at a sign: alpha = {alpha}"
+        )
+    values = [alpha]
+    if shape.partner is not None:
+        label = f"{shape.k} {shape.partner}"
+        gamma = _scalar_action(m.action[shape.k] @ m.action[shape.partner], label)
+        value = gamma / alpha
+        if shape.signs and value * value != 1:
             raise WeightLadderError(
-                f"{name} does not map weight space {i} into weight space {j}"
+                f"{label} scalar is not a sign pair: gamma = {gamma}"
             )
+        eigenvalues = [value * m.q.pow(d - 2 * i) for i in range(d + 1)]
+        zeros = [Subspace.zero(m.dim)] * (d + 1)
+        i = first_escape(m.action[shape.partner], eigenvalues, ladder, zeros)
+        if i is not None:
+            raise WeightLadderError(
+                f"{shape.partner} does not act as {shape.scalar} q^(d-2i) "
+                f"on weight space {i}"
+            )
+        values.append(value)
+    for gen, step in shape.moves:
+        i = first_escape(m.action[gen], None, ladder, ladder.step(step))
+        if i is not None:
+            raise WeightLadderError(
+                f"{gen} does not map weight space {i} into weight space {i + step}"
+            )
+    return shape.result(*values, d, ladder.spaces)
 
 
 def analyze_ugeq0(m: "ModuleData") -> WeightLadder:
     """Type, diameter and weight spaces of a ugeq0 module; verifies the
     direct-sum property and that R raises and L lowers along the ladder."""
-    if m.kind != UGEQ0:
-        raise WeightLadderError(f"expected a ugeq0 module, got {m.kind}")
-    zeta, spaces = k_ladder(m.action["K"], m.q, "K")
-    d = len(spaces) - 1
-    alpha = zeta * m.q.pow(d)
-    _check_moves("R", m.action["R"], spaces, +1)
-    _check_moves("L", m.action["L"], spaces, -1)
-    return WeightLadder(alpha, d, tuple(spaces))
-
-
-def _scalar_action(mat: Matrix, label: str) -> Fraction:
-    """The scalar c with mat = c I, or a WeightLadderError."""
-    n = mat.rows
-    c = mat.at(0, 0)
-    if mat != c * Matrix.identity(n):
-        raise WeightLadderError(f"{label} does not act as a scalar")
-    return c
+    return _analyze(UGEQ0, m)
 
 
 def analyze_full(m: "ModuleData") -> FullWeightData:
@@ -144,52 +214,18 @@ def analyze_full(m: "ModuleData") -> FullWeightData:
     K0 K1. Verifies the paired K1 eigenvalues and that e0p, e1m raise while
     e0m, e1p lower.
     """
-    if m.kind != AFFINE_FULL:
-        raise WeightLadderError(f"expected an affine_full module, got {m.kind}")
-    zeta, spaces = k_ladder(m.action["K0"], m.q, "K0")
-    d = len(spaces) - 1
-    eps0 = zeta * m.q.pow(d)
-    if eps0 * eps0 != 1:
-        raise WeightLadderError(
-            f"K0 ladder is not centered at a sign: alpha = {eps0}"
-        )
-    gamma = _scalar_action(m.action["K0"] @ m.action["K1"], "K0 K1")
-    eps1 = gamma / eps0
-    if eps1 * eps1 != 1:
-        raise WeightLadderError(f"K0 K1 scalar is not a sign pair: gamma = {gamma}")
-    K1 = m.action["K1"]
-    n = m.dim
-    for i, space in enumerate(spaces):
-        shifted = K1 - (eps1 * m.q.pow(d - 2 * i)) * Matrix.identity(n)
-        if not (shifted @ space.basis).is_zero():
-            raise WeightLadderError(
-                f"K1 does not act as eps1 q^(d-2i) on weight space {i}"
-            )
-    _check_moves("e0p", m.action["e0p"], spaces, +1)
-    _check_moves("e1m", m.action["e1m"], spaces, +1)
-    _check_moves("e0m", m.action["e0m"], spaces, -1)
-    _check_moves("e1p", m.action["e1p"], spaces, -1)
-    return FullWeightData(eps0, eps1, d, tuple(spaces))
+    return _analyze(AFFINE_FULL, m)
 
 
 def analyze_borel(m: "ModuleData") -> BorelWeightData:
     """Type pair (alpha, beta) and weight spaces of a Borel module: alpha from
     the K0 ladder, beta = gamma / alpha with gamma the scalar of K0 K1."""
-    if m.kind != AFFINE_BOREL:
-        raise WeightLadderError(f"expected an affine_borel module, got {m.kind}")
-    zeta, spaces = k_ladder(m.action["K0"], m.q, "K0")
-    d = len(spaces) - 1
-    alpha = zeta * m.q.pow(d)
-    gamma = _scalar_action(m.action["K0"] @ m.action["K1"], "K0 K1")
-    beta = gamma / alpha
-    K1 = m.action["K1"]
-    n = m.dim
-    for i, space in enumerate(spaces):
-        shifted = K1 - (beta * m.q.pow(d - 2 * i)) * Matrix.identity(n)
-        if not (shifted @ space.basis).is_zero():
-            raise WeightLadderError(
-                f"K1 does not act as beta q^(d-2i) on weight space {i}"
-            )
-    _check_moves("e0p", m.action["e0p"], spaces, +1)
-    _check_moves("e1p", m.action["e1p"], spaces, -1)
-    return BorelWeightData(alpha, beta, d, tuple(spaces))
+    return _analyze(AFFINE_BOREL, m)
+
+
+def analyze_weights(m: "ModuleData") -> WeightData | None:
+    """The weight analysis of m's presentation; None for a finite module."""
+    analyzers = {
+        UGEQ0: analyze_ugeq0, AFFINE_FULL: analyze_full, AFFINE_BOREL: analyze_borel,
+    }
+    return analyzers[m.kind](m) if m.kind in analyzers else None

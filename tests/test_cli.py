@@ -1,7 +1,9 @@
 import json
+import time
 
 import pytest
 
+from qaffine import cli
 from qaffine.cli import main
 from qaffine.errors import CheckFailedError
 from qaffine.modfile import write_module
@@ -78,6 +80,17 @@ def test_session_q_mismatch_is_parse_error(v111_file):
     assert main(["--q", "3", "verify", str(v111_file)]) == 2
 
 
+@pytest.mark.parametrize("command", ["verify", "analyze"])
+def test_exponent_scalar_is_parse_error(tmp_path, v111_file, command):
+    doc = json.loads(v111_file.read_text())
+    doc["action"]["K0"][0][0] = "1e10000000"
+    bad = tmp_path / "exp.json"
+    bad.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    assert main([command, str(bad)]) == 2
+    assert time.perf_counter() - start < 1.0
+
+
 def test_restrict_and_extend_round_trip(tmp_path, v111_file, capsys):
     restricted = tmp_path / "r.json"
     assert main(["restrict", str(v111_file), "--alpha", "1",
@@ -92,6 +105,28 @@ def test_restrict_and_extend_round_trip(tmp_path, v111_file, capsys):
     trace_doc = json.loads(trace.read_text())
     assert trace_doc["summary"]["pass"] is True
     assert len(trace_doc["checks"]) == 71
+
+
+def test_extend_analyzes_its_output_once(tmp_path, v111_file, monkeypatch):
+    # extend certifies the output type and diameter; the summary line reuses
+    # that analysis instead of running it again
+    from qaffine import extension, weights
+
+    original = weights.analyze_full
+    calls = []
+
+    def counting(m):
+        calls.append(m.kind)
+        return original(m)
+
+    for module in (cli, extension, weights):
+        monkeypatch.setattr(module, "analyze_full", counting)
+    restricted = tmp_path / "r.json"
+    assert main(["restrict", str(v111_file), "-o", str(restricted)]) == 0
+    calls.clear()
+    assert main(["extend", str(restricted), "--eps0", "1", "--eps1", "1",
+                 "-o", str(tmp_path / "e.json")]) == 0
+    assert calls == ["affine_full"]
 
 
 def test_restrict_to_borel(tmp_path, v111_file):

@@ -10,8 +10,6 @@ import hashlib
 import json
 from fractions import Fraction as F
 
-import pytest
-
 from qaffine import EvalParams, evaluation_module, qparam, tensor_product
 from qaffine.cli import main
 from qaffine.extension import build_a_astar, build_b_bstar, build_w_grid, eigen_flags

@@ -4,11 +4,13 @@ from fractions import Fraction as F
 import pytest
 
 from qaffine.linalg import (
+    Ladder,
     Matrix,
     Subspace,
     char_poly,
     column_echelon,
     eval_poly_matrix,
+    first_escape,
     kernel,
     kronecker,
     rank,
@@ -244,3 +246,58 @@ def test_kronecker_mixed_product():
 def test_from_rows_ragged_raises():
     with pytest.raises(ValueError):
         Matrix.from_rows([[1, 2], [3]])
+
+
+def test_shift_subtracts_on_the_diagonal():
+    rng = random.Random(3)
+    m = Matrix.from_rows(
+        [[F(rng.randint(-9, 9), 7) for _ in range(4)] for _ in range(4)]
+    )
+    assert m.shift(F(5, 3)) == m - F(5, 3) * Matrix.identity(4)
+    assert m.shift(0) == m
+    with pytest.raises(ValueError):
+        Matrix.zero(2, 3).shift(1)
+
+
+# -- ladders and containment ---------------------------------------------------
+
+
+def running_sums(spaces):
+    out, running = [], Subspace.zero(spaces[0].ambient_dim)
+    for s in spaces:
+        running = subspace_sum(running, s)
+        out.append(running)
+    return out
+
+
+def test_ladder_at_head_tail_near():
+    spaces = [span(3, (1, 0, 0)), span(3, (1, 1, 0)), span(3, (0, 0, 1)),
+              span(3, (1, 0, 0))]
+    ladder = Ladder(spaces)
+    zero = Subspace.zero(3)
+    assert len(ladder) == 4 and list(ladder) == spaces
+    assert ladder.at(-1) == zero and ladder.at(4) == zero
+    assert [ladder.at(i) for i in range(4)] == spaces
+    assert ladder.step(1) == (spaces[1], spaces[2], spaces[3], zero)
+    assert ladder.step(-1) == (zero, spaces[0], spaces[1], spaces[2])
+    assert list(ladder.head) == running_sums(spaces)
+    assert list(ladder.tail) == running_sums(spaces[::-1])[::-1]
+    assert [s.dim for s in ladder.head] == [1, 2, 3, 3]
+    assert [s.dim for s in ladder.tail] == [3, 3, 2, 1]
+    assert ladder.near(0) == subspace_sum(spaces[0], spaces[1])
+    assert ladder.near(1) == running_sums(spaces[:3])[-1]
+    assert ladder.near(3) == subspace_sum(spaces[2], spaces[3])
+    assert Ladder([spaces[0]]).near(0) == spaces[0]
+
+
+def test_first_escape():
+    # K = diag(1, 2, 4) on the coordinate axes; R raises along them
+    axes = Ladder([span(3, (1, 0, 0)), span(3, (0, 1, 0)), span(3, (0, 0, 1))])
+    K = Matrix.diagonal([1, 2, 4])
+    R = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    zeros = [Subspace.zero(3)] * 3
+    assert first_escape(K, [F(1), F(2), F(4)], axes, zeros) is None
+    assert first_escape(K, [F(1), F(4), F(4)], axes, zeros) == 1
+    assert first_escape(R, None, axes, axes.step(1)) is None
+    assert first_escape(R, None, axes, axes.step(-1)) == 0
+    assert first_escape(K, None, axes, axes) is None

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -91,6 +92,19 @@ def test_malformed_documents_rejected(v111, mutate):
     mutate(doc)
     with pytest.raises(ModuleFormatError):
         module_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", ["1e10000000", "0.5", "1_000", "+1", "1/2.0"])
+def test_non_rational_strings_rejected_fast(tmp_path, v111, entry):
+    # "1e10000000" is 10 bytes that Fraction(str) turns into a 33-Mbit integer
+    doc = json.loads(module_to_json(v111))
+    doc["action"]["K0"][0][0] = entry
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    with pytest.raises(ModuleFormatError, match="not an exact rational"):
+        read_module(path)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_relation_violation_named_on_load(v111):

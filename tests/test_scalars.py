@@ -59,6 +59,17 @@ def test_as_scalar_parsing():
         as_scalar(1.5)
 
 
+def test_as_scalar_string_grammar():
+    # strings must read "p" or "p/q"; Fractions and ints pass unchanged
+    assert as_scalar(" -3/4\n") == F(-3, 4)
+    assert as_scalar("007") == 7
+    assert as_scalar(F(1, 3)) == F(1, 3)
+    assert as_scalar(10**40) == F(10**40)
+    for bad in ["0.5", "1e3", "1_000", "+1", "3 / 4", "1/-2", "-", "/2", ""]:
+        with pytest.raises(ValueError, match="not an exact rational"):
+            as_scalar(bad)
+
+
 def test_scalar_str_round_trip():
     for s in ["0", "1", "-1", "3/4", "-22/7"]:
         assert scalar_str(as_scalar(s)) == s

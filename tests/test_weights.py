@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -12,7 +13,7 @@ from qaffine.factory import (
     twist_full,
 )
 from qaffine.linalg import Matrix, Subspace, column_echelon
-from qaffine.presentations import AFFINE_FULL, UGEQ0
+from qaffine.presentations import AFFINE_BOREL, AFFINE_FULL, UGEQ0
 from qaffine.weights import analyze_borel, analyze_full, analyze_ugeq0, k_ladder
 
 
@@ -54,31 +55,38 @@ def test_restricted_tensor(tensor_13):
 
 
 def test_gapped_spectrum_rejected(q2):
-    with pytest.raises(WeightLadderError):
+    message = (
+        "eigenvalues of K do not form a single q^2-ladder: "
+        "2 ladder bottoms among ['1', '16']"
+    )
+    with pytest.raises(WeightLadderError, match=re.escape(message)):
         analyze_ugeq0(ugeq0_module(q2, [[1, 0], [0, 16]]))
 
 
 def test_irrational_spectrum_rejected(q2):
     m = ugeq0_module(q2, [[0, 1], [2, 0]], validate=False)
-    with pytest.raises(WeightLadderError):
+    message = "K has eigenvalues outside the rationals (0 of 2 found)"
+    with pytest.raises(WeightLadderError, match=re.escape(message)):
         analyze_ugeq0(m)
 
 
 def test_non_semisimple_rejected(q2):
     m = ugeq0_module(q2, [[1, 1], [0, 1]], validate=False)
-    with pytest.raises(WeightLadderError):
+    with pytest.raises(WeightLadderError, match="^K does not act semisimply$"):
         analyze_ugeq0(m)
 
 
 def test_wrong_direction_raising_rejected(q2):
     # R maps the top weight space down: the containment check must fail
     m = ugeq0_module(q2, [[1, 0], [0, 4]], R_rows=[[0, 1], [0, 0]], validate=False)
-    with pytest.raises(WeightLadderError):
+    message = "^R does not map weight space 1 into weight space 2$"
+    with pytest.raises(WeightLadderError, match=message):
         analyze_ugeq0(m)
 
 
 def test_kind_guard(v111):
-    with pytest.raises(WeightLadderError):
+    message = "^expected a ugeq0 module, got affine_full$"
+    with pytest.raises(WeightLadderError, match=message):
         analyze_ugeq0(v111)
 
 
@@ -116,7 +124,8 @@ def test_full_non_sign_ladder_rejected(q2, v111):
     action["K0"] = 3 * action["K0"]
     action["K0inv"] = F(1, 3) * action["K0inv"]
     bad = build_module(AFFINE_FULL, q2, action, "scaled", validate=False)
-    with pytest.raises(WeightLadderError):
+    message = "^K0 ladder is not centered at a sign: alpha = 3$"
+    with pytest.raises(WeightLadderError, match=message):
         analyze_full(bad)
 
 
@@ -126,7 +135,7 @@ def test_full_nonscalar_central_product_rejected(q2, v111, v113):
     action["K1"] = Matrix.diagonal([2, 2])
     action["K1inv"] = Matrix.diagonal([F(1, 2), F(1, 2)])
     bad = build_module(AFFINE_FULL, q2, action, "mixed", validate=False)
-    with pytest.raises(WeightLadderError):
+    with pytest.raises(WeightLadderError, match="^K0 K1 does not act as a scalar$"):
         analyze_full(bad)
 
 
@@ -146,6 +155,39 @@ def test_uniqueness_under_basis_permutation(tensor_13):
     )
     for s, s_moved in zip(wd.spaces, wd_moved.spaces):
         assert column_echelon(perm_inv @ s.basis) == s_moved
+
+
+def test_full_non_sign_pair_rejected(q2, v111):
+    # scale K1/K1inv by 3: K0 K1 is the scalar 3, not a sign
+    action = dict(v111.action)
+    action["K1"] = 3 * action["K1"]
+    action["K1inv"] = F(1, 3) * action["K1inv"]
+    bad = build_module(AFFINE_FULL, q2, action, "K1 scaled", validate=False)
+    message = "^K0 K1 scalar is not a sign pair: gamma = 3$"
+    with pytest.raises(WeightLadderError, match=message):
+        analyze_full(bad)
+
+
+def test_full_raising_direction_rejected(q2, v111):
+    action = dict(v111.action)
+    action["e0p"] = action["e0m"]
+    bad = build_module(AFFINE_FULL, q2, action, "e0p lowers", validate=False)
+    message = "^e0p does not map weight space 1 into weight space 2$"
+    with pytest.raises(WeightLadderError, match=message):
+        analyze_full(bad)
+
+
+@pytest.mark.parametrize(
+    "analyzer, wrong_kind, message",
+    [
+        (analyze_full, "ugeq0", "expected an affine_full module, got ugeq0"),
+        (analyze_borel, "full", "expected an affine_borel module, got affine_full"),
+    ],
+)
+def test_kind_guards(v111, analyzer, wrong_kind, message):
+    m = restrict_to_ugeq0(v111, 1) if wrong_kind == "ugeq0" else v111
+    with pytest.raises(WeightLadderError, match=f"^{message}$"):
+        analyzer(m)
 
 
 # -- analyze_borel ------------------------------------------------------------------
@@ -178,11 +220,30 @@ def test_borel_twisted_gamma(v111):
     assert wb.alpha * wb.beta == -1
 
 
+def test_borel_nonscalar_central_product_rejected(q2, v111):
+    action = dict(restrict_to_borel(v111).action)
+    action["K1"] = Matrix.diagonal([2, 3])
+    action["K1inv"] = Matrix.diagonal([F(1, 2), F(1, 3)])
+    bad = build_module(AFFINE_BOREL, q2, action, "mixed", validate=False)
+    with pytest.raises(WeightLadderError, match="^K0 K1 does not act as a scalar$"):
+        analyze_borel(bad)
+
+
+def test_borel_lowering_direction_rejected(q2, v111):
+    b = restrict_to_borel(v111)
+    action = dict(b.action)
+    action["e1p"] = b.action["e0p"]
+    bad = build_module(AFFINE_BOREL, q2, action, "e1p raises", validate=False)
+    message = "^e1p does not map weight space 0 into weight space -1$"
+    with pytest.raises(WeightLadderError, match=message):
+        analyze_borel(bad)
+
+
 # -- k_ladder edge cases --------------------------------------------------------------
 
 
 def test_k_ladder_rejects_singular(q2):
-    with pytest.raises(WeightLadderError):
+    with pytest.raises(WeightLadderError, match="^K is singular$"):
         k_ladder(Matrix.diagonal([0, 1]), q2)
 
 
