@@ -4,18 +4,33 @@ irreducibility test, raising-power isomorphisms and finite-type decomposition.
 The irreducibility test computes the linear span of all words in the
 generator matrices by iterated left multiplication (deterministic, no
 randomization); by Burnside's theorem the module is absolutely irreducible
-exactly when that span is the full matrix algebra. When the span is smaller,
-a proper invariant subspace is hunted by spinning standard basis vectors and
-kernel vectors of shifted generators. A rational module that is irreducible
-but not absolutely so would be reported NotIrreducible with no witness and
-its span dimension as the diagnostic.
+exactly when that span is the full matrix algebra of dimension dim^2.
+
+The span is first computed modulo the prime p = 2^61 - 1, in int arithmetic,
+with each entry a/b read as a * b^-1 mod p. Reduction mod p is a ring map on
+the rationals whose denominators p does not divide, so it sends each word to
+the word in the reduced generators, and a minor of the words that is nonzero
+mod p is the reduction of a nonzero rational minor. Hence the rank over F_p
+is at most the rank over Q, which is at most dim^2, and a mod-p span of
+dim^2 proves absolute irreducibility without exact elimination. The modular
+result is used only as that proof: when the mod-p span is smaller, or p
+divides some denominator, the span is recomputed in exact Fractions, and only
+that exact path may report NotIrreducible. The prime and the mod-p rank are
+recorded in the report.
+
+When the span is smaller than dim^2, a proper invariant subspace is hunted by
+spinning standard basis vectors and then kernel vectors of shifted
+generators. A rational module that is irreducible but not absolutely so would
+be reported NotIrreducible with no witness and its span dimension as the
+diagnostic.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .errors import CheckFailedError, WeightLadderError
 from .linalg import (
@@ -38,6 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover
 ABSOLUTELY_IRREDUCIBLE = "AbsolutelyIrreducible"
 NOT_IRREDUCIBLE = "NotIrreducible"
 
+# The prime of the modular irreducibility certificate (a Mersenne prime).
+MODULUS = (1 << 61) - 1
+
 
 @dataclass(frozen=True)
 class SpinResult:
@@ -51,9 +69,15 @@ class SpinResult:
 
 @dataclass(frozen=True)
 class IrreducibilityReport:
+    """Verdict of the word-span test. `prime` is the modulus of the modular
+    pass and `modular_rank` its span dimension, None when the prime divides
+    a denominator of the action."""
+
     word_span_dim: int
     verdict: str
     witness: Subspace | None = None
+    prime: int | None = None
+    modular_rank: int | None = None
 
 
 def spin(v: Sequence[Fraction], m: "ModuleData") -> SpinResult:
@@ -105,21 +129,105 @@ def _word_span(m: "ModuleData") -> int:
     return acc.dim
 
 
-def _witness_candidates(m: "ModuleData") -> list[tuple[Fraction, ...]]:
-    """Seed vectors likely to generate a proper submodule: the standard basis
-    and kernel bases of every rational eigenvalue shift of each generator."""
+def _reduce_mod(mat: Matrix, p: int) -> list[int] | None:
+    """Entries a/b of mat as a * b^-1 mod p, row-major; None when p divides
+    a denominator."""
+    out = []
+    for x in mat.entries:
+        if x.denominator % p == 0:
+            return None
+        out.append(x.numerator * pow(x.denominator, -1, p) % p)
+    return out
+
+
+class _ModularSpan:
+    """Incremental span of int vectors mod p. Each stored row starts at its
+    pivot with entry 1; rows are reduced in pivot order, and entries are
+    taken mod p only where a coefficient is read and at the end."""
+
+    def __init__(self, p: int):
+        self.p = p
+        self.order: list[int] = []
+        self.rows: dict[int, list[int]] = {}
+
+    def insert(self, v: list[int]) -> bool:
+        """Add v to the span; returns True when the dimension grew."""
+        p = self.p
+        w = list(v)
+        for k in self.order:
+            c = w[k] % p
+            if c:
+                w[k:] = [a - c * b for a, b in zip(w[k:], self.rows[k])]
+        lead = None
+        for i, x in enumerate(w):
+            w[i] = x = x % p
+            if x and lead is None:
+                lead = i
+        if lead is None:
+            return False
+        inv = pow(w[lead], -1, p)
+        self.rows[lead] = [x * inv % p for x in w[lead:]]
+        insort(self.order, lead)
+        return True
+
+
+def _mul_mod(
+    g: list[list[tuple[int, int]]], w: list[int], n: int, p: int
+) -> list[int]:
+    """g @ w mod p for a row-major n x n int matrix w and a matrix g given as
+    its nonzero (column, entry) pairs per row; generators are sparse."""
+    out: list[int] = []
+    for terms in g:
+        acc = [0] * n
+        for t, c in terms:
+            acc = [a + c * x for a, x in zip(acc, w[t * n : (t + 1) * n])]
+        out.extend(a % p for a in acc)
+    return out
+
+
+def _modular_word_span(m: "ModuleData", p: int) -> int | None:
+    """Dimension over F_p of the span of all words in the generators reduced
+    mod p, by the frontier closure of `_word_span`, stopping once it reaches
+    dim^2; None when p divides a denominator of the action."""
     n = m.dim
-    candidates: list[tuple[Fraction, ...]] = []
+    gens = [_reduce_mod(m.action[g], p) for g in sorted(m.action)]
+    if any(g is None for g in gens):
+        return None
+    sparse = [
+        [[(t, c) for t, c in enumerate(g[i * n : (i + 1) * n]) if c]
+         for i in range(n)]
+        for g in gens
+    ]
+    full = n * n
+    identity = [int(i % (n + 1) == 0) for i in range(full)]
+    acc = _ModularSpan(p)
+    frontier = [seed for seed in [identity] + gens if acc.insert(seed)]
+    while frontier and len(acc.order) < full:
+        new_frontier = []
+        for w in frontier:
+            for g in sparse:
+                gw = _mul_mod(g, w, n, p)
+                if acc.insert(gw):
+                    new_frontier.append(gw)
+                    if len(acc.order) == full:
+                        return full
+        frontier = new_frontier
+    return len(acc.order)
+
+
+def _witness_candidates(m: "ModuleData") -> Iterator[tuple[Fraction, ...]]:
+    """Seed vectors likely to generate a proper submodule: the standard basis,
+    then kernel bases of every rational eigenvalue shift of each generator.
+    The eigenvalues are computed only once the standard basis is used up."""
+    n = m.dim
     for i in range(n):
         e = [Fraction(0)] * n
         e[i] = Fraction(1)
-        candidates.append(tuple(e))
+        yield tuple(e)
     for g in sorted(m.action):
         mat = m.action[g]
         for lam in sorted(set(rational_roots(char_poly(mat)))):
-            eig = kernel(mat.shift(lam))
-            candidates.extend(eig.basis.columns())
-    return candidates
+            yield from kernel(mat.shift(lam)).basis.columns()
 
 
 def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
@@ -127,12 +235,21 @@ def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
 
     Absolutely irreducible iff the word span has dimension dim^2; otherwise
     NotIrreducible, with a spin-verified proper invariant subspace as witness
-    whenever one of the candidate seeds finds one.
+    whenever one of the candidate seeds finds one. A mod-MODULUS span of
+    dim^2 certifies the first case; every other case is decided in exact
+    arithmetic.
     """
     n = m.dim
+    modular_rank = _modular_word_span(m, MODULUS)
+    if modular_rank == n * n:
+        return IrreducibilityReport(
+            n * n, ABSOLUTELY_IRREDUCIBLE, None, MODULUS, modular_rank
+        )
     span_dim = _word_span(m)
     if span_dim == n * n:
-        return IrreducibilityReport(span_dim, ABSOLUTELY_IRREDUCIBLE, None)
+        return IrreducibilityReport(
+            span_dim, ABSOLUTELY_IRREDUCIBLE, None, MODULUS, modular_rank
+        )
     witness = None
     for v in _witness_candidates(m):
         if all(x == 0 for x in v):
@@ -141,7 +258,9 @@ def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
         if 0 < generated.dim < n:
             witness = generated
             break
-    return IrreducibilityReport(span_dim, NOT_IRREDUCIBLE, witness)
+    return IrreducibilityReport(
+        span_dim, NOT_IRREDUCIBLE, witness, MODULUS, modular_rank
+    )
 
 
 def verify_raising_powers(m: "ModuleData") -> list[CheckResult]:

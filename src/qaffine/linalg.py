@@ -318,24 +318,27 @@ class Subspace:
         reduced = _rref([list(v) for v in vectors])
         return Subspace(ambient_dim, Matrix.from_columns(ambient_dim, reduced))
 
-    def pivots(self) -> list[int]:
+    @cached_property
+    def _pivot_columns(self) -> tuple[tuple[int, Vector], ...]:
+        """(pivot row, basis column) per basis vector, found once."""
         out = []
-        for j in range(self.basis.cols):
-            col = self.basis.column(j)
-            out.append(next(i for i, v in enumerate(col) if v != 0))
-        return out
+        for col in self.basis.columns():
+            out.append((next(i for i, v in enumerate(col) if v != 0), col))
+        return tuple(out)
+
+    def _reduce(self, w: Sequence[Fraction]) -> Sequence[Fraction]:
+        for p, col in self._pivot_columns:
+            if w[p] != 0:
+                c = w[p]
+                w = [a - c * b for a, b in zip(w, col)]
+        return w
 
     def reduce_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
         """Remainder of v after removing its component in this subspace."""
         w = [as_scalar(x) for x in v]
         if len(w) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        for j, p in enumerate(self.pivots()):
-            if w[p] != 0:
-                c = w[p]
-                col = self.basis.column(j)
-                w = [a - c * b for a, b in zip(w, col)]
-        return w
+        return list(self._reduce(w))
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return all(x == 0 for x in self.reduce_vector(v))
@@ -343,9 +346,7 @@ class Subspace:
     def contains(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(
-            self.contains_vector(other.basis.column(j)) for j in range(other.dim)
-        )
+        return all(not any(self._reduce(col)) for col in other.basis.columns())
 
     def is_zero(self) -> bool:
         return self.dim == 0

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction as F
 
 import pytest
 
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
+    MODULUS,
     NOT_IRREDUCIBLE,
+    _word_span,
     burnside_irreducible,
     finite_decompose,
     spin,
@@ -15,6 +18,7 @@ from qaffine.factory import (
     EvalParams,
     build_module,
     evaluation_module,
+    restrict_to_ugeq0,
     tensor_product,
 )
 from qaffine.linalg import Matrix, Subspace, image
@@ -101,6 +105,88 @@ def test_burnside_invariant_under_conjugation(tensor_14):
     a = burnside_irreducible(tensor_14)
     b = burnside_irreducible(conj)
     assert (a.word_span_dim, a.verdict) == (b.word_span_dim, b.verdict)
+
+
+# -- the modular certificate and the exact fallback -----------------------------
+
+
+def eval_tensor(q, *params):
+    factors = [evaluation_module(EvalParams(*p), q) for p in params]
+    module = factors[0]
+    for other in factors[1:]:
+        module = tensor_product(module, other)
+    return module
+
+
+def test_certificate_matches_exact_span(tensor_13, q2):
+    roundtrip_dim8 = restrict_to_ugeq0(
+        eval_tensor(q2, (1, 1, 1), (1, 1, 3), (1, 1, 9)), 1
+    )
+    for m in (tensor_13, roundtrip_dim8):
+        n = m.dim
+        report = burnside_irreducible(m)
+        assert (report.prime, report.modular_rank) == (MODULUS, n * n)
+        assert report.verdict == ABSOLUTELY_IRREDUCIBLE
+        assert report.word_span_dim == _word_span(m) == n * n
+        assert report.witness is None
+
+
+def test_reducible_tensor_takes_exact_fallback(tensor_14):
+    report = burnside_irreducible(tensor_14)
+    assert report.prime == MODULUS
+    assert report.modular_rank is not None and report.modular_rank < 16
+    assert report.word_span_dim == _word_span(tensor_14) == 13
+    assert report.verdict == NOT_IRREDUCIBLE
+    # the first candidate, e_0, spins to the 3-dimensional component
+    assert report.witness == spin(unit_vector(4, 0), tensor_14).generated
+    assert report.witness.dim == 3
+
+
+def test_prime_in_denominator_skips_certificate(tensor_14):
+    d = Matrix.diagonal([1, MODULUS, 1, 1])
+    d_inv = d.inverse()
+    conj = build_module(
+        AFFINE_FULL,
+        tensor_14.q,
+        {g: d_inv @ mat @ d for g, mat in tensor_14.action.items()},
+        "conjugated by diag(1, p, 1, 1)",
+    )
+    assert any(
+        x.denominator % MODULUS == 0
+        for mat in conj.action.values()
+        for x in mat.entries
+    )
+    plain = burnside_irreducible(tensor_14)
+    report = burnside_irreducible(conj)
+    assert (report.prime, report.modular_rank) == (MODULUS, None)
+    assert (report.word_span_dim, report.verdict) == (
+        plain.word_span_dim,
+        plain.verdict,
+    )
+    # d fixes e_0, so the witness is the d^-1 image of the unconjugated one
+    assert report.witness == image(d_inv, plain.witness)
+
+
+def test_unlucky_prime_decided_exactly(q2):
+    # R = e0p = p * em vanishes mod p, so the reduced words only reach the
+    # upper triangular 2 x 2 matrices, while the rational span is all of M_2
+    m = restrict_to_ugeq0(evaluation_module(EvalParams(1, 1, MODULUS), q2), 1)
+    assert any(x != 0 and x % MODULUS == 0 for x in m.action["R"].entries)
+    report = burnside_irreducible(m)
+    assert report.modular_rank == 3
+    assert report.verdict == ABSOLUTELY_IRREDUCIBLE
+    assert report.word_span_dim == 4
+    assert report.witness is None
+
+
+def test_dim16_certificate_time_bound(q2):
+    m = restrict_to_ugeq0(eval_tensor(q2, (3, 1, 1), (3, 1, 11)), 1)
+    start = time.perf_counter()
+    report = burnside_irreducible(m)
+    elapsed = time.perf_counter() - start
+    assert report.verdict == ABSOLUTELY_IRREDUCIBLE
+    assert report.word_span_dim == report.modular_rank == 256
+    assert elapsed < 10, f"dim-16 Burnside test took {elapsed:.1f} s"
 
 
 def test_spin_full_space_on_certified_modules(tensor_13):

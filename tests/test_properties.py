@@ -9,9 +9,21 @@ stacked-block elimination.
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from qaffine.analysis import (
+    ABSOLUTELY_IRREDUCIBLE,
+    NOT_IRREDUCIBLE,
+    _word_span,
+    burnside_irreducible,
+)
+from qaffine.factory import (
+    EvalParams,
+    evaluation_module,
+    restrict_to_ugeq0,
+    tensor_product,
+)
 from qaffine.linalg import (
     Matrix,
     Subspace,
@@ -150,3 +162,34 @@ def test_qint_recurrence(n, qv):
     q = qparam(qv)
     # [n+1] = q [n] + q^-n
     assert qint(n + 1, q) == q.q * qint(n, q) + q.pow(-n)
+
+
+@st.composite
+def small_eval_tensors(draw):
+    """V_d1(a) (x) V_d2(a q^e) at q = 2, dim <= 6, sometimes restricted to
+    ugeq0. The exponents e cover the q-strings, so reducible tensors (e.g.
+    V_1 (x) V_1 at ratio q^+-2) are drawn as well as irreducible ones."""
+    q = qparam(2)
+    d1, d2 = draw(st.sampled_from([(0, 1), (1, 1), (1, 2), (2, 1), (0, 2)]))
+    a = draw(st.sampled_from([F(1), F(3), F(-2), F(1, 3)]))
+    e = draw(st.integers(min_value=-4, max_value=4))
+    eps1, eps2 = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+    m = tensor_product(
+        evaluation_module(EvalParams(d1, eps1, a), q),
+        evaluation_module(EvalParams(d2, eps2, a * q.pow(e)), q),
+    )
+    alpha = draw(st.sampled_from([None, F(1), F(-3, 2)]))
+    return m if alpha is None else restrict_to_ugeq0(m, alpha)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_eval_tensors())
+def test_certificate_with_fallback_matches_exact_span(m):
+    report = burnside_irreducible(m)
+    exact = _word_span(m)
+    n = m.dim
+    assert report.word_span_dim == exact
+    expected = ABSOLUTELY_IRREDUCIBLE if exact == n * n else NOT_IRREDUCIBLE
+    assert report.verdict == expected
+    event(expected)
+    assert report.modular_rank is not None and report.modular_rank <= exact
