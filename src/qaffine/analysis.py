@@ -129,30 +129,29 @@ def _word_span(m: "ModuleData") -> int:
     return acc.dim
 
 
-def _reduce_mod(mat: Matrix, p: int) -> list[int] | None:
-    """Entries a/b of mat as a * b^-1 mod p, row-major; None when p divides
-    a denominator."""
+def _reduce_mod(mat: Matrix) -> list[int] | None:
+    """Entries a/b of mat as a * b^-1 mod MODULUS, row-major; None when
+    MODULUS divides a denominator."""
     out = []
     for x in mat.entries:
-        if x.denominator % p == 0:
+        if x.denominator % MODULUS == 0:
             return None
-        out.append(x.numerator * pow(x.denominator, -1, p) % p)
+        out.append(x.numerator * pow(x.denominator, -1, MODULUS) % MODULUS)
     return out
 
 
 class _ModularSpan:
-    """Incremental span of int vectors mod p. Each stored row starts at its
-    pivot with entry 1; rows are reduced in pivot order, and entries are
-    taken mod p only where a coefficient is read and at the end."""
+    """Incremental span of int vectors mod MODULUS. Each stored row starts at
+    its pivot with entry 1; rows are reduced in pivot order, and entries are
+    taken mod MODULUS only where a coefficient is read and at the end."""
 
-    def __init__(self, p: int):
-        self.p = p
+    def __init__(self):
         self.order: list[int] = []
         self.rows: dict[int, list[int]] = {}
 
     def insert(self, v: list[int]) -> bool:
         """Add v to the span; returns True when the dimension grew."""
-        p = self.p
+        p = MODULUS
         w = list(v)
         for k in self.order:
             c = w[k] % p
@@ -171,26 +170,26 @@ class _ModularSpan:
         return True
 
 
-def _mul_mod(
-    g: list[list[tuple[int, int]]], w: list[int], n: int, p: int
-) -> list[int]:
-    """g @ w mod p for a row-major n x n int matrix w and a matrix g given as
-    its nonzero (column, entry) pairs per row; generators are sparse."""
+def _mul_mod(g: list[list[tuple[int, int]]], w: list[int], n: int) -> list[int]:
+    """g @ w mod MODULUS for a row-major n x n int matrix w and a matrix g
+    given as its nonzero (column, entry) pairs per row; generators are
+    sparse."""
     out: list[int] = []
     for terms in g:
         acc = [0] * n
         for t, c in terms:
             acc = [a + c * x for a, x in zip(acc, w[t * n : (t + 1) * n])]
-        out.extend(a % p for a in acc)
+        out.extend(a % MODULUS for a in acc)
     return out
 
 
-def _modular_word_span(m: "ModuleData", p: int) -> int | None:
-    """Dimension over F_p of the span of all words in the generators reduced
-    mod p, by the frontier closure of `_word_span`, stopping once it reaches
-    dim^2; None when p divides a denominator of the action."""
+def _modular_word_span(m: "ModuleData") -> int | None:
+    """Dimension over F_p, p = MODULUS, of the span of all words in the
+    generators reduced mod p, by the frontier closure of `_word_span`,
+    stopping once it reaches dim^2; None when p divides a denominator of the
+    action."""
     n = m.dim
-    gens = [_reduce_mod(m.action[g], p) for g in sorted(m.action)]
+    gens = [_reduce_mod(m.action[g]) for g in sorted(m.action)]
     if any(g is None for g in gens):
         return None
     sparse = [
@@ -200,13 +199,13 @@ def _modular_word_span(m: "ModuleData", p: int) -> int | None:
     ]
     full = n * n
     identity = [int(i % (n + 1) == 0) for i in range(full)]
-    acc = _ModularSpan(p)
+    acc = _ModularSpan()
     frontier = [seed for seed in [identity] + gens if acc.insert(seed)]
     while frontier and len(acc.order) < full:
         new_frontier = []
         for w in frontier:
             for g in sparse:
-                gw = _mul_mod(g, w, n, p)
+                gw = _mul_mod(g, w, n)
                 if acc.insert(gw):
                     new_frontier.append(gw)
                     if len(acc.order) == full:
@@ -240,7 +239,7 @@ def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
     arithmetic.
     """
     n = m.dim
-    modular_rank = _modular_word_span(m, MODULUS)
+    modular_rank = _modular_word_span(m)
     if modular_rank == n * n:
         return IrreducibilityReport(
             n * n, ABSOLUTELY_IRREDUCIBLE, None, MODULUS, modular_rank
