@@ -25,6 +25,9 @@ The weight spaces, both flags and both split decompositions are each held
 as a linalg.Ladder (zero off its ends, partial sums computed once), and
 every "operator moves each space of a ladder one step" check is one call of
 linalg.first_escape, the containment primitive the weight analysis shares.
+Every matrix identity (steps 1, 4, 5) is a presentations.RelationWord over
+the names R, L, K, Kinv, A, Astar, B, Bstar, r, l, checked by
+presentations.check_relations, the evaluator of the defining relations.
 
 Every check failure aborts with the check's name; the engine doubles as a
 certificate generator for the whole chain of identities. Conversely, for a
@@ -51,9 +54,20 @@ from .linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from .presentations import AFFINE_FULL, UGEQ0, check_presentation
+from .presentations import (
+    AFFINE_FULL,
+    UGEQ0,
+    RelationWord,
+    check_presentation,
+    check_relations,
+    formal_sum,
+    q_serre,
+    term,
+    weyl,
+    zero_commutator,
+)
 from .report import CheckLog, CheckResult
-from .scalars import QParam, as_scalar, qint
+from .scalars import ONE, QParam, as_scalar
 from .weights import FullWeightData, WeightLadder, analyze_full, analyze_ugeq0
 
 ANCHOR_SPLIT = "split pair A, A*"
@@ -100,22 +114,6 @@ class ExtensionTrace:
             "checks": [c.to_dict() for c in self.checks],
             "pass": all(c.passed for c in self.checks),
         }
-
-
-def _weyl_residual(
-    x: Matrix, y: Matrix, target: Fraction, q: QParam
-) -> Matrix:
-    """(q x y - q^-1 y x)/(q - q^-1) - target I."""
-    lhs = (q.q * (x @ y) - (1 / q.q) * (y @ x)).scale(1 / q.weyl_denominator)
-    return lhs.shift(target)
-
-
-def _serre_residual(x: Matrix, y: Matrix, q: QParam) -> Matrix:
-    """x^3 y - [3] x^2 y x + [3] x y x^2 - y x^3."""
-    three = qint(3, q)
-    x2 = x @ x
-    x3 = x2 @ x
-    return (x3 @ y) - three * (x2 @ y @ x) + three * (x @ y @ x2) - (y @ x3)
 
 
 @dataclass(frozen=True)
@@ -181,16 +179,12 @@ def build_a_astar(m: ModuleData, log: CheckLog) -> tuple[Matrix, Matrix]:
     q = m.q
     a_mat = m.action["K"] + m.action["R"]
     astar_mat = m.action["Kinv"] + m.action["L"]
-    log.matrix_zero(
-        "weyl(Kinv,A)", ANCHOR_SPLIT,
-        _weyl_residual(m.action["Kinv"], a_mat, Fraction(1), q),
-    )
-    log.matrix_zero(
-        "weyl(K,Astar)", ANCHOR_SPLIT,
-        _weyl_residual(m.action["K"], astar_mat, Fraction(1), q),
-    )
-    log.matrix_zero("serre(A,Astar)", ANCHOR_SPLIT, _serre_residual(a_mat, astar_mat, q))
-    log.matrix_zero("serre(Astar,A)", ANCHOR_SPLIT, _serre_residual(astar_mat, a_mat, q))
+    check_relations(log, ANCHOR_SPLIT, (
+        weyl("Kinv", "A", ONE, q),
+        weyl("K", "Astar", ONE, q),
+        q_serre("A", "Astar", q),
+        q_serre("Astar", "A", q),
+    ), {**m.action, "A": a_mat, "Astar": astar_mat})
     return a_mat, astar_mat
 
 
@@ -394,17 +388,16 @@ def build_b_bstar(
     ev = _eigenvalues(q, alpha, ladder.diameter)
     b_mat = _projector_operator(w, ev.b, n)
     bstar_mat = _projector_operator(wstar, ev.bstar, n)
-    for name, x, y, target in (
-        ("weyl(A,B)", a_mat, b_mat, alpha),
-        ("weyl(B,Astar)", b_mat, astar_mat, 1 / alpha),
-        ("weyl(Astar,Bstar)", astar_mat, bstar_mat, 1 / alpha),
-        ("weyl(Bstar,A)", bstar_mat, a_mat, alpha),
-        ("weyl(B,Kinv)", b_mat, m.action["Kinv"], 1 / alpha),
-        ("weyl(Bstar,K)", bstar_mat, m.action["K"], alpha),
-    ):
-        log.matrix_zero(name, ANCHOR_B, _weyl_residual(x, y, target, q))
-    log.matrix_zero("serre(B,Bstar)", ANCHOR_B, _serre_residual(b_mat, bstar_mat, q))
-    log.matrix_zero("serre(Bstar,B)", ANCHOR_B, _serre_residual(bstar_mat, b_mat, q))
+    check_relations(log, ANCHOR_B, (
+        weyl("A", "B", alpha, q),
+        weyl("B", "Astar", 1 / alpha, q),
+        weyl("Astar", "Bstar", 1 / alpha, q),
+        weyl("Bstar", "A", alpha, q),
+        weyl("B", "Kinv", 1 / alpha, q),
+        weyl("Bstar", "K", alpha, q),
+        q_serre("B", "Bstar", q),
+        q_serre("Bstar", "B", q),
+    ), {**m.action, "A": a_mat, "Astar": astar_mat, "B": b_mat, "Bstar": bstar_mat})
 
     u = Ladder(ladder.spaces)
     _moves_into(log, ANCHOR_B, (
@@ -431,39 +424,29 @@ def _lowering_suite(
     and K^{±1}."""
     q, alpha = m.q, ladder.alpha
     K, Kinv = m.action["K"], m.action["Kinv"]
-    R, L = m.action["R"], m.action["L"]
-    denom = q.lowering_denominator
+    denom, c = q.lowering_denominator, ONE / q.weyl_denominator
     r_mat = (K @ bstar_mat).shift(alpha).scale(-1 / denom)
     l_mat = (Kinv @ b_mat).shift(1 / alpha).scale(-1 / denom)
-
-    log.matrix_zero(
-        "reconstruct(B)", ANCHOR_LOWER,
-        b_mat - ((1 / alpha) * K - denom * (K @ l_mat)),
-    )
-    log.matrix_zero(
-        "reconstruct(Bstar)", ANCHOR_LOWER,
-        bstar_mat - (alpha * Kinv - denom * (Kinv @ r_mat)),
-    )
-    log.matrix_zero(
-        "weight(r)", ANCHOR_LOWER, K @ r_mat @ Kinv - q.pow(2) * r_mat
-    )
-    log.matrix_zero(
-        "weight(l)", ANCHOR_LOWER, K @ l_mat @ Kinv - q.pow(-2) * l_mat
-    )
-    bracket_r = ((1 / alpha) * K - alpha * Kinv).scale(1 / q.weyl_denominator)
-    log.matrix_zero(
-        "commutator(r,L)", ANCHOR_LOWER, (r_mat @ L - L @ r_mat) - bracket_r
-    )
-    bracket_l = (alpha * Kinv - (1 / alpha) * K).scale(1 / q.weyl_denominator)
-    log.matrix_zero(
-        "commutator(l,R)", ANCHOR_LOWER, (l_mat @ R - R @ l_mat) - bracket_l
-    )
-    log.matrix_zero("commute(l,L)", ANCHOR_LOWER, l_mat @ L - L @ l_mat)
-    log.matrix_zero("commute(r,R)", ANCHOR_LOWER, r_mat @ R - R @ r_mat)
-    log.matrix_zero("serre(R,L)", ANCHOR_LOWER, _serre_residual(R, L, q))
-    log.matrix_zero("serre(L,R)", ANCHOR_LOWER, _serre_residual(L, R, q))
-    log.matrix_zero("serre(r,l)", ANCHOR_LOWER, _serre_residual(r_mat, l_mat, q))
-    log.matrix_zero("serre(l,r)", ANCHOR_LOWER, _serre_residual(l_mat, r_mat, q))
+    check_relations(log, ANCHOR_LOWER, (
+        RelationWord("reconstruct(B)", formal_sum(term(1, "B")),
+                     formal_sum((1 / alpha, ("K",)), (-denom, ("K", "l")))),
+        RelationWord("reconstruct(Bstar)", formal_sum(term(1, "Bstar")),
+                     formal_sum((alpha, ("Kinv",)), (-denom, ("Kinv", "r")))),
+        RelationWord("weight(r)", formal_sum(term(1, "K", "r", "Kinv")),
+                     formal_sum((q.pow(2), ("r",)))),
+        RelationWord("weight(l)", formal_sum(term(1, "K", "l", "Kinv")),
+                     formal_sum((q.pow(-2), ("l",)))),
+        RelationWord("commutator(r,L)", zero_commutator("r", "L").lhs,
+                     formal_sum((c / alpha, ("K",)), (-c * alpha, ("Kinv",)))),
+        RelationWord("commutator(l,R)", zero_commutator("l", "R").lhs,
+                     formal_sum((c * alpha, ("Kinv",)), (-c / alpha, ("K",)))),
+        zero_commutator("l", "L"),
+        zero_commutator("r", "R"),
+        q_serre("R", "L", q),
+        q_serre("L", "R", q),
+        q_serre("r", "l", q),
+        q_serre("l", "r", q),
+    ), {**m.action, "B": b_mat, "Bstar": bstar_mat, "r": r_mat, "l": l_mat})
     return r_mat, l_mat
 
 

@@ -202,23 +202,14 @@ class Matrix:
         return sum((self.at(i, i) for i in range(self.rows)), ZERO)
 
     def inverse(self) -> Matrix:
-        """Gauss-Jordan inverse; raises ValueError on singular input."""
+        """Gauss-Jordan inverse, the right block of rref[M | I]; raises
+        ValueError on singular input."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        work = [list(self.row(i)) + [ONE if j == i else ZERO for j in range(n)]
-                for i in range(n)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if work[r][col] != 0), None)
-            if pivot is None:
-                raise ValueError("matrix is singular")
-            work[col], work[pivot] = work[pivot], work[col]
-            inv = 1 / work[col][col]
-            work[col] = [v * inv for v in work[col]]
-            for r in range(n):
-                if r != col and work[r][col] != 0:
-                    f = work[r][col]
-                    work[r] = [a - f * b for a, b in zip(work[r], work[col])]
+        n, eye = self.rows, Matrix.identity(self.rows)
+        work = _rref(self.hstack(eye).to_rows())
+        if [row[:n] for row in work] != eye.to_rows():
+            raise ValueError("matrix is singular")
         return Matrix.from_rows([row[n:] for row in work])
 
     def hstack(self, other: Matrix) -> Matrix:

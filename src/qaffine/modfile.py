@@ -73,7 +73,7 @@ def module_from_dict(
     if not isinstance(doc, dict):
         raise ModuleFormatError("module document must be a JSON object")
     version = doc.get("format_version")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise ModuleFormatError(f"unsupported format_version: {version!r}")
     kind = doc.get("presentation")
     if kind not in ALPHABETS:
@@ -89,7 +89,7 @@ def module_from_dict(
             f"{scalar_str(session_q.q)}"
         )
     dim = doc.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise ModuleFormatError(f"dim must be a positive integer, got {dim!r}")
     raw_action = doc.get("action")
     if not isinstance(raw_action, dict):

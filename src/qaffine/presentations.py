@@ -2,9 +2,13 @@
 
 Relations are stored as data: each side of a relation is a formal sum of
 words in generator names with exact rational coefficients (which may involve
-q, the bracket [3], or 1/(q - q^-1), all evaluated once per q). A single
-evaluator substitutes matrices for generators, so one code path serves all
-presentations as well as the internal operator identities used elsewhere.
+q, the bracket [3], or 1/(q - q^-1), all evaluated once per q). One code
+path, ``check_relations``, substitutes matrices for generator names and logs
+the exact residual lhs - rhs; it checks the defining relations below and
+every matrix identity of the extension pipeline (whose A, A*, B, B*, r, l
+are just more generator names, with the shared ``weyl``, ``q_serre`` and
+``zero_commutator`` builders). ``evaluate_word`` multiplies the words in
+sorted order, so each prefix shared by neighbouring words is computed once.
 
 Supported presentations:
 
@@ -31,12 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import QAffineError
 from .linalg import Matrix
 from .report import CheckLog, VerificationReport
-from .scalars import ONE, QParam, qint
+from .scalars import ONE, ZERO, QParam, qint
 
 if TYPE_CHECKING:  # pragma: no cover
     from .factory import ModuleData
@@ -53,13 +57,6 @@ ALPHABETS: dict[str, tuple[GeneratorName, ...]] = {
     AFFINE_BOREL: ("e0p", "e1p", "K0", "K0inv", "K1", "K1inv"),
     UGEQ0: ("R", "L", "K", "Kinv"),
     FINITE: ("ep", "em", "k", "kinv"),
-}
-
-INVERSE_PAIRS: dict[str, tuple[tuple[GeneratorName, GeneratorName], ...]] = {
-    AFFINE_FULL: (("K0", "K0inv"), ("K1", "K1inv")),
-    AFFINE_BOREL: (("K0", "K0inv"), ("K1", "K1inv")),
-    UGEQ0: (("K", "Kinv"),),
-    FINITE: (("k", "kinv"),),
 }
 
 Word = tuple[GeneratorName, ...]
@@ -89,8 +86,10 @@ def evaluate_word(
 ) -> Matrix:
     """Substitute matrices for generators in a formal sum and evaluate.
 
-    The empty word is the identity. All assigned matrices must be square and
-    of equal dimension.
+    The empty word is the identity and a one-letter word is its matrix.
+    Repeated words are merged, and the words are multiplied out in sorted
+    order so that each prefix shared by neighbouring words is computed once.
+    All assigned matrices must be square and of equal dimension.
     """
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
@@ -98,19 +97,45 @@ def evaluate_word(
     if len(dims) != 1:
         raise QAffineError("assigned matrices must all be square of equal dimension")
     n = dims.pop()
-    total = Matrix.zero(n, n)
+    coeffs: dict[Word, Fraction] = {}
     for coeff, word in words:
-        factor = Matrix.identity(n)
         for gen in word:
             if gen not in assignment:
                 raise QAffineError(f"generator {gen!r} is not assigned a matrix")
-            factor = factor @ assignment[gen]
-        total = total + coeff * factor
+        coeffs[word] = coeffs.get(word, ZERO) + coeff
+    total = Matrix.zero(n, n)
+    chain: list[Matrix] = []  # chain[i] is the product of the first i+1 letters
+    previous: Word = ()
+    for word in sorted(w for w, c in coeffs.items() if c):
+        shared = 0
+        for a, b in zip(previous, word):
+            if a != b:
+                break
+            shared += 1
+        del chain[shared:]
+        for gen in word[shared:]:
+            chain.append(chain[-1] @ assignment[gen] if chain else assignment[gen])
+        previous = word
+        c = coeffs[word]
+        total = total + c * chain[-1] if word else total.shift(-c)  # c I
     return total
 
 
-def _q_serre(x: GeneratorName, y: GeneratorName, three: Fraction) -> RelationWord:
-    # x^3 y - [3] x^2 y x + [3] x y x^2 - y x^3 = 0
+def check_relations(
+    log: CheckLog,
+    anchor: str,
+    relations: Iterable[RelationWord],
+    assignment: Mapping[GeneratorName, Matrix],
+) -> None:
+    """Log, under ``anchor``, the exact residual lhs - rhs of each relation."""
+    for rel in relations:
+        difference = rel.lhs + tuple((-c, w) for c, w in rel.rhs)
+        log.matrix_zero(rel.name, anchor, evaluate_word(difference, assignment))
+
+
+def q_serre(x: GeneratorName, y: GeneratorName, q: QParam) -> RelationWord:
+    """x^3 y - [3] x^2 y x + [3] x y x^2 - y x^3 = 0."""
+    three = qint(3, q)
     lhs = formal_sum(
         term(1, x, x, x, y),
         (-three, (x, x, y, x)),
@@ -120,7 +145,22 @@ def _q_serre(x: GeneratorName, y: GeneratorName, three: Fraction) -> RelationWor
     return RelationWord(f"serre({x},{y})", lhs, formal_sum())
 
 
-def _weyl_pair(k: GeneratorName, kinv: GeneratorName) -> list[RelationWord]:
+def weyl(
+    x: GeneratorName, y: GeneratorName, target: Fraction, q: QParam
+) -> RelationWord:
+    """(q x y - q^-1 y x)/(q - q^-1) = target."""
+    c = ONE / q.weyl_denominator
+    lhs = formal_sum((c * q.q, (x, y)), (-c / q.q, (y, x)))
+    return RelationWord(f"weyl({x},{y})", lhs, formal_sum((target, ())))
+
+
+def zero_commutator(x: GeneratorName, y: GeneratorName) -> RelationWord:
+    """x y - y x = 0."""
+    lhs = formal_sum(term(1, x, y), term(-1, y, x))
+    return RelationWord(f"commute({x},{y})", lhs, formal_sum())
+
+
+def _inverse_pair(k: GeneratorName, kinv: GeneratorName) -> list[RelationWord]:
     one = formal_sum(term(1))
     return [
         RelationWord(f"unit({k} {kinv})", formal_sum(term(1, k, kinv)), one),
@@ -148,20 +188,14 @@ def _bracket_commutator(
     return RelationWord(f"bracket({ep},{em})", lhs, rhs)
 
 
-def _zero_commutator(x: GeneratorName, y: GeneratorName) -> RelationWord:
-    lhs = formal_sum(term(1, x, y), term(-1, y, x))
-    return RelationWord(f"commute({x},{y})", lhs, formal_sum())
-
-
 @lru_cache(maxsize=None)
 def _relations(kind: str, q_value: Fraction) -> tuple[RelationWord, ...]:
     q = QParam(q_value)
-    three = qint(3, q)
     rels: list[RelationWord] = []
     if kind == AFFINE_FULL:
-        for k, kinv in INVERSE_PAIRS[kind]:
-            rels.extend(_weyl_pair(k, kinv))
-        rels.append(_zero_commutator("K0", "K1"))
+        for i in (0, 1):
+            rels.extend(_inverse_pair(f"K{i}", f"K{i}inv"))
+        rels.append(zero_commutator("K0", "K1"))
         for i in (0, 1):
             for sign, p in (("p", 2), ("m", -2)):
                 rels.append(_weight(f"K{i}", f"K{i}inv", f"e{i}{sign}", p, q))
@@ -170,29 +204,26 @@ def _relations(kind: str, q_value: Fraction) -> tuple[RelationWord, ...]:
                 rels.append(_weight(f"K{i}", f"K{i}inv", f"e{j}{sign}", p, q))
         for i in (0, 1):
             rels.append(_bracket_commutator(f"e{i}p", f"e{i}m", f"K{i}", f"K{i}inv", q))
-        rels.append(_zero_commutator("e0p", "e1m"))
-        rels.append(_zero_commutator("e0m", "e1p"))
+        rels.append(zero_commutator("e0p", "e1m"))
+        rels.append(zero_commutator("e0m", "e1p"))
         for i, j in ((0, 1), (1, 0)):
             for sign in ("p", "m"):
-                rels.append(_q_serre(f"e{i}{sign}", f"e{j}{sign}", three))
+                rels.append(q_serre(f"e{i}{sign}", f"e{j}{sign}", q))
     elif kind == AFFINE_BOREL:
-        for k, kinv in INVERSE_PAIRS[kind]:
-            rels.extend(_weyl_pair(k, kinv))
-        rels.append(_zero_commutator("K0", "K1"))
-        for i in (0, 1):
-            rels.append(_weight(f"K{i}", f"K{i}inv", f"e{i}p", 2, q))
-        for i, j in ((0, 1), (1, 0)):
-            rels.append(_weight(f"K{i}", f"K{i}inv", f"e{j}p", -2, q))
-        rels.append(_q_serre("e0p", "e1p", three))
-        rels.append(_q_serre("e1p", "e0p", three))
+        # the full relations that involve the raising generators only
+        alphabet = set(ALPHABETS[kind])
+        rels = [
+            rel for rel in _relations(AFFINE_FULL, q_value)
+            if all(set(word) <= alphabet for _, word in rel.lhs + rel.rhs)
+        ]
     elif kind == UGEQ0:
-        rels.extend(_weyl_pair("K", "Kinv"))
+        rels.extend(_inverse_pair("K", "Kinv"))
         rels.append(_weight("K", "Kinv", "R", 2, q))
         rels.append(_weight("K", "Kinv", "L", -2, q))
-        rels.append(_q_serre("R", "L", three))
-        rels.append(_q_serre("L", "R", three))
+        rels.append(q_serre("R", "L", q))
+        rels.append(q_serre("L", "R", q))
     elif kind == FINITE:
-        rels.extend(_weyl_pair("k", "kinv"))
+        rels.extend(_inverse_pair("k", "kinv"))
         rels.append(_weight("k", "kinv", "ep", 2, q))
         rels.append(_weight("k", "kinv", "em", -2, q))
         rels.append(_bracket_commutator("ep", "em", "k", "kinv", q))
@@ -212,24 +243,18 @@ def check_presentation(kind: str, data: "ModuleData") -> VerificationReport:
     The report lists, per relation, the exact residual lhs - rhs; a relation
     passes iff its residual is the zero matrix. Deterministic and pure.
     """
-    expected = set(ALPHABETS[kind]) if kind in ALPHABETS else None
-    if expected is None:
+    if kind not in ALPHABETS:
         raise QAffineError(f"unknown presentation kind: {kind!r}")
-    if set(data.action) != expected:
-        missing = expected - set(data.action)
-        extra = set(data.action) - expected
+    expected, given = set(ALPHABETS[kind]), set(data.action)
+    if given != expected:
         raise QAffineError(
-            f"generator alphabet mismatch for {kind}: missing {sorted(missing)}, "
-            f"unexpected {sorted(extra)}"
+            f"generator alphabet mismatch for {kind}: missing "
+            f"{sorted(expected - given)}, unexpected {sorted(given - expected)}"
         )
     log = CheckLog(strict=False)
-    for rel in relations_for(kind, data.q):
-        residual = evaluate_word(rel.lhs, data.action) - evaluate_word(
-            rel.rhs, data.action
-        )
-        log.matrix_zero(rel.name, f"defining relations ({kind})", residual)
+    check_relations(
+        log, f"defining relations ({kind})", relations_for(kind, data.q), data.action
+    )
     report = VerificationReport(subject=f"{kind} relations", entries=log.entries)
-    report.summary["presentation"] = kind
-    report.summary["q"] = str(data.q.q)
-    report.summary["dim"] = str(data.dim)
+    report.summary.update(presentation=kind, q=str(data.q.q), dim=str(data.dim))
     return report

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -66,6 +70,41 @@ def test_verify_parse_error(tmp_path):
     bad = tmp_path / "nope.json"
     bad.write_text("[]")
     assert main(["verify", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("field", ["dim", "format_version"])
+def test_json_true_field_is_parse_error(tmp_path, field, capsys):
+    path = tmp_path / "one.json"
+    assert main(["build", "finite", "--d", "0", "--eps", "1", "-o", str(path)]) == 0
+    doc = json.loads(path.read_text())
+    doc[field] = True
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path)]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_module_entry_point(tmp_path):
+    """``python -m qaffine``: build, restrict, extend --trace, roundtrip."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    steps = [
+        ["build", "eval", "--d", "1", "--eps", "1", "--a", "3", "-o", "m.json"],
+        ["restrict", "m.json", "--alpha", "2", "-o", "r.json"],
+        ["extend", "r.json", "--eps0", "1", "--eps1", "1", "--trace", "t.json",
+         "-o", "e.json"],
+        ["roundtrip", "m.json", "--alpha", "2"],
+    ]
+    for argv in steps:
+        done = subprocess.run(
+            [sys.executable, "-m", "qaffine", *argv],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (argv, done.stderr)
+    checks = json.loads((tmp_path / "t.json").read_text())["checks"]
+    assert len(checks) == 71
+    assert all(c["pass"] for c in checks)
+    assert "ALL PASS" in done.stdout
 
 
 def test_verify_q_unit_rejected(tmp_path, v111_file):

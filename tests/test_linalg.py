@@ -228,6 +228,24 @@ def test_inverse_singular_raises():
         Matrix.from_rows([[1, 2], [2, 4]]).inverse()
 
 
+def test_inverse_rank_deficient_raises():
+    # rank 2: the third row is the sum of the first two
+    m = Matrix.from_rows([[1, 0, 2], [0, 1, F(1, 3)], [1, 1, F(7, 3)]])
+    with pytest.raises(ValueError, match="matrix is singular"):
+        m.inverse()
+
+
+def test_inverse_zero_matrix_raises():
+    with pytest.raises(ValueError, match="matrix is singular"):
+        Matrix.zero(3, 3).inverse()
+
+
+def test_inverse_needs_row_swaps():
+    m = Matrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+    expected = Matrix.from_rows([[0, 0, F(1, 3)], [0, F(1, 2), 0], [1, 0, 0]])
+    assert m.inverse() == expected
+
+
 def test_power():
     n = Matrix.from_rows([[0, 1], [0, 0]])
     assert n.power(0) == Matrix.identity(2)

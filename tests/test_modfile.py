@@ -5,7 +5,12 @@ from fractions import Fraction as F
 import pytest
 
 from qaffine.errors import ModuleFormatError, RelationError
-from qaffine.factory import EvalParams, evaluation_module, restrict_to_ugeq0
+from qaffine.factory import (
+    EvalParams,
+    evaluation_module,
+    finite_module,
+    restrict_to_ugeq0,
+)
 from qaffine.modfile import (
     module_from_dict,
     module_to_dict,
@@ -81,6 +86,7 @@ def test_missing_file_rejected(tmp_path):
         lambda d: d.update(q="1"),
         lambda d: d.update(q=2),
         lambda d: d.update(dim="two"),
+        lambda d: d.update(format_version=1.0),
         lambda d: d["action"].pop("e0p"),
         lambda d: d["action"]["e0p"][0].pop(),
         lambda d: d["action"]["e0p"][0].__setitem__(0, 0.5),
@@ -91,6 +97,18 @@ def test_malformed_documents_rejected(v111, mutate):
     doc = json.loads(module_to_json(v111))
     mutate(doc)
     with pytest.raises(ModuleFormatError):
+        module_from_dict(doc)
+
+
+@pytest.mark.parametrize("field", ["dim", "format_version"])
+def test_json_true_is_not_an_integer(q2, field):
+    # bool is an int subclass and True == 1: a 1-dim module file with
+    # "dim": true or "format_version": true used to load and re-serialize
+    # the field as 1, so the file did not round-trip byte for byte
+    doc = json.loads(module_to_json(finite_module(0, 1, q2)))
+    assert doc["dim"] == 1 and doc["format_version"] == 1
+    doc[field] = True
+    with pytest.raises(ModuleFormatError, match=field):
         module_from_dict(doc)
 
 

@@ -65,6 +65,18 @@ def test_evaluate_word_missing_generator():
         evaluate_word(formal_sum(term(1, "X")), {"Y": Matrix.identity(2)})
 
 
+def test_evaluate_word_missing_generator_after_first_letter():
+    words = formal_sum(term(2, "X"), term(1, "X", "X", "Y"), term(-1, "X", "Y"))
+    with pytest.raises(QAffineError, match="'Y'"):
+        evaluate_word(words, {"X": Matrix.identity(2)})
+
+
+def test_evaluate_word_merges_cancelling_words():
+    x = Matrix.from_rows([[1, 2], [3, 4]])
+    words = formal_sum(term(3, "X", "X"), term(1), term(-3, "X", "X"))
+    assert evaluate_word(words, {"X": x}) == Matrix.identity(2)
+
+
 def test_evaluate_word_dimension_mismatch():
     with pytest.raises(QAffineError):
         evaluate_word(

@@ -37,6 +37,8 @@ from qaffine.linalg import (
     subspace_intersect,
     subspace_sum,
 )
+from qaffine.presentations import check_relations, evaluate_word, q_serre, weyl
+from qaffine.report import CheckLog
 from qaffine.scalars import qint, qparam
 
 fractions = st.builds(
@@ -193,3 +195,82 @@ def test_certificate_with_fallback_matches_exact_span(m):
     assert report.verdict == expected
     event(expected)
     assert report.modular_rank is not None and report.modular_rank <= exact
+
+
+@st.composite
+def formal_sums(draw):
+    """A formal sum over X, Y, Z with square matrices of one size assigned.
+    Terms pick their words from a small pool, so words repeat (sometimes
+    with cancelling coefficients), and the empty word is always in the pool."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    square = st.lists(fractions, min_size=n * n, max_size=n * n)
+    assignment = {g: Matrix(n, n, tuple(draw(square))) for g in "XYZ"}
+    letters = st.sampled_from("XYZ")
+    pool = [()] + draw(
+        st.lists(st.lists(letters, max_size=4).map(tuple), min_size=1, max_size=5)
+    )
+    words = draw(
+        st.lists(st.tuples(fractions, st.sampled_from(pool)), min_size=1, max_size=8)
+    )
+    return tuple(words), assignment
+
+
+def naive_evaluate(words, assignment):
+    n = next(iter(assignment.values())).rows
+    total = Matrix.zero(n, n)
+    for coeff, word in words:
+        product = Matrix.identity(n)
+        for gen in word:
+            product = product @ assignment[gen]
+        total = total + coeff * product
+    return total
+
+
+@settings(max_examples=80, deadline=None)
+@given(formal_sums())
+def test_prefix_sharing_evaluation_matches_naive(case):
+    words, assignment = case
+    assert evaluate_word(words, assignment) == naive_evaluate(words, assignment)
+
+
+def residual(relation, assignment):
+    log = CheckLog()
+    check_relations(log, "test", [relation], assignment)
+    (entry,) = log.entries
+    n = next(iter(assignment.values())).rows
+    out = [[F(0)] * n for _ in range(n)]
+    for i, j, v in entry.residual_entries:
+        out[i][j] = F(v)
+    assert entry.passed == (not entry.residual_entries)
+    return Matrix.from_rows(out)
+
+
+qs = st.sampled_from([2, 3, F(1, 2), F(3, 2), -2])
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_dim=3), st.data(), qs, fractions)
+def test_weyl_relation_residual_closed_form(x, data, qv, target):
+    y = data.draw(matrices(min_dim=x.rows, max_dim=x.rows))
+    q = qparam(qv)
+    qq = q.q
+    # (q x y - q^-1 y x)/(q - q^-1) - target I
+    expected = (qq * (x @ y) - (1 / qq) * (y @ x)).scale(1 / (qq - 1 / qq)) - (
+        target * Matrix.identity(x.rows)
+    )
+    assert residual(weyl("x", "y", target, q), {"x": x, "y": y}) == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(matrices(max_dim=3), st.data(), qs)
+def test_q_serre_relation_residual_closed_form(x, data, qv):
+    y = data.draw(matrices(min_dim=x.rows, max_dim=x.rows))
+    qq = F(qv)
+    three = qq * qq + 1 + 1 / (qq * qq)  # [3] = q^2 + 1 + q^-2
+    x2 = x @ x
+    x3 = x2 @ x
+    # x^3 y - [3] x^2 y x + [3] x y x^2 - y x^3
+    expected = (x3 @ y) - three * (x2 @ y @ x) + three * (x @ y @ x2) - (y @ x3)
+    relation = q_serre("x", "y", qparam(qv))
+    assert relation.name == "serre(x,y)"
+    assert residual(relation, {"x": x, "y": y}) == expected
