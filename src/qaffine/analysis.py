@@ -102,7 +102,7 @@ def spin(v: Sequence[Fraction], m: "ModuleData") -> SpinResult:
         frontier = new_frontier
     generated = acc.to_subspace()
     for g in gens:
-        if not generated.contains(image(m.action[g], generated)):
+        if not generated.contains_image(m.action[g], generated):
             raise CheckFailedError(
                 "spin-closure", f"spin result is not invariant under {g}"
             )

@@ -312,18 +312,24 @@ class Subspace:
         return Subspace(ambient_dim, Matrix.from_columns(ambient_dim, reduced))
 
     @cached_property
-    def _pivot_columns(self) -> tuple[tuple[int, Vector], ...]:
-        """(pivot row, basis column) per basis vector, found once."""
+    def _pivot_columns(self) -> tuple[tuple[tuple[int, ...], Vector], ...]:
+        """Per basis vector, the rows of its nonzero entries (the pivot row
+        first) and those entries; found once."""
         out = []
         for col in self.basis.columns():
-            out.append((next(i for i, v in enumerate(col) if v != 0), col))
+            rows = tuple(i for i, v in enumerate(col) if v != 0)
+            out.append((rows, tuple(col[i] for i in rows)))
         return tuple(out)
 
-    def _reduce(self, w: Sequence[Fraction]) -> Sequence[Fraction]:
-        for p, col in self._pivot_columns:
-            if w[p] != 0:
-                c = w[p]
-                w = [a - c * b for a, b in zip(w, col)]
+    def _reduce(self, w: Sequence[Fraction]) -> list[Fraction]:
+        """A copy of w with each pivot's multiple of its column removed, in
+        pivot order; only the column's nonzero entries are touched."""
+        w = list(w)
+        for rows, values in self._pivot_columns:
+            c = w[rows[0]]
+            if c != 0:
+                for i, b in zip(rows, values):
+                    w[i] -= c * b
         return w
 
     def reduce_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
@@ -331,7 +337,7 @@ class Subspace:
         w = [as_scalar(x) for x in v]
         if len(w) != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return list(self._reduce(w))
+        return self._reduce(w)
 
     def contains_vector(self, v: Sequence[Fraction]) -> bool:
         return all(x == 0 for x in self.reduce_vector(v))
@@ -340,6 +346,14 @@ class Subspace:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
         return all(not any(self._reduce(col)) for col in other.basis.columns())
+
+    def contains_image(self, op: Matrix, space: Subspace) -> bool:
+        """Whether op(space) lies in this subspace. Each column of
+        op @ space.basis is reduced through the cached pivots, stopping at the
+        first one with a nonzero remainder; the image is never echelonized."""
+        if op.rows != self.ambient_dim or op.cols != space.ambient_dim:
+            raise ValueError("ambient dimension mismatch")
+        return all(not any(self._reduce(col)) for col in (op @ space.basis).columns())
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -405,8 +419,9 @@ class Ladder:
     one step at a time (weight spaces, eigenflags, split decompositions).
 
     Off its ends the ladder is the zero space. The partial sums head[i] =
-    spaces[0] + ... + spaces[i] and tail[i] = spaces[i] + ... + spaces[d] are
-    computed once, on first use.
+    spaces[0] + ... + spaces[i], tail[i] = spaces[i] + ... + spaces[d] and
+    interval(lo, hi) = spaces[lo] + ... + spaces[hi] are computed once, on
+    first use.
     """
 
     spaces: tuple[Subspace, ...]
@@ -431,7 +446,32 @@ class Ladder:
 
     def near(self, i: int) -> Subspace:
         """at(i - 1) + at(i) + at(i + 1)."""
-        return subspace_sum(subspace_sum(self.at(i - 1), self.at(i)), self.at(i + 1))
+        return self.interval(i - 1, i + 1)
+
+    def interval(self, lo: int, hi: int) -> Subspace:
+        """spaces[lo] + ... + spaces[hi], clamped to the ladder's ends; zero
+        when the clamped range is empty. A range that reaches an end is a
+        head or a tail; any other is computed once, from the range one
+        shorter."""
+        last = len(self.spaces) - 1
+        lo, hi = max(lo, 0), min(hi, last)
+        if lo > hi:
+            return Subspace.zero(self.spaces[0].ambient_dim)
+        if lo == 0:
+            return self.head[hi]
+        if hi == last:
+            return self.tail[lo]
+        if (lo, hi) not in self._intervals:
+            self._intervals[(lo, hi)] = (
+                self.spaces[lo]
+                if lo == hi
+                else subspace_sum(self.interval(lo, hi - 1), self.spaces[hi])
+            )
+        return self._intervals[(lo, hi)]
+
+    @cached_property
+    def _intervals(self) -> dict[tuple[int, int], Subspace]:
+        return {}
 
     @cached_property
     def head(self) -> tuple[Subspace, ...]:
@@ -458,7 +498,7 @@ def first_escape(
             op = shifted.get(shifts[i])
             if op is None:
                 op = shifted[shifts[i]] = mat.shift(shifts[i])
-        if not target.contains(image(op, space)):
+        if not target.contains_image(op, space):
             return i
     return None
 

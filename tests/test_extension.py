@@ -2,16 +2,23 @@ from fractions import Fraction as F
 
 import pytest
 
+from test_golden import STAGE_FAILURES
+
+import qaffine.extension
 from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
-from qaffine.extension import build_a_astar, eigen_flags, extend
+from qaffine.extension import build_a_astar, build_w_grid, eigen_flags, extend
 from qaffine.factory import (
+    EvalParams,
     build_module,
+    evaluation_module,
     restrict_to_ugeq0,
+    tensor_product,
     twist_full,
 )
-from qaffine.linalg import Matrix
+from qaffine.linalg import Ladder, Matrix, subspace_intersect
 from qaffine.presentations import UGEQ0
 from qaffine.report import CheckLog
+from qaffine.scalars import qparam
 from qaffine.weights import WeightLadder, analyze_full, analyze_ugeq0
 
 EXPECTED_CHECKS = {
@@ -85,6 +92,113 @@ def test_grid_vanishes_below_antidiagonal(v111):
     _, trace = extend(restrict_to_ugeq0(v111, 1), 1, 1)
     assert trace.w_grid[(0, 0)].dim == 0
     assert trace.w_grid[(1, 1)].dim == 2
+
+
+def _eval_tensor(q, *params):
+    factors = [evaluation_module(EvalParams(d, 1, F(a)), q) for d, a in params]
+    out = factors[0]
+    for f in factors[1:]:
+        out = tensor_product(out, f)
+    return out
+
+
+GRID_MODULES = {
+    8: ((1, 1), (1, 3), (1, 9)),
+    12: ((2, 1), (3, 7)),
+}
+
+
+@pytest.mark.parametrize("alpha", [F(1), F(-2, 3)])
+@pytest.mark.parametrize("q", [F(2), F(3, 2)])
+@pytest.mark.parametrize("dim", sorted(GRID_MODULES))
+def test_grid_equals_literal_intersections(dim, q, alpha):
+    m = _eval_tensor(qparam(q), *GRID_MODULES[dim])
+    assert m.dim == dim
+    _, trace = extend(restrict_to_ugeq0(m, alpha), 1, 1)
+    d = trace.diameter
+    heads = Ladder(trace.v_spaces).head
+    star_heads = Ladder(trace.vstar_spaces).head
+    assert set(trace.w_grid) == {(i, j) for i in range(d + 1) for j in range(d + 1)}
+    for (i, j), cell in trace.w_grid.items():
+        assert cell == subspace_intersect(star_heads[i], heads[j]), (i, j)
+
+
+def _grid_inputs(tensor_13):
+    r = restrict_to_ugeq0(tensor_13, 1)
+    ladder = analyze_ugeq0(r)
+    a_mat, astar_mat = build_a_astar(r, CheckLog())
+    v, vstar = eigen_flags(r, a_mat, astar_mat, ladder, CheckLog())
+    return r, ladder, a_mat, astar_mat, v, vstar
+
+
+def _counting_intersections(monkeypatch):
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return subspace_intersect(a, b)
+
+    monkeypatch.setattr(qaffine.extension, "subspace_intersect", counted)
+    return calls
+
+
+def test_grid_intersects_only_the_split_spaces(tensor_13, monkeypatch):
+    r, ladder, a_mat, astar_mat, v, vstar = _grid_inputs(tensor_13)
+    d = ladder.diameter
+    calls = _counting_intersections(monkeypatch)
+    log = CheckLog(strict=True)
+    build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, log)
+    assert len(calls) == 2 * (d + 1)
+    assert all(c.passed for c in log.entries)
+
+
+def test_grid_of_swapped_flags_reads_the_same_failures(tensor_13, monkeypatch):
+    # The three facts are symmetric in the two flags: with the flags swapped
+    # W comes out reversed and still reads the grid, now transposed.
+    r, ladder, a_mat, astar_mat, v, vstar = _grid_inputs(tensor_13)
+    d = ladder.diameter
+    calls = _counting_intersections(monkeypatch)
+    log = CheckLog()
+    grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, vstar, v, log)
+    assert len(calls) == 2 * (d + 1)
+    for (i, j), cell in grid.items():
+        assert cell == subspace_intersect(v.head[i], vstar.head[j])
+    failing = [(c.name, c.detail) for c in log.entries if not c.passed]
+    assert failing == STAGE_FAILURES["grid(swapped flags)"]
+
+
+# Failing (name, detail) pairs of the grid stage given the A-flag as both
+# flags, as logged when every grid cell was an intersection.
+REPEATED_FLAG_FAILURES = [
+    ("grid-vanishing", "a grid space below the antidiagonal is nonzero"),
+    ("grid-move(Astar)", "grid move fails at (0,0)"),
+    ("grid-move(Kinv)", "grid move fails at (0,0)"),
+    ("grid-move(K)", "grid move fails at (0,0)"),
+    ("decomposition(W)", "component 1 overlaps the preceding sum"),
+    ("decomposition(Wstar)", "component 1 overlaps the preceding sum"),
+    ("ladder(W):Astar-down", "containment fails at index 0"),
+    ("ladder(W):Kinv-down", "containment fails at index 0"),
+    ("ladder(W):K-head", "containment fails at index 0"),
+    ("ladder(Wstar):Astar-down", "containment fails at index 0"),
+    ("sum(W-tail)", "suffix sums of W do not match prefix sums of the A-flag"),
+    ("sum(W-head)", "prefix sums of W do not match prefix sums of the A*-flag"),
+    ("sum(Wstar-tail)", "suffix sums of W* do not match suffix sums of the A-flag"),
+    ("sum(Wstar-head)", "prefix sums of W* do not match suffix sums of the A*-flag"),
+]
+
+
+def test_grid_of_repeated_flag_takes_the_literal_path(tensor_13, monkeypatch):
+    r, ladder, a_mat, astar_mat, v, _ = _grid_inputs(tensor_13)
+    d = ladder.diameter
+    calls = _counting_intersections(monkeypatch)
+    log = CheckLog()
+    grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, v, v, log)
+    # W and W* first, then every grid cell
+    assert len(calls) == 2 * (d + 1) + (d + 1) ** 2
+    for (i, j), cell in grid.items():
+        assert cell == subspace_intersect(v.head[i], v.head[j])
+    failing = [(c.name, c.detail) for c in log.entries if not c.passed]
+    assert failing == REPEATED_FLAG_FAILURES
 
 
 def test_split_operators_diameter_one(v111):

@@ -380,6 +380,47 @@ def test_ladder_at_head_tail_near():
     assert Ladder([spaces[0]]).near(0) == spaces[0]
 
 
+def test_ladder_interval():
+    spaces = [span(4, (1, 0, 0, 0)), span(4, (0, 1, 0, 0)), span(4, (1, 1, 1, 0)),
+              span(4, (0, 0, 0, 1))]
+    ladder = Ladder(spaces)
+    zero = Subspace.zero(4)
+    # an empty range, also one that is empty only after clamping
+    assert ladder.interval(2, 1) == zero
+    assert ladder.interval(5, 7) == zero
+    assert ladder.interval(-3, -1) == zero
+    # clamped off either end and off both
+    assert ladder.interval(-2, 1) == ladder.interval(0, 1)
+    assert ladder.interval(2, 9) == ladder.interval(2, 3)
+    assert ladder.interval(-1, 4) == Subspace.full(4)
+    for k in range(4):
+        assert ladder.interval(k, k) == spaces[k]
+        assert ladder.interval(0, k) == ladder.head[k]
+        assert ladder.interval(k, 3) == ladder.tail[k]
+    assert ladder.interval(1, 2) == subspace_sum(spaces[1], spaces[2])
+    assert ladder.interval(1, 2).dim == 2
+    # interior ranges are cached: a repeated call returns the same object
+    first = ladder.interval(1, 2)
+    assert ladder.interval(1, 2) is first
+    assert ladder.interval(0, 2) is ladder.interval(0, 2)
+
+
+def test_contains_image():
+    plane = span(3, (1, 0, 0), (0, 1, 0))
+    R = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+    assert plane.contains_image(R, span(3, (1, 0, 0)))
+    assert not plane.contains_image(R, span(3, (1, 0, 0), (0, 1, 0)))
+    assert plane.contains_image(R, Subspace.zero(3))
+    assert Subspace.zero(3).contains_image(R, span(3, (0, 0, 1)))
+    assert not Subspace.zero(3).contains_image(R, span(3, (0, 1, 0)))
+    # op maps F^2 into F^3
+    inject = Matrix.from_rows([[1, 0], [0, 0], [0, 1]])
+    assert not plane.contains_image(inject, Subspace.full(2))
+    assert span(3, (1, 0, 0), (0, 0, 1)).contains_image(inject, Subspace.full(2))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        plane.contains_image(R, Subspace.full(2))
+
+
 def test_first_escape():
     # K = diag(1, 2, 4) on the coordinate axes; R raises along them
     axes = Ladder([span(3, (1, 0, 0)), span(3, (0, 1, 0)), span(3, (0, 0, 1))])

@@ -32,6 +32,8 @@ from qaffine.linalg import (
     column_echelon,
     eval_poly,
     eval_poly_matrix,
+    first_escape,
+    image,
     kernel,
     rank,
     rational_roots,
@@ -281,6 +283,56 @@ def test_certificate_with_fallback_matches_exact_span(m):
     assert report.verdict == expected
     event(expected)
     assert report.modular_rank is not None and report.modular_rank <= exact
+
+
+def reference_first_escape(mat, shifts, spaces, targets):
+    """first_escape by echelonizing each image and testing containment."""
+    for i, (space, target) in enumerate(zip(spaces, targets)):
+        op = mat if shifts is None else mat.shift(shifts[i])
+        if not target.contains(image(op, space)):
+            return i
+    return None
+
+
+@st.composite
+def escape_cases(draw):
+    """An operator, optional shifts, and ladders of spaces and targets. Each
+    target is zero, the full space, a drawn subspace, or the image of its
+    space (alone or plus a drawn subspace), so images land inside their
+    targets about as often as they escape; spaces may be zero."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    mat = draw(matrices(min_dim=n, max_dim=n))
+    length = draw(st.integers(min_value=1, max_value=4))
+    shifts = draw(st.none() | st.lists(fractions, min_size=length, max_size=length))
+
+    def subspace():
+        k = draw(st.integers(min_value=0, max_value=n))
+        return Subspace.from_vectors(n, [[draw(fractions) for _ in range(n)]
+                                         for _ in range(k)])
+
+    spaces, targets = [], []
+    for i in range(length):
+        space = subspace()
+        op = mat if shifts is None else mat.shift(shifts[i])
+        kind = draw(st.sampled_from(["zero", "full", "drawn", "image", "image+"]))
+        target = {
+            "zero": lambda: Subspace.zero(n),
+            "full": lambda: Subspace.full(n),
+            "drawn": subspace,
+            "image": lambda: image(op, space),
+            "image+": lambda: subspace_sum(image(op, space), subspace()),
+        }[kind]()
+        spaces.append(space)
+        targets.append(target)
+    return mat, shifts, spaces, targets
+
+
+@settings(max_examples=150, deadline=None)
+@given(escape_cases())
+def test_first_escape_matches_echelonized_images(case):
+    expected = reference_first_escape(*case)
+    event("escapes" if expected is not None else "contained")
+    assert first_escape(*case) == expected
 
 
 @st.composite

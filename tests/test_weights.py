@@ -142,6 +142,21 @@ def test_full_nonscalar_central_product_rejected(q2, v111, v113):
         analyze_full(bad)
 
 
+@pytest.mark.parametrize("borel", [False, True])
+def test_k1_wrong_on_one_weight_space_rejected(q2, v212, borel):
+    # K0 and K1 are diagonal on the weight basis; scaling K1 on the middle
+    # weight space alone makes it the next space's eigenvalue there
+    m = restrict_to_borel(v212) if borel else v212
+    action = dict(m.action)
+    scale = Matrix.diagonal([1, 4, 1])
+    action["K1"] = scale @ m.action["K1"]
+    action["K1inv"] = scale.inverse() @ m.action["K1inv"]
+    bad = build_module(m.kind, q2, action, "K1 off on U1", validate=False)
+    analyze = analyze_borel if borel else analyze_full
+    with pytest.raises(WeightLadderError, match="^K0 K1 does not act as a scalar$"):
+        analyze(bad)
+
+
 def test_uniqueness_under_basis_permutation(tensor_13):
     perm = Matrix.from_rows(
         [[0, 0, 0, 1], [0, 0, 1, 0], [1, 0, 0, 0], [0, 1, 0, 0]]
