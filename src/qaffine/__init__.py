@@ -5,7 +5,6 @@ from .analysis import (
     ABSOLUTELY_IRREDUCIBLE,
     NOT_IRREDUCIBLE,
     IrreducibilityReport,
-    SpinResult,
     burnside_irreducible,
     finite_decompose,
     spin,

@@ -1,36 +1,44 @@
 """Structural analysis of modules: submodule spinning, the Burnside
 irreducibility test, raising-power isomorphisms and finite-type decomposition.
 
-The irreducibility test computes the linear span of all words in the
-generator matrices by iterated left multiplication (deterministic, no
-randomization); by Burnside's theorem the module is absolutely irreducible
-exactly when that span is the full matrix algebra of dimension dim^2.
+Spinning a vector, the span of the words in the generators and the dual spin
+of the irreducibility test are one frontier closure, `_closure`: the span of
+some seed vectors, closed under a list of linear maps.
 
-The span is first computed modulo the prime p = 2^61 - 1, in int arithmetic,
-with each entry a/b read as a * b^-1 mod p. Reduction mod p is a ring map on
-the rationals whose denominators p does not divide, so it sends each word to
-the word in the reduced generators, and a minor of the words that is nonzero
-mod p is the reduction of a nonzero rational minor. Hence the rank over F_p
-is at most the rank over Q, which is at most dim^2, and a mod-p span of
-dim^2 proves absolute irreducibility without exact elimination. The modular
-result is used only as that proof: when the mod-p span is smaller, or p
-divides some denominator, the span is recomputed in exact Fractions, and only
-that exact path may report NotIrreducible. The prime and the mod-p rank are
-recorded in the report.
+Irreducibility is first certified by Norton's criterion (Parker 1984, the
+MeatAxe; Holt-Rees 1994). Let A be the algebra of words in the generators
+and theta = g - lambda I, for the first generator g in sorted order and the
+first of its rational eigenvalues lambda in increasing order whose
+eigenspace is one-dimensional; theta lies in A, since I is the empty word.
+If the kernel vector of theta spins to all of V under the generators, and
+the kernel vector of theta^T spins to all of V* under their transposes, then
+V is irreducible. For let W be a proper nonzero submodule. If W meets
+ker theta, it contains the kernel vector and so its whole spin. Otherwise
+theta is injective on W, hence bijective on it, so theta has a kernel on
+V/W of the same dimension as on V. The annihilator of W in V* is the dual of
+V/W, a proper submodule for the transposes on which theta^T has a kernel of
+that dimension too; so it contains ker theta^T and its whole spin. The nullity of theta and the dimensions of both spins are ranks
+of rational matrices, which no field extension changes, so the same argument
+holds over every extension field: V is *absolutely* irreducible, and by
+Burnside's theorem the words span all dim^2 matrices. The certificate
+reports that span dimension without computing it.
 
-When the span is smaller than dim^2, a proper invariant subspace is hunted by
+Every other case (no one-dimensional eigenspace, or either spin proper) is
+decided in exact arithmetic: the span of all words in the generator matrices
+is the closure of the identity under left multiplication (deterministic, no
+randomization), and the module is absolutely irreducible exactly when it has
+dimension dim^2. Only this path reports NotIrreducible, with that span
+dimension as the diagnostic. A proper invariant subspace is then hunted by
 spinning standard basis vectors and then kernel vectors of shifted
 generators. A rational module that is irreducible but not absolutely so would
-be reported NotIrreducible with no witness and its span dimension as the
-diagnostic.
+be reported NotIrreducible with no witness.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from .errors import CheckFailedError, WeightLadderError
 from .linalg import (
@@ -52,166 +60,114 @@ if TYPE_CHECKING:  # pragma: no cover
 
 ABSOLUTELY_IRREDUCIBLE = "AbsolutelyIrreducible"
 NOT_IRREDUCIBLE = "NotIrreducible"
-
-# The prime of the modular irreducibility certificate (a Mersenne prime).
-MODULUS = (1 << 61) - 1
-
-
-@dataclass(frozen=True)
-class SpinResult:
-    """The smallest subspace containing a seed vector and closed under every
-    generator matrix."""
-
-    generated: Subspace
-    generators_used: tuple[str, ...]
-    steps: int
+NORTON = "norton"
+WORD_SPAN = "word-span"
 
 
 @dataclass(frozen=True)
 class IrreducibilityReport:
-    """Verdict of the word-span test. `prime` is the modulus of the modular
-    pass and `modular_rank` its span dimension, None when the prime divides
-    a denominator of the action."""
+    """Verdict of the irreducibility test. `certificate` names what decided
+    it: NORTON (Norton's criterion, word_span_dim = dim^2 by Burnside's
+    theorem) or WORD_SPAN (the exact word span)."""
 
     word_span_dim: int
     verdict: str
-    witness: Subspace | None = None
-    prime: int | None = None
-    modular_rank: int | None = None
+    witness: Subspace | None
+    certificate: str
 
 
-def spin(v: Sequence[Fraction], m: "ModuleData") -> SpinResult:
-    """Close a nonzero vector under the generator action."""
+def _closure(
+    seeds: Iterable[Sequence[Fraction]],
+    maps: Sequence[Callable[[Sequence[Fraction]], Sequence[Fraction]]],
+    ambient: int,
+) -> SpanAccumulator:
+    """The span of the seeds closed under the linear maps. Every vector that
+    enlarges the span is mapped again, level by level, until no image
+    enlarges it or it is all of F^ambient."""
+    acc = SpanAccumulator(ambient)
+    frontier = [v for v in seeds if acc.insert(v)]
+    while frontier and acc.dim < ambient:
+        new_frontier = []
+        for v in frontier:
+            for f in maps:
+                w = f(v)
+                if acc.insert(w):
+                    new_frontier.append(w)
+        frontier = new_frontier
+    return acc
+
+
+def _transpose(mat: Matrix) -> Matrix:
+    return Matrix.from_columns(mat.cols, mat.to_rows())
+
+
+def spin(v: Sequence[Fraction], m: "ModuleData") -> Subspace:
+    """The smallest subspace containing a nonzero vector and closed under
+    every generator matrix."""
     if all(x == 0 for x in v):
         raise ValueError("cannot spin the zero vector")
     if len(v) != m.dim:
         raise ValueError("vector length does not match module dimension")
-    gens = tuple(sorted(m.action))
-    acc = SpanAccumulator(m.dim)
-    acc.insert(v)
-    frontier = [tuple(v)]
-    steps = 0
-    while frontier:
-        steps += 1
-        new_frontier = []
-        for w in frontier:
-            for g in gens:
-                gw = m.action[g].apply(w)
-                if acc.insert(gw):
-                    new_frontier.append(gw)
-        frontier = new_frontier
-    generated = acc.to_subspace()
+    gens = sorted(m.action)
+    generated = _closure(
+        [tuple(v)], [m.action[g].apply for g in gens], m.dim
+    ).to_subspace()
     for g in gens:
         if not generated.contains_image(m.action[g], generated):
             raise CheckFailedError(
                 "spin-closure", f"spin result is not invariant under {g}"
             )
-    return SpinResult(generated, gens, steps)
+    return generated
 
 
 def _word_span(m: "ModuleData") -> int:
-    """Dimension of the span of all words in the generator matrices."""
+    """Dimension of the span of all words in the generator matrices: the
+    closure of the identity, as a vector of dim^2 entries, under left
+    multiplication by each generator."""
     n = m.dim
-    acc = SpanAccumulator(n * n)
-    frontier: list[Matrix] = []
-    for seed in [Matrix.identity(n)] + [m.action[g] for g in sorted(m.action)]:
-        if acc.insert(seed.entries):
-            frontier.append(seed)
-    gens = [m.action[g] for g in sorted(m.action)]
-    while frontier:
-        new_frontier = []
-        for w in frontier:
-            for g in gens:
-                gw = g @ w
-                if acc.insert(gw.entries):
-                    new_frontier.append(gw)
-        frontier = new_frontier
-    return acc.dim
-
-
-def _reduce_mod(mat: Matrix) -> list[int] | None:
-    """Entries a/b of mat as a * b^-1 mod MODULUS, row-major; None when
-    MODULUS divides a denominator."""
-    out = []
-    for x in mat.entries:
-        if x.denominator % MODULUS == 0:
-            return None
-        out.append(x.numerator * pow(x.denominator, -1, MODULUS) % MODULUS)
-    return out
-
-
-class _ModularSpan:
-    """Incremental span of int vectors mod MODULUS. Each stored row starts at
-    its pivot with entry 1; rows are reduced in pivot order, and entries are
-    taken mod MODULUS only where a coefficient is read and at the end."""
-
-    def __init__(self):
-        self.order: list[int] = []
-        self.rows: dict[int, list[int]] = {}
-
-    def insert(self, v: list[int]) -> bool:
-        """Add v to the span; returns True when the dimension grew."""
-        p = MODULUS
-        w = list(v)
-        for k in self.order:
-            c = w[k] % p
-            if c:
-                w[k:] = [a - c * b for a, b in zip(w[k:], self.rows[k])]
-        lead = None
-        for i, x in enumerate(w):
-            w[i] = x = x % p
-            if x and lead is None:
-                lead = i
-        if lead is None:
-            return False
-        inv = pow(w[lead], -1, p)
-        self.rows[lead] = [x * inv % p for x in w[lead:]]
-        insort(self.order, lead)
-        return True
-
-
-def _mul_mod(g: list[list[tuple[int, int]]], w: list[int], n: int) -> list[int]:
-    """g @ w mod MODULUS for a row-major n x n int matrix w and a matrix g
-    given as its nonzero (column, entry) pairs per row; generators are
-    sparse."""
-    out: list[int] = []
-    for terms in g:
-        acc = [0] * n
-        for t, c in terms:
-            acc = [a + c * x for a, x in zip(acc, w[t * n : (t + 1) * n])]
-        out.extend(a % MODULUS for a in acc)
-    return out
-
-
-def _modular_word_span(m: "ModuleData") -> int | None:
-    """Dimension over F_p, p = MODULUS, of the span of all words in the
-    generators reduced mod p, by the frontier closure of `_word_span`,
-    stopping once it reaches dim^2; None when p divides a denominator of the
-    action."""
-    n = m.dim
-    gens = [_reduce_mod(m.action[g]) for g in sorted(m.action)]
-    if any(g is None for g in gens):
-        return None
-    sparse = [
-        [[(t, c) for t, c in enumerate(g[i * n : (i + 1) * n]) if c]
-         for i in range(n)]
-        for g in gens
+    lefts = [
+        lambda w, left=m.action[g]: (left @ Matrix(n, n, w)).entries
+        for g in sorted(m.action)
     ]
-    full = n * n
-    identity = [int(i % (n + 1) == 0) for i in range(full)]
-    acc = _ModularSpan()
-    frontier = [seed for seed in [identity] + gens if acc.insert(seed)]
-    while frontier and len(acc.order) < full:
-        new_frontier = []
-        for w in frontier:
-            for g in sparse:
-                gw = _mul_mod(g, w, n)
-                if acc.insert(gw):
-                    new_frontier.append(gw)
-                    if len(acc.order) == full:
-                        return full
-        frontier = new_frontier
-    return len(acc.order)
+    return _closure([Matrix.identity(n).entries], lefts, n * n).dim
+
+
+def _eigenspaces(m: "ModuleData") -> Iterator[tuple[Matrix, Subspace]]:
+    """(g - lambda I, its kernel) for each generator g in sorted order and
+    each distinct rational eigenvalue lambda of g in increasing order."""
+    for g in sorted(m.action):
+        mat = m.action[g]
+        for lam in sorted(set(rational_roots(char_poly(mat)))):
+            theta = mat.shift(lam)
+            yield theta, kernel(theta)
+
+
+def _norton_theta(m: "ModuleData") -> tuple[Matrix, Subspace] | None:
+    """The first (theta, ker theta) of `_eigenspaces` with a one-dimensional
+    kernel; None when no generator has a one-dimensional eigenspace."""
+    return next((pair for pair in _eigenspaces(m) if pair[1].dim == 1), None)
+
+
+def _dual_spin_dim(theta: Matrix, m: "ModuleData") -> int:
+    """Dimension of the spin of the kernel vector of theta^T under the
+    transposed generators: the V* half of Norton's criterion."""
+    transposes = [_transpose(m.action[g]).apply for g in sorted(m.action)]
+    seed = kernel(_transpose(theta)).basis.column(0)
+    return _closure([seed], transposes, m.dim).dim
+
+
+def _norton(m: "ModuleData") -> bool:
+    """True when Norton's criterion proves m absolutely irreducible (module
+    docstring); False decides nothing."""
+    found = _norton_theta(m)
+    if found is None:
+        return False
+    theta, null = found
+    n = m.dim
+    return (
+        spin(null.basis.column(0), m).dim == n
+        and _dual_spin_dim(theta, m) == n
+    )
 
 
 def _witness_candidates(m: "ModuleData") -> Iterator[tuple[Fraction, ...]]:
@@ -223,43 +179,36 @@ def _witness_candidates(m: "ModuleData") -> Iterator[tuple[Fraction, ...]]:
         e = [Fraction(0)] * n
         e[i] = Fraction(1)
         yield tuple(e)
-    for g in sorted(m.action):
-        mat = m.action[g]
-        for lam in sorted(set(rational_roots(char_poly(mat)))):
-            yield from kernel(mat.shift(lam)).basis.columns()
+    for _, null in _eigenspaces(m):
+        yield from null.basis.columns()
 
 
 def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
-    """Word-span irreducibility test with witness search.
+    """Irreducibility test with witness search.
 
     Absolutely irreducible iff the word span has dimension dim^2; otherwise
     NotIrreducible, with a spin-verified proper invariant subspace as witness
-    whenever one of the candidate seeds finds one. A mod-MODULUS span of
-    dim^2 certifies the first case; every other case is decided in exact
-    arithmetic.
+    whenever one of the candidate seeds finds one. Norton's criterion
+    certifies the first case; every other case is decided by the exact word
+    span.
     """
     n = m.dim
-    modular_rank = _modular_word_span(m)
-    if modular_rank == n * n:
-        return IrreducibilityReport(
-            n * n, ABSOLUTELY_IRREDUCIBLE, None, MODULUS, modular_rank
-        )
+    if _norton(m):
+        return IrreducibilityReport(n * n, ABSOLUTELY_IRREDUCIBLE, None, NORTON)
     span_dim = _word_span(m)
     if span_dim == n * n:
         return IrreducibilityReport(
-            span_dim, ABSOLUTELY_IRREDUCIBLE, None, MODULUS, modular_rank
+            span_dim, ABSOLUTELY_IRREDUCIBLE, None, WORD_SPAN
         )
     witness = None
     for v in _witness_candidates(m):
         if all(x == 0 for x in v):
             continue
-        generated = spin(v, m).generated
+        generated = spin(v, m)
         if 0 < generated.dim < n:
             witness = generated
             break
-    return IrreducibilityReport(
-        span_dim, NOT_IRREDUCIBLE, witness, MODULUS, modular_rank
-    )
+    return IrreducibilityReport(span_dim, NOT_IRREDUCIBLE, witness, WORD_SPAN)
 
 
 def verify_raising_powers(m: "ModuleData") -> list[CheckResult]:

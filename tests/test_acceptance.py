@@ -194,7 +194,7 @@ def test_criterion_4_irreducibility_boundary():
             for mat in critical.action.values()
         )
         for j in range(bad.witness.dim):
-            generated = spin(bad.witness.basis.column(j), critical).generated
+            generated = spin(bad.witness.basis.column(j), critical)
             witness_ok = witness_ok and bad.witness.contains(generated)
     ok = (
         good.word_span_dim == 16

@@ -5,8 +5,9 @@ import pytest
 
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
-    MODULUS,
     NOT_IRREDUCIBLE,
+    _dual_spin_dim,
+    _norton_theta,
     _word_span,
     burnside_irreducible,
     finite_decompose,
@@ -23,6 +24,9 @@ from qaffine.factory import (
 )
 from qaffine.linalg import Matrix, Subspace, image
 from qaffine.presentations import AFFINE_FULL
+from qaffine.scalars import qparam
+
+P = 2**61 - 1
 
 
 def unit_vector(n, i):
@@ -36,25 +40,25 @@ def unit_vector(n, i):
 
 def test_spin_irreducible_reaches_everything(v111):
     for i in range(2):
-        assert spin(unit_vector(2, i), v111).generated == Subspace.full(2)
+        assert spin(unit_vector(2, i), v111) == Subspace.full(2)
 
 
 def test_spin_one_dimensional(q2):
     m = evaluation_module(EvalParams(0, 1, 1), q2)
-    assert spin([F(3)], m).generated == Subspace.full(1)
+    assert spin([F(3)], m) == Subspace.full(1)
 
 
 def test_spin_finds_proper_submodule(tensor_14):
     # v_0 x w_0 generates the 3-dimensional component of the critical tensor
     result = spin(unit_vector(4, 0), tensor_14)
-    assert result.generated.dim == 3
-    assert result.generated.contains_vector([F(0), F(1), F(2), F(0)])
+    assert result.dim == 3
+    assert result.contains_vector([F(0), F(1), F(2), F(0)])
 
 
 def test_spin_monotone(tensor_14):
-    big = spin(unit_vector(4, 0), tensor_14).generated
+    big = spin(unit_vector(4, 0), tensor_14)
     assert big.contains_vector(unit_vector(4, 3))
-    inner = spin(unit_vector(4, 3), tensor_14).generated
+    inner = spin(unit_vector(4, 3), tensor_14)
     assert big.contains(inner)
 
 
@@ -107,7 +111,7 @@ def test_burnside_invariant_under_conjugation(tensor_14):
     assert (a.word_span_dim, a.verdict) == (b.word_span_dim, b.verdict)
 
 
-# -- the modular certificate and the exact fallback -----------------------------
+# -- Norton's certificate and the exact fallback --------------------------------
 
 
 def eval_tensor(q, *params):
@@ -125,7 +129,7 @@ def test_certificate_matches_exact_span(tensor_13, q2):
     for m in (tensor_13, roundtrip_dim8):
         n = m.dim
         report = burnside_irreducible(m)
-        assert (report.prime, report.modular_rank) == (MODULUS, n * n)
+        assert report.certificate == "norton"
         assert report.verdict == ABSOLUTELY_IRREDUCIBLE
         assert report.word_span_dim == _word_span(m) == n * n
         assert report.witness is None
@@ -133,17 +137,16 @@ def test_certificate_matches_exact_span(tensor_13, q2):
 
 def test_reducible_tensor_takes_exact_fallback(tensor_14):
     report = burnside_irreducible(tensor_14)
-    assert report.prime == MODULUS
-    assert report.modular_rank is not None and report.modular_rank < 16
+    assert report.certificate == "word-span"
     assert report.word_span_dim == _word_span(tensor_14) == 13
     assert report.verdict == NOT_IRREDUCIBLE
     # the first candidate, e_0, spins to the 3-dimensional component
-    assert report.witness == spin(unit_vector(4, 0), tensor_14).generated
+    assert report.witness == spin(unit_vector(4, 0), tensor_14)
     assert report.witness.dim == 3
 
 
 def test_prime_in_denominator_skips_certificate(tensor_14):
-    d = Matrix.diagonal([1, MODULUS, 1, 1])
+    d = Matrix.diagonal([1, P, 1, 1])
     d_inv = d.inverse()
     conj = build_module(
         AFFINE_FULL,
@@ -152,13 +155,13 @@ def test_prime_in_denominator_skips_certificate(tensor_14):
         "conjugated by diag(1, p, 1, 1)",
     )
     assert any(
-        x.denominator % MODULUS == 0
+        x.denominator % P == 0
         for mat in conj.action.values()
         for x in mat.entries
     )
     plain = burnside_irreducible(tensor_14)
     report = burnside_irreducible(conj)
-    assert (report.prime, report.modular_rank) == (MODULUS, None)
+    assert report.certificate == "word-span"
     assert (report.word_span_dim, report.verdict) == (
         plain.word_span_dim,
         plain.verdict,
@@ -168,12 +171,13 @@ def test_prime_in_denominator_skips_certificate(tensor_14):
 
 
 def test_unlucky_prime_decided_exactly(q2):
-    # R = e0p = p * em vanishes mod p, so the reduced words only reach the
-    # upper triangular 2 x 2 matrices, while the rational span is all of M_2
-    m = restrict_to_ugeq0(evaluation_module(EvalParams(1, 1, MODULUS), q2), 1)
-    assert any(x != 0 and x % MODULUS == 0 for x in m.action["R"].entries)
+    # R = e0p = p * em vanishes mod p, so the words reduced mod p only reach
+    # the upper triangular 2 x 2 matrices, while the rational span is all of
+    # M_2; Norton's criterion is decided over Q
+    m = restrict_to_ugeq0(evaluation_module(EvalParams(1, 1, P), q2), 1)
+    assert any(x != 0 and x % P == 0 for x in m.action["R"].entries)
     report = burnside_irreducible(m)
-    assert report.modular_rank == 3
+    assert report.certificate == "norton"
     assert report.verdict == ABSOLUTELY_IRREDUCIBLE
     assert report.word_span_dim == 4
     assert report.witness is None
@@ -185,13 +189,72 @@ def test_dim16_certificate_time_bound(q2):
     report = burnside_irreducible(m)
     elapsed = time.perf_counter() - start
     assert report.verdict == ABSOLUTELY_IRREDUCIBLE
-    assert report.word_span_dim == report.modular_rank == 256
+    assert report.word_span_dim == 256
+    assert report.certificate == "norton"
     assert elapsed < 10, f"dim-16 Burnside test took {elapsed:.1f} s"
+
+
+def test_dim27_certificate_time_bound():
+    m = eval_tensor(qparam(F(3, 2)), (2, 1, 1), (2, 1, 3), (2, 1, 5))
+    start = time.perf_counter()
+    report = burnside_irreducible(m)
+    elapsed = time.perf_counter() - start
+    assert (report.verdict, report.certificate) == (ABSOLUTELY_IRREDUCIBLE, "norton")
+    assert report.word_span_dim == 729
+    assert elapsed < 4, f"dim-27 Burnside test took {elapsed:.1f} s"
+
+
+def assert_exact_fallback(m):
+    report = burnside_irreducible(m)
+    assert report.certificate == "word-span"
+    assert report.verdict == NOT_IRREDUCIBLE
+    assert report.word_span_dim == _word_span(m) < m.dim**2
+    return report
+
+
+def test_norton_proper_spin_falls_back(tensor_14):
+    # theta = K0 - q^-2 I; its kernel vector spins to the 3-dim submodule
+    theta, null = _norton_theta(tensor_14)
+    assert spin(null.basis.column(0), tensor_14).dim == 3
+    assert _dual_spin_dim(theta, tensor_14) == 4
+    assert_exact_fallback(tensor_14)
+
+
+def test_norton_proper_dual_spin_falls_back(v111, q2):
+    # V1(1) (x) V1(q^-2): the kernel vector of theta spins to all of V, but
+    # the one of theta^T spins to a proper submodule of V*; the spin of V
+    # alone would wrongly certify this module
+    m = tensor_product(v111, evaluation_module(EvalParams(1, 1, F(1, 4)), q2))
+    theta, null = _norton_theta(m)
+    assert spin(null.basis.column(0), m).dim == 4
+    assert _dual_spin_dim(theta, m) == 3
+    report = assert_exact_fallback(m)
+    assert report.word_span_dim == 13
+
+
+def test_no_one_dimensional_eigenspace_takes_word_span(v111):
+    # v111 (+) v111: every eigenspace of every generator is at least 2-dim
+    double = build_module(
+        AFFINE_FULL,
+        v111.q,
+        {
+            g: Matrix.from_rows(
+                [list(r) + [0, 0] for r in mat.to_rows()]
+                + [[0, 0] + list(r) for r in mat.to_rows()]
+            )
+            for g, mat in v111.action.items()
+        },
+        "v111 + v111",
+    )
+    assert _norton_theta(double) is None
+    report = assert_exact_fallback(double)
+    assert report.word_span_dim == 4
+    assert report.witness is not None and report.witness.dim == 2
 
 
 def test_spin_full_space_on_certified_modules(tensor_13):
     for i in range(4):
-        assert spin(unit_vector(4, i), tensor_13).generated == Subspace.full(4)
+        assert spin(unit_vector(4, i), tensor_13) == Subspace.full(4)
 
 
 # -- raising-power isomorphisms ---------------------------------------------------

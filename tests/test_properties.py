@@ -282,7 +282,7 @@ def test_certificate_with_fallback_matches_exact_span(m):
     expected = ABSOLUTELY_IRREDUCIBLE if exact == n * n else NOT_IRREDUCIBLE
     assert report.verdict == expected
     event(expected)
-    assert report.modular_rank is not None and report.modular_rank <= exact
+    assert report.certificate != "norton" or exact == n * n
 
 
 def reference_first_escape(mat, shifts, spaces, targets):
