@@ -1,14 +1,17 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices are immutable, row-major tuples of Fractions. Subspaces are stored
-through a reduced column echelon basis, which makes subspace equality a
-literal entry-wise comparison. Sums concatenate and re-echelonize; the
-intersection uses the Zassenhaus stacked-block elimination. The
-characteristic polynomial comes from the Faddeev-LeVerrier recurrence (valid
-in characteristic zero). Rational roots need no factoring: the real roots of
-the square-free part are isolated by Sturm-sequence bisection at dyadic
-points in integer arithmetic, and each isolating interval is shrunk until at
-most one fraction of small enough denominator fits in it.
+Matrices are immutable, row-major tuples of Fractions. Matrix-vector
+products and the incremental span closure (`SpanAccumulator`) are sparse:
+they touch only nonzero entries, since module generators are mostly zeros.
+Subspaces are stored through a reduced column echelon basis, which makes
+subspace equality a literal entry-wise comparison. Sums concatenate and
+re-echelonize; the intersection uses the Zassenhaus stacked-block
+elimination. The characteristic polynomial comes from the Faddeev-LeVerrier
+recurrence (valid in characteristic zero). Rational roots need no factoring:
+the real roots of the square-free part are isolated by Sturm-sequence
+bisection at dyadic points in integer arithmetic, and each isolating
+interval is shrunk until at most one fraction of small enough denominator
+fits in it.
 
 No floating point appears anywhere; every elimination step renormalizes
 fractions, so all results are bit-exact.
@@ -108,14 +111,16 @@ class Matrix:
     def is_zero(self) -> bool:
         return all(v == 0 for v in self.entries)
 
+    @cached_property
+    def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+        """Per row, its nonzero (column, entry) pairs; found once."""
+        return tuple(
+            tuple([(j, v) for j, v in enumerate(self.row(i)) if v])
+            for i in range(self.rows)
+        )
+
     def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
-        out = []
-        for i in range(self.rows):
-            for j in range(self.cols):
-                v = self.at(i, j)
-                if v != 0:
-                    out.append((i, j, v))
-        return out
+        return [(i, j, v) for i, row in enumerate(self._sparse_rows) for j, v in row]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -167,12 +172,11 @@ class Matrix:
         return Matrix(n, m, tuple(out))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product."""
+        """Matrix-vector product, skipping zero entries of the matrix and of v."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(
-            sum((self.at(i, j) * v[j] for j in range(self.cols)), ZERO)
-            for i in range(self.rows)
+            sum((a * v[j] for j, a in row if v[j]), ZERO) for row in self._sparse_rows
         )
 
     def power(self, k: int) -> Matrix:
@@ -505,36 +509,42 @@ def first_escape(
 
 class SpanAccumulator:
     """Incremental span builder: insert vectors one at a time and track the
-    dimension, without recomputing a full echelon form at each step."""
+    dimension, without recomputing a full echelon form at each step.
+
+    Each pivot vector is kept as a dict of its nonzero entries, 1 at the
+    pivot; a vector is reduced as such a dict through the pivots in
+    increasing order, each touching only its own support."""
 
     def __init__(self, ambient_dim: int):
         self.ambient_dim = ambient_dim
-        self._pivots: dict[int, list[Fraction]] = {}
+        self._pivots: dict[int, dict[int, Fraction]] = {}
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
-    def reduce(self, v: Sequence[Fraction]) -> list[Fraction]:
-        w = list(v)
-        for p in sorted(self._pivots):
-            if w[p] != 0:
-                c = w[p]
-                w = [a - c * b for a, b in zip(w, self._pivots[p])]
-        return w
-
     def insert(self, v: Sequence[Fraction]) -> bool:
-        """Add v to the span; returns True when the dimension grew."""
-        w = self.reduce(v)
-        p = next((i for i, x in enumerate(w) if x != 0), None)
-        if p is None:
+        """Add v to the span; returns True when the dimension grew. The new
+        pivot is the first nonzero entry of v's remainder."""
+        w = {i: x for i, x in enumerate(v) if x != 0}
+        for p in sorted(self._pivots):
+            c = w.get(p)
+            if c:
+                for i, b in self._pivots[p].items():
+                    w[i] = w.get(i, ZERO) - c * b
+        support = [i for i, x in w.items() if x]
+        if not support:
             return False
-        inv = 1 / w[p]
-        self._pivots[p] = [x * inv for x in w]
+        p = min(support)
+        inv = ONE / w[p]
+        self._pivots[p] = {i: w[i] * inv for i in support}
         return True
 
     def to_subspace(self) -> Subspace:
-        return Subspace.from_vectors(self.ambient_dim, list(self._pivots.values()))
+        n = self.ambient_dim
+        return Subspace.from_vectors(
+            n, [[row.get(i, ZERO) for i in range(n)] for row in self._pivots.values()]
+        )
 
 
 # -- characteristic polynomial and rational roots ---------------------------

@@ -201,7 +201,36 @@ def test_dim27_certificate_time_bound():
     elapsed = time.perf_counter() - start
     assert (report.verdict, report.certificate) == (ABSOLUTELY_IRREDUCIBLE, "norton")
     assert report.word_span_dim == 729
-    assert elapsed < 4, f"dim-27 Burnside test took {elapsed:.1f} s"
+    assert elapsed < 0.5, f"dim-27 Burnside test took {elapsed:.2f} s"
+
+
+def test_dim16_reducible_word_span_time_bound(run_snippet):
+    # V3(1) (x) V3(q^2) is reducible, so Norton's criterion cannot decide and
+    # the whole exact word span of dimension 241 in F^256 is closed
+    seconds, verdict, span_dim, witness_dim = run_snippet(
+        """
+        import json, time
+        from fractions import Fraction as F
+        from qaffine.analysis import burnside_irreducible
+        from qaffine.factory import EvalParams, evaluation_module, tensor_product
+        from qaffine.scalars import qparam
+
+        q = qparam(F(2))
+        m = tensor_product(
+            evaluation_module(EvalParams(3, 1, F(1)), q),
+            evaluation_module(EvalParams(3, 1, F(4)), q),
+        )
+        start = time.perf_counter()
+        report = burnside_irreducible(m)
+        seconds = time.perf_counter() - start
+        print(json.dumps(
+            [seconds, report.verdict, report.word_span_dim, report.witness.dim]
+        ))
+        """,
+        timeout=60,
+    )
+    assert (verdict, span_dim, witness_dim) == (NOT_IRREDUCIBLE, 241, 15)
+    assert seconds < 8, f"dim-16 reducible Burnside test took {seconds:.1f} s"
 
 
 def assert_exact_fallback(m):

@@ -6,6 +6,7 @@ import pytest
 from qaffine.linalg import (
     Ladder,
     Matrix,
+    SpanAccumulator,
     Subspace,
     char_poly,
     column_echelon,
@@ -316,6 +317,29 @@ def test_inverse_needs_row_swaps():
     m = Matrix.from_rows([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
     expected = Matrix.from_rows([[0, 0, F(1, 3)], [0, F(1, 2), 0], [1, 0, 0]])
     assert m.inverse() == expected
+
+
+def test_apply_matches_product_with_column():
+    rng = random.Random(5)
+    rect = Matrix.from_rows(
+        [[F(rng.choice([0, 0, rng.randint(-9, 9)]), 7) for _ in range(5)]
+         for _ in range(3)]
+    )
+    for mat in (rect, Matrix.zero(3, 5), Matrix.zero(2, 2), Matrix.identity(4)):
+        n = mat.cols
+        vectors = [[F(0)] * n, [F(rng.randint(-5, 5), 3) for _ in range(n)]]
+        vectors.append([F(0)] * (n - 1) + [F(2)])
+        for v in vectors:
+            expected = (mat @ Matrix.from_columns(n, [v])).column(0)
+            assert mat.apply(v) == expected
+            assert all(type(x) is F for x in mat.apply(v))
+
+
+def test_span_accumulator_stays_exact_on_integer_entries():
+    acc = SpanAccumulator(2)
+    assert acc.insert([2, 1])
+    assert acc.to_subspace().basis.entries == (F(1), F(1, 2))
+    assert all(type(x) is F for x in acc.to_subspace().basis.entries)
 
 
 def test_power():

@@ -27,6 +27,7 @@ from qaffine.factory import (
 )
 from qaffine.linalg import (
     Matrix,
+    SpanAccumulator,
     Subspace,
     char_poly,
     column_echelon,
@@ -87,6 +88,40 @@ def oracle_intersection(a: Subspace, b: Subspace) -> Subspace:
         s = col[: a.dim]
         vectors.append(a.basis.apply(s))
     return Subspace.from_vectors(n, vectors)
+
+
+@st.composite
+def span_sequences(draw):
+    """Sparse rational vectors of one length, mixed with zero vectors,
+    duplicates and nonzero multiples of earlier vectors."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    sparse = st.one_of(st.just(F(0)), fractions)
+    vectors: list[list[F]] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=10))):
+        kind = draw(st.sampled_from(["fresh", "fresh", "zero", "copy", "scaled"]))
+        if kind == "zero" or (kind != "fresh" and not vectors):
+            vectors.append([F(0)] * n)
+        elif kind == "fresh":
+            vectors.append([draw(sparse) for _ in range(n)])
+        else:
+            old = draw(st.sampled_from(vectors))
+            c = F(1) if kind == "copy" else draw(fractions.filter(bool))
+            vectors.append([c * x for x in old])
+    return n, vectors
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_sequences())
+def test_span_accumulator_tracks_prefix_rank(case):
+    n, vectors = case
+    acc = SpanAccumulator(n)
+    previous = 0
+    for k, v in enumerate(vectors, start=1):
+        prefix_rank = rank(Matrix.from_rows(vectors[:k]))
+        assert acc.insert(v) == (prefix_rank > previous)
+        assert acc.dim == prefix_rank
+        previous = prefix_rank
+    assert acc.to_subspace() == Subspace.from_vectors(n, vectors)
 
 
 @settings(max_examples=60, deadline=None)
