@@ -1,8 +1,11 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable, row-major tuples of Fractions. Matrix-vector
-products and the incremental span closure (`SpanAccumulator`) are sparse:
-they touch only nonzero entries, since module generators are mostly zeros.
+Matrices are immutable, row-major tuples of Fractions. Matrix products,
+matrix-vector products and the incremental span closure (`SpanAccumulator`)
+are sparse: they touch only nonzero entries, since module generators and
+their products are mostly zeros. A product is formed row by row
+(Gustavson 1978): each row of the left factor, as its nonzero pairs, times
+the nonzero rows of the right factor (`row_product`).
 Subspaces are stored through a reduced column echelon basis, which makes
 subspace equality a literal entry-wise comparison. Sums concatenate and
 re-echelonize; the intersection uses the Zassenhaus stacked-block
@@ -112,7 +115,7 @@ class Matrix:
         return all(v == 0 for v in self.entries)
 
     @cached_property
-    def _sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
+    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
         """Per row, its nonzero (column, entry) pairs; found once."""
         return tuple(
             tuple([(j, v) for j, v in enumerate(self.row(i)) if v])
@@ -120,7 +123,7 @@ class Matrix:
         )
 
     def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
-        return [(i, j, v) for i, row in enumerate(self._sparse_rows) for j, v in row]
+        return [(i, j, v) for i, row in enumerate(self.sparse_rows) for j, v in row]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -155,28 +158,19 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        n, m, k = self.rows, other.cols, self.cols
-        a, b = self.entries, other.entries
-        out = [ZERO] * (n * m)
-        for i in range(n):
-            arow = a[i * k : (i + 1) * k]
-            for t in range(k):
-                c = arow[t]
-                if c == 0:
-                    continue
-                brow = b[t * m : (t + 1) * m]
-                base = i * m
-                for j in range(m):
-                    if brow[j] != 0:
-                        out[base + j] += c * brow[j]
-        return Matrix(n, m, tuple(out))
+        m, right = other.cols, other.sparse_rows
+        out = [ZERO] * (self.rows * m)
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row_product(row, right).items():
+                out[i * m + j] = v
+        return Matrix(self.rows, m, tuple(out))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product, skipping zero entries of the matrix and of v."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
         return tuple(
-            sum((a * v[j] for j, a in row if v[j]), ZERO) for row in self._sparse_rows
+            sum((a * v[j] for j, a in row if v[j]), ZERO) for row in self.sparse_rows
         )
 
     def power(self, k: int) -> Matrix:
@@ -236,6 +230,21 @@ class Matrix:
         )
 
 
+def row_product(
+    row: Iterable[tuple[int, Fraction]],
+    rows: Sequence[Iterable[tuple[int, Fraction]]],
+) -> dict[int, Fraction]:
+    """The row vector given by its nonzero (index, entry) pairs times the
+    matrix given by its rows' nonzero (column, entry) pairs, as {column:
+    entry}; entries that cancel to zero are dropped."""
+    out: dict[int, Fraction] = {}
+    for t, c in row:
+        for j, b in rows[t]:
+            v = c * b
+            out[j] = out[j] + v if j in out else v
+    return {j: v for j, v in out.items() if v}
+
+
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) of the result is a[i,j] * b."""
     rows, cols = a.rows * b.rows, a.cols * b.cols
@@ -269,7 +278,7 @@ def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = 1 / rows[rank][col]
+        inv = ONE / rows[rank][col]
         rows[rank] = [v * inv for v in rows[rank]]
         for r in range(len(rows)):
             if r != rank and rows[r][col] != 0:

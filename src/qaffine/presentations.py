@@ -8,7 +8,8 @@ the exact residual lhs - rhs; it checks the defining relations below and
 every matrix identity of the extension pipeline (whose A, A*, B, B*, r, l
 are just more generator names, with the shared ``weyl``, ``q_serre`` and
 ``zero_commutator`` builders). ``evaluate_word`` multiplies the words in
-sorted order, so each prefix shared by neighbouring words is computed once.
+sorted order, so each prefix shared by neighbouring words is computed once,
+and keeps every product and the residual sum sparse, over nonzero entries.
 
 Supported presentations:
 
@@ -38,7 +39,7 @@ from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import QAffineError
-from .linalg import Matrix
+from .linalg import Matrix, row_product
 from .report import CheckLog, VerificationReport
 from .scalars import ONE, ZERO, QParam, qint
 
@@ -89,7 +90,11 @@ def evaluate_word(
     The empty word is the identity and a one-letter word is its matrix.
     Repeated words are merged, and the words are multiplied out in sorted
     order so that each prefix shared by neighbouring words is computed once.
-    All assigned matrices must be square and of equal dimension.
+    Products and the sum are sparse: a prefix product is kept as one dict of
+    nonzero entries per row and multiplied by the next letter's nonzero rows
+    (`linalg.row_product`); each c * word adds only its nonzero entries, and
+    the empty word adds c on the diagonal. One dense Matrix is built at the
+    end. All assigned matrices must be square and of equal dimension.
     """
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
@@ -103,8 +108,10 @@ def evaluate_word(
             if gen not in assignment:
                 raise QAffineError(f"generator {gen!r} is not assigned a matrix")
         coeffs[word] = coeffs.get(word, ZERO) + coeff
-    total = Matrix.zero(n, n)
-    chain: list[Matrix] = []  # chain[i] is the product of the first i+1 letters
+    total: dict[int, Fraction] = {}  # entry (i, j) of the sum at i * n + j
+    # chain[i] is the product of the first i+1 letters, one {column: entry}
+    # dict of nonzero entries per row
+    chain: list[list[dict[int, Fraction]]] = []
     previous: Word = ()
     for word in sorted(w for w, c in coeffs.items() if c):
         shared = 0
@@ -114,11 +121,25 @@ def evaluate_word(
             shared += 1
         del chain[shared:]
         for gen in word[shared:]:
-            chain.append(chain[-1] @ assignment[gen] if chain else assignment[gen])
+            right = assignment[gen].sparse_rows
+            chain.append(
+                [row_product(row.items(), right) for row in chain[-1]]
+                if chain
+                else [dict(row) for row in right]
+            )
         previous = word
         c = coeffs[word]
-        total = total + c * chain[-1] if word else total.shift(-c)  # c I
-    return total
+        terms = (
+            ((i * n + j, v) for i, row in enumerate(chain[-1]) for j, v in row.items())
+            if word
+            else ((i * n + i, ONE) for i in range(n))  # c I
+        )
+        for k, v in terms:
+            total[k] = total[k] + c * v if k in total else c * v
+    entries = [ZERO] * (n * n)
+    for k, v in total.items():
+        entries[k] = v
+    return Matrix(n, n, tuple(entries))
 
 
 def check_relations(

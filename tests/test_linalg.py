@@ -64,6 +64,18 @@ def test_subspace_canonical_equality():
     assert a.basis.entries == b.basis.entries
 
 
+def test_integer_input_gives_fractions():
+    # plain ints must not turn into floats when a pivot row is normalized
+    results = [
+        Subspace.from_vectors(2, [[2, 1]]).basis,
+        kernel(Matrix(2, 2, (2, 1, 4, 2))).basis,
+        column_echelon(Matrix(2, 2, (3, 6, 1, 2))).basis,
+    ]
+    assert [m.entries for m in results] == [(1, F(1, 2)), (1, -2), (1, F(1, 3))]
+    for m in results:
+        assert all(type(v) is F for v in m.entries), m.entries
+
+
 # -- kernel ------------------------------------------------------------------
 
 

@@ -163,3 +163,29 @@ def test_report_table_renders(v111):
     table = check_presentation(AFFINE_FULL, v111).text_table()
     assert "ALL PASS" in table
     assert "serre(e0p,e1p)" in table
+
+
+def test_dim64_presentation_check_time_bound(run_snippet):
+    # eval(3,1,1) (x) eval(3,1,11) (x) eval(3,1,7) has 64x64 generators that
+    # are mostly zeros, as are the products in its degree-4 q-Serre words;
+    # building it validates every factor and tensor as well
+    seconds, dim, passed, checks = run_snippet(
+        """
+        import json, time
+        from fractions import Fraction as F
+        from qaffine.factory import EvalParams, evaluation_module, tensor_product
+        from qaffine.presentations import AFFINE_FULL, check_presentation
+        from qaffine.scalars import qparam
+
+        q = qparam(F(2))
+        start = time.perf_counter()
+        factors = [evaluation_module(EvalParams(3, 1, F(a)), q) for a in (1, 11, 7)]
+        m = tensor_product(tensor_product(factors[0], factors[1]), factors[2])
+        report = check_presentation(AFFINE_FULL, m)
+        seconds = time.perf_counter() - start
+        print(json.dumps([seconds, m.dim, report.passed, len(report.entries)]))
+        """,
+        timeout=60,
+    )
+    assert (dim, passed, checks) == (64, True, 21)
+    assert seconds < 1.5, f"dim-64 build and relation check took {seconds:.2f} s"

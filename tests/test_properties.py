@@ -406,6 +406,103 @@ def test_prefix_sharing_evaluation_matches_naive(case):
     assert evaluate_word(words, assignment) == naive_evaluate(words, assignment)
 
 
+# -- sparse products against dense references -----------------------------------
+
+mostly_zero = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), fractions)
+
+
+def dense_product(a, b):
+    """Every entry as the full sum over the inner index, zeros included."""
+    return Matrix(a.rows, b.cols, tuple(
+        sum((a.at(i, t) * b.at(t, j) for t in range(a.cols)), F(0))
+        for i in range(a.rows)
+        for j in range(b.cols)
+    ))
+
+
+def dense_evaluate(words, assignment):
+    """Each term multiplied out from the identity, summed entry by entry."""
+    n = next(iter(assignment.values())).rows
+    total = [F(0)] * (n * n)
+    for coeff, word in words:
+        product = Matrix.identity(n)
+        for gen in word:
+            product = dense_product(product, assignment[gen])
+        total = [t + coeff * v for t, v in zip(total, product.entries)]
+    return Matrix(n, n, tuple(total))
+
+
+def assert_exact_equal(got, expected):
+    assert (got.rows, got.cols) == (expected.rows, expected.cols)
+    assert got.entries == expected.entries
+    assert all(type(v) is F for v in got.entries)
+
+
+@st.composite
+def product_pairs(draw):
+    """Rectangular factors of mostly zero rationals, 0 rows and 0 columns
+    allowed; sometimes the right factor is built from the left's kernel, so
+    the whole product cancels to zero."""
+    rows, inner, cols = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
+    a = Matrix(rows, inner, tuple(draw(st.lists(
+        mostly_zero, min_size=rows * inner, max_size=rows * inner
+    ))))
+    null = kernel(a)
+    if null.dim and draw(st.booleans()):
+        coeffs = [[draw(fractions) for _ in range(null.dim)] for _ in range(cols)]
+        b = Matrix.from_columns(inner, [null.basis.apply(c) for c in coeffs])
+    else:
+        b = Matrix(inner, cols, tuple(draw(st.lists(
+            mostly_zero, min_size=inner * cols, max_size=inner * cols
+        ))))
+    return a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(product_pairs())
+def test_sparse_matmul_matches_dense_product(pair):
+    a, b = pair
+    product = a @ b
+    event("zero product" if product.is_zero() else "nonzero product")
+    assert_exact_equal(product, dense_product(a, b))
+
+
+@st.composite
+def cancelling_sums(draw):
+    """Formal sums over mostly zero matrices: N is strictly upper triangular,
+    so N^n = 0, and Y = X^2 + cX commutes with X, so XY - YX = 0. Words
+    repeat, some with coefficients that sum to zero, and the pool always
+    holds the empty word."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    x = Matrix(n, n, tuple(draw(st.lists(mostly_zero, min_size=n * n, max_size=n * n))))
+    y = x @ x + draw(fractions) * x
+    upper = [
+        draw(mostly_zero) if j > i else F(0) for i in range(n) for j in range(n)
+    ]
+    assignment = {"N": Matrix(n, n, tuple(upper)), "X": x, "Y": y}
+    pool = [(), ("N",) * n, ("X", "Y"), ("Y", "X")] + draw(
+        st.lists(st.lists(st.sampled_from("NXY"), max_size=4).map(tuple), max_size=4)
+    )
+    words = draw(
+        st.lists(st.tuples(fractions, st.sampled_from(pool)), min_size=1, max_size=8)
+    )
+    c = draw(fractions)
+    cancelling = [(c, ("X", "Y")), (-c, ("Y", "X"))]
+    for coeff, word in draw(st.lists(st.sampled_from(words), max_size=3)):
+        cancelling += [(coeff, word), (-coeff, word)]
+    terms = draw(st.permutations(words + cancelling))
+    return tuple(terms), assignment
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_sums())
+def test_sparse_evaluation_matches_dense_reference(case):
+    words, assignment = case
+    got = evaluate_word(words, assignment)
+    event("zero residual" if got.is_zero() else "nonzero residual")
+    assert_exact_equal(got, dense_evaluate(words, assignment))
+
+
 def residual(relation, assignment):
     log = CheckLog()
     check_relations(log, "test", [relation], assignment)
