@@ -38,7 +38,7 @@ from .factory import (
 from .modfile import read_module, write_module, write_report
 from .presentations import AFFINE_FULL, UGEQ0, check_presentation
 from .report import CheckLog, CheckResult, VerificationReport
-from .scalars import QParam, as_scalar, scalar_str
+from .scalars import QParam, as_scalar
 from .weights import WeightData, analyze_full, analyze_weights
 
 EXIT_OK = 0
@@ -129,18 +129,10 @@ def cmd_extend(args: argparse.Namespace) -> int:
         report = VerificationReport(
             subject=f"extension of {args.file}", entries=list(trace.checks)
         )
-        dims = trace.to_dict()
-        report.summary.update(
-            {
-                "alpha": scalar_str(trace.alpha),
-                "diameter": str(trace.diameter),
-                "weight_dims": str(dims["weight_dims"]),
-                "flag_dims(A)": str(dims["flag_dims(A)"]),
-                "flag_dims(Astar)": str(dims["flag_dims(Astar)"]),
-                "split_dims(W)": str(dims["split_dims(W)"]),
-                "split_dims(Wstar)": str(dims["split_dims(Wstar)"]),
-            }
-        )
+        report.summary.update({
+            key: str(value) for key, value in trace.to_dict().items()
+            if key not in ("checks", "pass")
+        })
         write_report(report, args.trace)
     print(
         f"wrote {args.out}: {_describe(full, trace.output_weights)} "

@@ -48,7 +48,7 @@ from itertools import accumulate
 from typing import Sequence
 
 from .errors import IrreducibilityError, RelationError
-from .factory import ModuleData, build_module
+from .factory import ModuleData
 from .linalg import (
     Ladder,
     Matrix,
@@ -62,7 +62,6 @@ from .presentations import (
     AFFINE_FULL,
     UGEQ0,
     RelationWord,
-    check_presentation,
     check_relations,
     formal_sum,
     q_serre,
@@ -486,7 +485,7 @@ def extend(
         raise ValueError("type signs must be 1 or -1")
     if m.kind != UGEQ0:
         raise RelationError("kind", f"extend requires a ugeq0 module, got {m.kind}")
-    input_report = check_presentation(UGEQ0, m)
+    input_report = m.relations
     if not input_report.passed:
         raise RelationError(input_report.failing()[0].name)
     irr = burnside_irreducible(m)
@@ -531,14 +530,14 @@ def extend(
         "K1": (eps1 * alpha) * m.action["Kinv"],
         "K1inv": (eps1 / alpha) * m.action["K"],
     }
-    full = build_module(
+    full = ModuleData(
         AFFINE_FULL,
+        m.dim,
         m.q,
         action,
         f"extend({m.provenance}, eps0={eps0}, eps1={eps1})",
-        validate=False,
     )
-    out_report = check_presentation(AFFINE_FULL, full)
+    out_report = full.relations
     log.condition(
         "output-relations", ANCHOR_OUT, out_report.passed,
         "; ".join(c.name for c in out_report.failing()),

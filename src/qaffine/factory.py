@@ -1,12 +1,13 @@
 """Constructors for concrete module data.
 
-Every factory function validates its output against the defining relations of
-the target presentation before returning; a construction that produces a
-relation-violating module raises RelationError instead of returning data, so
-a ModuleData in the wild can always be trusted.
+Relations are checked once, where untrusted matrices come in: build_module
+(raw matrices and file loads) and finite_module raise RelationError on a
+violation. The other constructors apply an algebra homomorphism (named in
+each docstring) to valid modules, so their output is valid unchecked; the
+tests confirm it. ModuleData.relations memoizes the one evaluation.
 
-Conventions fixed here (any consistent choice works, and the relation checker
-enforces consistency at construction time):
+Conventions fixed here (any consistent choice works, and the relation
+checker enforces consistency in the tests):
 
 * evaluation modules: e1p/e1m/K1 act as the finite ep/em/k, while
   e0p = a * em, e0m = a^-1 * ep, K0 = kinv, for a nonzero evaluation
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import ModuleFormatError, RelationError
 from .linalg import Matrix, kronecker
@@ -33,6 +35,7 @@ from .presentations import (
     UGEQ0,
     check_presentation,
 )
+from .report import VerificationReport
 from .scalars import QParam, as_scalar, qint
 
 
@@ -46,6 +49,12 @@ class ModuleData:
     q: QParam
     action: dict[str, Matrix]
     provenance: str
+
+    @cached_property
+    def relations(self) -> VerificationReport:
+        """The relation report, evaluated once: the object is frozen and its
+        matrices are immutable (dataclasses.replace makes a fresh one)."""
+        return check_presentation(self.kind, self)
 
 
 def build_module(
@@ -64,14 +73,12 @@ def build_module(
     if len(dims) != 1:
         raise ModuleFormatError("all generator matrices must share one dimension")
     data = ModuleData(kind, dims.pop(), q, dict(action), provenance)
-    if validate:
-        report = check_presentation(kind, data)
-        if not report.passed:
-            failed = report.failing()[0]
-            raise RelationError(
-                failed.name,
-                f"construction of {provenance!r} violates {failed.name}",
-            )
+    if validate and not data.relations.passed:
+        failed = data.relations.failing()[0]
+        raise RelationError(
+            failed.name,
+            f"construction of {provenance!r} violates {failed.name}",
+        )
     return data
 
 
@@ -126,7 +133,8 @@ def finite_module(d: int, eps: int | str | Fraction, q: QParam) -> ModuleData:
 
 def evaluation_module(p: EvalParams, q: QParam) -> ModuleData:
     """A (d+1)-dimensional module for the full affine presentation built from
-    the finite module of the same diameter and an evaluation parameter."""
+    the finite module of the same diameter and an evaluation parameter,
+    pulled back along the evaluation homomorphism (module docstring)."""
     fin = finite_module(p.d, p.eps, q)
     act = fin.action
     ainv = 1 / p.a
@@ -140,13 +148,13 @@ def evaluation_module(p: EvalParams, q: QParam) -> ModuleData:
         "K0": act["kinv"],
         "K0inv": act["k"],
     }
-    return build_module(
-        AFFINE_FULL, q, action, f"eval(d={p.d},eps={p.eps},a={p.a})"
-    )
+    provenance = f"eval(d={p.d},eps={p.eps},a={p.a})"
+    return ModuleData(AFFINE_FULL, fin.dim, q, action, provenance)
 
 
 def tensor_product(m1: ModuleData, m2: ModuleData) -> ModuleData:
-    """Tensor product of two affine modules over the same q."""
+    """Tensor product of two affine modules over the same q, through the
+    coproduct (module docstring), an algebra homomorphism."""
     if m1.kind != AFFINE_FULL or m2.kind != AFFINE_FULL:
         raise ModuleFormatError("tensor product requires two affine_full modules")
     if m1.q != m2.q:
@@ -164,19 +172,16 @@ def tensor_product(m1: ModuleData, m2: ModuleData) -> ModuleData:
         action[f"e{i}m"] = kronecker(a1[f"e{i}m"], a2[f"K{i}inv"]) + kronecker(
             id1, a2[f"e{i}m"]
         )
-    return build_module(
-        AFFINE_FULL,
-        m1.q,
-        action,
-        f"tensor({m1.provenance}, {m2.provenance})",
-    )
+    provenance = f"tensor({m1.provenance}, {m2.provenance})"
+    return ModuleData(AFFINE_FULL, m1.dim * m2.dim, m1.q, action, provenance)
 
 
 def twist_full(
     m: ModuleData, eps0: int | str | Fraction, eps1: int | str | Fraction
 ) -> ModuleData:
     """Twist a full affine module by signs: K_i and e_im scale by eps_i,
-    e_ip is unchanged. An involution for each sign pair."""
+    e_ip is unchanged. An involution for each sign pair, and an algebra
+    automorphism: it scales both sides of each relation by one sign."""
     if m.kind != AFFINE_FULL:
         raise ModuleFormatError("twist_full requires an affine_full module")
     signs = {0: as_scalar(eps0), 1: as_scalar(eps1)}
@@ -188,17 +193,14 @@ def twist_full(
         action[f"K{i}"] = s * action[f"K{i}"]
         action[f"K{i}inv"] = s * action[f"K{i}inv"]
         action[f"e{i}m"] = s * action[f"e{i}m"]
-    return build_module(
-        AFFINE_FULL,
-        m.q,
-        action,
-        f"twist({m.provenance}, {signs[0]}, {signs[1]})",
-    )
+    provenance = f"twist({m.provenance}, {signs[0]}, {signs[1]})"
+    return ModuleData(AFFINE_FULL, m.dim, m.q, action, provenance)
 
 
 def twist_borel(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     """Rescale K of a ugeq0 module by a nonzero alpha; R and L unchanged.
-    Multiplies the module type by alpha."""
+    Multiplies the module type by alpha. An algebra automorphism: alpha
+    cancels from every ugeq0 relation."""
     if m.kind != UGEQ0:
         raise ModuleFormatError("twist_borel requires a ugeq0 module")
     alpha = as_scalar(alpha)
@@ -207,13 +209,14 @@ def twist_borel(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     action = dict(m.action)
     action["K"] = alpha * action["K"]
     action["Kinv"] = (1 / alpha) * action["Kinv"]
-    return build_module(UGEQ0, m.q, action, f"ktwist({m.provenance}, {alpha})")
+    return ModuleData(UGEQ0, m.dim, m.q, action, f"ktwist({m.provenance}, {alpha})")
 
 
 def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     """View a full affine module through the three-generator presentation:
     R = e0p, L = e1p, K = eps0 * alpha * K0, where eps0 is the module's first
-    type sign. The result has type alpha."""
+    type sign. The result has type alpha. This assignment is an algebra
+    homomorphism from ugeq0 into the full algebra."""
     from .weights import analyze_full
 
     if m.kind != AFFINE_FULL:
@@ -228,16 +231,16 @@ def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
         "K": (eps0 * alpha) * m.action["K0"],
         "Kinv": (eps0 / alpha) * m.action["K0inv"],
     }
-    return build_module(
-        UGEQ0, m.q, action, f"restrict_ugeq0({m.provenance}, alpha={alpha})"
-    )
+    provenance = f"restrict_ugeq0({m.provenance}, alpha={alpha})"
+    return ModuleData(UGEQ0, m.dim, m.q, action, provenance)
 
 
 def restrict_to_borel(m: ModuleData) -> ModuleData:
-    """Forget the lowering generators: keep only e0p, e1p and the K's."""
+    """Forget the lowering generators: keep only e0p, e1p and the K's. The
+    Borel relations are among the full ones, so this inclusion is a
+    homomorphism."""
     if m.kind != AFFINE_FULL:
         raise ModuleFormatError("restrict_to_borel requires an affine_full module")
     action = {gen: m.action[gen] for gen in ALPHABETS[AFFINE_BOREL]}
-    return build_module(
-        AFFINE_BOREL, m.q, action, f"restrict_borel({m.provenance})"
-    )
+    provenance = f"restrict_borel({m.provenance})"
+    return ModuleData(AFFINE_BOREL, m.dim, m.q, action, provenance)

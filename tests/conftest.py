@@ -63,3 +63,24 @@ def run_snippet():
         return json.loads(done.stdout.splitlines()[-1])
 
     return run
+
+
+@pytest.fixture()
+def relation_checks(monkeypatch):
+    """The presentation kind of every defining-relation evaluation, in order:
+    check_presentation is wrapped at each qaffine module that binds it."""
+    from qaffine import presentations
+
+    original = presentations.check_presentation
+    kinds = []
+
+    def counting(kind, data):
+        kinds.append(kind)
+        return original(kind, data)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qaffine" and (
+            getattr(module, "check_presentation", None) is original
+        ):
+            monkeypatch.setattr(module, "check_presentation", counting)
+    return kinds

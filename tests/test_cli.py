@@ -168,6 +168,55 @@ def test_extend_analyzes_its_output_once(tmp_path, v111_file, monkeypatch):
     assert calls == ["affine_full"]
 
 
+def test_extend_evaluates_relations_twice(tmp_path, v111_file, relation_checks):
+    # once when the file is read and once on the assembled output; the
+    # input-relations entry reuses the first
+    restricted = tmp_path / "r.json"
+    assert main(["restrict", str(v111_file), "-o", str(restricted)]) == 0
+    relation_checks.clear()
+    assert main(["extend", str(restricted), "--eps0", "1", "--eps1", "1",
+                 "-o", str(tmp_path / "e.json")]) == 0
+    assert relation_checks == ["ugeq0", "affine_full"]
+
+
+def test_restrict_evaluates_relations_once(tmp_path, v111_file, relation_checks):
+    assert main(["restrict", str(v111_file), "-o", str(tmp_path / "r.json")]) == 0
+    assert relation_checks == ["affine_full"]
+
+
+BAD_FULL = "error: construction of 'eval(d=1,eps=1,a=1)' violates unit(K0 K0inv)\n"
+BAD_UGEQ0 = (
+    "error: construction of 'restrict_ugeq0(eval(d=1,eps=1,a=1), alpha=1)' "
+    "violates unit(K Kinv)\n"
+)
+
+
+@pytest.mark.parametrize("argv, stderr", [
+    (["build", "tensor", "{good}", "{bad}", "-o", "{out}"], BAD_FULL),
+    (["restrict", "{bad}", "-o", "{out}"], BAD_FULL),
+    (["extend", "{bad}", "--eps0", "1", "--eps1", "1", "-o", "{out}"], BAD_UGEQ0),
+    (["roundtrip", "{bad}", "--report", "{out}"], BAD_FULL),
+])
+def test_relation_violating_file_stops_at_read(
+    tmp_path, v111_file, capsys, argv, stderr
+):
+    # the derived modules are not checked again, so a bad file must be
+    # rejected where it is read: exit 3, nothing written, the relation named
+    good = v111_file
+    if argv[0] == "extend":
+        good = tmp_path / "r.json"
+        assert main(["restrict", str(v111_file), "-o", str(good)]) == 0
+    doc = json.loads(good.read_text())
+    doc["action"]["K" if argv[0] == "extend" else "K0"][0][0] = "3"
+    bad, out = tmp_path / "bad.json", tmp_path / "out.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    paths = {"good": good, "bad": bad, "out": out}
+    assert main([arg.format(**paths) for arg in argv]) == 3
+    assert not out.exists()
+    assert capsys.readouterr().err == stderr
+
+
 def test_restrict_to_borel(tmp_path, v111_file):
     out = tmp_path / "b.json"
     assert main(["restrict", str(v111_file), "--target", "borel",

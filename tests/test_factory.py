@@ -115,6 +115,40 @@ def test_tensor_associative(v111, v113, q2):
         assert lhs.action[g] == rhs.action[g]
 
 
+def test_derived_constructors_evaluate_only_finite_roots(q2, relation_checks):
+    # each evaluation module checks the finite module it starts from; the
+    # coproduct, twists and restrictions are homomorphisms and check nothing
+    a, b, c = (evaluation_module(EvalParams(1, 1, x), q2) for x in (1, 3, 5))
+    m = tensor_product(tensor_product(a, b), c)
+    restrict_to_borel(twist_full(m, -1, 1))
+    twist_borel(restrict_to_ugeq0(m, 2), 3)
+    assert m.dim == 8
+    assert relation_checks == ["finite"] * 3
+
+
+@pytest.mark.parametrize("q", [F(2), F(3, 2), F(-2)])
+@pytest.mark.parametrize("eps", [1, -1])
+def test_derived_constructors_satisfy_relations(q, eps):
+    # the derived constructors return their output unchecked; this is the
+    # check that the homomorphisms in their docstrings make it valid
+    qp = qparam(q)
+    a, b, c = (
+        evaluation_module(EvalParams(d, eps, x), qp)
+        for d, x in ((1, 1), (1, 3), (2, F(1, 2)))
+    )
+    ab = tensor_product(a, b)
+    fulls = [a, ab, tensor_product(ab, c), tensor_product(c, ab)]
+    derived = list(fulls)
+    for m in fulls:
+        derived += [twist_full(m, s0, s1) for s0 in (1, -1) for s1 in (1, -1)]
+        derived.append(restrict_to_borel(m))
+        for alpha in (1, -2, F(2, 3)):
+            r = restrict_to_ugeq0(m, alpha)
+            derived += [r, twist_borel(r, alpha)]
+    for m in derived:
+        assert check_presentation(m.kind, m).passed, m.provenance
+
+
 def test_tensor_mismatches(v111, q2):
     q3 = qparam(3)
     other = evaluation_module(EvalParams(1, 1, 1), q3)

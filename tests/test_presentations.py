@@ -168,7 +168,7 @@ def test_report_table_renders(v111):
 def test_dim64_presentation_check_time_bound(run_snippet):
     # eval(3,1,1) (x) eval(3,1,11) (x) eval(3,1,7) has 64x64 generators that
     # are mostly zeros, as are the products in its degree-4 q-Serre words;
-    # building it validates every factor and tensor as well
+    # building it checks only the three finite modules the factors start from
     seconds, dim, passed, checks = run_snippet(
         """
         import json, time
