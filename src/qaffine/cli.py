@@ -39,7 +39,7 @@ from .modfile import read_module, write_module, write_report
 from .presentations import AFFINE_FULL, UGEQ0, check_presentation
 from .report import CheckLog, CheckResult, VerificationReport
 from .scalars import QParam, as_scalar
-from .weights import WeightData, analyze_full, analyze_weights
+from .weights import WeightData, analyze_weights
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -147,7 +147,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         raise ModuleFormatError(
             f"roundtrip requires an affine_full module, got {module.kind}"
         )
-    wd = analyze_full(module)
+    wd = module.full_weights
     restricted = restrict_to_ugeq0(module, as_scalar(args.alpha))
     full, _ = extend(restricted, wd.eps0, wd.eps1)
     log = CheckLog()

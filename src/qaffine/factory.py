@@ -4,7 +4,8 @@ Relations are checked once, where untrusted matrices come in: build_module
 (raw matrices and file loads) and finite_module raise RelationError on a
 violation. The other constructors apply an algebra homomorphism (named in
 each docstring) to valid modules, so their output is valid unchecked; the
-tests confirm it. ModuleData.relations memoizes the one evaluation.
+tests confirm it. ModuleData.relations memoizes the one evaluation, and
+ModuleData.full_weights the one full weight analysis.
 
 Conventions fixed here (any consistent choice works, and the relation
 checker enforces consistency in the tests):
@@ -24,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import ModuleFormatError, RelationError
 from .linalg import Matrix, kronecker
@@ -37,6 +39,9 @@ from .presentations import (
 )
 from .report import VerificationReport
 from .scalars import QParam, as_scalar, qint
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .weights import FullWeightData
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,14 @@ class ModuleData:
         """The relation report, evaluated once: the object is frozen and its
         matrices are immutable (dataclasses.replace makes a fresh one)."""
         return check_presentation(self.kind, self)
+
+    @cached_property
+    def full_weights(self) -> FullWeightData:
+        """analyze_full of this module, run once, like `relations`; raises
+        WeightLadderError on a module that is not a weight ladder."""
+        from .weights import analyze_full
+
+        return analyze_full(self)
 
 
 def build_module(
@@ -217,14 +230,12 @@ def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     R = e0p, L = e1p, K = eps0 * alpha * K0, where eps0 is the module's first
     type sign. The result has type alpha. This assignment is an algebra
     homomorphism from ugeq0 into the full algebra."""
-    from .weights import analyze_full
-
     if m.kind != AFFINE_FULL:
         raise ModuleFormatError("restrict_to_ugeq0 requires an affine_full module")
     alpha = as_scalar(alpha)
     if alpha == 0:
         raise ModuleFormatError("alpha must be nonzero")
-    eps0 = analyze_full(m).eps0
+    eps0 = m.full_weights.eps0
     action = {
         "R": m.action["e0p"],
         "L": m.action["e1p"],

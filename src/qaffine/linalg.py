@@ -1,23 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable, row-major tuples of Fractions. Matrix products,
-matrix-vector products and the incremental span closure (`SpanAccumulator`)
-are sparse: they touch only nonzero entries, since module generators and
-their products are mostly zeros. A product is formed row by row
-(Gustavson 1978): each row of the left factor, as its nonzero pairs, times
-the nonzero rows of the right factor (`row_product`).
-Subspaces are stored through a reduced column echelon basis, which makes
-subspace equality a literal entry-wise comparison. Sums concatenate and
-re-echelonize; the intersection uses the Zassenhaus stacked-block
-elimination. The characteristic polynomial comes from the Faddeev-LeVerrier
-recurrence (valid in characteristic zero). Rational roots need no factoring:
-the real roots of the square-free part are isolated by Sturm-sequence
-bisection at dyadic points in integer arithmetic, and each isolating
-interval is shrunk until at most one fraction of small enough denominator
-fits in it.
+Matrices are immutable, row-major tuples of Fractions, and every operation
+that can touches only nonzero entries, since module generators and their
+products are mostly zeros. A product is formed row by row (Gustavson 1978):
+each row of the left factor, as its nonzero pairs, times the nonzero rows of
+the right factor (`row_product`).
 
-No floating point appears anywhere; every elimination step renormalizes
-fractions, so all results are bit-exact.
+One sparse echelon form (`SpanAccumulator`) does all exact elimination:
+spans, kernels, ranks, inverses ([M | I]), sums and Zassenhaus
+intersections ([a | a] over [b | 0]). Subspaces are stored through a reduced
+column echelon basis, so subspace equality is a literal entry-wise
+comparison. A sum extends the larger space's echelon by the other's basis,
+and a ladder's partial sums extend one echelon a space at a time.
+
+The characteristic polynomial comes from the Faddeev-LeVerrier recurrence
+(valid in characteristic zero). Rational roots need no factoring: the real
+roots of the square-free part are isolated by Sturm-sequence bisection at
+dyadic points in integer arithmetic, and each isolating interval is shrunk
+until at most one fraction of small enough denominator fits in it. No
+floating point appears anywhere, so all results are bit-exact.
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Sequence
+from heapq import heapify, heappop, heappush
+from operator import add, sub
+from typing import Iterable, Iterator, Sequence
 
 from .scalars import ONE, ZERO, as_scalar
 
 Vector = tuple[Fraction, ...]
+Row = dict[int, Fraction]  # the nonzero entries of a vector, {index: entry}
 
 
 @dataclass(frozen=True)
@@ -69,26 +72,29 @@ class Matrix:
 
     @staticmethod
     def identity(n: int) -> Matrix:
-        entries = [ZERO] * (n * n)
-        for i in range(n):
-            entries[i * n + i] = ONE
-        return Matrix(n, n, tuple(entries))
+        return Matrix.diagonal([ONE] * n)
 
     @staticmethod
     def diagonal(values: Sequence[int | str | Fraction]) -> Matrix:
-        n = len(values)
-        entries = [ZERO] * (n * n)
-        for i, v in enumerate(values):
-            entries[i * n + i] = as_scalar(v)
-        return Matrix(n, n, tuple(entries))
+        diag = [{i: x} if (x := as_scalar(v)) else {} for i, v in enumerate(values)]
+        return Matrix.from_sparse(len(values), len(values), diag)
+
+    @staticmethod
+    def from_sparse(rows: int, cols: int, sparse: Sequence[Row]) -> Matrix:
+        """The matrix with the nonzero entries sparse[i] = {column: entry} in
+        row i; its `sparse_rows` come with it, not from a scan."""
+        entries = [ZERO] * (rows * cols)
+        for i, row in enumerate(sparse):
+            for j, v in row.items():
+                entries[i * cols + j] = v
+        m = Matrix(rows, cols, tuple(entries))
+        m.__dict__["sparse_rows"] = tuple(tuple(sorted(row.items())) for row in sparse)
+        return m
 
     @staticmethod
     def from_columns(ambient: int, columns: Sequence[Sequence[Fraction]]) -> Matrix:
-        entries = []
-        for i in range(ambient):
-            for col in columns:
-                entries.append(col[i])
-        return Matrix(ambient, len(columns), tuple(entries))
+        entries = tuple(col[i] for i in range(ambient) for col in columns)
+        return Matrix(ambient, len(columns), entries)
 
     # -- access ------------------------------------------------------------
 
@@ -129,19 +135,13 @@ class Matrix:
 
     def __add__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a + b for a, b in zip(self.entries, other.entries)),
-        )
+        entries = tuple(map(add, self.entries, other.entries))
+        return Matrix(self.rows, self.cols, entries)
 
     def __sub__(self, other: Matrix) -> Matrix:
         self._same_shape(other)
-        return Matrix(
-            self.rows,
-            self.cols,
-            tuple(a - b for a, b in zip(self.entries, other.entries)),
-        )
+        entries = tuple(map(sub, self.entries, other.entries))
+        return Matrix(self.rows, self.cols, entries)
 
     def __neg__(self) -> Matrix:
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
@@ -158,12 +158,10 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        m, right = other.cols, other.sparse_rows
-        out = [ZERO] * (self.rows * m)
-        for i, row in enumerate(self.sparse_rows):
-            for j, v in row_product(row, right).items():
-                out[i * m + j] = v
-        return Matrix(self.rows, m, tuple(out))
+        right = other.sparse_rows
+        return Matrix.from_sparse(
+            self.rows, other.cols, [row_product(row, right) for row in self.sparse_rows]
+        )
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product, skipping zero entries of the matrix and of v."""
@@ -202,21 +200,17 @@ class Matrix:
         return sum((self.at(i, i) for i in range(self.rows)), ZERO)
 
     def inverse(self) -> Matrix:
-        """Gauss-Jordan inverse, the right block of rref[M | I]; raises
-        ValueError on singular input."""
+        """The right block of the reduced echelon form of the sparse rows
+        [M | I]; ValueError when M is singular (a pivot in the right block)."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n, eye = self.rows, Matrix.identity(self.rows)
-        work = _rref(self.hstack(eye).to_rows())
-        if [row[:n] for row in work] != eye.to_rows():
+        n = self.rows
+        stacked = ({**dict(r), n + i: ONE} for i, r in enumerate(self.sparse_rows))
+        rows = _echelon(2 * n, stacked).reduced()
+        if any(p >= n for p in rows):
             raise ValueError("matrix is singular")
-        return Matrix.from_rows([row[n:] for row in work])
-
-    def hstack(self, other: Matrix) -> Matrix:
-        if self.rows != other.rows:
-            raise ValueError("row count mismatch in hstack")
-        rows = [list(self.row(i)) + list(other.row(i)) for i in range(self.rows)]
-        return Matrix.from_rows(rows)
+        right = [{j - n: v for j, v in rows[i].items() if j >= n} for i in range(n)]
+        return Matrix.from_sparse(n, n, right)
 
     def _same_shape(self, other: Matrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -247,56 +241,126 @@ def row_product(
 
 def kronecker(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; block (i,j) of the result is a[i,j] * b."""
-    rows, cols = a.rows * b.rows, a.cols * b.cols
-    entries = [ZERO] * (rows * cols)
-    for i1 in range(a.rows):
-        for j1 in range(a.cols):
-            c = a.at(i1, j1)
-            if c == 0:
-                continue
-            for i2 in range(b.rows):
-                base = (i1 * b.rows + i2) * cols + j1 * b.cols
-                for j2 in range(b.cols):
-                    entries[base + j2] = c * b.at(i2, j2)
-    return Matrix(rows, cols, tuple(entries))
+    rows = [{j1 * b.cols + j2: c * v for j1, c in ra for j2, v in rb}
+            for ra in a.sparse_rows for rb in b.sparse_rows]
+    return Matrix.from_sparse(a.rows * b.rows, a.cols * b.cols, rows)
 
 
 # -- echelon forms and subspaces -------------------------------------------
 
 
-def _rref(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Reduced row echelon form; returns the nonzero rows, pivots increasing,
-    pivot entries 1, zeros above and below each pivot."""
-    rows = [list(r) for r in rows if any(v != 0 for v in r)]
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    out: list[list[Fraction]] = []
-    rank = 0
-    for col in range(ncols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = ONE / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return [r for r in rows[:rank]]
+def _subtract(w: Row, c: Fraction, row: Row) -> list[int]:
+    """w -= c * row in place, dropping entries that cancel; returns the
+    indices new to w."""
+    new = [i for i in row if i not in w]
+    for i, b in row.items():
+        if x := (w[i] - c * b if i in w else -c * b):
+            w[i] = x
+        else:
+            del w[i]
+    return new
+
+
+def _columns(m: Matrix) -> list[Row]:
+    """The columns of m as sparse vectors, read off its nonzero rows."""
+    out: list[Row] = [{} for _ in range(m.cols)]
+    for i, row in enumerate(m.sparse_rows):
+        for j, v in row:
+            out[j][i] = v
+    return out
+
+
+class SpanAccumulator:
+    """The one exact elimination, behind every subspace, kernel, rank and
+    inverse: a sparse row echelon form, grown one vector at a time.
+
+    A pivot row is a dict of its nonzero entries, 1 at its first index, the
+    pivot, and 0 at every pivot that existed when it was last reduced. A
+    vector is reduced through the pivots it touches, in increasing order (a
+    heap), and its remainder's first index becomes a new pivot. Rows are
+    back-substituted on read-out, and only through the pivots added since
+    the last one. The reduced form is unique, whatever the insertion order."""
+
+    def __init__(self, ambient_dim: int, rows: dict[int, Row] | None = None):
+        """Empty, or from pivot rows {pivot: row} that hold the invariant."""
+        self.ambient_dim = ambient_dim
+        self._pivots: dict[int, Row] = dict(rows or {})
+        self._fresh: list[int] = []  # pivots added since the last read-out
+
+    @property
+    def dim(self) -> int:
+        return len(self._pivots)
+
+    def insert(self, v: Sequence[Fraction]) -> bool:
+        """Add v to the span; returns True when the dimension grew."""
+        return self._add({i: x for i, x in enumerate(v) if x})
+
+    def _add(self, w: Row) -> bool:
+        """Reduce the sparse vector w, which is consumed, and keep its
+        remainder as a pivot row unless it is zero."""
+        pivots = self._pivots
+        todo = [i for i in w if i in pivots]
+        heapify(todo)
+        while todo:
+            p = heappop(todo)
+            if p in w:
+                for i in _subtract(w, w[p], pivots[p]):
+                    if i in pivots:
+                        heappush(todo, i)
+        if not w:
+            return False
+        p = min(w)
+        inv = ONE / w[p]
+        pivots[p] = {i: x * inv for i, x in w.items()}
+        self._fresh.append(p)
+        return True
+
+    def reduced(self) -> dict[int, Row]:
+        """The reduced echelon rows, {pivot: row}: in decreasing pivot order,
+        each row loses its entries at fresh pivots. A changed row is a new
+        dict, so rows handed out earlier never change."""
+        pivots, fresh = self._pivots, set(self._fresh)
+        for p in sorted(pivots, reverse=True):
+            row = pivots[p]
+            hits = [i for i in row if i in fresh and i != p]
+            if hits:
+                row = pivots[p] = dict(row)
+                for i in hits:
+                    _subtract(row, row[i], pivots[i])
+        self._fresh = []
+        return pivots
+
+    def to_subspace(self) -> Subspace:
+        rows = self.reduced()
+        return _subspace(self.ambient_dim, [rows[p] for p in sorted(rows)])
+
+
+def _echelon(ambient_dim: int, vectors: Iterable[Row]) -> SpanAccumulator:
+    """The echelon of the sparse vectors, inserted sparsest first: the
+    order is free, and few entries make little fill (Markowitz 1957)."""
+    acc = SpanAccumulator(ambient_dim)
+    for w in sorted(vectors, key=len):
+        acc._add(w)
+    return acc
+
+
+def _subspace(ambient_dim: int, rows: Sequence[Row]) -> Subspace:
+    """The Subspace with the given reduced echelon rows, in increasing pivot
+    order, as its basis columns; the rows are kept as its `_rows`."""
+    by_row: list[Row] = [{} for _ in range(ambient_dim)]
+    for c, row in enumerate(rows):
+        for i, x in row.items():
+            by_row[i][c] = x
+    space = Subspace(ambient_dim, Matrix.from_sparse(ambient_dim, len(rows), by_row))
+    space.__dict__["_rows"] = {min(row): row for row in rows}
+    return space
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^ambient_dim held as a reduced column echelon basis.
-
-    The canonical form guarantees that two Subspace values are equal as sets
-    of vectors exactly when their stored bases are entry-wise identical.
-    """
+    """A subspace of F^ambient_dim held as a reduced column echelon basis:
+    the canonical form makes two Subspace values equal as sets of vectors
+    exactly when their stored bases are entry-wise identical."""
 
     ambient_dim: int
     basis: Matrix
@@ -321,52 +385,37 @@ class Subspace:
     def from_vectors(
         ambient_dim: int, vectors: Iterable[Sequence[Fraction]]
     ) -> Subspace:
-        reduced = _rref([list(v) for v in vectors])
-        return Subspace(ambient_dim, Matrix.from_columns(ambient_dim, reduced))
+        sparse = ({i: x for i, x in enumerate(v) if x} for v in vectors)
+        return _echelon(ambient_dim, sparse).to_subspace()
 
     @cached_property
-    def _pivot_columns(self) -> tuple[tuple[tuple[int, ...], Vector], ...]:
-        """Per basis vector, the rows of its nonzero entries (the pivot row
-        first) and those entries; found once."""
-        out = []
-        for col in self.basis.columns():
-            rows = tuple(i for i, v in enumerate(col) if v != 0)
-            out.append((rows, tuple(col[i] for i in rows)))
-        return tuple(out)
+    def _rows(self) -> dict[int, Row]:
+        """The basis vectors as reduced echelon rows, {pivot: row}."""
+        return {min(col): col for col in _columns(self.basis)}
 
-    def _reduce(self, w: Sequence[Fraction]) -> list[Fraction]:
-        """A copy of w with each pivot's multiple of its column removed, in
-        pivot order; only the column's nonzero entries are touched."""
-        w = list(w)
-        for rows, values in self._pivot_columns:
-            c = w[rows[0]]
-            if c != 0:
-                for i, b in zip(rows, values):
-                    w[i] -= c * b
-        return w
-
-    def reduce_vector(self, v: Sequence[Fraction]) -> list[Fraction]:
-        """Remainder of v after removing its component in this subspace."""
-        w = [as_scalar(x) for x in v]
-        if len(w) != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        return self._reduce(w)
-
-    def contains_vector(self, v: Sequence[Fraction]) -> bool:
-        return all(x == 0 for x in self.reduce_vector(v))
+    def _holds(self, w: Row) -> bool:
+        """Whether the sparse vector w lies in the subspace: the rows are
+        reduced, so w less w[p] times row p over the pivots p must vanish."""
+        rest = dict(w)
+        for p in [p for p in w if p in self._rows]:
+            _subtract(rest, w[p], self._rows[p])
+        return not rest
 
     def contains(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(not any(self._reduce(col)) for col in other.basis.columns())
+        return all(self._holds(row) for row in other._rows.values())
 
     def contains_image(self, op: Matrix, space: Subspace) -> bool:
-        """Whether op(space) lies in this subspace. Each column of
-        op @ space.basis is reduced through the cached pivots, stopping at the
-        first one with a nonzero remainder; the image is never echelonized."""
+        """Whether op(space) lies in this subspace, tested column by column of
+        the sparse op @ space.basis; the image is never echelonized."""
         if op.rows != self.ambient_dim or op.cols != space.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(not any(self._reduce(col)) for col in (op @ space.basis).columns())
+        images: list[Row] = [{} for _ in range(space.dim)]
+        for i, row in enumerate(op.sparse_rows):
+            for c, v in row_product(row, space.basis.sparse_rows).items():
+                images[c][i] = v
+        return all(self._holds(w) for w in images)
 
     def is_zero(self) -> bool:
         return self.dim == 0
@@ -374,7 +423,7 @@ class Subspace:
 
 def column_echelon(m: Matrix) -> Subspace:
     """The column space of m as a canonical Subspace. Idempotent."""
-    return Subspace.from_vectors(m.rows, m.columns())
+    return _echelon(m.rows, _columns(m)).to_subspace()
 
 
 def image(m: Matrix, space: Subspace) -> Subspace:
@@ -383,47 +432,50 @@ def image(m: Matrix, space: Subspace) -> Subspace:
 
 
 def kernel(m: Matrix) -> Subspace:
-    """The null space {v : m v = 0} of an arbitrary rectangular matrix."""
-    reduced = _rref(m.to_rows())
-    pivots = []
-    for row in reduced:
-        pivots.append(next(i for i, v in enumerate(row) if v != 0))
-    pivot_set = set(pivots)
-    free = [c for c in range(m.cols) if c not in pivot_set]
-    vectors = []
-    for f in free:
-        v = [ZERO] * m.cols
-        v[f] = ONE
-        for row, p in zip(reduced, pivots):
-            v[p] = -row[f]
-        vectors.append(v)
-    return Subspace.from_vectors(m.cols, vectors)
+    """The null space {v : m v = 0} of an arbitrary rectangular matrix.
+
+    The rows are eliminated with the columns in reverse order, so a free
+    column f gives the kernel vector e_f - sum_p row_p[f] e_p over pivots
+    p > f: 1 at f first, 0 at every other free column, which is already
+    the reduced echelon basis."""
+    last = m.cols - 1
+    reversed_rows = ({last - j: v for j, v in r} for r in m.sparse_rows)
+    rows = _echelon(m.cols, reversed_rows).reduced()
+    vectors = {f: {f: ONE} for f in range(m.cols) if last - f not in rows}
+    for p, row in rows.items():
+        for k, x in row.items():
+            if k != p:
+                vectors[last - k][last - p] = -x
+    return _subspace(m.cols, list(vectors.values()))
 
 
 def rank(m: Matrix) -> int:
-    return len(_rref(m.to_rows()))
+    return _echelon(m.cols, (dict(row) for row in m.sparse_rows)).dim
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    """Span of the union; commutative, associative, idempotent."""
+    """Span of the union; commutative, associative, idempotent. The larger
+    space's echelon is extended by the smaller one's basis."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return Subspace.from_vectors(a.ambient_dim, a.basis.columns() + b.basis.columns())
+    *_, total = _running_sums(sorted((a, b), key=lambda s: -s.dim))
+    return total
 
 
 def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Exact intersection via the Zassenhaus stacked-block elimination."""
+    """Exact intersection via the Zassenhaus stacked-block elimination: the
+    rows [a | a] (already reduced) and [b | 0]; the remainders whose left
+    half vanishes span the intersection in their right half."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
-    block: list[list[Fraction]] = []
-    for col in a.basis.columns():
-        block.append(list(col) + list(col))
-    for col in b.basis.columns():
-        block.append(list(col) + [ZERO] * n)
-    reduced = _rref(block)
-    tails = [row[n:] for row in reduced if all(v == 0 for v in row[:n])]
-    return Subspace.from_vectors(n, tails)
+    a, b = sorted((a, b), key=lambda s: -s.dim)
+    doubled = {p: {**r, **{n + i: x for i, x in r.items()}} for p, r in a._rows.items()}
+    acc = SpanAccumulator(2 * n, doubled)
+    for row in sorted(b._rows.values(), key=len):
+        acc._add(dict(row))
+    tails = ({i - n: x for i, x in r.items()} for p, r in acc._pivots.items() if p >= n)
+    return _echelon(n, tails).to_subspace()
 
 
 @dataclass(frozen=True)
@@ -433,14 +485,15 @@ class Ladder:
 
     Off its ends the ladder is the zero space. The partial sums head[i] =
     spaces[0] + ... + spaces[i], tail[i] = spaces[i] + ... + spaces[d] and
-    interval(lo, hi) = spaces[lo] + ... + spaces[hi] are computed once, on
-    first use.
+    interval(lo, hi) = spaces[lo] + ... + spaces[hi] are running sums, found
+    once, on first use: each extends the previous sum's echelon.
     """
 
     spaces: tuple[Subspace, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))
+        object.__setattr__(self, "_runs", {})  # lo -> (running sums, found so far)
 
     def __len__(self) -> int:
         return len(self.spaces)
@@ -463,36 +516,38 @@ class Ladder:
 
     def interval(self, lo: int, hi: int) -> Subspace:
         """spaces[lo] + ... + spaces[hi], clamped to the ladder's ends; zero
-        when the clamped range is empty. A range that reaches an end is a
-        head or a tail; any other is computed once, from the range one
-        shorter."""
+        when the clamped range is empty. Read off the running sums from lo,
+        extended as far as hi on first use."""
         last = len(self.spaces) - 1
         lo, hi = max(lo, 0), min(hi, last)
         if lo > hi:
             return Subspace.zero(self.spaces[0].ambient_dim)
-        if lo == 0:
-            return self.head[hi]
-        if hi == last:
-            return self.tail[lo]
-        if (lo, hi) not in self._intervals:
-            self._intervals[(lo, hi)] = (
-                self.spaces[lo]
-                if lo == hi
-                else subspace_sum(self.interval(lo, hi - 1), self.spaces[hi])
-            )
-        return self._intervals[(lo, hi)]
-
-    @cached_property
-    def _intervals(self) -> dict[tuple[int, int], Subspace]:
-        return {}
+        sums, done = self._runs.setdefault(lo, (_running_sums(self.spaces[lo:]), []))
+        while len(done) <= hi - lo:
+            done.append(next(sums))
+        return done[hi - lo]
 
     @cached_property
     def head(self) -> tuple[Subspace, ...]:
-        return tuple(accumulate(self.spaces, subspace_sum))
+        return tuple(self.interval(0, i) for i in range(len(self.spaces)))
 
     @cached_property
     def tail(self) -> tuple[Subspace, ...]:
-        return tuple(accumulate(reversed(self.spaces), subspace_sum))[::-1]
+        return tuple(_running_sums(reversed(self.spaces)))[::-1]
+
+
+def _running_sums(spaces: Iterable[Subspace]) -> Iterator[Subspace]:
+    """spaces[0], spaces[0] + spaces[1], ...: one echelon, started from the
+    first space's reduced rows and extended by each later space's basis."""
+    acc = None
+    for space in spaces:
+        if acc is None:
+            acc = SpanAccumulator(space.ambient_dim, space._rows)
+            yield space
+            continue
+        for row in space._rows.values():
+            acc._add(dict(row))
+        yield acc.to_subspace()
 
 
 def first_escape(
@@ -514,46 +569,6 @@ def first_escape(
         if not target.contains_image(op, space):
             return i
     return None
-
-
-class SpanAccumulator:
-    """Incremental span builder: insert vectors one at a time and track the
-    dimension, without recomputing a full echelon form at each step.
-
-    Each pivot vector is kept as a dict of its nonzero entries, 1 at the
-    pivot; a vector is reduced as such a dict through the pivots in
-    increasing order, each touching only its own support."""
-
-    def __init__(self, ambient_dim: int):
-        self.ambient_dim = ambient_dim
-        self._pivots: dict[int, dict[int, Fraction]] = {}
-
-    @property
-    def dim(self) -> int:
-        return len(self._pivots)
-
-    def insert(self, v: Sequence[Fraction]) -> bool:
-        """Add v to the span; returns True when the dimension grew. The new
-        pivot is the first nonzero entry of v's remainder."""
-        w = {i: x for i, x in enumerate(v) if x != 0}
-        for p in sorted(self._pivots):
-            c = w.get(p)
-            if c:
-                for i, b in self._pivots[p].items():
-                    w[i] = w.get(i, ZERO) - c * b
-        support = [i for i, x in w.items() if x]
-        if not support:
-            return False
-        p = min(support)
-        inv = ONE / w[p]
-        self._pivots[p] = {i: w[i] * inv for i in support}
-        return True
-
-    def to_subspace(self) -> Subspace:
-        n = self.ambient_dim
-        return Subspace.from_vectors(
-            n, [[row.get(i, ZERO) for i in range(n)] for row in self._pivots.values()]
-        )
 
 
 # -- characteristic polynomial and rational roots ---------------------------
@@ -578,13 +593,6 @@ def eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:
     acc = ZERO
     for c in coeffs:
         acc = acc * x + c
-    return acc
-
-
-def eval_poly_matrix(coeffs: Sequence[Fraction], m: Matrix) -> Matrix:
-    acc = Matrix.zero(m.rows, m.cols)
-    for c in coeffs:
-        acc = (acc @ m).shift(-c)
     return acc
 
 
@@ -716,15 +724,9 @@ def rational_roots(coeffs: Sequence[int | str | Fraction]) -> list[Fraction]:
 
     Zero roots are split off first. The rest needs no factoring: the
     square-free part g = f / gcd(f, f') is made a primitive integer
-    polynomial with leading coefficient lead, its real roots are isolated by
-    Sturm-sequence bisection of the Cauchy interval at dyadic points (signs
-    from integer-only Horner evaluation), and each one-root interval is
-    halved by the sign of g until it is narrower than 1/(2 lead^2). A
-    rational root s/t of g has t | lead, and distinct fractions with
-    denominators <= lead lie at least 1/lead^2 apart, so the fraction with
-    denominator <= lead closest to the midpoint is the root if the root is
-    rational; it is kept only if g vanishes there exactly. Multiplicities
-    come from exact deflation of the original polynomial."""
+    polynomial, whose rational roots `_square_free_roots` isolates by Sturm
+    bisection at dyadic points and confirms by exact evaluation.
+    Multiplicities come from exact deflation of the original polynomial."""
     poly = [as_scalar(c) for c in coeffs]
     while poly and poly[0] == 0:
         poly.pop(0)
@@ -736,9 +738,7 @@ def rational_roots(coeffs: Sequence[int | str | Fraction]) -> list[Fraction]:
         poly.pop()
     if len(poly) == 1:
         return sorted(roots)
-    denom_lcm = 1
-    for c in poly:
-        denom_lcm = denom_lcm * c.denominator // math.gcd(denom_lcm, c.denominator)
+    denom_lcm = math.lcm(*(c.denominator for c in poly))
     f = _primitive([int(c * denom_lcm) for c in poly])
     g = _exact_quotient(f, _sturm_chain(f)[-1])
     if g[0] < 0:

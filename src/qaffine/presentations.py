@@ -93,8 +93,10 @@ def evaluate_word(
     Products and the sum are sparse: a prefix product is kept as one dict of
     nonzero entries per row and multiplied by the next letter's nonzero rows
     (`linalg.row_product`); each c * word adds only its nonzero entries, and
-    the empty word adds c on the diagonal. One dense Matrix is built at the
-    end. All assigned matrices must be square and of equal dimension.
+    the empty word adds c on the diagonal. One Matrix is built at the end,
+    with the sum's nonzero entries as its sparse rows, so a residual check
+    does not scan it again. All assigned matrices must be square and of
+    equal dimension.
     """
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
@@ -136,10 +138,11 @@ def evaluate_word(
         )
         for k, v in terms:
             total[k] = total[k] + c * v if k in total else c * v
-    entries = [ZERO] * (n * n)
+    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
     for k, v in total.items():
-        entries[k] = v
-    return Matrix(n, n, tuple(entries))
+        if v:
+            rows[k // n][k % n] = v
+    return Matrix.from_sparse(n, n, rows)
 
 
 def check_relations(

@@ -65,22 +65,38 @@ def run_snippet():
     return run
 
 
+def _count_calls(monkeypatch, home, name, record):
+    """Wrap the function `name` of module `home` at every qaffine module that
+    binds it; each call appends record(*args) to the returned list."""
+    original = getattr(home, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(record(*args))
+        return original(*args)
+
+    for modname, module in list(sys.modules.items()):
+        if modname.split(".")[0] == "qaffine" and (
+            getattr(module, name, None) is original
+        ):
+            monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.fixture()
+def full_analyses(monkeypatch):
+    """The kind of every module given to weights.analyze_full, in order."""
+    from qaffine import weights
+
+    return _count_calls(monkeypatch, weights, "analyze_full", lambda m: m.kind)
+
+
 @pytest.fixture()
 def relation_checks(monkeypatch):
     """The presentation kind of every defining-relation evaluation, in order:
     check_presentation is wrapped at each qaffine module that binds it."""
     from qaffine import presentations
 
-    original = presentations.check_presentation
-    kinds = []
-
-    def counting(kind, data):
-        kinds.append(kind)
-        return original(kind, data)
-
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "qaffine" and (
-            getattr(module, "check_presentation", None) is original
-        ):
-            monkeypatch.setattr(module, "check_presentation", counting)
-    return kinds
+    return _count_calls(
+        monkeypatch, presentations, "check_presentation", lambda kind, data: kind
+    )

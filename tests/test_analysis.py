@@ -52,12 +52,12 @@ def test_spin_finds_proper_submodule(tensor_14):
     # v_0 x w_0 generates the 3-dimensional component of the critical tensor
     result = spin(unit_vector(4, 0), tensor_14)
     assert result.dim == 3
-    assert result.contains_vector([F(0), F(1), F(2), F(0)])
+    assert result.contains(Subspace.from_vectors(4, [[F(0), F(1), F(2), F(0)]]))
 
 
 def test_spin_monotone(tensor_14):
     big = spin(unit_vector(4, 0), tensor_14)
-    assert big.contains_vector(unit_vector(4, 3))
+    assert big.contains(Subspace.from_vectors(4, [unit_vector(4, 3)]))
     inner = spin(unit_vector(4, 3), tensor_14)
     assert big.contains(inner)
 

@@ -146,26 +146,22 @@ def test_restrict_and_extend_round_trip(tmp_path, v111_file, capsys):
     assert len(trace_doc["checks"]) == 71
 
 
-def test_extend_analyzes_its_output_once(tmp_path, v111_file, monkeypatch):
+def test_extend_analyzes_its_output_once(tmp_path, v111_file, full_analyses):
     # extend certifies the output type and diameter; the summary line reuses
     # that analysis instead of running it again
-    from qaffine import extension, weights
-
-    original = weights.analyze_full
-    calls = []
-
-    def counting(m):
-        calls.append(m.kind)
-        return original(m)
-
-    for module in (cli, extension, weights):
-        monkeypatch.setattr(module, "analyze_full", counting)
     restricted = tmp_path / "r.json"
     assert main(["restrict", str(v111_file), "-o", str(restricted)]) == 0
-    calls.clear()
+    full_analyses.clear()
     assert main(["extend", str(restricted), "--eps0", "1", "--eps1", "1",
                  "-o", str(tmp_path / "e.json")]) == 0
-    assert calls == ["affine_full"]
+    assert full_analyses == ["affine_full"]
+
+
+def test_roundtrip_analyzes_input_and_output_once(v111_file, full_analyses):
+    # the input's type signs come from one analysis, which the restriction
+    # reuses through ModuleData.full_weights; the output gets its own
+    assert main(["roundtrip", str(v111_file), "--alpha", "2"]) == 0
+    assert full_analyses == ["affine_full", "affine_full"]
 
 
 def test_extend_evaluates_relations_twice(tmp_path, v111_file, relation_checks):
@@ -340,3 +336,34 @@ def test_session_q_flag_sets_build_parameter(tmp_path):
     assert main(["--q", "3", "build", "eval", "--d", "1", "--eps", "1",
                  "--a", "1", "-o", str(out)]) == 0
     assert json.loads(out.read_text())["q"] == "3"
+
+
+def test_dim48_roundtrip_time_bound(run_snippet, tmp_path):
+    # eval(3,1,1) (x) eval(3,1,11) (x) eval(2,1,37) at q = 2: the flags, the
+    # split spaces, the W grid and the change of basis for B, B* all run
+    # through the sparse echelon form (about 9-12 s with dense elimination)
+    path = tmp_path / "t48.json"
+    seconds, last = run_snippet(
+        f"""
+        import contextlib, io, json, time
+        from fractions import Fraction as F
+        from qaffine.cli import main
+        from qaffine.factory import EvalParams, evaluation_module, tensor_product
+        from qaffine.modfile import write_module
+        from qaffine.scalars import qparam
+
+        q = qparam(F(2))
+        a, b, c = (evaluation_module(EvalParams(d, 1, F(x)), q)
+                   for d, x in ((3, 1), (3, 11), (2, 37)))
+        write_module(tensor_product(tensor_product(a, b), c), {str(path)!r})
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            main(["roundtrip", {str(path)!r}, "--alpha", "1"])
+        seconds = time.perf_counter() - start
+        print(json.dumps([seconds, out.getvalue().splitlines()[-1]]))
+        """,
+        timeout=120,
+    )
+    assert last == "ALL PASS"
+    assert seconds < 10.0, f"dim-48 roundtrip took {seconds:.2f} s"

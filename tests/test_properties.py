@@ -10,6 +10,7 @@ stacked-block elimination.
 import math
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -32,7 +33,6 @@ from qaffine.linalg import (
     char_poly,
     column_echelon,
     eval_poly,
-    eval_poly_matrix,
     first_escape,
     image,
     kernel,
@@ -44,6 +44,14 @@ from qaffine.linalg import (
 from qaffine.presentations import check_relations, evaluate_word, q_serre, weyl
 from qaffine.report import CheckLog
 from qaffine.scalars import qint, qparam
+
+def eval_poly_matrix(coeffs, m):
+    """Horner evaluation of a polynomial (leading coefficient first) at m."""
+    acc = Matrix.zero(m.rows, m.cols)
+    for c in coeffs:
+        acc = (acc @ m).shift(-c)
+    return acc
+
 
 fractions = st.builds(
     F, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
@@ -80,7 +88,8 @@ def oracle_intersection(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     if a.dim == 0 or b.dim == 0:
         return Subspace.zero(n)
-    combined = a.basis.hstack(b.basis.scale(-1))
+    minus_b = b.basis.scale(-1)
+    combined = Matrix.from_rows([a.basis.row(i) + minus_b.row(i) for i in range(n)])
     coeffs = kernel(combined)
     vectors = []
     for j in range(coeffs.dim):
@@ -122,6 +131,150 @@ def test_span_accumulator_tracks_prefix_rank(case):
         assert acc.dim == prefix_rank
         previous = prefix_rank
     assert acc.to_subspace() == Subspace.from_vectors(n, vectors)
+
+
+def reference_rref(rows):
+    """The dense Gauss-Jordan elimination the sparse echelon form replaced:
+    the nonzero rows of the reduced row echelon form, pivots increasing,
+    pivot entries 1, zeros above and below each pivot. Every entry of every
+    row is updated, zeros included."""
+    rows = [list(r) for r in rows if any(v != 0 for v in r)]
+    if not rows:
+        return []
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = F(1) / rows[rank][col]
+        rows[rank] = [v * inv for v in rows[rank]]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == len(rows):
+            break
+    return rows[:rank]
+
+
+def reference_span(n, vectors):
+    return Subspace(n, Matrix.from_columns(n, reference_rref(vectors)))
+
+
+def reference_kernel(m):
+    """Kernel vectors e_f - sum_p row_p[f] e_p from the forward RREF, then
+    echelonized again."""
+    reduced = reference_rref(m.to_rows())
+    pivots = [next(i for i, v in enumerate(row) if v != 0) for row in reduced]
+    vectors = []
+    for f in range(m.cols):
+        if f not in pivots:
+            v = [F(0)] * m.cols
+            v[f] = F(1)
+            for row, p in zip(reduced, pivots):
+                v[p] = -row[f]
+            vectors.append(v)
+    return reference_span(m.cols, vectors)
+
+
+def reference_intersect(a, b):
+    """Zassenhaus on the dense block [a | a] over [b | 0]."""
+    n = a.ambient_dim
+    block = [list(c) + list(c) for c in a.basis.columns()]
+    block += [list(c) + [F(0)] * n for c in b.basis.columns()]
+    tails = [row[n:] for row in reference_rref(block) if not any(row[:n])]
+    return reference_span(n, tails)
+
+
+def reference_inverse(m):
+    """The right block of the dense rref [M | I]."""
+    n = m.rows
+    eye = Matrix.identity(n).to_rows()
+    work = reference_rref([list(m.row(i)) + eye[i] for i in range(n)])
+    if [row[:n] for row in work] != eye:
+        raise ValueError("matrix is singular")
+    return Matrix.from_rows([row[n:] for row in work])
+
+
+@st.composite
+def row_lists(draw, cols, square=False):
+    """Rows of length cols: sparse or dense entries, as Fractions or as ints,
+    with zero rows, duplicates and scaled copies of earlier rows mixed in."""
+    ints = draw(st.booleans())
+    value = st.integers(min_value=-4, max_value=4) if ints else fractions
+    entry = draw(st.sampled_from([value, st.one_of(st.just(0), value)]))
+    scale = (st.integers(min_value=-3, max_value=3) if ints else fractions).filter(bool)
+    rows: list[list] = []
+    other = ["zero", "copy", "scaled"]
+    for _ in range(cols if square else draw(st.integers(min_value=0, max_value=6))):
+        kind = draw(st.sampled_from(["fresh"] * (8 if square else 3) + other))
+        if kind == "zero" or (kind != "fresh" and not rows):
+            rows.append([0 if ints else F(0)] * cols)
+        elif kind == "fresh":
+            rows.append([draw(entry) for _ in range(cols)])
+        else:
+            c = 1 if kind == "copy" else draw(scale)
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+    return rows
+
+
+def as_matrix(rows, cols):
+    return Matrix(len(rows), cols, tuple(x for row in rows for x in row))
+
+
+def all_fractions(*spaces):
+    return all(type(x) is F for s in spaces for x in s.basis.entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), row_lists(n))))
+def test_echelon_matches_dense_reference(case):
+    n, rows = case
+    m = as_matrix(rows, n)
+    span = Subspace.from_vectors(n, rows)
+    acc = SpanAccumulator(n)
+    for row in rows:
+        acc.insert(row)
+    assert span == reference_span(n, rows)
+    assert acc.to_subspace() == span and acc.dim == span.dim
+    assert kernel(m) == reference_kernel(m)
+    assert rank(m) == len(reference_rref(rows)) == span.dim
+    assert all_fractions(span, acc.to_subspace(), kernel(m))
+    event("full rank" if span.dim == min(len(rows), n) else "rank deficient")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(
+    lambda n: st.tuples(st.just(n), row_lists(n), row_lists(n))))
+def test_sum_and_intersection_match_dense_reference(case):
+    n, rows_a, rows_b = case
+    a, b = Subspace.from_vectors(n, rows_a), Subspace.from_vectors(n, rows_b)
+    total, meet = subspace_sum(a, b), subspace_intersect(a, b)
+    assert total == reference_span(n, rows_a + rows_b)
+    assert meet == reference_intersect(a, b)
+    assert all_fractions(total, meet)
+    event("meet nonzero" if meet.dim else "meet zero")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=5).flatmap(lambda n: row_lists(n, square=True)))
+def test_inverse_matches_dense_reference(rows):
+    m = as_matrix(rows, len(rows))
+    try:
+        expected = reference_inverse(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="matrix is singular"):
+            m.inverse()
+        event("singular")
+        return
+    inverse = m.inverse()
+    assert inverse == expected
+    assert all(type(x) is F for x in inverse.entries)
+    assert inverse @ m == Matrix.identity(len(rows))
+    event("invertible")
 
 
 @settings(max_examples=60, deadline=None)
