@@ -97,10 +97,6 @@ def _closure(
     return acc
 
 
-def _transpose(mat: Matrix) -> Matrix:
-    return Matrix.from_columns(mat.cols, mat.to_rows())
-
-
 def spin(v: Sequence[Fraction], m: "ModuleData") -> Subspace:
     """The smallest subspace containing a nonzero vector and closed under
     every generator matrix."""
@@ -126,7 +122,7 @@ def _word_span(m: "ModuleData") -> int:
     multiplication by each generator."""
     n = m.dim
     lefts = [
-        lambda w, left=m.action[g]: (left @ Matrix(n, n, w)).entries
+        lambda w, left=m.action[g]: (left @ Matrix.from_entries(n, n, w)).entries
         for g in sorted(m.action)
     ]
     return _closure([Matrix.identity(n).entries], lefts, n * n).dim
@@ -151,8 +147,8 @@ def _norton_theta(m: "ModuleData") -> tuple[Matrix, Subspace] | None:
 def _dual_spin_dim(theta: Matrix, m: "ModuleData") -> int:
     """Dimension of the spin of the kernel vector of theta^T under the
     transposed generators: the V* half of Norton's criterion."""
-    transposes = [_transpose(m.action[g]).apply for g in sorted(m.action)]
-    seed = kernel(_transpose(theta)).basis.column(0)
+    transposes = [m.action[g].transpose().apply for g in sorted(m.action)]
+    seed = kernel(theta.transpose()).basis.column(0)
     return _closure([seed], transposes, m.dim).dim
 
 

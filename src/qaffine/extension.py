@@ -375,11 +375,8 @@ def _projector_operator(
 ) -> Matrix:
     """The operator with spaces[i] as eigenspace for eigenvalues[i], built by
     one change of basis from the concatenated echelon bases."""
-    columns: list = []
-    diag: list[Fraction] = []
-    for s, lam in zip(spaces, eigenvalues):
-        columns.extend(s.basis.columns())
-        diag.extend([lam] * s.dim)
+    columns = [c for s in spaces for c in s.basis.columns()]
+    diag = [lam for s, lam in zip(spaces, eigenvalues) for _ in range(s.dim)]
     basis = Matrix.from_columns(n, columns)
     return basis @ Matrix.diagonal(diag) @ basis.inverse()
 

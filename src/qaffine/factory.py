@@ -129,15 +129,11 @@ def finite_module(d: int, eps: int | str | Fraction, q: QParam) -> ModuleData:
     n = d + 1
     k = Matrix.diagonal([eps * q.pow(2 * i - d) for i in range(n)])
     kinv = Matrix.diagonal([eps * q.pow(d - 2 * i) for i in range(n)])
-    ep_entries = [[Fraction(0)] * n for _ in range(n)]
-    em_entries = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(d):
-        ep_entries[i + 1][i] = qint(i + 1, q)
-    for i in range(1, n):
-        em_entries[i - 1][i] = eps * qint(d - i + 1, q)
+    ep_rows = [{i - 1: qint(i, q)} if i else {} for i in range(n)]
+    em_rows = [{i + 1: eps * qint(d - i, q)} if i < d else {} for i in range(n)]
     action = {
-        "ep": Matrix.from_rows(ep_entries),
-        "em": Matrix.from_rows(em_entries),
+        "ep": Matrix.from_sparse(n, n, ep_rows),
+        "em": Matrix.from_sparse(n, n, em_rows),
         "k": k,
         "kinv": kinv,
     }

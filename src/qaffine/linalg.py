@@ -1,10 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices are immutable, row-major tuples of Fractions, and every operation
-that can touches only nonzero entries, since module generators and their
-products are mostly zeros. A product is formed row by row (Gustavson 1978):
-each row of the left factor, as its nonzero pairs, times the nonzero rows of
-the right factor (`row_product`).
+A Matrix is immutable and holds only its nonzero rows: per row, the
+(column, entry) pairs in increasing column order, with no zero entry, since
+module generators and their products are mostly zeros. That form is
+canonical, so equality and hashing are exact, and every operation touches
+only nonzero entries; dense rows, columns and entries are views built on
+request. A product is formed row by row (Gustavson 1978): each row of the
+left factor, as its nonzero pairs, times the nonzero rows of the right
+factor (`row_product`). Sums, differences, scalings and shifts go through
+one sparse self + c * other.
 
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
 spans, kernels, ranks, inverses ([M | I]), sums and Zassenhaus
@@ -28,7 +32,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from operator import add, sub
 from typing import Iterable, Iterator, Sequence
 
 from .scalars import ONE, ZERO, as_scalar
@@ -39,36 +42,55 @@ Row = dict[int, Fraction]  # the nonzero entries of a vector, {index: entry}
 
 @dataclass(frozen=True)
 class Matrix:
-    """An immutable rows x cols matrix of exact rationals."""
+    """An immutable rows x cols matrix of exact rationals, held as its
+    canonical nonzero rows (module docstring); `from_sparse` builds them."""
 
     rows: int
     cols: int
-    entries: tuple[Fraction, ...]
+    sparse_rows: tuple[tuple[tuple[int, Fraction], ...], ...]
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError(
-                f"expected {self.rows * self.cols} entries, got {len(self.entries)}"
-            )
+        if len(self.sparse_rows) != self.rows:
+            raise ValueError(f"expected {self.rows} rows, got {len(self.sparse_rows)}")
 
     # -- construction -----------------------------------------------------
 
     @staticmethod
+    def from_sparse(rows: int, cols: int, sparse: Sequence[Row]) -> Matrix:
+        """The matrix with the entries sparse[i] = {column: entry} in row i;
+        zero entries are dropped."""
+        return Matrix(rows, cols, tuple(
+            tuple(sorted([(j, v) for j, v in row.items() if v])) for row in sparse
+        ))
+
+    @staticmethod
+    def from_entries(rows: int, cols: int, entries: Sequence[Fraction]) -> Matrix:
+        """The matrix with the given rows * cols entries in row-major order."""
+        if len(entries) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(entries)}")
+        chunks = (entries[i * cols : (i + 1) * cols] for i in range(rows))
+        return Matrix(rows, cols, tuple(
+            tuple([(j, v) for j, v in enumerate(chunk) if v]) for chunk in chunks
+        ))
+
+    @staticmethod
     def from_rows(rows: Sequence[Sequence[int | str | Fraction]]) -> Matrix:
-        nrows = len(rows)
-        ncols = len(rows[0]) if nrows else 0
-        entries = []
-        for row in rows:
-            if len(row) != ncols:
-                raise ValueError("ragged rows")
-            entries.extend(as_scalar(v) for v in row)
-        return Matrix(nrows, ncols, tuple(entries))
+        ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError("ragged rows")
+        entries = [as_scalar(v) for row in rows for v in row]
+        return Matrix.from_entries(len(rows), ncols, entries)
+
+    @staticmethod
+    def from_columns(ambient: int, columns: Sequence[Sequence[Fraction]]) -> Matrix:
+        entries = [x for col in columns for x in col]
+        return Matrix.from_entries(len(columns), ambient, entries).transpose()
 
     @staticmethod
     def zero(rows: int, cols: int) -> Matrix:
-        return Matrix(rows, cols, (ZERO,) * (rows * cols))
+        return Matrix(rows, cols, ((),) * rows)
 
     @staticmethod
     def identity(n: int) -> Matrix:
@@ -76,79 +98,83 @@ class Matrix:
 
     @staticmethod
     def diagonal(values: Sequence[int | str | Fraction]) -> Matrix:
-        diag = [{i: x} if (x := as_scalar(v)) else {} for i, v in enumerate(values)]
+        diag = [{i: as_scalar(v)} for i, v in enumerate(values)]
         return Matrix.from_sparse(len(values), len(values), diag)
 
-    @staticmethod
-    def from_sparse(rows: int, cols: int, sparse: Sequence[Row]) -> Matrix:
-        """The matrix with the nonzero entries sparse[i] = {column: entry} in
-        row i; its `sparse_rows` come with it, not from a scan."""
-        entries = [ZERO] * (rows * cols)
-        for i, row in enumerate(sparse):
-            for j, v in row.items():
-                entries[i * cols + j] = v
-        m = Matrix(rows, cols, tuple(entries))
-        m.__dict__["sparse_rows"] = tuple(tuple(sorted(row.items())) for row in sparse)
-        return m
-
-    @staticmethod
-    def from_columns(ambient: int, columns: Sequence[Sequence[Fraction]]) -> Matrix:
-        entries = tuple(col[i] for i in range(ambient) for col in columns)
-        return Matrix(ambient, len(columns), entries)
-
-    # -- access ------------------------------------------------------------
+    # -- dense views, built on request -------------------------------------
 
     def at(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.cols + j]
+        return dict(self.sparse_rows[i]).get(j, ZERO)
 
     def row(self, i: int) -> Vector:
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        out = [ZERO] * self.cols
+        for j, v in self.sparse_rows[i]:
+            out[j] = v
+        return tuple(out)
 
     def column(self, j: int) -> Vector:
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(self.at(i, j) for i in range(self.rows))
 
     def columns(self) -> list[Vector]:
-        return [self.column(j) for j in range(self.cols)]
+        return [tuple(col) for col in self.transpose().to_rows()]
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
+
+    @property
+    def entries(self) -> Vector:
+        """All rows * cols entries in row-major order, zeros included."""
+        out = [ZERO] * (self.rows * self.cols)
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row:
+                out[i * self.cols + j] = v
+        return tuple(out)
+
+    # -- structure ----------------------------------------------------------
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(v == 0 for v in self.entries)
-
-    @cached_property
-    def sparse_rows(self) -> tuple[tuple[tuple[int, Fraction], ...], ...]:
-        """Per row, its nonzero (column, entry) pairs; found once."""
-        return tuple(
-            tuple([(j, v) for j, v in enumerate(self.row(i)) if v])
-            for i in range(self.rows)
-        )
+        return not any(self.sparse_rows)
 
     def nonzero_entries(self) -> list[tuple[int, int, Fraction]]:
         return [(i, j, v) for i, row in enumerate(self.sparse_rows) for j, v in row]
 
+    def transpose(self) -> Matrix:
+        out: list[Row] = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse_rows):
+            for j, v in row:
+                out[j][i] = v
+        return Matrix.from_sparse(self.cols, self.rows, out)
+
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: Matrix) -> Matrix:
+    def _plus(self, c: Fraction, other: Matrix) -> Matrix:
+        """self + c * other, over the nonzero entries of other."""
         self._same_shape(other)
-        entries = tuple(map(add, self.entries, other.entries))
-        return Matrix(self.rows, self.cols, entries)
+        one = c == 1
+        rows = []
+        for mine, theirs in zip(self.sparse_rows, other.sparse_rows):
+            out = dict(mine)
+            for j, v in theirs:
+                v = v if one else c * v
+                out[j] = out[j] + v if j in out else v
+            rows.append(out)
+        return Matrix.from_sparse(self.rows, self.cols, rows)
+
+    def __add__(self, other: Matrix) -> Matrix:
+        return self._plus(ONE, other)
 
     def __sub__(self, other: Matrix) -> Matrix:
-        self._same_shape(other)
-        entries = tuple(map(sub, self.entries, other.entries))
-        return Matrix(self.rows, self.cols, entries)
+        return self._plus(-ONE, other)
 
     def __neg__(self) -> Matrix:
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
+        return self.scale(-ONE)
 
     def scale(self, c: int | str | Fraction) -> Matrix:
-        c = as_scalar(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
+        return Matrix.zero(self.rows, self.cols)._plus(as_scalar(c), self)
 
     def __rmul__(self, c: int | Fraction) -> Matrix:
         return self.scale(c)
@@ -189,10 +215,7 @@ class Matrix:
         """self - c I, subtracting c on the diagonal only."""
         if not self.is_square:
             raise ValueError("shift of a non-square matrix")
-        entries = list(self.entries)
-        for k in range(0, len(entries), self.cols + 1):
-            entries[k] -= c
-        return Matrix(self.rows, self.cols, tuple(entries))
+        return self._plus(ONE, Matrix.diagonal([-c] * self.rows))
 
     def trace(self) -> Fraction:
         if not self.is_square:
@@ -259,15 +282,6 @@ def _subtract(w: Row, c: Fraction, row: Row) -> list[int]:
         else:
             del w[i]
     return new
-
-
-def _columns(m: Matrix) -> list[Row]:
-    """The columns of m as sparse vectors, read off its nonzero rows."""
-    out: list[Row] = [{} for _ in range(m.cols)]
-    for i, row in enumerate(m.sparse_rows):
-        for j, v in row:
-            out[j][i] = v
-    return out
 
 
 class SpanAccumulator:
@@ -347,11 +361,8 @@ def _echelon(ambient_dim: int, vectors: Iterable[Row]) -> SpanAccumulator:
 def _subspace(ambient_dim: int, rows: Sequence[Row]) -> Subspace:
     """The Subspace with the given reduced echelon rows, in increasing pivot
     order, as its basis columns; the rows are kept as its `_rows`."""
-    by_row: list[Row] = [{} for _ in range(ambient_dim)]
-    for c, row in enumerate(rows):
-        for i, x in row.items():
-            by_row[i][c] = x
-    space = Subspace(ambient_dim, Matrix.from_sparse(ambient_dim, len(rows), by_row))
+    basis = Matrix.from_sparse(len(rows), ambient_dim, rows).transpose()
+    space = Subspace(ambient_dim, basis)
     space.__dict__["_rows"] = {min(row): row for row in rows}
     return space
 
@@ -391,7 +402,7 @@ class Subspace:
     @cached_property
     def _rows(self) -> dict[int, Row]:
         """The basis vectors as reduced echelon rows, {pivot: row}."""
-        return {min(col): col for col in _columns(self.basis)}
+        return {col[0][0]: dict(col) for col in self.basis.transpose().sparse_rows}
 
     def _holds(self, w: Row) -> bool:
         """Whether the sparse vector w lies in the subspace: the rows are
@@ -423,7 +434,7 @@ class Subspace:
 
 def column_echelon(m: Matrix) -> Subspace:
     """The column space of m as a canonical Subspace. Idempotent."""
-    return _echelon(m.rows, _columns(m)).to_subspace()
+    return _echelon(m.rows, (dict(c) for c in m.transpose().sparse_rows)).to_subspace()
 
 
 def image(m: Matrix, space: Subspace) -> Subspace:

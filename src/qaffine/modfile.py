@@ -27,10 +27,7 @@ def module_to_dict(m: ModuleData) -> dict:
     action = {}
     for gen in ALPHABETS[m.kind]:
         mat = m.action[gen]
-        action[gen] = [
-            [scalar_str(mat.at(i, j)) for j in range(mat.cols)]
-            for i in range(mat.rows)
-        ]
+        action[gen] = [[scalar_str(v) for v in mat.row(i)] for i in range(mat.rows)]
     return {
         "format_version": FORMAT_VERSION,
         "presentation": m.kind,
@@ -45,8 +42,15 @@ def module_to_json(m: ModuleData) -> str:
     return json.dumps(module_to_dict(m), indent=2) + "\n"
 
 
+def _write(path: str | Path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ModuleFormatError(f"cannot write {path}: {exc}") from exc
+
+
 def write_module(m: ModuleData, path: str | Path) -> None:
-    Path(path).write_text(module_to_json(m))
+    _write(path, module_to_json(m))
 
 
 def _parse_scalar(value, context: str) -> Fraction:
@@ -124,7 +128,7 @@ def read_module(
         raise ModuleFormatError(f"cannot read {path}: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ModuleFormatError(f"{path} is not valid JSON: {exc}") from exc
     try:
         module = module_from_dict(doc, session_q, validate=validate)
@@ -139,4 +143,4 @@ def report_to_json(report: VerificationReport) -> str:
 
 
 def write_report(report: VerificationReport, path: str | Path) -> None:
-    Path(path).write_text(report_to_json(report))
+    _write(path, report_to_json(report))

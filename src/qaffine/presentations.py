@@ -93,10 +93,9 @@ def evaluate_word(
     Products and the sum are sparse: a prefix product is kept as one dict of
     nonzero entries per row and multiplied by the next letter's nonzero rows
     (`linalg.row_product`); each c * word adds only its nonzero entries, and
-    the empty word adds c on the diagonal. One Matrix is built at the end,
-    with the sum's nonzero entries as its sparse rows, so a residual check
-    does not scan it again. All assigned matrices must be square and of
-    equal dimension.
+    the empty word adds c on the diagonal. One Matrix is built at the end
+    from the sum's entries, less those that cancelled. All assigned matrices
+    must be square and of equal dimension.
     """
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
@@ -110,7 +109,7 @@ def evaluate_word(
             if gen not in assignment:
                 raise QAffineError(f"generator {gen!r} is not assigned a matrix")
         coeffs[word] = coeffs.get(word, ZERO) + coeff
-    total: dict[int, Fraction] = {}  # entry (i, j) of the sum at i * n + j
+    total: list[dict[int, Fraction]] = [{} for _ in range(n)]  # the sum's rows
     # chain[i] is the product of the first i+1 letters, one {column: entry}
     # dict of nonzero entries per row
     chain: list[list[dict[int, Fraction]]] = []
@@ -132,17 +131,14 @@ def evaluate_word(
         previous = word
         c = coeffs[word]
         terms = (
-            ((i * n + j, v) for i, row in enumerate(chain[-1]) for j, v in row.items())
+            ((i, j, v) for i, row in enumerate(chain[-1]) for j, v in row.items())
             if word
-            else ((i * n + i, ONE) for i in range(n))  # c I
+            else ((i, i, ONE) for i in range(n))  # c I
         )
-        for k, v in terms:
-            total[k] = total[k] + c * v if k in total else c * v
-    rows: list[dict[int, Fraction]] = [{} for _ in range(n)]
-    for k, v in total.items():
-        if v:
-            rows[k // n][k % n] = v
-    return Matrix.from_sparse(n, n, rows)
+        for i, j, v in terms:
+            row = total[i]
+            row[j] = row[j] + c * v if j in row else c * v
+    return Matrix.from_sparse(n, n, total)
 
 
 def check_relations(

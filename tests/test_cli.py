@@ -72,6 +72,35 @@ def test_verify_parse_error(tmp_path):
     assert main(["verify", str(bad)]) == 2
 
 
+def test_deeply_nested_json_is_parse_error(tmp_path, capsys):
+    # json.loads raises RecursionError beyond the interpreter's depth limit
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1500 + "]" * 1500)
+    assert main(["verify", str(deep)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {deep} is not valid JSON: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "eval", "--d", "1", "--eps", "1", "--a", "1", "-o", "{missing}/m.json"],
+    ["verify", "{module}", "--report", "{missing}/r.json"],
+    ["roundtrip", "{module}", "--report", "{missing}/r.json"],
+    ["extend", "{restricted}", "--eps0", "1", "--eps1", "1", "-o", "{tmp}/e.json",
+     "--trace", "{missing}/t.json"],
+])
+def test_unwritable_output_is_parse_error(tmp_path, v111_file, capsys, argv):
+    restricted = tmp_path / "r.json"
+    assert main(["restrict", str(v111_file), "-o", str(restricted)]) == 0
+    capsys.readouterr()
+    paths = {"missing": tmp_path / "missing", "module": v111_file,
+             "restricted": restricted, "tmp": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path / 'missing'}")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("field", ["dim", "format_version"])
 def test_json_true_field_is_parse_error(tmp_path, field, capsys):
     path = tmp_path / "one.json"

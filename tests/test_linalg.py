@@ -75,8 +75,8 @@ def test_integer_input_gives_fractions():
     # plain ints must not turn into floats when a pivot row is normalized
     results = [
         Subspace.from_vectors(2, [[2, 1]]).basis,
-        kernel(Matrix(2, 2, (2, 1, 4, 2))).basis,
-        column_echelon(Matrix(2, 2, (3, 6, 1, 2))).basis,
+        kernel(Matrix.from_entries(2, 2, (2, 1, 4, 2))).basis,
+        column_echelon(Matrix.from_entries(2, 2, (3, 6, 1, 2))).basis,
     ]
     assert [m.entries for m in results] == [(1, F(1, 2)), (1, -2), (1, F(1, 3))]
     for m in results:
@@ -390,6 +390,25 @@ def test_shift_subtracts_on_the_diagonal():
     assert m.shift(0) == m
     with pytest.raises(ValueError):
         Matrix.zero(2, 3).shift(1)
+
+
+def test_sparse_arithmetic_time_bound(run_snippet):
+    # 360,000 entries, 600 of them nonzero: built densely, these sums,
+    # scalings and shifts took about 4 s
+    seconds, trace, zero = run_snippet(
+        """
+        import json, time
+        from qaffine.linalg import Matrix
+
+        start = time.perf_counter()
+        eye = Matrix.identity(600)
+        m = eye.shift(2).scale(3) + eye - eye.scale(2)
+        result = [str(m.trace()), m.is_zero()]
+        print(json.dumps([time.perf_counter() - start, *result]))
+        """
+    )
+    assert (trace, zero) == ("-2400", False)
+    assert seconds < 0.5, f"n = 600 sparse arithmetic took {seconds:.2f} s"
 
 
 # -- ladders and containment ---------------------------------------------------

@@ -65,7 +65,7 @@ def matrices(draw, min_dim=1, max_dim=4, square=True):
     entries = draw(
         st.lists(fractions, min_size=rows * cols, max_size=rows * cols)
     )
-    return Matrix(rows, cols, tuple(entries))
+    return Matrix.from_entries(rows, cols, tuple(entries))
 
 
 @st.composite
@@ -221,7 +221,7 @@ def row_lists(draw, cols, square=False):
 
 
 def as_matrix(rows, cols):
-    return Matrix(len(rows), cols, tuple(x for row in rows for x in row))
+    return Matrix.from_entries(len(rows), cols, tuple(x for row in rows for x in row))
 
 
 def all_fractions(*spaces):
@@ -530,7 +530,7 @@ def formal_sums(draw):
     with cancelling coefficients), and the empty word is always in the pool."""
     n = draw(st.integers(min_value=1, max_value=3))
     square = st.lists(fractions, min_size=n * n, max_size=n * n)
-    assignment = {g: Matrix(n, n, tuple(draw(square))) for g in "XYZ"}
+    assignment = {g: Matrix.from_entries(n, n, tuple(draw(square))) for g in "XYZ"}
     letters = st.sampled_from("XYZ")
     pool = [()] + draw(
         st.lists(st.lists(letters, max_size=4).map(tuple), min_size=1, max_size=5)
@@ -566,7 +566,7 @@ mostly_zero = st.one_of(st.just(F(0)), st.just(F(0)), st.just(F(0)), fractions)
 
 def dense_product(a, b):
     """Every entry as the full sum over the inner index, zeros included."""
-    return Matrix(a.rows, b.cols, tuple(
+    return Matrix.from_entries(a.rows, b.cols, tuple(
         sum((a.at(i, t) * b.at(t, j) for t in range(a.cols)), F(0))
         for i in range(a.rows)
         for j in range(b.cols)
@@ -582,7 +582,7 @@ def dense_evaluate(words, assignment):
         for gen in word:
             product = dense_product(product, assignment[gen])
         total = [t + coeff * v for t, v in zip(total, product.entries)]
-    return Matrix(n, n, tuple(total))
+    return Matrix.from_entries(n, n, tuple(total))
 
 
 def assert_exact_equal(got, expected):
@@ -597,7 +597,7 @@ def product_pairs(draw):
     allowed; sometimes the right factor is built from the left's kernel, so
     the whole product cancels to zero."""
     rows, inner, cols = (draw(st.integers(min_value=0, max_value=4)) for _ in range(3))
-    a = Matrix(rows, inner, tuple(draw(st.lists(
+    a = Matrix.from_entries(rows, inner, tuple(draw(st.lists(
         mostly_zero, min_size=rows * inner, max_size=rows * inner
     ))))
     null = kernel(a)
@@ -605,7 +605,7 @@ def product_pairs(draw):
         coeffs = [[draw(fractions) for _ in range(null.dim)] for _ in range(cols)]
         b = Matrix.from_columns(inner, [null.basis.apply(c) for c in coeffs])
     else:
-        b = Matrix(inner, cols, tuple(draw(st.lists(
+        b = Matrix.from_entries(inner, cols, tuple(draw(st.lists(
             mostly_zero, min_size=inner * cols, max_size=inner * cols
         ))))
     return a, b
@@ -627,12 +627,12 @@ def cancelling_sums(draw):
     repeat, some with coefficients that sum to zero, and the pool always
     holds the empty word."""
     n = draw(st.integers(min_value=1, max_value=4))
-    x = Matrix(n, n, tuple(draw(st.lists(mostly_zero, min_size=n * n, max_size=n * n))))
+    x = Matrix.from_entries(n, n, tuple(draw(st.lists(mostly_zero, min_size=n * n, max_size=n * n))))
     y = x @ x + draw(fractions) * x
     upper = [
         draw(mostly_zero) if j > i else F(0) for i in range(n) for j in range(n)
     ]
-    assignment = {"N": Matrix(n, n, tuple(upper)), "X": x, "Y": y}
+    assignment = {"N": Matrix.from_entries(n, n, tuple(upper)), "X": x, "Y": y}
     pool = [(), ("N",) * n, ("X", "Y"), ("Y", "X")] + draw(
         st.lists(st.lists(st.sampled_from("NXY"), max_size=4).map(tuple), max_size=4)
     )
@@ -697,3 +697,136 @@ def test_q_serre_relation_residual_closed_form(x, data, qv):
     relation = q_serre("x", "y", qparam(qv))
     assert relation.name == "serre(x,y)"
     assert residual(relation, {"x": x, "y": y}) == expected
+
+
+# -- the one sparse format against dense references ------------------------------
+
+
+@st.composite
+def dense_pairs(draw):
+    """(cols, a, b): two lists of rows of mostly zero rationals, cols entries
+    each, 0 rows and 0 columns allowed, some rows all zero; b is sometimes
+    a, its negative or a multiple of it, so sums and differences cancel."""
+    rows = draw(st.integers(min_value=0, max_value=5))
+    square = draw(st.booleans())
+    cols = rows if square else draw(st.integers(min_value=0, max_value=5))
+
+    def dense():
+        return [
+            [F(0)] * cols if draw(st.integers(min_value=0, max_value=3)) == 0
+            else draw(st.lists(mostly_zero, min_size=cols, max_size=cols))
+            for _ in range(rows)
+        ]
+
+    a = dense()
+    kind = draw(st.sampled_from(["fresh", "same", "negated", "scaled"]))
+    if kind == "fresh":
+        b = dense()
+    else:
+        c = {"same": F(1), "negated": F(-1), "scaled": draw(fractions)}[kind]
+        b = [[c * x for x in row] for row in a]
+    return cols, a, b
+
+
+def flat(dense):
+    return [x for row in dense for x in row]
+
+
+def columns_of(dense, cols):
+    return [[row[j] for row in dense] for j in range(cols)]
+
+
+def canonical(dense):
+    """The nonzero rows a dense list of rows must be stored as."""
+    return tuple(tuple((j, v) for j, v in enumerate(row) if v) for row in dense)
+
+
+def assert_canonical(m):
+    assert len(m.sparse_rows) == m.rows
+    for row in m.sparse_rows:
+        columns = [j for j, _ in row]
+        assert all(0 <= a < b < m.cols for a, b in zip(columns, columns[1:]))
+        assert all(0 <= j < m.cols for j in columns)
+        assert all(type(v) is F and v != 0 for _, v in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_pairs())
+def test_constructors_and_views_match_dense(case):
+    cols, dense, _ = case
+    rows = len(dense)
+    built = [
+        Matrix.from_entries(rows, cols, flat(dense)),
+        Matrix.from_columns(rows, columns_of(dense, cols)),
+    ]
+    if rows:
+        built.append(Matrix.from_rows(dense))
+    m = built[0]
+    for other in built:
+        assert (other.rows, other.cols) == (rows, cols)
+        assert other.sparse_rows == canonical(dense)
+        assert_canonical(other)
+        assert other == m and hash(other) == hash(m)
+    assert m.entries == tuple(flat(dense))
+    assert all(type(x) is F for x in m.entries)
+    assert m.to_rows() == dense
+    for i in range(rows):
+        assert m.row(i) == tuple(dense[i])
+        assert [m.at(i, j) for j in range(cols)] == dense[i]
+    assert m.columns() == [tuple(c) for c in columns_of(dense, cols)]
+    assert [m.column(j) for j in range(cols)] == m.columns()
+    t = m.transpose()
+    assert (t.rows, t.cols) == (cols, rows)
+    assert t.sparse_rows == canonical(columns_of(dense, cols))
+    assert_canonical(t)
+    assert t.transpose() == m
+    assert m.is_zero() == (not any(flat(dense)))
+    event("zero" if m.is_zero() else "nonzero")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_pairs(), fractions)
+def test_sparse_arithmetic_matches_dense(case, c):
+    cols, a, b = case
+    rows = len(a)
+    ma, mb = (Matrix.from_entries(rows, cols, flat(d)) for d in (a, b))
+    got = {"+": ma + mb, "-": ma - mb, "neg": -ma, "scale": ma.scale(c)}
+    expected = {
+        "+": [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)],
+        "-": [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)],
+        "neg": [[-x for x in r] for r in a],
+        "scale": [[c * x for x in r] for r in a],
+    }
+    if rows == cols:
+        got["shift"] = ma.shift(c)
+        expected["shift"] = [
+            [x - c if i == j else x for j, x in enumerate(r)] for i, r in enumerate(a)
+        ]
+        trace = ma.trace()
+        assert type(trace) is F
+        assert trace == sum((a[i][i] for i in range(rows)), F(0))
+    for op, dense in expected.items():
+        m = got[op]
+        assert (m.rows, m.cols) == (rows, cols), op
+        assert m.sparse_rows == canonical(dense), op
+        assert_canonical(m)
+        assert m.is_zero() == (not any(flat(dense))), op
+    event("difference cancels" if any(flat(a)) and got["-"].is_zero() else "no cancel")
+
+
+@settings(max_examples=150, deadline=None)
+@given(dense_pairs())
+def test_equality_and_hash_match_dense(case):
+    cols, a, b = case
+    rows = len(a)
+    ma, mb = (Matrix.from_entries(rows, cols, flat(d)) for d in (a, b))
+    # b again, by a route whose intermediate entries cancel
+    detour = (ma + mb) - ma
+    assert detour == mb and hash(detour) == hash(mb)
+    for m in (mb, detour):
+        assert (ma == m) == (a == b)
+        if a == b:
+            assert hash(ma) == hash(m)
+    transposed_zero = Matrix.zero(cols, rows)
+    assert (Matrix.zero(rows, cols) == transposed_zero) == (rows == cols)
+    event("equal" if a == b else "different")
