@@ -3,7 +3,10 @@ irreducibility test, raising-power isomorphisms and finite-type decomposition.
 
 Spinning a vector, the span of the words in the generators and the dual spin
 of the irreducibility test are one frontier closure, `_closure`: the span of
-some seed vectors, closed under a list of linear maps.
+some sparse seed vectors ({index: entry}), closed under a list of matrices,
+each image formed over the nonzero entries only. The word span is the
+closure of vec(I) under g (x) I for the generators g, since vec(g W) =
+(g (x) I) vec(W); no word is ever held as dim^2 dense entries.
 
 Irreducibility is first certified by Norton's criterion (Parker 1984, the
 MeatAxe; Holt-Rees 1994). Let A be the algebra of words in the generators
@@ -38,21 +41,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CheckFailedError, WeightLadderError
 from .linalg import (
     Matrix,
+    Row,
     SpanAccumulator,
     Subspace,
     char_poly,
     image,
     kernel,
+    kronecker,
     rational_roots,
     rank,
+    row_product,
     subspace_intersect,
 )
 from .report import CheckLog, CheckResult
+from .scalars import ONE
 from .weights import analyze_full, k_ladder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -77,20 +84,21 @@ class IrreducibilityReport:
 
 
 def _closure(
-    seeds: Iterable[Sequence[Fraction]],
-    maps: Sequence[Callable[[Sequence[Fraction]], Sequence[Fraction]]],
-    ambient: int,
+    seeds: Iterable[Row], maps: Sequence[Matrix], ambient: int
 ) -> SpanAccumulator:
-    """The span of the seeds closed under the linear maps. Every vector that
-    enlarges the span is mapped again, level by level, until no image
-    enlarges it or it is all of F^ambient."""
+    """The span of the sparse seeds closed under the matrices. Every vector
+    that enlarges the span is mapped again, level by level, until no image
+    enlarges it or it is all of F^ambient. The image M v is formed as the
+    row v times the rows of M^T (`row_product`), so it touches only the
+    columns of M where v is nonzero."""
+    transposed = [f.transpose().sparse_rows for f in maps]
     acc = SpanAccumulator(ambient)
     frontier = [v for v in seeds if acc.insert(v)]
     while frontier and acc.dim < ambient:
         new_frontier = []
         for v in frontier:
-            for f in maps:
-                w = f(v)
+            for rows in transposed:
+                w = row_product(v.items(), rows)
                 if acc.insert(w):
                     new_frontier.append(w)
         frontier = new_frontier
@@ -105,9 +113,8 @@ def spin(v: Sequence[Fraction], m: "ModuleData") -> Subspace:
     if len(v) != m.dim:
         raise ValueError("vector length does not match module dimension")
     gens = sorted(m.action)
-    generated = _closure(
-        [tuple(v)], [m.action[g].apply for g in gens], m.dim
-    ).to_subspace()
+    seed = {i: x for i, x in enumerate(v) if x}
+    generated = _closure([seed], [m.action[g] for g in gens], m.dim).to_subspace()
     for g in gens:
         if not generated.contains_image(m.action[g], generated):
             raise CheckFailedError(
@@ -118,14 +125,12 @@ def spin(v: Sequence[Fraction], m: "ModuleData") -> Subspace:
 
 def _word_span(m: "ModuleData") -> int:
     """Dimension of the span of all words in the generator matrices: the
-    closure of the identity, as a vector of dim^2 entries, under left
-    multiplication by each generator."""
+    closure of vec(I) under g (x) I for each generator g, since vec(g W) =
+    (g (x) I) vec(W) for the row-major vec of dim^2 entries."""
     n = m.dim
-    lefts = [
-        lambda w, left=m.action[g]: (left @ Matrix.from_entries(n, n, w)).entries
-        for g in sorted(m.action)
-    ]
-    return _closure([Matrix.identity(n).entries], lefts, n * n).dim
+    identity = Matrix.identity(n)
+    lefts = [kronecker(m.action[g], identity) for g in sorted(m.action)]
+    return _closure([{i * n + i: ONE for i in range(n)}], lefts, n * n).dim
 
 
 def _eigenspaces(m: "ModuleData") -> Iterator[tuple[Matrix, Subspace]]:
@@ -147,9 +152,9 @@ def _norton_theta(m: "ModuleData") -> tuple[Matrix, Subspace] | None:
 def _dual_spin_dim(theta: Matrix, m: "ModuleData") -> int:
     """Dimension of the spin of the kernel vector of theta^T under the
     transposed generators: the V* half of Norton's criterion."""
-    transposes = [m.action[g].transpose().apply for g in sorted(m.action)]
-    seed = kernel(theta.transpose()).basis.column(0)
-    return _closure([seed], transposes, m.dim).dim
+    transposes = [m.action[g].transpose() for g in sorted(m.action)]
+    seed = kernel(theta.transpose()).basis.transpose().sparse_rows[0]
+    return _closure([dict(seed)], transposes, m.dim).dim
 
 
 def _norton(m: "ModuleData") -> bool:
@@ -198,8 +203,6 @@ def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
         )
     witness = None
     for v in _witness_candidates(m):
-        if all(x == 0 for x in v):
-            continue
         generated = spin(v, m)
         if 0 < generated.dim < n:
             witness = generated
@@ -223,43 +226,27 @@ def verify_raising_powers(m: "ModuleData") -> list[CheckResult]:
     d = wd.diameter
     log = CheckLog(strict=True)
     anchor = "raising-power isomorphisms"
-    e0p, e0m = m.action["e0p"], m.action["e0m"]
-    e1p, e1m = m.action["e1p"], m.action["e1m"]
     for j in range(d // 2 + 1):
-        u_low, u_high = wd.spaces[j], wd.spaces[d - j]
-        up = e0p.power(d - 2 * j)
-        img = image(up, u_low)
-        log.condition(
-            f"iso(e0p^{d - 2 * j}: U{j} -> U{d - j})",
-            anchor,
-            img.dim == u_low.dim and img == u_high,
-            f"image dim {img.dim}, expected bijection onto weight space {d - j}",
-        )
-        ker_power = subspace_intersect(kernel(e0p.power(d - 2 * j + 1)), u_low)
-        ker_lower = subspace_intersect(kernel(e0m), u_low)
-        log.condition(
-            f"kernel-match(e0p^{d - 2 * j + 1}, e0m on U{j})",
-            anchor,
-            ker_power == ker_lower,
-            f"kernel dims {ker_power.dim} vs {ker_lower.dim} on weight space {j}",
-        )
-        down = e1p.power(d - 2 * j)
-        img_down = image(down, u_high)
-        log.condition(
-            f"iso(e1p^{d - 2 * j}: U{d - j} -> U{j})",
-            anchor,
-            img_down.dim == u_high.dim and img_down == u_low,
-            f"image dim {img_down.dim}, expected bijection onto weight space {j}",
-        )
-        ker_power1 = subspace_intersect(kernel(e1p.power(d - 2 * j + 1)), u_high)
-        ker_lower1 = subspace_intersect(kernel(e1m), u_high)
-        log.condition(
-            f"kernel-match(e1p^{d - 2 * j + 1}, e1m on U{d - j})",
-            anchor,
-            ker_power1 == ker_lower1,
-            f"kernel dims {ker_power1.dim} vs {ker_lower1.dim} "
-            f"on weight space {d - j}",
-        )
+        # (i)-(ii) map U_j to U_(d-j) by e0p, (iii)-(iv) U_(d-j) to U_j by e1p
+        for i, src, dst in ((0, j, d - j), (1, d - j, j)):
+            ep, em = m.action[f"e{i}p"], m.action[f"e{i}m"]
+            u_src = wd.spaces[src]
+            img = image(ep.power(d - 2 * j), u_src)
+            log.condition(
+                f"iso(e{i}p^{d - 2 * j}: U{src} -> U{dst})",
+                anchor,
+                img.dim == u_src.dim and img == wd.spaces[dst],
+                f"image dim {img.dim}, expected bijection onto weight space {dst}",
+            )
+            ker_power = subspace_intersect(kernel(ep.power(d - 2 * j + 1)), u_src)
+            ker_lower = subspace_intersect(kernel(em), u_src)
+            log.condition(
+                f"kernel-match(e{i}p^{d - 2 * j + 1}, e{i}m on U{src})",
+                anchor,
+                ker_power == ker_lower,
+                f"kernel dims {ker_power.dim} vs {ker_lower.dim} "
+                f"on weight space {src}",
+            )
     return log.entries
 
 

@@ -124,7 +124,6 @@ def cmd_extend(args: argparse.Namespace) -> int:
             f"extend requires a ugeq0 module, got {module.kind}"
         )
     full, trace = extend(module, as_scalar(args.eps0), as_scalar(args.eps1))
-    write_module(full, args.out)
     if args.trace:
         report = VerificationReport(
             subject=f"extension of {args.file}", entries=list(trace.checks)
@@ -134,6 +133,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
             if key not in ("checks", "pass")
         })
         write_report(report, args.trace)
+    write_module(full, args.out)  # last, so a failed trace write leaves no -o file
     print(
         f"wrote {args.out}: {_describe(full, trace.output_weights)} "
         f"({len(trace.checks)} checks passed)"

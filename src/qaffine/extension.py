@@ -47,6 +47,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate
 from typing import Sequence
 
+from .analysis import ABSOLUTELY_IRREDUCIBLE, burnside_irreducible
 from .errors import IrreducibilityError, RelationError
 from .factory import ModuleData
 from .linalg import (
@@ -475,8 +476,6 @@ def extend(
     Raises RelationError, IrreducibilityError or CheckFailedError (naming the
     failed verification) on malformed input.
     """
-    from .analysis import ABSOLUTELY_IRREDUCIBLE, burnside_irreducible
-
     eps0, eps1 = as_scalar(eps0), as_scalar(eps1)
     if eps0 * eps0 != 1 or eps1 * eps1 != 1:
         raise ValueError("type signs must be 1 or -1")

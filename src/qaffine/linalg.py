@@ -305,9 +305,11 @@ class SpanAccumulator:
     def dim(self) -> int:
         return len(self._pivots)
 
-    def insert(self, v: Sequence[Fraction]) -> bool:
-        """Add v to the span; returns True when the dimension grew."""
-        return self._add({i: x for i, x in enumerate(v) if x})
+    def insert(self, v: Row) -> bool:
+        """Add the sparse vector v, {index: entry}, to the span; zero entries
+        are dropped and v itself is not changed. Returns True when the
+        dimension grew."""
+        return self._add({i: x for i, x in v.items() if x})
 
     def _add(self, w: Row) -> bool:
         """Reduce the sparse vector w, which is consumed, and keep its

@@ -135,6 +135,18 @@ def test_certificate_matches_exact_span(tensor_13, q2):
         assert report.witness is None
 
 
+def test_reducible_burnside_never_reads_dense_entries(tensor_14, monkeypatch):
+    # the word span, the spins and the witness search close sparse vectors
+    # under sparse matrices; no word is ever formed as n^2 dense entries
+    def refuse(self):
+        raise AssertionError("Matrix.entries read")
+
+    monkeypatch.setattr(Matrix, "entries", property(refuse))
+    report = burnside_irreducible(tensor_14)
+    assert report.verdict == NOT_IRREDUCIBLE
+    assert report.word_span_dim == 13 and report.witness.dim == 3
+
+
 def test_reducible_tensor_takes_exact_fallback(tensor_14):
     report = burnside_irreducible(tensor_14)
     assert report.certificate == "word-span"

@@ -101,6 +101,19 @@ def test_unwritable_output_is_parse_error(tmp_path, v111_file, capsys, argv):
     assert err.count("\n") == 1
 
 
+def test_failed_trace_write_leaves_no_module(tmp_path, v111_file, capsys):
+    # the trace is written before the module, so exit 2 leaves no -o file
+    restricted = tmp_path / "r.json"
+    assert main(["restrict", str(v111_file), "-o", str(restricted)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "e2.json"
+    assert main(["extend", str(restricted), "--eps0", "1", "--eps1", "1",
+                 "-o", str(out), "--trace", str(tmp_path / "missing" / "t.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("field", ["dim", "format_version"])
 def test_json_true_field_is_parse_error(tmp_path, field, capsys):
     path = tmp_path / "one.json"

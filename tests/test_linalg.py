@@ -356,7 +356,7 @@ def test_apply_matches_product_with_column():
 
 def test_span_accumulator_stays_exact_on_integer_entries():
     acc = SpanAccumulator(2)
-    assert acc.insert([2, 1])
+    assert acc.insert({0: 2, 1: 1})
     assert acc.to_subspace().basis.entries == (F(1), F(1, 2))
     assert all(type(x) is F for x in acc.to_subspace().basis.entries)
 

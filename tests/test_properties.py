@@ -8,10 +8,12 @@ stacked-block elimination.
 """
 
 import math
+import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from qaffine.analysis import (
@@ -127,7 +129,7 @@ def test_span_accumulator_tracks_prefix_rank(case):
     previous = 0
     for k, v in enumerate(vectors, start=1):
         prefix_rank = rank(Matrix.from_rows(vectors[:k]))
-        assert acc.insert(v) == (prefix_rank > previous)
+        assert acc.insert(dict(enumerate(v))) == (prefix_rank > previous)
         assert acc.dim == prefix_rank
         previous = prefix_rank
     assert acc.to_subspace() == Subspace.from_vectors(n, vectors)
@@ -237,7 +239,7 @@ def test_echelon_matches_dense_reference(case):
     span = Subspace.from_vectors(n, rows)
     acc = SpanAccumulator(n)
     for row in rows:
-        acc.insert(row)
+        acc.insert(dict(enumerate(row)))
     assert span == reference_span(n, rows)
     assert acc.to_subspace() == span and acc.dim == span.dim
     assert kernel(m) == reference_kernel(m)
@@ -471,6 +473,74 @@ def test_certificate_with_fallback_matches_exact_span(m):
     assert report.verdict == expected
     event(expected)
     assert report.certificate != "norton" or exact == n * n
+
+
+def reference_word_span(m):
+    """The word span from dense words: the closure of the identity under
+    left multiplication by each generator, each word flattened to its n^2
+    entries; a word is kept when it does not reduce to zero against the
+    dense RREF (`reference_rref`) of the words kept so far."""
+    n = m.dim
+    gens = [m.action[g] for g in sorted(m.action)]
+    reduced = []
+
+    def grows(w):
+        rest = list(w)
+        for row in reduced:
+            c = rest[next(i for i, v in enumerate(row) if v)]
+            if c:
+                rest = [a - c * b for a, b in zip(rest, row)]
+        if not any(rest):
+            return False
+        reduced[:] = reference_rref(reduced + [rest])
+        return True
+
+    identity = Matrix.identity(n).entries
+    frontier = [identity] if grows(identity) else []
+    while frontier and len(reduced) < n * n:
+        new_frontier = []
+        for w in frontier:
+            for g in gens:
+                image = (g @ Matrix.from_entries(n, n, w)).entries
+                if grows(image):
+                    new_frontier.append(image)
+        frontier = new_frontier
+    return len(reduced)
+
+
+def unit_lu(n, seed):
+    """A seeded unimodular L U: unit lower and unit upper triangular
+    factors with off-diagonal entries in {-1, 0, 1}."""
+    rng = random.Random(seed)
+    lower = [[F(1) if i == j else F(rng.randint(-1, 1)) if i > j else F(0)
+              for j in range(n)] for i in range(n)]
+    upper = [[F(1) if i == j else F(rng.randint(-1, 1)) if i < j else F(0)
+              for j in range(n)] for i in range(n)]
+    return Matrix.from_rows(lower) @ Matrix.from_rows(upper)
+
+
+REDUCIBLE_TENSOR = tensor_product(
+    evaluation_module(EvalParams(1, 1, F(1)), qparam(2)),
+    evaluation_module(EvalParams(1, 1, F(4)), qparam(2)),
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)))
+@example(REDUCIBLE_TENSOR, None)
+@example(REDUCIBLE_TENSOR, 7)
+def test_word_span_matches_dense_reference(m, seed):
+    # the sparse closure of vec(I) under g (x) I against dense words, in the
+    # standard basis and conjugated into a basis where the matrices are dense
+    if seed is not None:
+        p = unit_lu(m.dim, seed)
+        p_inv = p.inverse()
+        action = {g: p_inv @ a @ p for g, a in m.action.items()}
+        m = replace(m, action=action, provenance="conjugated")
+        event("conjugated")
+    exact = reference_word_span(m)
+    assert _word_span(m) == exact
+    event("full" if exact == m.dim**2 else "proper")
 
 
 def reference_first_escape(mat, shifts, spaces, targets):
