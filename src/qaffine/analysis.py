@@ -226,10 +226,11 @@ def verify_raising_powers(m: "ModuleData") -> list[CheckResult]:
     d = wd.diameter
     log = CheckLog(strict=True)
     anchor = "raising-power isomorphisms"
+    lowering_kernels = [kernel(m.action[f"e{i}m"]) for i in (0, 1)]
     for j in range(d // 2 + 1):
         # (i)-(ii) map U_j to U_(d-j) by e0p, (iii)-(iv) U_(d-j) to U_j by e1p
         for i, src, dst in ((0, j, d - j), (1, d - j, j)):
-            ep, em = m.action[f"e{i}p"], m.action[f"e{i}m"]
+            ep = m.action[f"e{i}p"]
             u_src = wd.spaces[src]
             img = image(ep.power(d - 2 * j), u_src)
             log.condition(
@@ -239,7 +240,7 @@ def verify_raising_powers(m: "ModuleData") -> list[CheckResult]:
                 f"image dim {img.dim}, expected bijection onto weight space {dst}",
             )
             ker_power = subspace_intersect(kernel(ep.power(d - 2 * j + 1)), u_src)
-            ker_lower = subspace_intersect(kernel(em), u_src)
+            ker_lower = subspace_intersect(lowering_kernels[i], u_src)
             log.condition(
                 f"kernel-match(e{i}p^{d - 2 * j + 1}, e{i}m on U{src})",
                 anchor,

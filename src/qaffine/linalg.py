@@ -10,6 +10,16 @@ left factor, as its nonzero pairs, times the nonzero rows of the right
 factor (`row_product`). Sums, differences, scalings and shifts go through
 one sparse self + c * other.
 
+Products that only feed a verdict run in `int`, through the same loop. A
+Matrix caches one integer view: `den`, the lcm of its denominators, and
+`int_rows`, the nonzero rows of den * M. A Subspace caches its reduced rows
+as integer rows N_p with one denominator d_p each. Containment needs no
+Fraction at all: scaling a vector by a nonzero constant does not change
+whether it lies in a subspace, so an image column may be tested as the
+integer product of the two integer views, and w lies in the span of the
+reduced rows it hits exactly when L * w - sum of w[p] * (L / d_p) * N_p
+vanishes, with L the lcm of those d_p.
+
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
 spans, kernels, ranks, inverses ([M | I]), sums and Zassenhaus
 intersections ([a | a] over [b | 0]). Subspaces are stored through a reduced
@@ -32,12 +42,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TypeVar
 
 from .scalars import ONE, ZERO, as_scalar
 
 Vector = tuple[Fraction, ...]
 Row = dict[int, Fraction]  # the nonzero entries of a vector, {index: entry}
+IntRow = dict[int, int]  # the same, scaled to integers
+Entry = TypeVar("Entry", int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -100,6 +112,22 @@ class Matrix:
     def diagonal(values: Sequence[int | str | Fraction]) -> Matrix:
         diag = [{i: as_scalar(v)} for i, v in enumerate(values)]
         return Matrix.from_sparse(len(values), len(values), diag)
+
+    # -- the integer view, built on request ----------------------------------
+
+    @cached_property
+    def den(self) -> int:
+        """The lcm of the entries' denominators: den * self is integral."""
+        return math.lcm(*(v.denominator for row in self.sparse_rows for _, v in row))
+
+    @cached_property
+    def int_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The nonzero rows of den * self, in the shape of `sparse_rows`."""
+        d = self.den
+        return tuple(
+            tuple([(j, v.numerator * (d // v.denominator)) for j, v in row])
+            for row in self.sparse_rows
+        )
 
     # -- dense views, built on request -------------------------------------
 
@@ -248,13 +276,14 @@ class Matrix:
 
 
 def row_product(
-    row: Iterable[tuple[int, Fraction]],
-    rows: Sequence[Iterable[tuple[int, Fraction]]],
-) -> dict[int, Fraction]:
+    row: Iterable[tuple[int, Entry]],
+    rows: Sequence[Iterable[tuple[int, Entry]]],
+) -> dict[int, Entry]:
     """The row vector given by its nonzero (index, entry) pairs times the
     matrix given by its rows' nonzero (column, entry) pairs, as {column:
-    entry}; entries that cancel to zero are dropped."""
-    out: dict[int, Fraction] = {}
+    entry}; entries that cancel to zero are dropped. The entries may be
+    Fractions or ints (integer views)."""
+    out: dict[int, Entry] = {}
     for t, c in row:
         for j, b in rows[t]:
             v = c * b
@@ -272,7 +301,7 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 # -- echelon forms and subspaces -------------------------------------------
 
 
-def _subtract(w: Row, c: Fraction, row: Row) -> list[int]:
+def _subtract(w: dict[int, Entry], c: Entry, row: dict[int, Entry]) -> list[int]:
     """w -= c * row in place, dropping entries that cancel; returns the
     indices new to w."""
     new = [i for i in row if i not in w]
@@ -406,27 +435,46 @@ class Subspace:
         """The basis vectors as reduced echelon rows, {pivot: row}."""
         return {col[0][0]: dict(col) for col in self.basis.transpose().sparse_rows}
 
-    def _holds(self, w: Row) -> bool:
-        """Whether the sparse vector w lies in the subspace: the rows are
-        reduced, so w less w[p] times row p over the pivots p must vanish."""
-        rest = dict(w)
-        for p in [p for p in w if p in self._rows]:
-            _subtract(rest, w[p], self._rows[p])
+    @cached_property
+    def _int_rows(self) -> dict[int, tuple[int, IntRow]]:
+        """The reduced rows over integers, {pivot: (d_p, N_p)}: d_p is the
+        lcm of row p's denominators and N_p = d_p * row p, so N_p[p] = d_p."""
+        out = {}
+        for p, row in self._rows.items():
+            d = math.lcm(*(x.denominator for x in row.values()))
+            out[p] = (d, {i: x.numerator * (d // x.denominator) for i, x in row.items()})
+        return out
+
+    def _holds(self, w: IntRow) -> bool:
+        """Whether the sparse integer vector w lies in the subspace. The rows
+        are reduced, so w = sum of w[p] * N_p / d_p over the pivots p it hits
+        exactly when it is in the span; with L the lcm of those d_p, the
+        integer L * w less each w[p] * (L / d_p) * N_p must vanish."""
+        rows = self._int_rows
+        hits = [p for p in w if p in rows]
+        lcm = math.lcm(*(rows[p][0] for p in hits))
+        rest = {i: lcm * x for i, x in w.items()}
+        for p in hits:
+            d, row = rows[p]
+            _subtract(rest, w[p] * (lcm // d), row)
         return not rest
 
     def contains(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self._holds(row) for row in other._rows.values())
+        return all(self._holds(row) for _, row in other._int_rows.values())
 
     def contains_image(self, op: Matrix, space: Subspace) -> bool:
         """Whether op(space) lies in this subspace, tested column by column of
-        the sparse op @ space.basis; the image is never echelonized."""
+        the integer product of op's and space.basis's integer views. Each of
+        its columns is a nonzero multiple of an image column, which does not
+        change membership; the image is never echelonized."""
         if op.rows != self.ambient_dim or op.cols != space.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        images: list[Row] = [{} for _ in range(space.dim)]
-        for i, row in enumerate(op.sparse_rows):
-            for c, v in row_product(row, space.basis.sparse_rows).items():
+        images: list[IntRow] = [{} for _ in range(space.dim)]
+        right = space.basis.int_rows
+        for i, row in enumerate(op.int_rows):
+            for c, v in row_product(row, right).items():
                 images[c][i] = v
         return all(self._holds(w) for w in images)
 
@@ -571,7 +619,8 @@ def first_escape(
 ) -> int | None:
     """The first index i at which (mat - shifts[i] I)(spaces[i]) is not inside
     targets[i], or None when every image is. With shifts None the operator is
-    mat itself. Each distinct shift builds its operator once."""
+    mat itself. Each distinct shift builds its operator, and so its integer
+    view, once per call."""
     shifted: dict[Fraction, Matrix] = {}
     for i, (space, target) in enumerate(zip(spaces, targets)):
         op = mat

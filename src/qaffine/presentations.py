@@ -10,6 +10,10 @@ are just more generator names, with the shared ``weyl``, ``q_serre`` and
 ``zero_commutator`` builders). ``evaluate_word`` multiplies the words in
 sorted order, so each prefix shared by neighbouring words is computed once,
 and keeps every product and the residual sum sparse, over nonzero entries.
+It works in ``int``: each matrix contributes its integer view (den * M) and
+every word is scaled to one common denominator L, the lcm over the words of
+den(c_w) times the product of the letters' den; Fractions are built only
+for the residual's nonzero entries, as v / L.
 
 Supported presentations:
 
@@ -36,6 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm, prod
 from typing import TYPE_CHECKING, Iterable, Mapping
 
 from .errors import QAffineError
@@ -90,12 +95,15 @@ def evaluate_word(
     The empty word is the identity and a one-letter word is its matrix.
     Repeated words are merged, and the words are multiplied out in sorted
     order so that each prefix shared by neighbouring words is computed once.
-    Products and the sum are sparse: a prefix product is kept as one dict of
-    nonzero entries per row and multiplied by the next letter's nonzero rows
-    (`linalg.row_product`); each c * word adds only its nonzero entries, and
-    the empty word adds c on the diagonal. One Matrix is built at the end
-    from the sum's entries, less those that cancelled. All assigned matrices
-    must be square and of equal dimension.
+    Everything runs over integers and one common denominator. A word w is
+    N_w / D_w, where N_w is the product of its letters' integer views
+    (`Matrix.int_rows`, through `linalg.row_product`, one dict of nonzero
+    entries per row) and D_w the product of their `den`. With L the lcm of
+    den(c_w) * D_w over the words, L times the sum is the integer sum of
+    c_w * (L / (den(c_w) * D_w)) * N_w, over nonzero entries only; the
+    empty word adds on the diagonal. One Matrix is built at the end, with a
+    Fraction(v, L) for each entry v that did not cancel. All assigned
+    matrices must be square and of equal dimension.
     """
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
@@ -109,12 +117,17 @@ def evaluate_word(
             if gen not in assignment:
                 raise QAffineError(f"generator {gen!r} is not assigned a matrix")
         coeffs[word] = coeffs.get(word, ZERO) + coeff
-    total: list[dict[int, Fraction]] = [{} for _ in range(n)]  # the sum's rows
-    # chain[i] is the product of the first i+1 letters, one {column: entry}
-    # dict of nonzero entries per row
-    chain: list[list[dict[int, Fraction]]] = []
+    scales: dict[Word, tuple[int, int]] = {}  # word -> (numerator of c_w, its divisor)
+    for word, c in coeffs.items():
+        if c:
+            scales[word] = (c.numerator, c.denominator * prod(assignment[g].den for g in word))
+    common = lcm(*(divisor for _, divisor in scales.values()))
+    total: list[dict[int, int]] = [{} for _ in range(n)]  # L times the sum's rows
+    # chain[i] is the integer product of the first i+1 letters, one {column:
+    # entry} dict of nonzero entries per row
+    chain: list[list[dict[int, int]]] = []
     previous: Word = ()
-    for word in sorted(w for w, c in coeffs.items() if c):
+    for word in sorted(scales):
         shared = 0
         for a, b in zip(previous, word):
             if a != b:
@@ -122,23 +135,26 @@ def evaluate_word(
             shared += 1
         del chain[shared:]
         for gen in word[shared:]:
-            right = assignment[gen].sparse_rows
+            right = assignment[gen].int_rows
             chain.append(
                 [row_product(row.items(), right) for row in chain[-1]]
                 if chain
                 else [dict(row) for row in right]
             )
         previous = word
-        c = coeffs[word]
+        numerator, divisor = scales[word]
+        c = numerator * (common // divisor)
         terms = (
             ((i, j, v) for i, row in enumerate(chain[-1]) for j, v in row.items())
             if word
-            else ((i, i, ONE) for i in range(n))  # c I
+            else ((i, i, 1) for i in range(n))  # c I
         )
         for i, j, v in terms:
             row = total[i]
             row[j] = row[j] + c * v if j in row else c * v
-    return Matrix.from_sparse(n, n, total)
+    return Matrix.from_sparse(
+        n, n, [{j: Fraction(v, common) for j, v in row.items() if v} for row in total]
+    )
 
 
 def check_relations(

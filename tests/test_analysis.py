@@ -321,6 +321,21 @@ def test_raising_powers_on_six_dimensional(v111, q2):
     assert len(checks) == 8  # j in {0, 1}, four parts each
 
 
+def test_raising_powers_find_each_lowering_kernel_once(monkeypatch, q2):
+    from conftest import _count_calls
+    from qaffine import analysis, linalg, weights
+
+    m = evaluation_module(EvalParams(4, 1, 5), q2)
+    ladder = weights.analyze_full(m)  # the weight ladder's kernels are not counted
+    monkeypatch.setattr(analysis, "analyze_full", lambda module: ladder)
+    kernels = _count_calls(monkeypatch, linalg, "kernel", lambda mat: mat)
+    checks = verify_raising_powers(m)
+    assert all(c.passed for c in checks) and len(checks) == 12  # j in {0, 1, 2}
+    lowering = [kernels.count(m.action[g]) for g in ("e0m", "e1m")]
+    assert lowering == [1, 1]
+    assert len(kernels) == 8  # the two lowering matrices and six raising powers
+
+
 def test_raising_powers_pass_on_certified_modules(v111, tensor_13, q2):
     # everything the word-span test certifies also passes the power suite
     for m in (v111, tensor_13, evaluation_module(EvalParams(3, -1, 2), q2)):

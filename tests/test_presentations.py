@@ -189,3 +189,41 @@ def test_dim64_presentation_check_time_bound(run_snippet):
     )
     assert (dim, passed, checks) == (64, True, 21)
     assert seconds < 1.5, f"dim-64 build and relation check took {seconds:.2f} s"
+
+
+def test_dense_dim16_relation_check_time_bound(run_snippet, tmp_path, q2):
+    # eval(3,1,1) (x) eval(3,1,11) conjugated by a unimodular L U: every
+    # generator is dense, and each of the 21 relations is evaluated in int
+    # over one common denominator (about 1.5 s with Fraction products)
+    from dataclasses import replace
+
+    from qaffine.factory import EvalParams, evaluation_module, tensor_product
+    from qaffine.modfile import write_module
+    from test_properties import unit_lu
+
+    m = tensor_product(
+        evaluation_module(EvalParams(3, 1, F(1)), q2),
+        evaluation_module(EvalParams(3, 1, F(11)), q2),
+    )
+    p = unit_lu(16, 1)
+    p_inv = p.inverse()
+    dense = replace(m, action={g: p_inv @ a @ p for g, a in m.action.items()})
+    path = tmp_path / "dense16.json"
+    write_module(dense, path)
+    seconds, passed, count = run_snippet(
+        f"""
+        import json, time
+        from qaffine.modfile import read_module
+        from qaffine.presentations import check_presentation
+
+        m = read_module({str(path)!r}, validate=False)
+        start = time.perf_counter()
+        report = check_presentation(m.kind, m)
+        seconds = time.perf_counter() - start
+        print(json.dumps(
+            [seconds, all(e.passed for e in report.entries), len(report.entries)]
+        ))
+        """,
+    )
+    assert passed and count == 21
+    assert seconds < 0.5, f"dense dim-16 relation check took {seconds:.2f} s"

@@ -58,14 +58,21 @@ def eval_poly_matrix(coeffs, m):
 fractions = st.builds(
     F, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)
 )
+# Large numerators over large coprime denominators, of both signs: a common
+# denominator that is a max instead of an lcm, or a missing rescaling, shows.
+hard_fractions = st.sampled_from([
+    F(2**61 - 1, 3), F(-7, 1000003), F(5, 2**31 - 1), F(-(2**61 - 1), 1000003),
+    F(1000003, -(2**31 - 1)), F(-1, 3),
+])
+wide_fractions = st.one_of(fractions, hard_fractions)
 
 
 @st.composite
-def matrices(draw, min_dim=1, max_dim=4, square=True):
+def matrices(draw, min_dim=1, max_dim=4, square=True, entry=fractions):
     rows = draw(st.integers(min_value=min_dim, max_value=max_dim))
     cols = rows if square else draw(st.integers(min_value=min_dim, max_value=max_dim))
     entries = draw(
-        st.lists(fractions, min_size=rows * cols, max_size=rows * cols)
+        st.lists(entry, min_size=rows * cols, max_size=rows * cols)
     )
     return Matrix.from_entries(rows, cols, tuple(entries))
 
@@ -543,11 +550,18 @@ def test_word_span_matches_dense_reference(m, seed):
     event("full" if exact == m.dim**2 else "proper")
 
 
+def reference_contains(big, small):
+    """small lies in big when big's basis and small's have big's rank
+    together, by the dense reference_rref."""
+    return len(reference_rref(big.basis.columns() + small.basis.columns())) == big.dim
+
+
 def reference_first_escape(mat, shifts, spaces, targets):
-    """first_escape by echelonizing each image and testing containment."""
+    """first_escape by echelonizing each image and testing containment
+    densely."""
     for i, (space, target) in enumerate(zip(spaces, targets)):
         op = mat if shifts is None else mat.shift(shifts[i])
-        if not target.contains(image(op, space)):
+        if not reference_contains(target, image(op, space)):
             return i
     return None
 
@@ -557,15 +571,17 @@ def escape_cases(draw):
     """An operator, optional shifts, and ladders of spaces and targets. Each
     target is zero, the full space, a drawn subspace, or the image of its
     space (alone or plus a drawn subspace), so images land inside their
-    targets about as often as they escape; spaces may be zero."""
+    targets about as often as they escape; spaces may be zero. Entries
+    sometimes have large coprime denominators."""
     n = draw(st.integers(min_value=1, max_value=4))
-    mat = draw(matrices(min_dim=n, max_dim=n))
+    entry = draw(st.sampled_from([fractions, wide_fractions]))
+    mat = draw(matrices(min_dim=n, max_dim=n, entry=entry))
     length = draw(st.integers(min_value=1, max_value=4))
-    shifts = draw(st.none() | st.lists(fractions, min_size=length, max_size=length))
+    shifts = draw(st.none() | st.lists(entry, min_size=length, max_size=length))
 
     def subspace():
         k = draw(st.integers(min_value=0, max_value=n))
-        return Subspace.from_vectors(n, [[draw(fractions) for _ in range(n)]
+        return Subspace.from_vectors(n, [[draw(entry) for _ in range(n)]
                                          for _ in range(k)])
 
     spaces, targets = [], []
@@ -585,12 +601,30 @@ def escape_cases(draw):
     return mat, shifts, spaces, targets
 
 
+def hard_escape_case():
+    """A plane whose reduced rows have the coprime denominators 3 and
+    1000003, an operator that maps it into itself and mixes its rows, and
+    the whole space, which escapes the plane."""
+    rows = [[F(1), F(0), F(2**61 - 1, 3)], [F(0), F(1), F(-7, 1000003)]]
+    plane = Subspace.from_vectors(3, rows)
+    basis = Matrix.from_columns(3, rows + [[F(0), F(0), F(1)]])
+    mixing = Matrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, F(5, 2**31 - 1)]])
+    mat = basis @ mixing @ basis.inverse()
+    return mat, None, [plane, Subspace.full(3)], [plane, plane]
+
+
 @settings(max_examples=150, deadline=None)
 @given(escape_cases())
+@example(hard_escape_case())
 def test_first_escape_matches_echelonized_images(case):
     expected = reference_first_escape(*case)
     event("escapes" if expected is not None else "contained")
     assert first_escape(*case) == expected
+    mat, shifts, spaces, targets = case
+    for i, (space, target) in enumerate(zip(spaces, targets)):
+        op = mat if shifts is None else mat.shift(shifts[i])
+        for inner in (space, image(op, space)):
+            assert target.contains(inner) == reference_contains(target, inner)
 
 
 @st.composite
@@ -695,21 +729,24 @@ def cancelling_sums(draw):
     """Formal sums over mostly zero matrices: N is strictly upper triangular,
     so N^n = 0, and Y = X^2 + cX commutes with X, so XY - YX = 0. Words
     repeat, some with coefficients that sum to zero, and the pool always
-    holds the empty word."""
+    holds the empty word. Entries and coefficients sometimes have large
+    coprime denominators."""
     n = draw(st.integers(min_value=1, max_value=4))
-    x = Matrix.from_entries(n, n, tuple(draw(st.lists(mostly_zero, min_size=n * n, max_size=n * n))))
-    y = x @ x + draw(fractions) * x
+    coefficient = draw(st.sampled_from([fractions, wide_fractions]))
+    entry = draw(st.sampled_from([mostly_zero, st.one_of(mostly_zero, hard_fractions)]))
+    x = Matrix.from_entries(n, n, tuple(draw(st.lists(entry, min_size=n * n, max_size=n * n))))
+    y = x @ x + draw(coefficient) * x
     upper = [
-        draw(mostly_zero) if j > i else F(0) for i in range(n) for j in range(n)
+        draw(entry) if j > i else F(0) for i in range(n) for j in range(n)
     ]
     assignment = {"N": Matrix.from_entries(n, n, tuple(upper)), "X": x, "Y": y}
     pool = [(), ("N",) * n, ("X", "Y"), ("Y", "X")] + draw(
         st.lists(st.lists(st.sampled_from("NXY"), max_size=4).map(tuple), max_size=4)
     )
     words = draw(
-        st.lists(st.tuples(fractions, st.sampled_from(pool)), min_size=1, max_size=8)
+        st.lists(st.tuples(coefficient, st.sampled_from(pool)), min_size=1, max_size=8)
     )
-    c = draw(fractions)
+    c = draw(coefficient)
     cancelling = [(c, ("X", "Y")), (-c, ("Y", "X"))]
     for coeff, word in draw(st.lists(st.sampled_from(words), max_size=3)):
         cancelling += [(coeff, word), (-coeff, word)]
@@ -717,8 +754,17 @@ def cancelling_sums(draw):
     return tuple(terms), assignment
 
 
+BIG, TINY = F(2**61 - 1, 3), F(-7, 1000003)
+HARD_X = Matrix.from_rows([[BIG, 0], [TINY, 1]])
+HARD_Y = Matrix.from_rows([[F(5, 2**31 - 1), -1], [0, TINY]])
+
+
 @settings(max_examples=150, deadline=None)
 @given(cancelling_sums())
+@example((((TINY, ("X", "Y")), (BIG, ("Y",)), (F(-1, 3), ()), (F(1), ("Y", "X", "X"))),
+          {"X": HARD_X, "Y": HARD_Y}))
+@example((((TINY, ("X",)), (-TINY, ("X",)), (BIG, ("X", "Y")), (-BIG, ("X", "Y"))),
+          {"X": HARD_X, "Y": HARD_Y}))
 def test_sparse_evaluation_matches_dense_reference(case):
     words, assignment = case
     got = evaluate_word(words, assignment)
