@@ -39,7 +39,6 @@ from .modfile import read_module, write_module, write_report
 from .presentations import AFFINE_FULL, UGEQ0, check_presentation
 from .report import CheckLog, CheckResult, VerificationReport
 from .scalars import QParam, as_scalar
-from .weights import WeightData, analyze_weights
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -57,10 +56,17 @@ def _session_q(value: str | None) -> QParam | None:
         raise ModuleFormatError(str(exc)) from exc
 
 
-def _describe(m: ModuleData, weights: WeightData | None) -> str:
+def _describe(m: ModuleData) -> str:
     """One summary line of a module and its weight analysis."""
     line = f"presentation={m.kind} dim={m.dim}"
-    return line if weights is None else f"{line} {weights.summary}"
+    return line if m.weights is None else f"{line} {m.weights.summary}"
+
+
+def _emit(report: VerificationReport, path: str | None) -> None:
+    """Write the report file when one is asked for, then print the table."""
+    if path:
+        write_report(report, path)
+    print(report.text_table())
 
 
 def cmd_build(args: argparse.Namespace) -> int:
@@ -75,30 +81,35 @@ def cmd_build(args: argparse.Namespace) -> int:
         m2 = read_module(args.inputs[1], _session_q(args.q))
         module = tensor_product(m1, m2)
     write_module(module, args.out)
-    print(f"wrote {args.out}: {_describe(module, analyze_weights(module))}")
+    print(f"wrote {args.out}: {_describe(module)}")
     return EXIT_OK
 
 
-def _weight_checks(m: ModuleData) -> list[CheckResult]:
-    """The weight-ladder verification as report entries."""
-    try:
-        weights = analyze_weights(m)
-    except WeightLadderError as exc:
-        return [CheckResult("weight-ladder", "weight analysis", False, (), str(exc))]
-    if weights is None:
-        return []
-    return [CheckResult("weight-ladder", "weight analysis", True, (), weights.summary)]
+def _checked_file(
+    args: argparse.Namespace,
+) -> tuple[ModuleData, VerificationReport, bool]:
+    """Read an untrusted module file and report every defining relation and,
+    when they all hold, the weight ladder. Returns the module, the report
+    and whether the relations hold."""
+    module = read_module(args.file, _session_q(args.q), validate=False)
+    report = check_presentation(module.kind, module)
+    relations_hold = report.passed
+    if relations_hold:
+        try:
+            ok, detail = True, module.weights and module.weights.summary
+        except WeightLadderError as exc:
+            ok, detail = False, str(exc)
+        if detail:  # None for a finite module, which has no weight ladder
+            report.entries.append(
+                CheckResult("weight-ladder", "weight analysis", ok, (), detail)
+            )
+    return module, report, relations_hold
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    module = read_module(args.file, _session_q(args.q), validate=False)
-    report = check_presentation(module.kind, module)
-    if report.passed:
-        report.entries.extend(_weight_checks(module))
+    _, report, _ = _checked_file(args)
     report.summary["file"] = str(args.file)
-    if args.report:
-        write_report(report, args.report)
-    print(report.text_table())
+    _emit(report, args.report)
     return EXIT_OK if report.passed else EXIT_RELATION
 
 
@@ -113,7 +124,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
     else:
         restricted = restrict_to_borel(module)
     write_module(restricted, args.out)
-    print(f"wrote {args.out}: {_describe(restricted, analyze_weights(restricted))}")
+    print(f"wrote {args.out}: {_describe(restricted)}")
     return EXIT_OK
 
 
@@ -134,10 +145,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
         })
         write_report(report, args.trace)
     write_module(full, args.out)  # last, so a failed trace write leaves no -o file
-    print(
-        f"wrote {args.out}: {_describe(full, trace.output_weights)} "
-        f"({len(trace.checks)} checks passed)"
-    )
+    print(f"wrote {args.out}: {_describe(full)} ({len(trace.checks)} checks passed)")
     return EXIT_OK
 
 
@@ -147,7 +155,7 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         raise ModuleFormatError(
             f"roundtrip requires an affine_full module, got {module.kind}"
         )
-    wd = module.full_weights
+    wd = module.weights
     restricted = restrict_to_ugeq0(module, as_scalar(args.alpha))
     full, _ = extend(restricted, wd.eps0, wd.eps1)
     log = CheckLog()
@@ -159,21 +167,15 @@ def cmd_roundtrip(args: argparse.Namespace) -> int:
         )
     report = VerificationReport(f"roundtrip of {args.file}", log.entries)
     report.summary["alpha"] = str(as_scalar(args.alpha))
-    if args.report:
-        write_report(report, args.report)
-    print(report.text_table())
+    _emit(report, args.report)
     return EXIT_OK if report.passed else EXIT_PIPELINE
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    module = read_module(args.file, _session_q(args.q), validate=False)
-    report = check_presentation(module.kind, module)
-    if not report.passed:
-        if args.report:
-            write_report(report, args.report)
-        print(report.text_table())
+    module, report, relations_hold = _checked_file(args)
+    if not relations_hold:
+        _emit(report, args.report)
         return EXIT_RELATION
-    report.entries.extend(_weight_checks(module))
     irr = burnside_irreducible(module)
     detail = f"word span {irr.word_span_dim} of {module.dim ** 2}"
     if irr.verdict == NOT_IRREDUCIBLE and irr.witness is not None:
@@ -182,9 +184,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         CheckResult("irreducibility", "word-span test", True, (), detail)
     )
     report.summary["verdict"] = irr.verdict
-    if args.report:
-        write_report(report, args.report)
-    print(report.text_table())
+    _emit(report, args.report)
     print(f"irreducibility: {irr.verdict} ({detail})")
     return EXIT_OK if report.passed else EXIT_RELATION
 

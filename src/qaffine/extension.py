@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import ABSOLUTELY_IRREDUCIBLE, burnside_irreducible
 from .errors import IrreducibilityError, RelationError
@@ -72,7 +72,7 @@ from .presentations import (
 )
 from .report import CheckLog, CheckResult
 from .scalars import ONE, QParam, as_scalar
-from .weights import FullWeightData, WeightLadder, analyze_full, analyze_ugeq0
+from .weights import WeightLadder
 
 ANCHOR_SPLIT = "split pair A, A*"
 ANCHOR_FLAGS = "eigenflag decompositions"
@@ -100,7 +100,6 @@ class ExtensionTrace:
     bstar_mat: Matrix | None = None
     r_mat: Matrix | None = None
     l_mat: Matrix | None = None
-    output_weights: FullWeightData | None = None
     checks: list[CheckResult] = field(default_factory=list)
 
     def check_names(self) -> list[str]:
@@ -142,13 +141,17 @@ def _eigenvalues(q: QParam, alpha: Fraction, d: int) -> _Eigenvalues:
     )
 
 
-def _moves_into(log: CheckLog, anchor: str, moves: tuple) -> None:
+def _moves_into(
+    log: CheckLog, anchor: str, moves: tuple,
+    detail: Callable[[int], str] = "containment fails at index {}".format,
+) -> None:
     """For each move (name, mat, shifts, spaces, targets), log whether
     (mat - shifts[i] I)(spaces[i]) lies inside targets[i] for every i; with
-    shifts None, whether mat(spaces[i]) does."""
+    shifts None, whether mat(spaces[i]) does. A failure's detail is
+    detail(i) at the first index i that escapes."""
     for name, mat, shifts, spaces, targets in moves:
         i = first_escape(mat, shifts, spaces, targets)
-        log.condition(name, anchor, i is None, f"containment fails at index {i}")
+        log.condition(name, anchor, i is None, "" if i is None else detail(i))
 
 
 def _nears(ladder: Ladder) -> list[Subspace]:
@@ -324,19 +327,14 @@ def build_w_grid(
     # its first one it is zero.
     up = [grid[(min(i + 1, d), j - 1)] if j else zero for i, j in cells]
     down = [grid[(i - 1, min(j + 1, d))] if i else zero for i, j in cells]
-    grid_moves = (
-        ("A", a_mat, [ev.theta[j] for _, j in cells], up),
-        ("Astar", astar_mat, [ev.theta_star[i] for i, _ in cells], down),
-        ("Kinv", Kinv, [ev.theta_star[i] for i, _ in cells], down),
-        ("K", K, [ev.theta[i] for i, _ in cells], k_sums),
-    )
     spaces = [grid[c] for c in cells]
-    for key, mat, shifts, targets in grid_moves:
-        k = first_escape(mat, shifts, spaces, targets)
-        log.condition(
-            f"grid-move({key})", ANCHOR_GRID, k is None,
-            "" if k is None else "grid move fails at ({},{})".format(*cells[k]),
-        )
+    _moves_into(log, ANCHOR_GRID, (
+        ("grid-move(A)", a_mat, [ev.theta[j] for _, j in cells], spaces, up),
+        ("grid-move(Astar)", astar_mat, [ev.theta_star[i] for i, _ in cells],
+         spaces, down),
+        ("grid-move(Kinv)", Kinv, [ev.theta_star[i] for i, _ in cells], spaces, down),
+        ("grid-move(K)", K, [ev.theta[i] for i, _ in cells], spaces, k_sums),
+    ), lambda k: "grid move fails at ({},{})".format(*cells[k]))
 
     for name, failure in (
         ("decomposition(W)", w_failure),
@@ -491,7 +489,7 @@ def extend(
             f"{irr.word_span_dim} of {m.dim ** 2}",
             span_dim=irr.word_span_dim,
         )
-    ladder = analyze_ugeq0(m)
+    ladder = m.weights
     alpha, d = ladder.alpha, ladder.diameter
 
     log = CheckLog(strict=True)
@@ -538,7 +536,7 @@ def extend(
         "output-relations", ANCHOR_OUT, out_report.passed,
         "; ".join(c.name for c in out_report.failing()),
     )
-    out_weights = analyze_full(full)
+    out_weights = full.weights
     log.condition(
         "output-type", ANCHOR_OUT,
         (out_weights.eps0, out_weights.eps1) == (eps0, eps1),
@@ -550,5 +548,4 @@ def extend(
         out_weights.diameter == d,
         f"assembled diameter {out_weights.diameter}, input diameter {d}",
     )
-    trace.output_weights = out_weights
     return full, trace

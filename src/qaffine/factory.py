@@ -4,8 +4,8 @@ Relations are checked once, where untrusted matrices come in: build_module
 (raw matrices and file loads) and finite_module raise RelationError on a
 violation. The other constructors apply an algebra homomorphism (named in
 each docstring) to valid modules, so their output is valid unchecked; the
-tests confirm it. ModuleData.relations memoizes the one evaluation, and
-ModuleData.full_weights the one full weight analysis.
+tests confirm it. ModuleData memoizes `relations` and `weights` (the weight
+analysis of its own presentation): each is evaluated once, on first read.
 
 Conventions fixed here (any consistent choice works, and the relation
 checker enforces consistency in the tests):
@@ -27,6 +27,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from . import weights as weight_analysis
 from .errors import ModuleFormatError, RelationError
 from .linalg import Matrix, kronecker
 from .presentations import (
@@ -41,7 +42,12 @@ from .report import VerificationReport
 from .scalars import QParam, as_scalar, qint
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .weights import FullWeightData
+    from .weights import WeightData
+
+# Looked up in `weights` at call time, so a wrapper set there sees each call.
+_ANALYZERS = {
+    UGEQ0: "analyze_ugeq0", AFFINE_FULL: "analyze_full", AFFINE_BOREL: "analyze_borel"
+}
 
 
 @dataclass(frozen=True)
@@ -62,12 +68,12 @@ class ModuleData:
         return check_presentation(self.kind, self)
 
     @cached_property
-    def full_weights(self) -> FullWeightData:
-        """analyze_full of this module, run once, like `relations`; raises
-        WeightLadderError on a module that is not a weight ladder."""
-        from .weights import analyze_full
-
-        return analyze_full(self)
+    def weights(self) -> WeightData | None:
+        """analyze_ugeq0, analyze_full or analyze_borel of this module, by its
+        presentation (None for a finite module), run once like `relations`;
+        raises WeightLadderError on a module that is not a weight ladder."""
+        name = _ANALYZERS.get(self.kind)
+        return None if name is None else getattr(weight_analysis, name)(self)
 
 
 def build_module(
@@ -231,7 +237,7 @@ def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     alpha = as_scalar(alpha)
     if alpha == 0:
         raise ModuleFormatError("alpha must be nonzero")
-    eps0 = m.full_weights.eps0
+    eps0 = m.weights.eps0
     action = {
         "R": m.action["e0p"],
         "L": m.action["e1p"],

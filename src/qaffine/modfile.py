@@ -110,9 +110,10 @@ def module_from_dict(
             or any(not isinstance(r, list) or len(r) != dim for r in rows)
         ):
             raise ModuleFormatError(f"action of {gen} is not a {dim}x{dim} array")
-        action[gen] = Matrix.from_rows(
-            [[_parse_scalar(v, f"action[{gen}]") for v in row] for row in rows]
-        )
+        context = f"action[{gen}]"
+        action[gen] = Matrix.from_sparse(dim, dim, [
+            {j: _parse_scalar(v, context) for j, v in enumerate(row)} for row in rows
+        ])
     provenance = doc.get("provenance", "")
     if not isinstance(provenance, str):
         raise ModuleFormatError("provenance must be a string")

@@ -6,10 +6,12 @@ parameter q is wrapped in :class:`QParam`, which rejects values that are roots
 of unity in Q, namely 0, 1 and -1. Everything downstream assumes q is fixed
 for a session.
 
-The module is written so that a richer coefficient field (for instance,
-rational functions in a formal q) could replace ``Scalar`` later: all other
-modules construct scalars exclusively through :func:`as_scalar`, ``QParam``
-powers and :func:`qint`.
+Values from files, flags and callers enter through :func:`as_scalar`, and
+q-constants through ``QParam`` powers and :func:`qint`. The integer views
+(``Matrix.den``/``int_rows``, ``presentations.evaluate_word``) read
+``.numerator``/``.denominator`` and build ``Fraction(v, L)`` directly, so a
+richer coefficient field (say, rational functions in a formal q) would
+replace ``Scalar`` there too, not behind :func:`as_scalar` alone.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# The "p" or "p/q" string form; anything else Fraction(str) would take (decimals,
-# exponents, underscores) is refused, so a short string cannot encode a huge
-# number. CPython's int-string digit limit caps long digit runs.
-_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# The "p" or "p/q" string form in ASCII digits; anything else Fraction(str) would
+# take (decimals, exponents, underscores, "+") is refused, so a short string
+# cannot encode a huge number. CPython's int-string digit limit caps digit runs.
+_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -38,11 +40,11 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL.fullmatch(text):
+        match = _RATIONAL.fullmatch(value.strip())
+        if match is None:
             raise ValueError(f"not an exact rational: {value!r}")
         try:
-            return Fraction(text)
+            return Fraction(int(match[1]), int(match[2] or 1))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a scalar")

@@ -214,11 +214,3 @@ def analyze_borel(m: "ModuleData") -> BorelWeightData:
     """Type pair (alpha, beta) and weight spaces of a Borel module: alpha from
     the K0 ladder, beta = gamma / alpha with gamma the scalar of K0 K1."""
     return _analyze(AFFINE_BOREL, m)
-
-
-def analyze_weights(m: "ModuleData") -> WeightData | None:
-    """The weight analysis of m's presentation; None for a finite module."""
-    analyzers = {
-        UGEQ0: analyze_ugeq0, AFFINE_FULL: analyze_full, AFFINE_BOREL: analyze_borel,
-    }
-    return analyzers[m.kind](m) if m.kind in analyzers else None

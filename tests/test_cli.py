@@ -201,7 +201,7 @@ def test_extend_analyzes_its_output_once(tmp_path, v111_file, full_analyses):
 
 def test_roundtrip_analyzes_input_and_output_once(v111_file, full_analyses):
     # the input's type signs come from one analysis, which the restriction
-    # reuses through ModuleData.full_weights; the output gets its own
+    # reuses through ModuleData.weights; the output gets its own
     assert main(["roundtrip", str(v111_file), "--alpha", "2"]) == 0
     assert full_analyses == ["affine_full", "affine_full"]
 

@@ -248,6 +248,30 @@ def test_restrict_kind_guards(v111, q2):
         restrict_to_borel(fin)
 
 
+@pytest.mark.parametrize("derive, name", [
+    (lambda m: m, "analyze_full"),
+    (lambda m: restrict_to_ugeq0(m, 3), "analyze_ugeq0"),
+    (restrict_to_borel, "analyze_borel"),
+], ids=["eval", "ugeq0-restriction", "borel-restriction"])
+def test_weights_memoizes_the_analysis_of_the_presentation(
+    q2, monkeypatch, derive, name
+):
+    from conftest import _count_calls
+    from qaffine import weights
+
+    module = derive(evaluation_module(EvalParams(2, 1, 3), q2))
+    analyze = getattr(weights, name)
+    calls = _count_calls(monkeypatch, weights, name, lambda m: m.kind)
+    first = module.weights
+    assert module.weights is first
+    assert calls == [module.kind]
+    assert first == analyze(module)
+
+
+def test_weights_of_a_finite_module_is_none(q2):
+    assert finite_module(2, 1, q2).weights is None
+
+
 def test_build_module_rejects_relation_violation(q2):
     action = {
         "R": Matrix.identity(1),

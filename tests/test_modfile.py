@@ -125,6 +125,21 @@ def test_non_rational_strings_rejected_fast(tmp_path, v111, entry):
     assert time.perf_counter() - start < 1.0
 
 
+def test_each_entry_is_parsed_once(tmp_path, monkeypatch, q2):
+    # one as_scalar call per matrix entry, plus two for q: the file's string
+    # and QParam's own coercion; validate=False leaves out the relation
+    # check, so that only the parse is counted
+    from conftest import _count_calls
+    from qaffine import scalars
+
+    path = tmp_path / "m.json"
+    write_module(evaluation_module(EvalParams(3, 1, 5), q2), path)
+    calls = _count_calls(monkeypatch, scalars, "as_scalar", lambda value: value)
+    module = read_module(path, validate=False)
+    assert module.dim == 4
+    assert len(calls) == len(ALPHABETS[module.kind]) * 4 * 4 + 2
+
+
 def test_relation_violation_named_on_load(v111):
     doc = json.loads(module_to_json(v111))
     doc["action"]["e0p"][0][0] = "1"

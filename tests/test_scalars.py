@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from qaffine.scalars import QParam, as_scalar, qint, qparam, scalar_str
 
@@ -68,6 +70,37 @@ def test_as_scalar_string_grammar():
     for bad in ["0.5", "1e3", "1_000", "+1", "3 / 4", "1/-2", "-", "/2", ""]:
         with pytest.raises(ValueError, match="not an exact rational"):
             as_scalar(bad)
+
+
+digits = st.text("0123456789", min_size=1, max_size=400)
+
+
+@st.composite
+def rational_strings(draw):
+    """Strings of the "p" or "p/q" form, leading zeros allowed, q nonzero."""
+    numerator = draw(st.sampled_from(["", "-"])) + draw(digits)
+    denominator = draw(st.none() | digits.filter(lambda text: text.strip("0")))
+    return numerator if denominator is None else f"{numerator}/{denominator}"
+
+
+@given(rational_strings())
+@example("-0")
+@example("-000/0007")
+@example("9" * 4000 + "/" + "0" * 300 + "3")
+def test_as_scalar_matches_fraction_on_its_grammar(text):
+    assert as_scalar(text) == F(text)
+
+
+@pytest.mark.parametrize("bad", [
+    "\u0663",  # ARABIC-INDIC DIGIT THREE, which Fraction(str) reads as 3
+    "\uff11",  # FULLWIDTH DIGIT ONE
+    "1/\u0663",
+    "7" * 5000,  # past CPython's int-string digit limit
+    "1/" + "3" * 5000,
+])
+def test_as_scalar_refuses_non_ascii_and_overlong_digits(bad):
+    with pytest.raises(ValueError, match="not an exact rational"):
+        as_scalar(bad)
 
 
 def test_scalar_str_round_trip():
