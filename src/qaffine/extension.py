@@ -18,8 +18,9 @@ intermediate identity with exactly-zero residuals:
    W_(d-j)+..+W_i. Input that fails those three facts has every cell
    intersected literally, so it fails with the same checks and details;
 4. split operators: B with eigenspace W_i and eigenvalue q^(2i-d), B* with
-   eigenspace W*_i and eigenvalue q^(d-2i), built by change of basis; they
-   satisfy Weyl-type identities with A, A*, K and the q-Serre relations;
+   eigenspace W*_i and eigenvalue q^(d-2i), read off the echelon form of
+   their graphs, with no inverse; they satisfy Weyl-type identities with A,
+   A*, K and the q-Serre relations;
 5. lowering operators: r = (alpha I - K B*) / (q (q - q^-1)^2) and
    l = (alpha^-1 I - K^-1 B) / (q (q - q^-1)^2), which close the full
    commutation suite and assemble, with any choice of signs (eps0, eps1),
@@ -41,7 +42,7 @@ reproduces the original generator matrices bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import accumulate
@@ -91,16 +92,16 @@ class ExtensionTrace:
     weight_spaces: tuple[Subspace, ...]
     a_mat: Matrix
     astar_mat: Matrix
-    v_spaces: tuple[Subspace, ...] = ()
-    vstar_spaces: tuple[Subspace, ...] = ()
-    w_grid: dict[tuple[int, int], Subspace] = field(default_factory=dict)
-    w_spaces: tuple[Subspace, ...] = ()
-    wstar_spaces: tuple[Subspace, ...] = ()
-    b_mat: Matrix | None = None
-    bstar_mat: Matrix | None = None
-    r_mat: Matrix | None = None
-    l_mat: Matrix | None = None
-    checks: list[CheckResult] = field(default_factory=list)
+    v_spaces: tuple[Subspace, ...]
+    vstar_spaces: tuple[Subspace, ...]
+    w_grid: dict[tuple[int, int], Subspace]
+    w_spaces: tuple[Subspace, ...]
+    wstar_spaces: tuple[Subspace, ...]
+    b_mat: Matrix
+    bstar_mat: Matrix
+    r_mat: Matrix
+    l_mat: Matrix
+    checks: list[CheckResult]
 
     def check_names(self) -> list[str]:
         return [c.name for c in self.checks]
@@ -369,15 +370,14 @@ def build_w_grid(
     return grid, w, wstar
 
 
-def _projector_operator(
-    spaces: Ladder, eigenvalues: Sequence[Fraction], n: int
-) -> Matrix:
-    """The operator with spaces[i] as eigenspace for eigenvalues[i], built by
-    one change of basis from the concatenated echelon bases."""
-    columns = [c for s in spaces for c in s.basis.columns()]
-    diag = [lam for s, lam in zip(spaces, eigenvalues) for _ in range(s.dim)]
-    basis = Matrix.from_columns(n, columns)
-    return basis @ Matrix.diagonal(diag) @ basis.inverse()
+def _projector_operator(spaces: Ladder, values: Sequence[Fraction], n: int) -> Matrix:
+    """The operator with spaces[i] as eigenspace for the eigenvalue values[i],
+    read off the echelon form of its graph: the pairs (x, values[i] x) over
+    the reduced rows x of each spaces[i] (`Matrix.from_graph`)."""
+    return Matrix.from_graph(n, (
+        (x, {j: lam * v for j, v in x.items()})
+        for s, lam in zip(spaces, values) for x in s._rows.values()
+    ))
 
 
 def build_b_bstar(
@@ -495,24 +495,17 @@ def extend(
     log = CheckLog(strict=True)
     log.condition("input-relations", ANCHOR_SPLIT, input_report.passed)
     a_mat, astar_mat = build_a_astar(m, log)
-    trace = ExtensionTrace(
-        alpha=alpha,
-        diameter=d,
-        weight_spaces=ladder.spaces,
-        a_mat=a_mat,
-        astar_mat=astar_mat,
-        checks=log.entries,
-    )
     v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log)
-    trace.v_spaces, trace.vstar_spaces = v.spaces, vstar.spaces
-    trace.w_grid, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log)
-    trace.w_spaces, trace.wstar_spaces = w.spaces, wstar.spaces
-    b_mat, bstar_mat = build_b_bstar(
-        m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log
-    )
-    trace.b_mat, trace.bstar_mat = b_mat, bstar_mat
+    w_grid, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log)
+    b_mat, bstar_mat = build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
     r_mat, l_mat = _lowering_suite(m, ladder, b_mat, bstar_mat, log)
-    trace.r_mat, trace.l_mat = r_mat, l_mat
+    # checks is the log's own list, so the output checks below land in it too
+    trace = ExtensionTrace(
+        alpha=alpha, diameter=d, weight_spaces=ladder.spaces,
+        a_mat=a_mat, astar_mat=astar_mat, v_spaces=v.spaces, vstar_spaces=vstar.spaces,
+        w_grid=w_grid, w_spaces=w.spaces, wstar_spaces=wstar.spaces,
+        b_mat=b_mat, bstar_mat=bstar_mat, r_mat=r_mat, l_mat=l_mat, checks=log.entries,
+    )
 
     action = {
         "e0p": m.action["R"],

@@ -21,10 +21,10 @@ reduced rows it hits exactly when L * w - sum of w[p] * (L / d_p) * N_p
 vanishes, with L the lcm of those d_p.
 
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
-spans, kernels, ranks, inverses ([M | I]), sums and Zassenhaus
-intersections ([a | a] over [b | 0]). Subspaces are stored through a reduced
-column echelon basis, so subspace equality is a literal entry-wise
-comparison. A sum extends the larger space's echelon by the other's basis,
+spans, kernels, ranks, sums, Zassenhaus intersections ([a | a] over [b | 0])
+and matrices from their graphs ((x | T x) rows reduce to (e_i | T e_i)).
+Subspaces are held as reduced column echelon bases, so subspace equality is
+entry-wise. A sum extends the larger space's echelon by the other's basis,
 and a ladder's partial sums extend one echelon a space at a time.
 
 The characteristic polynomial comes from the Faddeev-LeVerrier recurrence
@@ -99,6 +99,18 @@ class Matrix:
     def from_columns(ambient: int, columns: Sequence[Sequence[Fraction]]) -> Matrix:
         entries = [x for col in columns for x in col]
         return Matrix.from_entries(len(columns), ambient, entries).transpose()
+
+    @staticmethod
+    def from_graph(n: int, pairs: Iterable[tuple[Row, Row]]) -> Matrix:
+        """The n x n T with T x = y for each pair of Rows (x, y): the rows (x | y)
+        span the graph {(x, T x)} and reduce to (e_i | T e_i). ValueError when
+        the x do not span F^n or a pivot is in the right block (inconsistent)."""
+        stacked = ({**x, **{n + j: v for j, v in y.items()}} for x, y in pairs)
+        rows = _echelon(2 * n, stacked).reduced()
+        if set(rows) != set(range(n)):
+            raise ValueError("matrix is singular")
+        images = [{j - n: v for j, v in rows[i].items() if j >= n} for i in range(n)]
+        return Matrix.from_sparse(n, n, images).transpose()
 
     @staticmethod
     def zero(rows: int, cols: int) -> Matrix:
@@ -251,17 +263,11 @@ class Matrix:
         return sum((self.at(i, i) for i in range(self.rows)), ZERO)
 
     def inverse(self) -> Matrix:
-        """The right block of the reduced echelon form of the sparse rows
-        [M | I]; ValueError when M is singular (a pivot in the right block)."""
+        """T with T (M e_k) = e_k for every k (`from_graph`); ValueError if singular."""
         if not self.is_square:
             raise ValueError("inverse of a non-square matrix")
-        n = self.rows
-        stacked = ({**dict(r), n + i: ONE} for i, r in enumerate(self.sparse_rows))
-        rows = _echelon(2 * n, stacked).reduced()
-        if any(p >= n for p in rows):
-            raise ValueError("matrix is singular")
-        right = [{j - n: v for j, v in rows[i].items() if j >= n} for i in range(n)]
-        return Matrix.from_sparse(n, n, right)
+        columns = enumerate(self.transpose().sparse_rows)
+        return Matrix.from_graph(self.rows, ((dict(c), {k: ONE}) for k, c in columns))
 
     def _same_shape(self, other: Matrix) -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -315,7 +321,7 @@ def _subtract(w: dict[int, Entry], c: Entry, row: dict[int, Entry]) -> list[int]
 
 class SpanAccumulator:
     """The one exact elimination, behind every subspace, kernel, rank and
-    inverse: a sparse row echelon form, grown one vector at a time.
+    graph: a sparse row echelon form, grown one vector at a time.
 
     A pivot row is a dict of its nonzero entries, 1 at its first index, the
     pivot, and 0 at every pivot that existed when it was last reduced. A

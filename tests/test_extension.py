@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 
 from test_golden import STAGE_FAILURES
+from test_properties import unit_lu
 
 import qaffine.extension
 from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
@@ -209,6 +210,30 @@ def test_split_operators_diameter_one(v111):
     for i, lam in ((0, F(1, 2)), (1, F(2))):
         w = trace.w_spaces[i].basis
         assert trace.b_mat @ w == lam * w
+
+
+def test_split_operators_need_no_inverse(tensor_13, monkeypatch):
+    # B and B* are read off the echelon form of their graphs, so no step of
+    # the extension inverts a matrix, in the standard basis or a dense one.
+    r = restrict_to_ugeq0(tensor_13, 1)
+    p = unit_lu(r.dim, 3)
+    p_inv = p.inverse()
+    dense = build_module(
+        UGEQ0, r.q, {g: p_inv @ mat @ p for g, mat in r.action.items()}, "dense"
+    )
+
+    def no_inverse(self):
+        raise AssertionError("Matrix.inverse called during extend")
+
+    monkeypatch.setattr(Matrix, "inverse", no_inverse)
+    outputs = []
+    for module in (r, dense):
+        full, trace = extend(module, 1, 1)
+        assert len(trace.checks) == 71 and all(c.passed for c in trace.checks)
+        outputs.append(full.action)
+    plain, conjugated = outputs
+    for g, mat in plain.items():
+        assert conjugated[g] == p_inv @ mat @ p
 
 
 def test_lowering_operators_recover_module(v111):

@@ -338,6 +338,48 @@ def test_inverse_needs_row_swaps():
     assert m.inverse() == expected
 
 
+def _images_under(m, xs):
+    """The pairs (x, m x) for the dense vectors xs, as sparse rows."""
+    def sparse(v):
+        return {i: F(x) for i, x in enumerate(v) if x}
+
+    return [(sparse(x), sparse(m.apply([F(v) for v in x]))) for x in xs]
+
+
+def test_from_graph_on_a_non_standard_basis():
+    m = Matrix.from_rows([[1, 2, 0], [F(1, 3), 0, -1], [0, 5, F(7, 2)]])
+    basis = [(1, 1, 0), (0, 1, 1), (1, 0, 1)]
+    assert Matrix.from_graph(3, _images_under(m, basis)) == m
+    # a redundant but consistent pair changes nothing
+    redundant = _images_under(m, basis + [(2, 1, 1)])
+    assert Matrix.from_graph(3, reversed(redundant)) == m
+    # eigenvalue 2 on span{(1, 1)}, 3 on span{(1, -1)}
+    eigen = [({0: F(1), 1: F(1)}, {0: F(2), 1: F(2)}),
+             ({0: F(1), 1: F(-1)}, {0: F(3), 1: F(-3)})]
+    expected = Matrix.from_rows([[F(5, 2), F(-1, 2)], [F(-1, 2), F(5, 2)]])
+    assert Matrix.from_graph(2, eigen) == expected
+
+
+def test_from_graph_non_spanning_raises():
+    pairs = [({0: F(1), 1: F(1)}, {0: F(2)}), ({0: F(2), 1: F(2)}, {0: F(4)})]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        Matrix.from_graph(2, pairs)
+    with pytest.raises(ValueError, match="matrix is singular"):
+        Matrix.from_graph(3, [])
+
+
+def test_from_graph_inconsistent_pairs_raise():
+    x = {0: F(1), 2: F(1)}
+    same_x = [(x, {1: F(1)}), (x, {1: F(2)}), ({1: F(1)}, {}), ({2: F(1)}, {})]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        Matrix.from_graph(3, same_x)
+    # x3 = x1 + x2, but y3 is not y1 + y2
+    m = Matrix.identity(2)
+    pairs = _images_under(m, [(1, 0), (0, 1)]) + [({0: F(1), 1: F(1)}, {0: F(1)})]
+    with pytest.raises(ValueError, match="matrix is singular"):
+        Matrix.from_graph(2, pairs)
+
+
 def test_apply_matches_product_with_column():
     rng = random.Random(5)
     rect = Matrix.from_rows(

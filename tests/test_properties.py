@@ -13,7 +13,7 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import event, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from qaffine.analysis import (
@@ -22,6 +22,7 @@ from qaffine.analysis import (
     _word_span,
     burnside_irreducible,
 )
+from qaffine.extension import extend
 from qaffine.factory import (
     EvalParams,
     evaluation_module,
@@ -43,7 +44,7 @@ from qaffine.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from qaffine.presentations import check_relations, evaluate_word, q_serre, weyl
+from qaffine.presentations import UGEQ0, check_relations, evaluate_word, q_serre, weyl
 from qaffine.report import CheckLog
 from qaffine.scalars import qint, qparam
 
@@ -539,15 +540,47 @@ REDUCIBLE_TENSOR = tensor_product(
 def test_word_span_matches_dense_reference(m, seed):
     # the sparse closure of vec(I) under g (x) I against dense words, in the
     # standard basis and conjugated into a basis where the matrices are dense
-    if seed is not None:
-        p = unit_lu(m.dim, seed)
-        p_inv = p.inverse()
-        action = {g: p_inv @ a @ p for g, a in m.action.items()}
-        m = replace(m, action=action, provenance="conjugated")
-        event("conjugated")
+    m = conjugated(m, seed)
     exact = reference_word_span(m)
     assert _word_span(m) == exact
     event("full" if exact == m.dim**2 else "proper")
+
+
+def conjugated(m, seed):
+    """m itself for seed None, else m conjugated by unit_lu(m.dim, seed)."""
+    if seed is None:
+        return m
+    event("conjugated")
+    p = unit_lu(m.dim, seed)
+    p_inv = p.inverse()
+    action = {g: p_inv @ a @ p for g, a in m.action.items()}
+    return replace(m, action=action, provenance="conjugated")
+
+
+def reference_projector(spaces, eigenvalues, n):
+    """The operator with spaces[i] as eigenspace for eigenvalues[i] by one
+    change of basis, P D P^-1, with P the concatenated echelon bases and its
+    inverse from the dense reference_rref."""
+    columns = [c for s in spaces for c in s.basis.columns()]
+    diag = [lam for s, lam in zip(spaces, eigenvalues) for _ in range(s.dim)]
+    basis = Matrix.from_columns(n, columns)
+    return basis @ Matrix.diagonal(diag) @ reference_inverse(basis)
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)))
+def test_split_operators_match_change_of_basis(m, seed):
+    # B and B*, read off the echelon form of their graphs, against P D P^-1
+    if m.kind != UGEQ0:
+        m = restrict_to_ugeq0(m, F(1))
+    assume(burnside_irreducible(m).verdict == ABSOLUTELY_IRREDUCIBLE)
+    m = conjugated(m, seed)
+    _, trace = extend(m, 1, 1)
+    d, q = trace.diameter, m.q
+    b = [q.pow(2 * i - d) for i in range(d + 1)]
+    assert trace.b_mat == reference_projector(trace.w_spaces, b, m.dim)
+    assert trace.bstar_mat == reference_projector(trace.wstar_spaces, b[::-1], m.dim)
+    event(f"diameter {d}")
 
 
 def reference_contains(big, small):
