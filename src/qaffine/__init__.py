@@ -36,6 +36,7 @@ from .linalg import (
     Subspace,
     char_poly,
     column_echelon,
+    eigenvalues,
     kernel,
     kronecker,
     rational_roots,

@@ -49,11 +49,10 @@ from .linalg import (
     Row,
     SpanAccumulator,
     Subspace,
-    char_poly,
+    eigenvalues,
     image,
     kernel,
     kronecker,
-    rational_roots,
     rank,
     row_product,
     subspace_intersect,
@@ -138,7 +137,7 @@ def _eigenspaces(m: "ModuleData") -> Iterator[tuple[Matrix, Subspace]]:
     each distinct rational eigenvalue lambda of g in increasing order."""
     for g in sorted(m.action):
         mat = m.action[g]
-        for lam in sorted(set(rational_roots(char_poly(mat)))):
+        for lam in sorted(set(eigenvalues(mat))):
             theta = mat.shift(lam)
             yield theta, kernel(theta)
 

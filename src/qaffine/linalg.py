@@ -18,7 +18,9 @@ Fraction at all: scaling a vector by a nonzero constant does not change
 whether it lies in a subspace, so an image column may be tested as the
 integer product of the two integer views, and w lies in the span of the
 reduced rows it hits exactly when L * w - sum of w[p] * (L / d_p) * N_p
-vanishes, with L the lcm of those d_p.
+vanishes, with L the lcm of those d_p. An eigenvalue move (op - a/b I)(S)
+is tested the same way, as b (den op)(den S) - a den (den S): the shift
+enters the integer rows, and no shifted Matrix is built.
 
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
 spans, kernels, ranks, sums, Zassenhaus intersections ([a | a] over [b | 0])
@@ -27,12 +29,14 @@ Subspaces are held as reduced column echelon bases, so subspace equality is
 entry-wise. A sum extends the larger space's echelon by the other's basis,
 and a ladder's partial sums extend one echelon a space at a time.
 
-The characteristic polynomial comes from the Faddeev-LeVerrier recurrence
-(valid in characteristic zero). Rational roots need no factoring: the real
-roots of the square-free part are isolated by Sturm-sequence bisection at
-dyadic points in integer arithmetic, and each isolating interval is shrunk
-until at most one fraction of small enough denominator fits in it. No
-floating point appears anywhere, so all results are bit-exact.
+A matrix with every nonzero entry on one side of the diagonal (K, R and L
+of every module the factory builds) has its diagonal as spectrum. For any
+other, the characteristic polynomial comes from the Faddeev-LeVerrier
+recurrence (valid in characteristic zero), and rational roots need no
+factoring: the real roots of the square-free part are isolated by Sturm
+bisection at dyadic points in integer arithmetic, and each isolating
+interval is shrunk until at most one fraction of small enough denominator
+fits in it. No floating point appears anywhere, so results are bit-exact.
 """
 
 from __future__ import annotations
@@ -94,11 +98,6 @@ class Matrix:
             raise ValueError("ragged rows")
         entries = [as_scalar(v) for row in rows for v in row]
         return Matrix.from_entries(len(rows), ncols, entries)
-
-    @staticmethod
-    def from_columns(ambient: int, columns: Sequence[Sequence[Fraction]]) -> Matrix:
-        entries = [x for col in columns for x in col]
-        return Matrix.from_entries(len(columns), ambient, entries).transpose()
 
     @staticmethod
     def from_graph(n: int, pairs: Iterable[tuple[Row, Row]]) -> Matrix:
@@ -470,16 +469,21 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return all(self._holds(row) for _, row in other._int_rows.values())
 
-    def contains_image(self, op: Matrix, space: Subspace) -> bool:
-        """Whether op(space) lies in this subspace, tested column by column of
-        the integer product of op's and space.basis's integer views. Each of
-        its columns is a nonzero multiple of an image column, which does not
-        change membership; the image is never echelonized."""
+    def contains_image(self, op: Matrix, space: Subspace, shift: Fraction = ZERO) -> bool:
+        """Whether (op - shift I)(space) lies in this subspace. With shift = a/b,
+        O = op.int_rows and S = space.basis.int_rows, the columns of b O S -
+        a op.den S are nonzero multiples of the image columns, which keeps
+        membership; each is tested without building a shifted Matrix."""
         if op.rows != self.ambient_dim or op.cols != space.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if shift and not op.is_square:
+            raise ValueError("shift of a non-square matrix")
+        a, b = shift.numerator, shift.denominator
         images: list[IntRow] = [{} for _ in range(space.dim)]
         right = space.basis.int_rows
         for i, row in enumerate(op.int_rows):
+            if a:
+                row = [(j, b * v) for j, v in row] + [(i, -a * op.den)]
             for c, v in row_product(row, right).items():
                 images[c][i] = v
         return all(self._holds(w) for w in images)
@@ -625,16 +629,10 @@ def first_escape(
 ) -> int | None:
     """The first index i at which (mat - shifts[i] I)(spaces[i]) is not inside
     targets[i], or None when every image is. With shifts None the operator is
-    mat itself. Each distinct shift builds its operator, and so its integer
-    view, once per call."""
-    shifted: dict[Fraction, Matrix] = {}
+    mat itself. Every test reads mat's one integer view: the shift goes
+    straight to `Subspace.contains_image`, so no shifted matrix is built."""
     for i, (space, target) in enumerate(zip(spaces, targets)):
-        op = mat
-        if shifts is not None:
-            op = shifted.get(shifts[i])
-            if op is None:
-                op = shifted[shifts[i]] = mat.shift(shifts[i])
-        if not target.contains_image(op, space):
+        if not target.contains_image(mat, space, ZERO if shifts is None else shifts[i]):
             return i
     return None
 
@@ -654,6 +652,18 @@ def char_poly(m: Matrix) -> list[Fraction]:
         work = m @ work.shift(-coeffs[k - 1])
         coeffs[k] = -work.trace() / k
     return coeffs
+
+
+def eigenvalues(m: Matrix) -> list[Fraction]:
+    """The rational eigenvalues of m with multiplicity, ascending: the sorted
+    diagonal when every nonzero entry lies on one side of it (det(xI - m) =
+    prod(x - m_ii)), else `rational_roots` of `char_poly`; the lists agree."""
+    rows = m.sparse_rows
+    upper = all(not row or row[0][0] >= i for i, row in enumerate(rows))
+    lower = all(not row or row[-1][0] <= i for i, row in enumerate(rows))
+    if m.is_square and (upper or lower):
+        return sorted(dict(row).get(i, ZERO) for i, row in enumerate(rows))
+    return rational_roots(char_poly(m))
 
 
 def eval_poly(coeffs: Sequence[Fraction], x: Fraction) -> Fraction:

@@ -24,10 +24,9 @@ from .linalg import (
     Ladder,
     Matrix,
     Subspace,
-    char_poly,
+    eigenvalues,
     first_escape,
     kernel,
-    rational_roots,
 )
 from .presentations import AFFINE_BOREL, AFFINE_FULL, UGEQ0
 from .scalars import QParam
@@ -89,9 +88,10 @@ def k_ladder(K: Matrix, q: QParam, label: str = "K") -> tuple[Fraction, list[Sub
     Finds the rational eigenvalue zeta with zeta / q^2 not an eigenvalue and
     climbs zeta, q^2 zeta, ... as long as eigenvalues exist; the ladder must
     exhaust the spectrum and the eigenspace dimensions must fill the space.
+    The spectrum is `eigenvalues(K)`: a triangular K's sorted diagonal.
     """
     n = K.rows
-    roots = rational_roots(char_poly(K))
+    roots = eigenvalues(K)
     if len(roots) < n:
         raise WeightLadderError(
             f"{label} has eigenvalues outside the rationals "

@@ -100,3 +100,11 @@ def relation_checks(monkeypatch):
     return _count_calls(
         monkeypatch, presentations, "check_presentation", lambda kind, data: kind
     )
+
+
+@pytest.fixture()
+def char_polys(monkeypatch):
+    """The dimension of every matrix given to linalg.char_poly, in order."""
+    from qaffine import linalg
+
+    return _count_calls(monkeypatch, linalg, "char_poly", lambda m: m.rows)

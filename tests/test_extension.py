@@ -6,6 +6,9 @@ from test_golden import STAGE_FAILURES
 from test_properties import unit_lu
 
 import qaffine.extension
+import qaffine.weights
+from qaffine import linalg
+from qaffine.cli import main
 from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
 from qaffine.extension import build_a_astar, build_w_grid, eigen_flags, extend
 from qaffine.factory import (
@@ -17,6 +20,7 @@ from qaffine.factory import (
     twist_full,
 )
 from qaffine.linalg import Ladder, Matrix, subspace_intersect
+from qaffine.modfile import write_module
 from qaffine.presentations import UGEQ0
 from qaffine.report import CheckLog
 from qaffine.scalars import qparam
@@ -234,6 +238,56 @@ def test_split_operators_need_no_inverse(tensor_13, monkeypatch):
     plain, conjugated = outputs
     for g, mat in plain.items():
         assert conjugated[g] == p_inv @ mat @ p
+
+
+def test_moves_build_no_shifted_matrix(tensor_13, monkeypatch):
+    # every eigenvalue move hands its shift to contains_image, so no ladder,
+    # flag or grid move builds a shifted Matrix inside first_escape
+    active, shifted_moves = [], []
+
+    def tracked(mat, shifts, spaces, targets):
+        active.append(True)
+        shifted_moves.append(shifts is not None)
+        try:
+            return linalg.first_escape(mat, shifts, spaces, targets)
+        finally:
+            active.pop()
+
+    shift = Matrix.shift
+
+    def guarded_shift(self, c):
+        if active:
+            raise AssertionError("Matrix.shift called inside first_escape")
+        return shift(self, c)
+
+    monkeypatch.setattr(Matrix, "shift", guarded_shift)
+    for module in (qaffine.extension, qaffine.weights):
+        monkeypatch.setattr(module, "first_escape", tracked)
+    _, trace = extend(restrict_to_ugeq0(tensor_13, 1), 1, 1)
+    assert len(trace.checks) == 71 and all(c.passed for c in trace.checks)
+    assert any(shifted_moves)
+
+
+def test_triangular_spectra_need_no_char_poly(tensor_13, q2, tmp_path, char_polys):
+    # K, R and L of a built module are triangular: their spectra are read
+    # off the diagonal. A conjugated (dense) copy takes the general path.
+    r = restrict_to_ugeq0(tensor_13, 1)
+    extend(r, 1, 1)
+    path = tmp_path / "t16.json"
+    write_module(tensor_product(
+        evaluation_module(EvalParams(3, 1, 1), q2),
+        evaluation_module(EvalParams(3, 1, 11), q2),
+    ), path)
+    assert main(["roundtrip", str(path), "--alpha", "1"]) == 0
+    assert char_polys == []
+    p = unit_lu(r.dim, 5)
+    p_inv = p.inverse()
+    dense = build_module(
+        UGEQ0, r.q, {g: p_inv @ mat @ p for g, mat in r.action.items()}, "dense"
+    )
+    _, trace = extend(dense, 1, 1)
+    assert all(c.passed for c in trace.checks)
+    assert char_polys and set(char_polys) == {r.dim}
 
 
 def test_lowering_operators_recover_module(v111):

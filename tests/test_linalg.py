@@ -10,6 +10,7 @@ from qaffine.linalg import (
     Subspace,
     char_poly,
     column_echelon,
+    eigenvalues,
     first_escape,
     kernel,
     kronecker,
@@ -193,6 +194,28 @@ def test_cayley_hamilton_seeded_dim_8():
          for _ in range(8)]
     )
     assert eval_poly_matrix(char_poly(m), m).is_zero()
+
+
+def test_eigenvalues_of_triangular_matrices_are_the_diagonal():
+    cases = [
+        Matrix.diagonal([F(5, 2), 0, F(-1, 3), 0]),
+        Matrix.from_rows([[2, 7, 0], [0, F(1, 2), -1], [0, 0, 2]]),
+        Matrix.from_rows([[0, 0, 0], [3, 0, 0], [F(2, 9), 1, 0]]),
+        Matrix.zero(3, 3),
+        Matrix.zero(0, 0),
+    ]
+    for m in cases:
+        diagonal = sorted(m.at(i, i) for i in range(m.rows))
+        assert eigenvalues(m) == rational_roots(char_poly(m)) == diagonal
+
+
+def test_eigenvalues_of_other_matrices_come_from_the_roots():
+    swap = Matrix.from_rows([[0, 1], [1, 0]])
+    assert eigenvalues(swap) == [F(-1), F(1)]
+    assert eigenvalues(Matrix.from_rows([[0, -1], [1, 0]])) == []
+    rect = Matrix.from_rows([[1, 0, 0], [0, 1, 0]])
+    with pytest.raises(ValueError):
+        eigenvalues(rect)
 
 
 # -- rational roots -------------------------------------------------------------
@@ -391,7 +414,7 @@ def test_apply_matches_product_with_column():
         vectors = [[F(0)] * n, [F(rng.randint(-5, 5), 3) for _ in range(n)]]
         vectors.append([F(0)] * (n - 1) + [F(2)])
         for v in vectors:
-            expected = (mat @ Matrix.from_columns(n, [v])).column(0)
+            expected = (mat @ Matrix.from_entries(n, 1, v)).column(0)
             assert mat.apply(v) == expected
             assert all(type(x) is F for x in mat.apply(v))
 
@@ -523,6 +546,14 @@ def test_contains_image():
     assert span(3, (1, 0, 0), (0, 0, 1)).contains_image(inject, Subspace.full(2))
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         plane.contains_image(R, Subspace.full(2))
+    # shifted: (R - c I) keeps e_0 only in spaces that hold c e_0 + e_1
+    line = span(3, (1, 0, 0))
+    assert plane.contains_image(R, line, F(-7, 3))
+    assert span(3, (F(-7, 3), 1, 0)).contains_image(R, line, F(7, 3))
+    assert not span(3, (0, 1, 0)).contains_image(R, line, F(7, 3))
+    assert Subspace.zero(3).contains_image(Matrix.diagonal([5, 2, 2]), line, 5)
+    with pytest.raises(ValueError, match="shift of a non-square matrix"):
+        plane.contains_image(inject, Subspace.full(2), F(1, 2))
 
 
 def test_first_escape():

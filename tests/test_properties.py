@@ -35,6 +35,7 @@ from qaffine.linalg import (
     Subspace,
     char_poly,
     column_echelon,
+    eigenvalues,
     eval_poly,
     first_escape,
     image,
@@ -169,8 +170,14 @@ def reference_rref(rows):
     return rows[:rank]
 
 
+def from_columns(ambient, columns):
+    """The ambient x len(columns) matrix with the given dense columns."""
+    entries = [x for column in columns for x in column]
+    return Matrix.from_entries(len(columns), ambient, entries).transpose()
+
+
 def reference_span(n, vectors):
-    return Subspace(n, Matrix.from_columns(n, reference_rref(vectors)))
+    return Subspace(n, from_columns(n, reference_rref(vectors)))
 
 
 def reference_kernel(m):
@@ -563,7 +570,7 @@ def reference_projector(spaces, eigenvalues, n):
     inverse from the dense reference_rref."""
     columns = [c for s in spaces for c in s.basis.columns()]
     diag = [lam for s, lam in zip(spaces, eigenvalues) for _ in range(s.dim)]
-    basis = Matrix.from_columns(n, columns)
+    basis = from_columns(n, columns)
     return basis @ Matrix.diagonal(diag) @ reference_inverse(basis)
 
 
@@ -640,7 +647,7 @@ def hard_escape_case():
     the whole space, which escapes the plane."""
     rows = [[F(1), F(0), F(2**61 - 1, 3)], [F(0), F(1), F(-7, 1000003)]]
     plane = Subspace.from_vectors(3, rows)
-    basis = Matrix.from_columns(3, rows + [[F(0), F(0), F(1)]])
+    basis = from_columns(3, rows + [[F(0), F(0), F(1)]])
     mixing = Matrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, F(5, 2**31 - 1)]])
     mat = basis @ mixing @ basis.inverse()
     return mat, None, [plane, Subspace.full(3)], [plane, plane]
@@ -658,6 +665,75 @@ def test_first_escape_matches_echelonized_images(case):
         op = mat if shifts is None else mat.shift(shifts[i])
         for inner in (space, image(op, space)):
             assert target.contains(inner) == reference_contains(target, inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)), st.data())
+def test_shifted_containment_matches_shifted_matrix(m, seed, data):
+    # contains_image(op, space, c) puts c into the integer rows; it must agree
+    # with the shifted matrix and the dense reference, for c a hard fraction,
+    # 0 or an eigenvalue of op (where op - c I is singular)
+    m = conjugated(m, seed)
+    n = m.dim
+    op = m.action[data.draw(st.sampled_from(sorted(m.action)))]
+    spectrum = sorted(set(eigenvalues(op)))
+    c = data.draw(st.one_of(hard_fractions, st.just(F(0)), st.sampled_from(spectrum)))
+    shifted = op.shift(c)
+
+    def drawn():
+        vectors = data.draw(st.lists(
+            st.lists(wide_fractions, min_size=n, max_size=n), max_size=2))
+        return Subspace.from_vectors(n, vectors)
+
+    eigenspaces = [kernel(op.shift(lam)) for lam in spectrum]
+    space = data.draw(st.sampled_from(["drawn", "full", "eigenspace"]))
+    space = {
+        "drawn": drawn,
+        "full": lambda: Subspace.full(n),
+        "eigenspace": lambda: data.draw(st.sampled_from(eigenspaces)),
+    }[space]()
+    target = data.draw(st.sampled_from(["zero", "drawn", "image", "image+", "space"]))
+    target = {
+        "zero": lambda: Subspace.zero(n),
+        "drawn": drawn,
+        "image": lambda: image(shifted, space),
+        "image+": lambda: subspace_sum(image(shifted, space), drawn()),
+        "space": lambda: space,
+    }[target]()
+    expected = reference_contains(target, image(shifted, space))
+    event("contained" if expected else "escapes")
+    assert target.contains_image(op, space, c) == expected
+    assert target.contains_image(shifted, space) == expected
+
+
+@st.composite
+def triangular_matrices(draw):
+    """A diagonal, upper or lower triangular matrix, dim <= 4, whose diagonal
+    entries come from a pool of at most three values (so they repeat),
+    with zero and the hard fractions among the candidates."""
+    n = draw(st.integers(min_value=0, max_value=4))
+    entry = st.one_of(st.just(F(0)), hard_fractions, fractions)
+    pool = draw(st.lists(entry, min_size=1, max_size=3))
+    diagonal = [draw(st.sampled_from(pool)) for _ in range(n)]
+    shape = draw(st.sampled_from(["diagonal", "upper", "lower"]))
+    off = {"diagonal": lambda i, j: False, "upper": lambda i, j: j > i,
+           "lower": lambda i, j: j < i}[shape]
+    rows = [[diagonal[i] if i == j else draw(entry) if off(i, j) else F(0)
+             for j in range(n)] for i in range(n)]
+    event(shape)
+    return Matrix.from_entries(n, n, [x for row in rows for x in row]), diagonal
+
+
+@settings(max_examples=100, deadline=None)
+@given(triangular_matrices(), st.integers(0, 2**16))
+def test_eigenvalues_match_characteristic_roots(case, seed):
+    # the sorted diagonal of a triangular matrix, and the general path on the
+    # same matrix conjugated by unit_lu, both equal the roots of char_poly
+    m, diagonal = case
+    assert eigenvalues(m) == rational_roots(char_poly(m)) == sorted(diagonal)
+    p = unit_lu(m.rows, seed)
+    dense = p.inverse() @ m @ p
+    assert eigenvalues(dense) == rational_roots(char_poly(dense)) == sorted(diagonal)
 
 
 @st.composite
@@ -740,7 +816,7 @@ def product_pairs(draw):
     null = kernel(a)
     if null.dim and draw(st.booleans()):
         coeffs = [[draw(fractions) for _ in range(null.dim)] for _ in range(cols)]
-        b = Matrix.from_columns(inner, [null.basis.apply(c) for c in coeffs])
+        b = from_columns(inner, [null.basis.apply(c) for c in coeffs])
     else:
         b = Matrix.from_entries(inner, cols, tuple(draw(st.lists(
             mostly_zero, min_size=inner * cols, max_size=inner * cols
@@ -906,7 +982,7 @@ def test_constructors_and_views_match_dense(case):
     rows = len(dense)
     built = [
         Matrix.from_entries(rows, cols, flat(dense)),
-        Matrix.from_columns(rows, columns_of(dense, cols)),
+        from_columns(rows, columns_of(dense, cols)),
     ]
     if rows:
         built.append(Matrix.from_rows(dense))

@@ -76,3 +76,39 @@ def test_round_trip_dim12(q2):
     trace = assert_round_trip(module, F(1))
     assert trace.diameter == 5
     assert [s.dim for s in trace.weight_spaces] == [1, 2, 3, 3, 2, 1]
+
+
+def test_large_diameter_build_verify_restrict(run_snippet, tmp_path):
+    # eval(80) at q = 2: K0 is diagonal and e0p, e1p, e0m, e1m are triangular,
+    # so the weight ladder reads its 81 eigenvalues off the diagonal (root
+    # isolation on the characteristic polynomial kept the build alone
+    # running past 200 s)
+    steps = [
+        ["build", "eval", "--d", "80", "--eps", "1", "--a", "1", "-o", "e80.json"],
+        ["verify", "e80.json"],
+        ["restrict", "e80.json", "--alpha", "1", "-o", "r80.json"],
+    ]
+    runs = run_snippet(
+        f"""
+        import contextlib, io, json, os, time
+        from qaffine.cli import main
+
+        os.chdir({str(tmp_path)!r})
+        runs = []
+        for args in {steps!r}:
+            out = io.StringIO()
+            start = time.perf_counter()
+            with contextlib.redirect_stdout(out):
+                code = main(args)
+            runs.append([args[0], code, time.perf_counter() - start,
+                         out.getvalue().splitlines()[-1]])
+        print(json.dumps(runs))
+        """,
+        timeout=120,
+    )
+    for verb, code, seconds, _ in runs:
+        assert code == 0, verb
+        assert seconds < 10.0, f"{verb} took {seconds:.2f} s"
+    last = {verb: line for verb, _, _, line in runs}
+    assert last["verify"] == "ALL PASS"
+    assert last["restrict"].endswith("type=1 diameter=80")
