@@ -13,10 +13,12 @@ intermediate identity with exactly-zero residuals:
 3. intersection grid: W(i,j) = (V*_0+..+V*_i) n (V_0+..+V_j), zero below the
    antidiagonal; the antidiagonal W_i = W(i, d-i) and its mirror W*_i are
    decompositions with one-step ladder moves. Only W_i and W*_i are
-   intersected: once W is a direct sum whose prefix and suffix sums are the
-   two flags' prefix sums, every cell is read off it as the interval sum
-   W_(d-j)+..+W_i. Input that fails those three facts has every cell
-   intersected literally, so it fails with the same checks and details;
+   intersected. Once W is a direct sum whose prefix and suffix sums are the
+   two flags' prefix sums and which A, A*, K^{+-1} move one step, the grid
+   is W(i,j) = W_(d-j)+..+W_i and every grid check follows (the lemma in
+   build_w_grid), so no cell is built. Input that fails any of those checks
+   has every cell intersected literally, so it fails with the same checks
+   and details;
 4. split operators: B with eigenspace W_i and eigenvalue q^(2i-d), B* with
    eigenspace W*_i and eigenvalue q^(d-2i), read off the echelon form of
    their graphs, with no inverse; they satisfy Weyl-type identities with A,
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
 from typing import Callable, Sequence
 
@@ -94,7 +96,6 @@ class ExtensionTrace:
     astar_mat: Matrix
     v_spaces: tuple[Subspace, ...]
     vstar_spaces: tuple[Subspace, ...]
-    w_grid: dict[tuple[int, int], Subspace]
     w_spaces: tuple[Subspace, ...]
     wstar_spaces: tuple[Subspace, ...]
     b_mat: Matrix
@@ -102,6 +103,13 @@ class ExtensionTrace:
     r_mat: Matrix
     l_mat: Matrix
     checks: list[CheckResult]
+
+    @cached_property
+    def w_grid(self) -> dict[tuple[int, int], Subspace]:
+        """Every cell W(i,j) = W_(d-j) + ... + W_i: a trace exists only when
+        every check has passed, and then the lemma of build_w_grid holds."""
+        w, d = Ladder(self.w_spaces), self.diameter
+        return {(i, j): w.interval(d - j, i) for i in range(d + 1) for j in range(d + 1)}
 
     def check_names(self) -> list[str]:
         return [c.name for c in self.checks]
@@ -216,19 +224,22 @@ def eigen_flags(
             name, ANCHOR_FLAGS, sum(dims) == n and all(dims),
             f"eigenspace dims {dims} do not fill dimension {n}",
         )
-    log.condition(
+    tails_match = log.condition(
         "flag-tail-match", ANCHOR_FLAGS,
         u.tail == v.tail,
         "suffix sums of the A-flag do not match the weight-space suffix sums",
     )
-    log.condition(
+    heads_match = log.condition(
         "flag-head-match", ANCHOR_FLAGS,
         u.head == vstar.head,
         "prefix sums of the A*-flag do not match the weight-space prefix sums",
     )
+    # In a direct sum (U_0+..+U_i) n (U_i+..+U_d) = U_i, so flags that match
+    # the weight spaces need no intersection.
     log.condition(
         "weight-from-flags", ANCHOR_FLAGS,
-        all(
+        (tails_match and heads_match and _decomposition_failure(u) is None)
+        or all(
             s == subspace_intersect(head, tail)
             for s, head, tail in zip(u, vstar.head, v.tail)
         ),
@@ -264,86 +275,58 @@ def build_w_grid(
     rows/columns are the plain prefix sums, and the antidiagonal spaces
     W_i = W(i, d-i) and their mirrors W*_i decompose the module.
 
-    Only W_i and W*_i, 2(d+1) spaces, are intersected directly. When the W_i
-    form a direct sum of the whole space whose prefix sums are the A*-flag
-    prefixes and whose suffix sums are the A-flag prefixes, W(i,j) is the
-    interval sum W_(d-j) + ... + W_i: in a direct sum, two sums of components
-    meet in the sum over the components they share (the split decomposition
-    of a tridiagonal pair). Otherwise every cell is intersected literally, so
-    a failing run logs the same checks and details either way.
+    Only W_i and W*_i, 2(d+1) spaces, are intersected. Their checks are
+    logged after the grid checks but run first, because when they hold every
+    grid check follows: the split decomposition of a tridiagonal pair
+    (Ito-Tanabe-Terwilliger 2001). The lemma takes four premises:
+
+    - decomposition(W): W_0 + ... + W_d is a direct sum of the whole space;
+    - sum(W-head): W_0 + ... + W_i is the A*-flag prefix of depth i;
+    - sum(W-tail): W_k + ... + W_d is the A-flag prefix of depth d-k;
+    - the four ladder(W) moves: (A - theta_(d-k)) W_k lies in W_(k+1),
+      (A* - theta*_k) W_k and (K^-1 - theta*_k) W_k in W_(k-1), and
+      (K - theta_k) W_k in W_0 + ... + W_(k-1).
+
+    In a direct sum two sums of components meet in the sum of the components
+    they share, so W(i,j) = W_(d-j) + ... + W_i, zero when i + j < d. The
+    boundary, vanishing and monotone checks read off this interval form. Each
+    move acts on a component W_k of the cell, d-j <= k <= i, through a split:
+
+    - A: (A - theta_j) = (A - theta_(d-k)) + (theta_(d-k) - theta_j) maps W_k
+      into W_(k+1) + W_k, and the second term is zero for k = d-j, so the
+      cell goes into W_(d-j+1) + ... + W_(i+1) = W(i+1, j-1);
+    - A*: (A* - theta*_i) = (A* - theta*_k) + (theta*_k - theta*_i) maps W_k
+      into W_(k-1) + W_k, the second term zero for k = i, so the cell goes
+      into W_(d-j-1) + ... + W_(i-1) = W(i-1, j+1);
+    - K^-1: the same split, through the Kinv-down move;
+    - K: (K - theta_i) = (K - theta_k) + (theta_k - theta_i) maps W_k into
+      W_0 + ... + W_k, the second term zero for k = i, so a nonzero cell
+      (i + j >= d) goes into W_0 + ... + W_(i-1): its target, the sum of the
+      cells (i-h, j+h) for h = 1..i.
+
+    (A row or column index past d reads as d, one below 0 as the zero
+    space.) When every staged check holds, the eight grid checks are logged
+    as passed and no cell is built. Otherwise every cell is intersected
+    literally, so a failing run logs the same checks and details either way.
+    Returns the literally intersected cells (none on a passing run), W and
+    W*.
     """
     d = ladder.diameter
     ev = _eigenvalues(m.q, ladder.alpha, d)
     K, Kinv = m.action["K"], m.action["Kinv"]
     zero = Subspace.zero(m.dim)
-    cells = [(i, j) for i in range(d + 1) for j in range(d + 1)]
     w = Ladder(subspace_intersect(vstar.head[i], v.head[d - i]) for i in range(d + 1))
     wstar = Ladder(
         subspace_intersect(vstar.tail[d - i], v.tail[i]) for i in range(d + 1)
     )
-    w_failure = _decomposition_failure(w)
-    w_head_ok = w.head == vstar.head
-    w_tail_ok = w.tail == v.head[::-1]
-    if w_failure is None and w_head_ok and w_tail_ok:
-        grid = {(i, j): w.interval(d - j, i) for i, j in cells}
-        # The K target of cell (i,j) sums the cells (i-h, min(j+h, d)) for
-        # h = 1..i, the intervals [d-j-h, i-h]: together one interval.
-        k_sums = [w.interval(d - j - i, i - 1) if i + j >= d else zero
-                  for i, j in cells]
-    else:
-        grid = {(i, j): subspace_intersect(vstar.head[i], v.head[j]) for i, j in cells}
-        k_sums = [
-            reduce(subspace_sum,
-                   (grid[(i - h, min(j + h, d))] for h in range(1, i + 1)), zero)
-            for i, j in cells
-        ]
 
-    log.condition(
-        "grid-boundary(row)", ANCHOR_GRID,
-        all(grid[(i, d)] == vstar.head[i] for i in range(d + 1)),
-        "W(i,d) differs from the A*-flag prefix",
-    )
-    log.condition(
-        "grid-boundary(col)", ANCHOR_GRID,
-        all(grid[(d, j)] == v.head[j] for j in range(d + 1)),
-        "W(d,j) differs from the A-flag prefix",
-    )
-    log.condition(
-        "grid-vanishing", ANCHOR_GRID,
-        all(grid[(i, j)].dim == 0 for i, j in cells if i + j < d),
-        "a grid space below the antidiagonal is nonzero",
-    )
-    log.condition(
-        "grid-monotone", ANCHOR_GRID,
-        all(
-            grid[(i, j)].dim <= grid[(i + 1, j)].dim
-            and grid[(i, j)].dim <= grid[(i, j + 1)].dim
-            for i in range(d)
-            for j in range(d)
-        ),
-        "grid dimensions are not monotone",
-    )
-
-    # Past its last row or column the grid repeats that row or column; before
-    # its first one it is zero.
-    up = [grid[(min(i + 1, d), j - 1)] if j else zero for i, j in cells]
-    down = [grid[(i - 1, min(j + 1, d))] if i else zero for i, j in cells]
-    spaces = [grid[c] for c in cells]
-    _moves_into(log, ANCHOR_GRID, (
-        ("grid-move(A)", a_mat, [ev.theta[j] for _, j in cells], spaces, up),
-        ("grid-move(Astar)", astar_mat, [ev.theta_star[i] for i, _ in cells],
-         spaces, down),
-        ("grid-move(Kinv)", Kinv, [ev.theta_star[i] for i, _ in cells], spaces, down),
-        ("grid-move(K)", K, [ev.theta[i] for i, _ in cells], spaces, k_sums),
-    ), lambda k: "grid move fails at ({},{})".format(*cells[k]))
-
+    staged = CheckLog()
     for name, failure in (
-        ("decomposition(W)", w_failure),
+        ("decomposition(W)", _decomposition_failure(w)),
         ("decomposition(Wstar)", _decomposition_failure(wstar)),
     ):
-        log.condition(name, ANCHOR_GRID, failure is None, failure or "")
-
-    _moves_into(log, ANCHOR_GRID, (
+        staged.condition(name, ANCHOR_GRID, failure is None, failure or "")
+    _moves_into(staged, ANCHOR_GRID, (
         ("ladder(W):A-up", a_mat, ev.theta_rev, w, w.step(1)),
         ("ladder(W):Astar-down", astar_mat, ev.theta_star, w, w.step(-1)),
         ("ladder(W):Kinv-down", Kinv, ev.theta_star, w, w.step(-1)),
@@ -355,18 +338,67 @@ def build_w_grid(
         ("ladder(Wstar):Kinv-tail", Kinv, ev.theta_star, wstar,
          Ladder(wstar.tail).step(1)),
     ))
-
     for name, ok, detail in (
-        ("sum(W-tail)", w_tail_ok,
+        ("sum(W-tail)", w.tail == v.head[::-1],
          "suffix sums of W do not match prefix sums of the A-flag"),
-        ("sum(W-head)", w_head_ok,
+        ("sum(W-head)", w.head == vstar.head,
          "prefix sums of W do not match prefix sums of the A*-flag"),
         ("sum(Wstar-tail)", wstar.tail == v.tail,
          "suffix sums of W* do not match suffix sums of the A-flag"),
         ("sum(Wstar-head)", wstar.head == vstar.tail[::-1],
          "prefix sums of W* do not match suffix sums of the A*-flag"),
     ):
-        log.condition(name, ANCHOR_GRID, ok, detail)
+        staged.condition(name, ANCHOR_GRID, ok, detail)
+
+    # By the lemma the grid checks hold over every cell; they run over none.
+    derived = all(c.passed for c in staged.entries)
+    cells = [] if derived else [(i, j) for i in range(d + 1) for j in range(d + 1)]
+    grid = {(i, j): subspace_intersect(vstar.head[i], v.head[j]) for i, j in cells}
+    log.condition(
+        "grid-boundary(row)", ANCHOR_GRID,
+        all(s == vstar.head[i] for (i, j), s in grid.items() if j == d),
+        "W(i,d) differs from the A*-flag prefix",
+    )
+    log.condition(
+        "grid-boundary(col)", ANCHOR_GRID,
+        all(s == v.head[j] for (i, j), s in grid.items() if i == d),
+        "W(d,j) differs from the A-flag prefix",
+    )
+    log.condition(
+        "grid-vanishing", ANCHOR_GRID,
+        all(s.dim == 0 for (i, j), s in grid.items() if i + j < d),
+        "a grid space below the antidiagonal is nonzero",
+    )
+    log.condition(
+        "grid-monotone", ANCHOR_GRID,
+        all(
+            s.dim <= grid[(i + 1, j)].dim and s.dim <= grid[(i, j + 1)].dim
+            for (i, j), s in grid.items()
+            if i < d and j < d
+        ),
+        "grid dimensions are not monotone",
+    )
+
+    # Past its last row or column the grid repeats that row or column; before
+    # its first one it is zero.
+    up = [grid[(min(i + 1, d), j - 1)] if j else zero for i, j in cells]
+    down = [grid[(i - 1, min(j + 1, d))] if i else zero for i, j in cells]
+    k_sums = [
+        reduce(subspace_sum,
+               (grid[(i - h, min(j + h, d))] for h in range(1, i + 1)), zero)
+        for i, j in cells
+    ]
+    spaces = list(grid.values())
+    _moves_into(log, ANCHOR_GRID, (
+        ("grid-move(A)", a_mat, [ev.theta[j] for _, j in cells], spaces, up),
+        ("grid-move(Astar)", astar_mat, [ev.theta_star[i] for i, _ in cells],
+         spaces, down),
+        ("grid-move(Kinv)", Kinv, [ev.theta_star[i] for i, _ in cells], spaces, down),
+        ("grid-move(K)", K, [ev.theta[i] for i, _ in cells], spaces, k_sums),
+    ), lambda k: "grid move fails at ({},{})".format(*cells[k]))
+
+    for c in staged.entries:
+        log.condition(c.name, c.anchor, c.passed, c.detail)
     return grid, w, wstar
 
 
@@ -496,14 +528,14 @@ def extend(
     log.condition("input-relations", ANCHOR_SPLIT, input_report.passed)
     a_mat, astar_mat = build_a_astar(m, log)
     v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log)
-    w_grid, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log)
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log)
     b_mat, bstar_mat = build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
     r_mat, l_mat = _lowering_suite(m, ladder, b_mat, bstar_mat, log)
     # checks is the log's own list, so the output checks below land in it too
     trace = ExtensionTrace(
         alpha=alpha, diameter=d, weight_spaces=ladder.spaces,
         a_mat=a_mat, astar_mat=astar_mat, v_spaces=v.spaces, vstar_spaces=vstar.spaces,
-        w_grid=w_grid, w_spaces=w.spaces, wstar_spaces=wstar.spaces,
+        w_spaces=w.spaces, wstar_spaces=wstar.spaces,
         b_mat=b_mat, bstar_mat=bstar_mat, r_mat=r_mat, l_mat=l_mat, checks=log.entries,
     )
 

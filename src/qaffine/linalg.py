@@ -556,15 +556,14 @@ class Ladder:
 
     Off its ends the ladder is the zero space. The partial sums head[i] =
     spaces[0] + ... + spaces[i], tail[i] = spaces[i] + ... + spaces[d] and
-    interval(lo, hi) = spaces[lo] + ... + spaces[hi] are running sums, found
-    once, on first use: each extends the previous sum's echelon.
+    interval(lo, hi) = spaces[lo] + ... + spaces[hi] are running sums: each
+    extends the previous sum's echelon. head and tail are found once.
     """
 
     spaces: tuple[Subspace, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))
-        object.__setattr__(self, "_runs", {})  # lo -> (running sums, found so far)
 
     def __len__(self) -> int:
         return len(self.spaces)
@@ -587,20 +586,16 @@ class Ladder:
 
     def interval(self, lo: int, hi: int) -> Subspace:
         """spaces[lo] + ... + spaces[hi], clamped to the ladder's ends; zero
-        when the clamped range is empty. Read off the running sums from lo,
-        extended as far as hi on first use."""
-        last = len(self.spaces) - 1
-        lo, hi = max(lo, 0), min(hi, last)
+        when the clamped range is empty."""
+        lo, hi = max(lo, 0), min(hi, len(self.spaces) - 1)
         if lo > hi:
             return Subspace.zero(self.spaces[0].ambient_dim)
-        sums, done = self._runs.setdefault(lo, (_running_sums(self.spaces[lo:]), []))
-        while len(done) <= hi - lo:
-            done.append(next(sums))
-        return done[hi - lo]
+        *_, total = _running_sums(self.spaces[lo:hi + 1])
+        return total
 
     @cached_property
     def head(self) -> tuple[Subspace, ...]:
-        return tuple(self.interval(0, i) for i in range(len(self.spaces)))
+        return tuple(_running_sums(self.spaces))
 
     @cached_property
     def tail(self) -> tuple[Subspace, ...]:

@@ -19,7 +19,7 @@ from qaffine.factory import (
     tensor_product,
     twist_full,
 )
-from qaffine.linalg import Ladder, Matrix, subspace_intersect
+from qaffine.linalg import Ladder, Matrix, Subspace, subspace_intersect
 from qaffine.modfile import write_module
 from qaffine.presentations import UGEQ0
 from qaffine.report import CheckLog
@@ -148,24 +148,40 @@ def _counting_intersections(monkeypatch):
 
 
 def test_grid_intersects_only_the_split_spaces(tensor_13, monkeypatch):
-    r, ladder, a_mat, astar_mat, v, vstar = _grid_inputs(tensor_13)
+    # On a passing run weight-from-flags and the eight grid checks follow from
+    # direct sums: the only intersections are W_i and W*_i, and the only
+    # containments of the grid stage are the eight split-decomposition moves.
+    r = restrict_to_ugeq0(tensor_13, 1)
+    ladder = analyze_ugeq0(r)
     d = ladder.diameter
+    a_mat, astar_mat = build_a_astar(r, CheckLog())
     calls = _counting_intersections(monkeypatch)
     log = CheckLog(strict=True)
-    build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, log)
+    v, vstar = eigen_flags(r, a_mat, astar_mat, ladder, log)
+    containments = []
+    contains_image = Subspace.contains_image
+
+    def counted(self, *args):
+        containments.append(1)
+        return contains_image(self, *args)
+
+    monkeypatch.setattr(Subspace, "contains_image", counted)
+    grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, log)
     assert len(calls) == 2 * (d + 1)
+    assert len(containments) == 8 * (d + 1)
+    assert grid == {}
     assert all(c.passed for c in log.entries)
 
 
 def test_grid_of_swapped_flags_reads_the_same_failures(tensor_13, monkeypatch):
-    # The three facts are symmetric in the two flags: with the flags swapped
-    # W comes out reversed and still reads the grid, now transposed.
+    # With the flags swapped W still sums to both flags, but A no longer
+    # moves it one step (ladder(W):A-up), so every grid cell is intersected.
     r, ladder, a_mat, astar_mat, v, vstar = _grid_inputs(tensor_13)
     d = ladder.diameter
     calls = _counting_intersections(monkeypatch)
     log = CheckLog()
     grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, vstar, v, log)
-    assert len(calls) == 2 * (d + 1)
+    assert len(calls) == 2 * (d + 1) + (d + 1) ** 2
     for (i, j), cell in grid.items():
         assert cell == subspace_intersect(v.head[i], vstar.head[j])
     failing = [(c.name, c.detail) for c in log.entries if not c.passed]

@@ -526,10 +526,6 @@ def test_ladder_interval():
         assert ladder.interval(k, 3) == ladder.tail[k]
     assert ladder.interval(1, 2) == subspace_sum(spaces[1], spaces[2])
     assert ladder.interval(1, 2).dim == 2
-    # interior ranges are cached: a repeated call returns the same object
-    first = ladder.interval(1, 2)
-    assert ladder.interval(1, 2) is first
-    assert ladder.interval(0, 2) is ladder.interval(0, 2)
 
 
 def test_contains_image():

@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 from hypothesis import assume, event, example, given, settings
@@ -22,7 +23,7 @@ from qaffine.analysis import (
     _word_span,
     burnside_irreducible,
 )
-from qaffine.extension import extend
+from qaffine.extension import build_a_astar, build_w_grid, eigen_flags, extend
 from qaffine.factory import (
     EvalParams,
     evaluation_module,
@@ -48,6 +49,7 @@ from qaffine.linalg import (
 from qaffine.presentations import UGEQ0, check_relations, evaluate_word, q_serre, weyl
 from qaffine.report import CheckLog
 from qaffine.scalars import qint, qparam
+from qaffine.weights import WeightLadder
 
 def eval_poly_matrix(coeffs, m):
     """Horner evaluation of a polynomial (leading coefficient first) at m."""
@@ -704,6 +706,107 @@ def test_shifted_containment_matches_shifted_matrix(m, seed, data):
     event("contained" if expected else "escapes")
     assert target.contains_image(op, space, c) == expected
     assert target.contains_image(shifted, space) == expected
+
+
+GRID_CHECKS = (
+    "weight-from-flags",
+    "grid-boundary(row)", "grid-boundary(col)", "grid-vanishing", "grid-monotone",
+    "grid-move(A)", "grid-move(Astar)", "grid-move(Kinv)", "grid-move(K)",
+)
+
+
+def reference_grid_checks(m, weights, a_mat, astar_mat, flags, grid_flags):
+    """(name, pass, detail) of weight-from-flags on the weight ladder and the
+    flags (v, vstar) of eigen_flags, and of the eight grid checks on
+    grid_flags, all literally: each weight space against head*_i n tail_i,
+    every cell W(i,j) intersected, and the K target of a cell the
+    subspace_sum of the cells (i-h, j+h) for h = 1..i. Moves are tested by
+    the dense reference_first_escape."""
+    q, alpha, d = m.q, weights.alpha, weights.diameter
+    theta = [alpha * q.pow(2 * i - d) for i in range(d + 1)]
+    theta_star = [q.pow(d - 2 * i) / alpha for i in range(d + 1)]
+    zero = Subspace.zero(m.dim)
+    v, vstar = flags
+    ok = all(s == subspace_intersect(head, tail)
+             for s, head, tail in zip(weights.spaces, vstar.head, v.tail))
+    checks = [("weight-from-flags", ok,
+               "" if ok else "weight spaces differ from head(A*-flag) n tail(A-flag)")]
+
+    v, vstar = grid_flags
+    cells = [(i, j) for i in range(d + 1) for j in range(d + 1)]
+    grid = {(i, j): subspace_intersect(vstar.head[i], v.head[j]) for i, j in cells}
+
+    def cell(i, j):
+        # past row or column d the grid repeats it; before 0 it is zero
+        return grid[(min(i, d), min(j, d))] if i >= 0 and j >= 0 else zero
+
+    for name, ok, detail in (
+        ("grid-boundary(row)", all(grid[(i, d)] == vstar.head[i] for i in range(d + 1)),
+         "W(i,d) differs from the A*-flag prefix"),
+        ("grid-boundary(col)", all(grid[(d, j)] == v.head[j] for j in range(d + 1)),
+         "W(d,j) differs from the A-flag prefix"),
+        ("grid-vanishing", all(grid[(i, j)].dim == 0 for i, j in cells if i + j < d),
+         "a grid space below the antidiagonal is nonzero"),
+        ("grid-monotone",
+         all(cell(i, j).dim <= cell(i + 1, j).dim and cell(i, j).dim <= cell(i, j + 1).dim
+             for i in range(d) for j in range(d)),
+         "grid dimensions are not monotone"),
+    ):
+        checks.append((name, ok, "" if ok else detail))
+    K, Kinv = m.action["K"], m.action["Kinv"]
+    for name, mat, shift, target in (
+        ("grid-move(A)", a_mat, lambda i, j: theta[j], lambda i, j: cell(i + 1, j - 1)),
+        ("grid-move(Astar)", astar_mat, lambda i, j: theta_star[i],
+         lambda i, j: cell(i - 1, j + 1)),
+        ("grid-move(Kinv)", Kinv, lambda i, j: theta_star[i],
+         lambda i, j: cell(i - 1, j + 1)),
+        ("grid-move(K)", K, lambda i, j: theta[i], lambda i, j: reduce(
+            subspace_sum, (cell(i - h, j + h) for h in range(1, i + 1)), zero)),
+    ):
+        k = reference_first_escape(
+            mat, [shift(*c) for c in cells], [grid[c] for c in cells],
+            [target(*c) for c in cells])
+        checks.append((name, k is None,
+                       "" if k is None else "grid move fails at ({},{})".format(*cells[k])))
+    return checks
+
+
+EVAL_6 = evaluation_module(EvalParams(6, 1, F(1)), qparam(2))
+GRID_INPUTS = ("plain", "swapped flags", "A-flag twice", "A*-flag twice",
+               "mirrored ladder")
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)),
+       st.sampled_from(GRID_INPUTS))
+@example(EVAL_6, None, "plain")
+def test_grid_checks_match_the_literal_ledger(m, seed, fed):
+    # weight-from-flags and the eight grid checks, derived from direct sums
+    # on a passing run, against every cell intersected, on irreducible
+    # restrictions and on flags or weight spaces fed in wrongly
+    if m.kind != UGEQ0:
+        m = restrict_to_ugeq0(m, F(1))
+    assume(burnside_irreducible(m).verdict == ABSOLUTELY_IRREDUCIBLE)
+    m = conjugated(m, seed)
+    ladder = m.weights
+    a_mat, astar_mat = build_a_astar(m, CheckLog())
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, CheckLog())
+    mirrored = WeightLadder(ladder.alpha, ladder.diameter, ladder.spaces[::-1])
+    weights, grid_flags = {
+        "plain": (ladder, (v, vstar)),
+        "swapped flags": (ladder, (vstar, v)),
+        "A-flag twice": (ladder, (v, v)),
+        "A*-flag twice": (ladder, (vstar, vstar)),
+        "mirrored ladder": (mirrored, (v, vstar)),
+    }[fed]
+    log = CheckLog()
+    eigen_flags(m, a_mat, astar_mat, weights, log)
+    build_w_grid(m, ladder, a_mat, astar_mat, *grid_flags, log)
+    ledger = [(c.name, c.passed, c.detail) for c in log.entries if c.name in GRID_CHECKS]
+    expected = reference_grid_checks(m, weights, a_mat, astar_mat, (v, vstar), grid_flags)
+    assert ledger == expected
+    event(fed)
+    event("passing" if all(c.passed for c in log.entries) else "failing")
 
 
 @st.composite
