@@ -32,6 +32,10 @@ The weight spaces, both flags and both split decompositions are each held
 as a linalg.Ladder (zero off its ends, partial sums computed once), and
 every "operator moves each space of a ladder one step" check is one call of
 linalg.first_escape, the containment primitive the weight analysis shares.
+A tridiagonal move, into S_(i-1) + S_i + S_(i+1), is tested against the
+ladder's own head[i+1] and tail[i-1] (clamped to its ends), which meet in
+that sum because each ladder it is checked on is a direct sum, so no
+three-space sum is built.
 Every matrix identity (steps 1, 4, 5) is a presentations.RelationWord over
 the names R, L, K, Kinv, A, Astar, B, Bstar, r, l, checked by
 presentations.check_relations, the evaluator of the defining relations.
@@ -154,17 +158,23 @@ def _moves_into(
     log: CheckLog, anchor: str, moves: tuple,
     detail: Callable[[int], str] = "containment fails at index {}".format,
 ) -> None:
-    """For each move (name, mat, shifts, spaces, targets), log whether
-    (mat - shifts[i] I)(spaces[i]) lies inside targets[i] for every i; with
-    shifts None, whether mat(spaces[i]) does. A failure's detail is
-    detail(i) at the first index i that escapes."""
-    for name, mat, shifts, spaces, targets in moves:
-        i = first_escape(mat, shifts, spaces, targets)
+    """For each move (name, mat, shifts, spaces, *targets), log whether
+    (mat - shifts[i] I)(spaces[i]) lies inside t[i] for every i and every
+    target list t; with shifts None, whether mat(spaces[i]) does. A failure's
+    detail is detail(i) at the first index i that escapes some t[i]."""
+    for name, mat, shifts, spaces, *targets in moves:
+        escapes = (first_escape(mat, shifts, spaces, t) for t in targets)
+        i = min((k for k in escapes if k is not None), default=None)
         log.condition(name, anchor, i is None, "" if i is None else detail(i))
 
 
-def _nears(ladder: Ladder) -> list[Subspace]:
-    return [ladder.near(i) for i in range(len(ladder))]
+def _nears(ladder: Ladder) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
+    """head[min(i+1, d)] and tail[max(i-1, 0)] for each i: in a direct sum
+    they meet in at(i-1) + at(i) + at(i+1) (the lemma in Ladder). Each ladder
+    a tridiag check reads is one: V and V* are kernels of A, A* at distinct
+    eigenvalues (alpha != 0, |q| != 1), and W, W* are eigenspaces of B, B*
+    at the distinct q^(2i-d), since from_graph accepted them."""
+    return ladder.head[1:] + ladder.head[-1:], ladder.tail[:1] + ladder.tail[:-1]
 
 
 def _decomposition_failure(ladder: Ladder) -> str | None:
@@ -234,8 +244,8 @@ def eigen_flags(
         u.head == vstar.head,
         "prefix sums of the A*-flag do not match the weight-space prefix sums",
     )
-    # In a direct sum (U_0+..+U_i) n (U_i+..+U_d) = U_i, so flags that match
-    # the weight spaces need no intersection.
+    # When U is a direct sum head[i] n tail[i] = U_i (the lemma in Ladder),
+    # so flags that match the weight spaces need no intersection.
     log.condition(
         "weight-from-flags", ANCHOR_FLAGS,
         (tails_match and heads_match and _decomposition_failure(u) is None)
@@ -253,8 +263,8 @@ def eigen_flags(
         ("move(K,Vstar)", K, ev.theta, vstar, vstar.step(-1)),
         ("move(Kinv,Vstar-head)", Kinv, ev.theta_star, vstar,
          Ladder(vstar.head).step(-1)),
-        ("tridiag(Astar,V)", astar_mat, None, v, _nears(v)),
-        ("tridiag(A,Vstar)", a_mat, None, vstar, _nears(vstar)),
+        ("tridiag(Astar,V)", astar_mat, None, v, *_nears(v)),
+        ("tridiag(A,Vstar)", a_mat, None, vstar, *_nears(vstar)),
     ))
     return v, vstar
 
@@ -287,10 +297,10 @@ def build_w_grid(
       (A* - theta*_k) W_k and (K^-1 - theta*_k) W_k in W_(k-1), and
       (K - theta_k) W_k in W_0 + ... + W_(k-1).
 
-    In a direct sum two sums of components meet in the sum of the components
-    they share, so W(i,j) = W_(d-j) + ... + W_i, zero when i + j < d. The
-    boundary, vanishing and monotone checks read off this interval form. Each
-    move acts on a component W_k of the cell, d-j <= k <= i, through a split:
+    W is a direct sum, so by the lemma in Ladder W(i,j) = W_(d-j) + ... + W_i,
+    zero when i + j < d. The boundary, vanishing and monotone checks read off
+    this interval form. Each move acts on a component W_k of the cell,
+    d-j <= k <= i, through a split:
 
     - A: (A - theta_j) = (A - theta_(d-k)) + (theta_(d-k) - theta_j) maps W_k
       into W_(k+1) + W_k, and the second term is zero for k = d-j, so the
@@ -450,8 +460,8 @@ def build_b_bstar(
         ("move(Bstar,Vstar)", bstar_mat, ev.b, vstar, vstar.step(1)),
         ("move(B,U)", b_mat, ev.b, u, u.step(-1)),
         ("move(Bstar,U)", bstar_mat, ev.bstar, u, u.step(1)),
-        ("tridiag(B,Wstar)", b_mat, None, wstar, _nears(wstar)),
-        ("tridiag(Bstar,W)", bstar_mat, None, w, _nears(w)),
+        ("tridiag(B,Wstar)", b_mat, None, wstar, *_nears(wstar)),
+        ("tridiag(Bstar,W)", bstar_mat, None, w, *_nears(w)),
     ))
     return b_mat, bstar_mat
 

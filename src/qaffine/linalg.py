@@ -558,6 +558,12 @@ class Ladder:
     spaces[0] + ... + spaces[i], tail[i] = spaces[i] + ... + spaces[d] and
     interval(lo, hi) = spaces[lo] + ... + spaces[hi] are running sums: each
     extends the previous sum's echelon. head and tail are found once.
+
+    The lemma: when the spaces are independent (a direct sum, which need
+    not fill the ambient space), head[hi] n tail[lo] = interval(lo, hi).
+    A vector of head[hi] n tail[lo] has one set of components, one in each
+    space; read off head[hi] those past hi are zero, read off tail[lo] those
+    before lo are, so it lies in interval(lo, hi). The converse is plain.
     """
 
     spaces: tuple[Subspace, ...]
@@ -579,10 +585,6 @@ class Ladder:
     def step(self, k: int) -> tuple[Subspace, ...]:
         """(at(k), at(1 + k), ..., at(d + k)): the targets of a k-step move."""
         return tuple(self.at(i + k) for i in range(len(self.spaces)))
-
-    def near(self, i: int) -> Subspace:
-        """at(i - 1) + at(i) + at(i + 1)."""
-        return self.interval(i - 1, i + 1)
 
     def interval(self, lo: int, hi: int) -> Subspace:
         """spaces[lo] + ... + spaces[hi], clamped to the ladder's ends; zero

@@ -256,6 +256,35 @@ def test_split_operators_need_no_inverse(tensor_13, monkeypatch):
         assert conjugated[g] == p_inv @ mat @ p
 
 
+def test_tridiagonal_checks_build_no_new_sum(tensor_13, monkeypatch):
+    # Each tridiagonal move reads the ladder's own cached head and tail sums,
+    # so the only running sums of extend are the head and tail of U, V, V*, W
+    # and W*, in the standard basis and in a dense one.
+    r = restrict_to_ugeq0(tensor_13, 1)
+    p = unit_lu(r.dim, 3)
+    p_inv = p.inverse()
+    dense = build_module(
+        UGEQ0, r.q, {g: p_inv @ mat @ p for g, mat in r.action.items()}, "dense"
+    )
+    sums = []
+    running_sums = linalg._running_sums
+
+    def counted(spaces):
+        sums.append(1)
+        return running_sums(spaces)
+
+    def no_interval(self, lo, hi):
+        raise AssertionError("Ladder.interval called during extend")
+
+    monkeypatch.setattr(linalg, "_running_sums", counted)
+    monkeypatch.setattr(Ladder, "interval", no_interval)
+    for module in (r, dense):
+        sums.clear()
+        _, trace = extend(module, 1, 1)
+        assert all(c.passed for c in trace.checks)
+        assert len(sums) == 10
+
+
 def test_moves_build_no_shifted_matrix(tensor_13, monkeypatch):
     # every eigenvalue move hands its shift to contains_image, so no ladder,
     # flag or grid move builds a shifted Matrix inside first_escape

@@ -487,7 +487,7 @@ def running_sums(spaces):
     return out
 
 
-def test_ladder_at_head_tail_near():
+def test_ladder_at_head_tail():
     spaces = [span(3, (1, 0, 0)), span(3, (1, 1, 0)), span(3, (0, 0, 1)),
               span(3, (1, 0, 0))]
     ladder = Ladder(spaces)
@@ -501,10 +501,6 @@ def test_ladder_at_head_tail_near():
     assert list(ladder.tail) == running_sums(spaces[::-1])[::-1]
     assert [s.dim for s in ladder.head] == [1, 2, 3, 3]
     assert [s.dim for s in ladder.tail] == [3, 3, 2, 1]
-    assert ladder.near(0) == subspace_sum(spaces[0], spaces[1])
-    assert ladder.near(1) == running_sums(spaces[:3])[-1]
-    assert ladder.near(3) == subspace_sum(spaces[2], spaces[3])
-    assert Ladder([spaces[0]]).near(0) == spaces[0]
 
 
 def test_ladder_interval():

@@ -23,7 +23,13 @@ from qaffine.analysis import (
     _word_span,
     burnside_irreducible,
 )
-from qaffine.extension import build_a_astar, build_w_grid, eigen_flags, extend
+from qaffine.extension import (
+    build_a_astar,
+    build_b_bstar,
+    build_w_grid,
+    eigen_flags,
+    extend,
+)
 from qaffine.factory import (
     EvalParams,
     evaluation_module,
@@ -31,6 +37,7 @@ from qaffine.factory import (
     tensor_product,
 )
 from qaffine.linalg import (
+    Ladder,
     Matrix,
     SpanAccumulator,
     Subspace,
@@ -807,6 +814,128 @@ def test_grid_checks_match_the_literal_ledger(m, seed, fed):
     assert ledger == expected
     event(fed)
     event("passing" if all(c.passed for c in log.entries) else "failing")
+
+
+def reference_nears(spaces):
+    """S_(i-1) + S_i + S_(i+1) for each i, summed literally by subspace_sum;
+    the spaces off either end are left out."""
+    return [reduce(subspace_sum, spaces[max(i - 1, 0):i + 2])
+            for i in range(len(spaces))]
+
+
+def reference_split_operator(spaces, eigenvalues, n):
+    """reference_projector, or ValueError when the spaces do not decompose
+    the space (no operator has them as eigenspaces at distinct eigenvalues)."""
+    if sum(s.dim for s in spaces) != n:
+        raise ValueError("the split spaces do not fill the space")
+    return reference_projector(spaces, eigenvalues, n)
+
+
+def reference_tridiag_checks(checks):
+    """(name, pass, detail) of each tridiagonal check (name, mat, spaces):
+    mat(spaces[i]) against the literal reference_nears, by the dense
+    reference_first_escape."""
+    out = []
+    for name, mat, spaces in checks:
+        i = reference_first_escape(mat, None, spaces, reference_nears(spaces))
+        out.append((name, i is None,
+                    "" if i is None else f"containment fails at index {i}"))
+    return out
+
+
+TRIDIAG_INPUTS = ("plain", "A* transposed", "L for A*", "W and W* swapped",
+                  "W reversed", "last two W swapped",
+                  "U reversed for W*")
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)),
+       st.sampled_from(TRIDIAG_INPUTS))
+@example(EVAL_6, None, "last two W swapped")
+@example(EVAL_6, 5, "A* transposed")
+@example(EVAL_6, None, "U reversed for W*")
+def test_tridiag_checks_match_the_literal_near_sums(m, seed, fed):
+    # the four tridiag rows, tested against two cached running sums, against
+    # S_(i-1) + S_i + S_(i+1) summed literally, on irreducible restrictions
+    # and on an A* that breaks q-Serre or split spaces fed in wrongly. Swapped
+    # spaces escape the head sum first; with U reversed for W*, B* is K/alpha,
+    # block lower triangular on W (ladder(W):K-head), so it escapes the tail
+    # sum only.
+    if m.kind != UGEQ0:
+        m = restrict_to_ugeq0(m, F(1))
+    assume(burnside_irreducible(m).verdict == ABSOLUTELY_IRREDUCIBLE)
+    m = conjugated(m, seed)
+    ladder, n, q, d = m.weights, m.dim, m.q, m.weights.diameter
+    a_mat, astar_mat = build_a_astar(m, CheckLog())
+    astar_mat = {"A* transposed": astar_mat.transpose(),
+                 "L for A*": m.action["L"]}.get(fed, astar_mat)
+    log = CheckLog()
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log)
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, CheckLog())
+    w, wstar = w.spaces, wstar.spaces
+    if fed == "W and W* swapped":
+        w, wstar = wstar, w
+    elif fed == "W reversed":
+        w = w[::-1]
+    elif fed == "last two W swapped":
+        w = w[:-2] + w[:-3:-1]
+    elif fed == "U reversed for W*":
+        wstar = ladder.spaces[::-1]
+    expected = reference_tridiag_checks([
+        ("tridiag(Astar,V)", astar_mat, v.spaces),
+        ("tridiag(A,Vstar)", a_mat, vstar.spaces),
+    ])
+    b = [q.pow(2 * i - d) for i in range(d + 1)]
+    try:
+        b_mat = reference_split_operator(w, b, n)
+        bstar_mat = reference_split_operator(wstar, b[::-1], n)
+    except ValueError:
+        with pytest.raises(ValueError):
+            build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar,
+                          Ladder(w), Ladder(wstar), log)
+        event("split operators raise")
+    else:
+        build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar,
+                      Ladder(w), Ladder(wstar), log)
+        expected += reference_tridiag_checks([
+            ("tridiag(B,Wstar)", b_mat, wstar),
+            ("tridiag(Bstar,W)", bstar_mat, w),
+        ])
+    ledger = [(c.name, c.passed, c.detail) for c in log.entries
+              if c.name.startswith("tridiag(")]
+    assert ledger == expected
+    event(fed)
+    for _, passed, detail in ledger:
+        if not passed:
+            event("first escape " + ("at 0" if detail.endswith(" 0") else "above 0"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)))
+@example(restrict_to_ugeq0(tensor_product(
+    evaluation_module(EvalParams(2, 1, F(1)), qparam(F(3, 2))),
+    evaluation_module(EvalParams(3, 1, F(3)), qparam(F(3, 2))),
+), F(-2, 3)), None)
+def test_split_operators_are_block_triangular_on_the_weight_ladder(m, seed):
+    # B - K/alpha maps U_i into U_0 + ... + U_(i-1), and B* - alpha K^-1 maps
+    # it into U_(i+1) + ... + U_d: the diagonal blocks of B, B* against the
+    # weight ladder are those of K/alpha, alpha K^-1
+    if m.kind != UGEQ0:
+        m = restrict_to_ugeq0(m, F(1))
+    assume(burnside_irreducible(m).verdict == ABSOLUTELY_IRREDUCIBLE)
+    m = conjugated(m, seed)
+    _, trace = extend(m, 1, 1)
+    alpha, u, n = trace.alpha, trace.weight_spaces, m.dim
+    zero = Subspace.zero(n)
+    lower = trace.b_mat - m.action["K"].scale(1 / alpha)
+    upper = trace.bstar_mat - m.action["Kinv"].scale(alpha)
+    for i, space in enumerate(u):
+        below = reduce(subspace_sum, u[:i], zero)
+        above = reduce(subspace_sum, u[i + 1:], zero)
+        assert reference_contains(below, image(lower, space)), i
+        assert reference_contains(above, image(upper, space)), i
+    event(f"diameter {trace.diameter}")
+    event("B - K/alpha nonzero" if lower != Matrix.zero(n, n) else "B = K/alpha")
 
 
 @st.composite
