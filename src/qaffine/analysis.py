@@ -152,8 +152,8 @@ def _dual_spin_dim(theta: Matrix, m: "ModuleData") -> int:
     """Dimension of the spin of the kernel vector of theta^T under the
     transposed generators: the V* half of Norton's criterion."""
     transposes = [m.action[g].transpose() for g in sorted(m.action)]
-    seed = kernel(theta.transpose()).basis.transpose().sparse_rows[0]
-    return _closure([dict(seed)], transposes, m.dim).dim
+    seeds = kernel(theta.transpose()).pivot_rows.values()
+    return _closure(seeds, transposes, m.dim).dim
 
 
 def _norton(m: "ModuleData") -> bool:

@@ -264,9 +264,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ModuleFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except (RelationError, WeightLadderError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RELATION
@@ -276,10 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     except CheckFailedError as exc:
         print(f"error: pipeline check failed: {exc}", file=sys.stderr)
         return EXIT_PIPELINE
-    except QAffineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except ValueError as exc:
+    except (QAffineError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -187,7 +187,7 @@ def _decomposition_failure(ladder: Ladder) -> str | None:
         if running.dim != sizes[i]:
             return f"component {i} overlaps the preceding sum"
     total = ladder.head[-1]
-    if total != Subspace.full(total.ambient_dim):
+    if total.dim != total.ambient_dim:
         return f"components span dimension {total.dim} of {total.ambient_dim}"
     return None
 
@@ -418,7 +418,7 @@ def _projector_operator(spaces: Ladder, values: Sequence[Fraction], n: int) -> M
     the reduced rows x of each spaces[i] (`Matrix.from_graph`)."""
     return Matrix.from_graph(n, (
         (x, {j: lam * v for j, v in x.items()})
-        for s, lam in zip(spaces, values) for x in s._rows.values()
+        for s, lam in zip(spaces, values) for x in s.pivot_rows.values()
     ))
 
 

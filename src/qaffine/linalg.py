@@ -12,22 +12,24 @@ one sparse self + c * other.
 
 Products that only feed a verdict run in `int`, through the same loop. A
 Matrix caches one integer view: `den`, the lcm of its denominators, and
-`int_rows`, the nonzero rows of den * M. A Subspace caches its reduced rows
-as integer rows N_p with one denominator d_p each. Containment needs no
-Fraction at all: scaling a vector by a nonzero constant does not change
-whether it lies in a subspace, so an image column may be tested as the
-integer product of the two integer views, and w lies in the span of the
+`int_rows`, the nonzero rows of den * M. A Subspace's integer view holds its
+reduced rows as integer rows N_p with one denominator d_p each. Containment
+needs no Fraction at all: scaling a vector by a nonzero constant does not
+change whether it lies in a subspace, so an image column may be tested as
+the integer product of the two integer views, and w lies in the span of the
 reduced rows it hits exactly when L * w - sum of w[p] * (L / d_p) * N_p
-vanishes, with L the lcm of those d_p. An eigenvalue move (op - a/b I)(S)
-is tested the same way, as b (den op)(den S) - a den (den S): the shift
-enters the integer rows, and no shifted Matrix is built.
+vanishes, with L the lcm of those d_p. An eigenvalue move (op - a/b I)(S) is
+tested the same way, as b (den op)(den S) - a den (den S): the shift enters
+the integer rows, and no shifted Matrix is built.
 
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
 spans, kernels, ranks, sums, Zassenhaus intersections ([a | a] over [b | 0])
-and matrices from their graphs ((x | T x) rows reduce to (e_i | T e_i)).
-Subspaces are held as reduced column echelon bases, so subspace equality is
-entry-wise. A sum extends the larger space's echelon by the other's basis,
-and a ladder's partial sums extend one echelon a space at a time.
+and matrices from their graphs ((x | T x) rows reduce to (e_i | T e_i)). A
+Subspace is the reduced rows that elimination hands out, {pivot: row}, and
+its basis matrix and integer rows are views; the rows are canonical, so
+subspace equality is entry-wise. A sum extends the larger space's echelon by
+the other's rows, and a ladder's partial sums extend one echelon a space at
+a time.
 
 A matrix with every nonzero entry on one side of the diagonal (K, R and L
 of every module the factory builds) has its diagonal as spectrum. For any
@@ -381,8 +383,7 @@ class SpanAccumulator:
         return pivots
 
     def to_subspace(self) -> Subspace:
-        rows = self.reduced()
-        return _subspace(self.ambient_dim, [rows[p] for p in sorted(rows)])
+        return Subspace(self.ambient_dim, dict(self.reduced()))
 
 
 def _echelon(ambient_dim: int, vectors: Iterable[Row]) -> SpanAccumulator:
@@ -394,39 +395,34 @@ def _echelon(ambient_dim: int, vectors: Iterable[Row]) -> SpanAccumulator:
     return acc
 
 
-def _subspace(ambient_dim: int, rows: Sequence[Row]) -> Subspace:
-    """The Subspace with the given reduced echelon rows, in increasing pivot
-    order, as its basis columns; the rows are kept as its `_rows`."""
-    basis = Matrix.from_sparse(len(rows), ambient_dim, rows).transpose()
-    space = Subspace(ambient_dim, basis)
-    space.__dict__["_rows"] = {min(row): row for row in rows}
-    return space
-
-
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of F^ambient_dim held as a reduced column echelon basis:
-    the canonical form makes two Subspace values equal as sets of vectors
-    exactly when their stored bases are entry-wise identical."""
+    """A subspace of F^ambient_dim held as its reduced echelon rows,
+    {pivot: row}, as `SpanAccumulator.reduced` hands them out: each row is 1
+    at its pivot and 0 at every other pivot. The rows are shared, so they
+    are never changed. The form is canonical, so two Subspace values are
+    equal as sets of vectors exactly when their rows are entry-wise equal;
+    the basis matrix and the integer rows are views built on request."""
 
     ambient_dim: int
-    basis: Matrix
+    pivot_rows: dict[int, Row]
 
-    def __post_init__(self):
-        if self.basis.rows != self.ambient_dim:
-            raise ValueError("basis rows must match ambient dimension")
+    def __hash__(self) -> int:
+        """Hashes the entries, which equal subspaces share (canonical form)."""
+        rows = frozenset((p, frozenset(r.items())) for p, r in self.pivot_rows.items())
+        return hash((self.ambient_dim, rows))
 
     @property
     def dim(self) -> int:
-        return self.basis.cols
+        return len(self.pivot_rows)
 
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Matrix.zero(ambient_dim, 0))
+        return Subspace(ambient_dim, {})
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, Matrix.identity(ambient_dim))
+        return Subspace(ambient_dim, {i: {i: ONE} for i in range(ambient_dim)})
 
     @staticmethod
     def from_vectors(
@@ -436,16 +432,18 @@ class Subspace:
         return _echelon(ambient_dim, sparse).to_subspace()
 
     @cached_property
-    def _rows(self) -> dict[int, Row]:
-        """The basis vectors as reduced echelon rows, {pivot: row}."""
-        return {col[0][0]: dict(col) for col in self.basis.transpose().sparse_rows}
+    def basis(self) -> Matrix:
+        """The ambient_dim x dim matrix with the rows as its columns, in
+        increasing pivot order: the reduced column echelon basis."""
+        rows = [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
+        return Matrix.from_sparse(len(rows), self.ambient_dim, rows).transpose()
 
     @cached_property
     def _int_rows(self) -> dict[int, tuple[int, IntRow]]:
         """The reduced rows over integers, {pivot: (d_p, N_p)}: d_p is the
         lcm of row p's denominators and N_p = d_p * row p, so N_p[p] = d_p."""
         out = {}
-        for p, row in self._rows.items():
+        for p, row in self.pivot_rows.items():
             d = math.lcm(*(x.denominator for x in row.values()))
             out[p] = (d, {i: x.numerator * (d // x.denominator) for i, x in row.items()})
         return out
@@ -508,7 +506,7 @@ def kernel(m: Matrix) -> Subspace:
     The rows are eliminated with the columns in reverse order, so a free
     column f gives the kernel vector e_f - sum_p row_p[f] e_p over pivots
     p > f: 1 at f first, 0 at every other free column, which is already
-    the reduced echelon basis."""
+    its reduced echelon row."""
     last = m.cols - 1
     reversed_rows = ({last - j: v for j, v in r} for r in m.sparse_rows)
     rows = _echelon(m.cols, reversed_rows).reduced()
@@ -517,7 +515,7 @@ def kernel(m: Matrix) -> Subspace:
         for k, x in row.items():
             if k != p:
                 vectors[last - k][last - p] = -x
-    return _subspace(m.cols, list(vectors.values()))
+    return Subspace(m.cols, vectors)
 
 
 def rank(m: Matrix) -> int:
@@ -526,7 +524,7 @@ def rank(m: Matrix) -> int:
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
     """Span of the union; commutative, associative, idempotent. The larger
-    space's echelon is extended by the smaller one's basis."""
+    space's echelon is extended by the smaller one's rows."""
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     *_, total = _running_sums(sorted((a, b), key=lambda s: -s.dim))
@@ -541,9 +539,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     a, b = sorted((a, b), key=lambda s: -s.dim)
-    doubled = {p: {**r, **{n + i: x for i, x in r.items()}} for p, r in a._rows.items()}
+    doubled = {p: {**r, **{n + i: x for i, x in r.items()}}
+               for p, r in a.pivot_rows.items()}
     acc = SpanAccumulator(2 * n, doubled)
-    for row in sorted(b._rows.values(), key=len):
+    for row in sorted(b.pivot_rows.values(), key=len):
         acc._add(dict(row))
     tails = ({i - n: x for i, x in r.items()} for p, r in acc._pivots.items() if p >= n)
     return _echelon(n, tails).to_subspace()
@@ -606,14 +605,14 @@ class Ladder:
 
 def _running_sums(spaces: Iterable[Subspace]) -> Iterator[Subspace]:
     """spaces[0], spaces[0] + spaces[1], ...: one echelon, started from the
-    first space's reduced rows and extended by each later space's basis."""
+    first space's reduced rows and extended by each later space's rows."""
     acc = None
     for space in spaces:
         if acc is None:
-            acc = SpanAccumulator(space.ambient_dim, space._rows)
+            acc = SpanAccumulator(space.ambient_dim, space.pivot_rows)
             yield space
             continue
-        for row in space._rows.values():
+        for row in space.pivot_rows.values():
             acc._add(dict(row))
         yield acc.to_subspace()
 

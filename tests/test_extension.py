@@ -10,7 +10,13 @@ import qaffine.weights
 from qaffine import linalg
 from qaffine.cli import main
 from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
-from qaffine.extension import build_a_astar, build_w_grid, eigen_flags, extend
+from qaffine.extension import (
+    build_a_astar,
+    build_b_bstar,
+    build_w_grid,
+    eigen_flags,
+    extend,
+)
 from qaffine.factory import (
     EvalParams,
     build_module,
@@ -283,6 +289,40 @@ def test_tridiagonal_checks_build_no_new_sum(tensor_13, monkeypatch):
         _, trace = extend(module, 1, 1)
         assert all(c.passed for c in trace.checks)
         assert len(sums) == 10
+
+
+def test_running_sums_build_no_basis_matrix(tensor_13, monkeypatch):
+    # A Subspace is its reduced rows. A running sum of two or more spaces is
+    # only ever a containment or equality target, so none of the head and
+    # tail sums of U, V, V*, W and W* builds its basis matrix.
+    r = restrict_to_ugeq0(tensor_13, 1)
+    p = unit_lu(r.dim, 3)
+    p_inv = p.inverse()
+    dense = build_module(
+        UGEQ0, r.q, {g: p_inv @ mat @ p for g, mat in r.action.items()}, "dense"
+    )
+    ladders, sums = [], []
+    running_sums = linalg._running_sums
+
+    def recorded(spaces):
+        ladders.append(1)
+        for k, total in enumerate(running_sums(spaces)):
+            if k:  # the first is spaces[0] itself, not a sum
+                sums.append(total)
+            yield total
+
+    monkeypatch.setattr(linalg, "_running_sums", recorded)
+    for module in (r, dense):
+        ladders.clear()
+        sums.clear()
+        ladder = analyze_ugeq0(module)
+        log = CheckLog(strict=True)
+        a_mat, astar_mat = build_a_astar(module, log)
+        v, vstar = eigen_flags(module, a_mat, astar_mat, ladder, log)
+        _, w, wstar = build_w_grid(module, ladder, a_mat, astar_mat, v, vstar, log)
+        build_b_bstar(module, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
+        assert len(ladders) == 10 and len(sums) == 10 * ladder.diameter
+        assert all("basis" not in vars(s) for s in sums)
 
 
 def test_moves_build_no_shifted_matrix(tensor_13, monkeypatch):

@@ -7,6 +7,7 @@ kernel computation on the concatenated basis matrix, instead of the
 stacked-block elimination.
 """
 
+import copy
 import math
 import random
 from dataclasses import replace
@@ -186,7 +187,9 @@ def from_columns(ambient, columns):
 
 
 def reference_span(n, vectors):
-    return Subspace(n, from_columns(n, reference_rref(vectors)))
+    """The Subspace whose reduced rows are the dense reference RREF's rows."""
+    rows = ({i: v for i, v in enumerate(row) if v} for row in reference_rref(vectors))
+    return Subspace(n, {min(row): row for row in rows})
 
 
 def reference_kernel(m):
@@ -256,20 +259,68 @@ def all_fractions(*spaces):
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=5).flatmap(
-    lambda n: st.tuples(st.just(n), row_lists(n))))
-def test_echelon_matches_dense_reference(case):
+    lambda n: st.tuples(st.just(n), row_lists(n))), st.randoms(use_true_random=False))
+def test_echelon_matches_dense_reference(case, rnd):
     n, rows = case
     m = as_matrix(rows, n)
     span = Subspace.from_vectors(n, rows)
-    acc = SpanAccumulator(n)
+    acc, shuffled = SpanAccumulator(n), SpanAccumulator(n)
     for row in rows:
         acc.insert(dict(enumerate(row)))
-    assert span == reference_span(n, rows)
-    assert acc.to_subspace() == span and acc.dim == span.dim
+    for row in rnd.sample(rows, len(rows)):
+        shuffled.insert(dict(enumerate(row)))
+    half = len(rows) // 2
+    halves = (Subspace.from_vectors(n, rows[:half]), Subspace.from_vectors(n, rows[half:]))
+    # every route reaches the same reduced rows, so equal values hash equal
+    for route in (reference_span(n, rows), acc.to_subspace(), shuffled.to_subspace(),
+                  column_echelon(m.transpose()), subspace_sum(*halves)):
+        assert route == span and hash(route) == hash(span)
+    assert acc.dim == span.dim
     assert kernel(m) == reference_kernel(m)
     assert rank(m) == len(reference_rref(rows)) == span.dim
     assert all_fractions(span, acc.to_subspace(), kernel(m))
     event("full rank" if span.dim == min(len(rows), n) else "rank deficient")
+
+
+@settings(max_examples=100, deadline=None)
+@given(span_sequences(), st.integers(min_value=0, max_value=10))
+def test_handed_out_subspaces_never_change(case, cut):
+    # A Subspace shares the rows its echelon handed out, so nothing that
+    # echelon, a ladder or an accumulator seeded from the rows does later may
+    # change them.
+    n, vectors = case
+    handed = []
+
+    def hand_out(*spaces):
+        handed.extend((s, copy.deepcopy(s.pivot_rows)) for s in spaces)
+
+    def unchanged():
+        return all(s.pivot_rows == rows for s, rows in handed)
+
+    units = [{i: F(1)} for i in reversed(range(n))]
+    acc = SpanAccumulator(n)
+    for v in vectors[:cut]:
+        acc.insert(dict(enumerate(v)))
+    prefix = acc.to_subspace()
+    hand_out(prefix)
+    for v in [dict(enumerate(v)) for v in vectors[cut:]] + units:
+        acc.insert(v)
+        hand_out(acc.to_subspace())
+    assert unchanged() and acc.dim == n
+
+    lines = [Subspace.from_vectors(n, [v]) for v in vectors]
+    ladder = Ladder([prefix, *lines])
+    hand_out(*lines, *ladder.head)
+    hand_out(*ladder.tail)
+    assert unchanged()
+
+    seeded = SpanAccumulator(n, prefix.pivot_rows)
+    for v in units:
+        seeded.insert(v)
+    seeded.reduced()
+    for line in lines:
+        hand_out(subspace_sum(prefix, line), subspace_intersect(prefix, line))
+    assert unchanged() and seeded.dim == n
 
 
 @settings(max_examples=150, deadline=None)
