@@ -51,6 +51,7 @@ from .linalg import (
     Subspace,
     eigenvalues,
     image,
+    int_row,
     kernel,
     kronecker,
     rank,
@@ -58,7 +59,6 @@ from .linalg import (
     subspace_intersect,
 )
 from .report import CheckLog, CheckResult
-from .scalars import ONE
 from .weights import analyze_full, k_ladder
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -89,10 +89,12 @@ def _closure(
     that enlarges the span is mapped again, level by level, until no image
     enlarges it or it is all of F^ambient. The image M v is formed as the
     row v times the rows of M^T (`row_product`), so it touches only the
-    columns of M where v is nonzero."""
-    transposed = [f.transpose().sparse_rows for f in maps]
+    columns of M where v is nonzero. Scaling a vector by a nonzero constant
+    does not change a span, so the seeds are cleared to integers and each M
+    is read as its integer view: the closure builds no Fraction."""
+    transposed = [f.transpose().int_rows for f in maps]
     acc = SpanAccumulator(ambient)
-    frontier = [v for v in seeds if acc.insert(v)]
+    frontier = [v for v in map(int_row, seeds) if acc.insert(v)]
     while frontier and acc.dim < ambient:
         new_frontier = []
         for v in frontier:
@@ -129,7 +131,7 @@ def _word_span(m: "ModuleData") -> int:
     n = m.dim
     identity = Matrix.identity(n)
     lefts = [kronecker(m.action[g], identity) for g in sorted(m.action)]
-    return _closure([{i * n + i: ONE for i in range(n)}], lefts, n * n).dim
+    return _closure([{i * n + i: 1 for i in range(n)}], lefts, n * n).dim
 
 
 def _eigenspaces(m: "ModuleData") -> Iterator[tuple[Matrix, Subspace]]:

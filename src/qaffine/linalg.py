@@ -5,31 +5,39 @@ A Matrix is immutable and holds only its nonzero rows: per row, the
 module generators and their products are mostly zeros. That form is
 canonical, so equality and hashing are exact, and every operation touches
 only nonzero entries; dense rows, columns and entries are views built on
-request. A product is formed row by row (Gustavson 1978): each row of the
-left factor, as its nonzero pairs, times the nonzero rows of the right
-factor (`row_product`). Sums, differences, scalings and shifts go through
-one sparse self + c * other.
+request. Sums, differences, scalings and shifts go through one sparse self +
+c * other.
 
-Products that only feed a verdict run in `int`, through the same loop. A
-Matrix caches one integer view: `den`, the lcm of its denominators, and
-`int_rows`, the nonzero rows of den * M. A Subspace's integer view holds its
-reduced rows as integer rows N_p with one denominator d_p each. Containment
-needs no Fraction at all: scaling a vector by a nonzero constant does not
-change whether it lies in a subspace, so an image column may be tested as
-the integer product of the two integer views, and w lies in the span of the
-reduced rows it hits exactly when L * w - sum of w[p] * (L / d_p) * N_p
-vanishes, with L the lcm of those d_p. An eigenvalue move (op - a/b I)(S) is
-tested the same way, as b (den op)(den S) - a den (den S): the shift enters
-the integer rows, and no shifted Matrix is built.
+A Matrix caches one integer view: `den`, the lcm of its denominators, and
+`int_rows`, the nonzero rows of den * M. A product is formed row by row
+(Gustavson 1978) over the two factors' integer views: each integer row of
+the left factor, as its nonzero pairs, times the integer rows of the right
+one (`row_product`), and one Fraction, x / (den_a den_b), per nonzero entry
+of the result. Products that only feed a verdict stay in `int`, through the
+same loop. A Subspace's integer view holds its reduced rows as integer rows
+N_p with one denominator d_p each. Containment needs no Fraction at all:
+scaling a vector by a nonzero constant does not change whether it lies in a
+subspace, so an image column may be tested as the integer product of the
+two integer views, and w lies in the span of the reduced rows it hits
+exactly when L * w - sum of w[p] * (L / d_p) * N_p vanishes, with L the lcm
+of those d_p. An eigenvalue move (op - a/b I)(S) is tested the same way, as
+b (den op)(den S) - a den (den S): the shift enters the integer rows, and no
+shifted Matrix is built.
 
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
 spans, kernels, ranks, sums, Zassenhaus intersections ([a | a] over [b | 0])
-and matrices from their graphs ((x | T x) rows reduce to (e_i | T e_i)). A
-Subspace is the reduced rows that elimination hands out, {pivot: row}, and
-its basis matrix and integer rows are views; the rows are canonical, so
+and matrices from their graphs ((x | T x) rows reduce to (e_i | T e_i)). It
+runs over the integers, fraction-free in the manner of Bareiss (1968): a
+vector is cleared to integers once, on entry, each reduction step is a
+cross-multiplication by the pivot entries divided by their gcd, and each
+stored row is primitive (content 1) with a positive pivot entry, which is
+as canonical as the reduced Fraction row it stands for. Fractions appear
+only at hand-out. A Subspace is the reduced rows that elimination hands
+out, {pivot: row}, and its basis matrix and integer rows are views (the
+echelon hands its integer rows over too); the rows are canonical, so
 subspace equality is entry-wise. A sum extends the larger space's echelon by
 the other's rows, and a ladder's partial sums extend one echelon a space at
-a time.
+a time, both from the integer rows.
 
 A matrix with every nonzero entry on one side of the diagonal (K, R and L
 of every module the factory builds) has its diagonal as spectrum. For any
@@ -131,7 +139,7 @@ class Matrix:
     @cached_property
     def den(self) -> int:
         """The lcm of the entries' denominators: den * self is integral."""
-        return math.lcm(*(v.denominator for row in self.sparse_rows for _, v in row))
+        return math.lcm(*[v.denominator for row in self.sparse_rows for _, v in row])
 
     @cached_property
     def int_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -225,10 +233,11 @@ class Matrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        right = other.sparse_rows
-        return Matrix.from_sparse(
-            self.rows, other.cols, [row_product(row, right) for row in self.sparse_rows]
-        )
+        right, den = other.int_rows, self.den * other.den
+        return Matrix(self.rows, other.cols, tuple(
+            tuple(sorted([(j, Fraction(v, den)) for j, v in row_product(row, right).items()]))
+            for row in self.int_rows
+        ))
 
     def apply(self, v: Sequence[Fraction]) -> Vector:
         """Matrix-vector product, skipping zero entries of the matrix and of v."""
@@ -308,7 +317,26 @@ def kronecker(a: Matrix, b: Matrix) -> Matrix:
 # -- echelon forms and subspaces -------------------------------------------
 
 
-def _subtract(w: dict[int, Entry], c: Entry, row: dict[int, Entry]) -> list[int]:
+def int_row(v: Row | IntRow) -> IntRow:
+    """A positive multiple of the sparse vector v, {index: entry}, with
+    integer entries: v times the lcm of its denominators, zeros dropped.
+    It spans the same line, so it may stand for v in any span."""
+    # The lcm's arguments are unpacked from a list, not a generator: a
+    # generator's argument tuple is built by resizing, and CPython then keeps
+    # up to 2000 such tuples per length on its free lists, for good.
+    d = math.lcm(*[x.denominator for x in v.values()])
+    return {i: x.numerator * (d // x.denominator) for i, x in v.items() if x}
+
+
+def _primitive_row(w: IntRow, p: int) -> IntRow:
+    """w divided by its content, signed so that the entry at p is positive."""
+    g = math.gcd(*w.values())
+    if w[p] < 0:
+        g = -g
+    return w if g == 1 else {i: x // g for i, x in w.items()}
+
+
+def _subtract(w: IntRow, c: int, row: IntRow) -> list[int]:
     """w -= c * row in place, dropping entries that cancel; returns the
     indices new to w."""
     new = [i for i in row if i not in w]
@@ -322,75 +350,114 @@ def _subtract(w: dict[int, Entry], c: Entry, row: dict[int, Entry]) -> list[int]
 
 class SpanAccumulator:
     """The one exact elimination, behind every subspace, kernel, rank and
-    graph: a sparse row echelon form, grown one vector at a time.
+    graph: a sparse row echelon form over the integers, grown one vector at
+    a time.
 
-    A pivot row is a dict of its nonzero entries, 1 at its first index, the
-    pivot, and 0 at every pivot that existed when it was last reduced. A
-    vector is reduced through the pivots it touches, in increasing order (a
-    heap), and its remainder's first index becomes a new pivot. Rows are
-    back-substituted on read-out, and only through the pivots added since
-    the last one. The reduced form is unique, whatever the insertion order."""
+    A pivot row is a primitive integer dict of its nonzero entries: content
+    1, a positive entry at its first index, the pivot, and 0 at every pivot
+    that existed when it was last reduced. A vector is cleared to integers
+    once, on entry, and reduced through the pivots it touches, in increasing
+    order (a heap), by cross-multiplication: with a the pivot row's entry at
+    p, c the vector's and g = gcd(a, c), the vector becomes (a/g) w - (c/g)
+    row. The remainder is divided by its content, and its first index
+    becomes a new pivot. Rows are back-substituted the same way on read-out,
+    and only through the pivots added since the last one. The reduced form
+    is unique, whatever the insertion order, and Fractions appear only when
+    it is handed out: row p is N_p / N_p[p], built once per new or changed
+    row."""
 
     def __init__(self, ambient_dim: int, rows: dict[int, Row] | None = None):
-        """Empty, or from pivot rows {pivot: row} that hold the invariant."""
+        """Empty, or from reduced rows {pivot: row}, as a Subspace holds them."""
         self.ambient_dim = ambient_dim
-        self._pivots: dict[int, Row] = dict(rows or {})
+        self._rows: dict[int, Row] = dict(rows or {})  # as last handed out
+        self._pivots: dict[int, IntRow] = {p: int_row(r) for p, r in self._rows.items()}
         self._fresh: list[int] = []  # pivots added since the last read-out
+
+    @staticmethod
+    def of(space: Subspace) -> SpanAccumulator:
+        """SpanAccumulator(space.ambient_dim, space.pivot_rows), with the
+        space's integer rows taken over instead of derived again."""
+        acc = SpanAccumulator(space.ambient_dim)
+        acc._pivots = {p: row for p, (_, row) in space._int_rows.items()}
+        acc._rows = dict(space.pivot_rows)
+        return acc
 
     @property
     def dim(self) -> int:
         return len(self._pivots)
 
-    def insert(self, v: Row) -> bool:
-        """Add the sparse vector v, {index: entry}, to the span; zero entries
-        are dropped and v itself is not changed. Returns True when the
-        dimension grew."""
-        return self._add({i: x for i, x in v.items() if x})
+    def insert(self, v: Row | IntRow) -> bool:
+        """Add the sparse vector v, {index: entry}, with Fraction or int
+        entries, to the span; zero entries are dropped and v itself is not
+        changed. Returns True when the dimension grew."""
+        return self._add(int_row(v))
 
-    def _add(self, w: Row) -> bool:
-        """Reduce the sparse vector w, which is consumed, and keep its
-        remainder as a pivot row unless it is zero."""
+    def _add(self, w: IntRow) -> bool:
+        """Reduce the sparse integer vector w, which is consumed, and keep
+        its primitive remainder as a pivot row unless it is zero."""
         pivots = self._pivots
         todo = [i for i in w if i in pivots]
         heapify(todo)
         while todo:
             p = heappop(todo)
             if p in w:
-                for i in _subtract(w, w[p], pivots[p]):
+                row = pivots[p]
+                a, c = row[p], w[p]
+                g = math.gcd(a, c)
+                if a != g:
+                    s = a // g
+                    for i, x in w.items():
+                        w[i] = s * x
+                for i in _subtract(w, c // g, row):
                     if i in pivots:
                         heappush(todo, i)
         if not w:
             return False
         p = min(w)
-        inv = ONE / w[p]
-        pivots[p] = {i: x * inv for i, x in w.items()}
+        pivots[p] = _primitive_row(w, p)
         self._fresh.append(p)
         return True
 
     def reduced(self) -> dict[int, Row]:
-        """The reduced echelon rows, {pivot: row}: in decreasing pivot order,
-        each row loses its entries at fresh pivots. A changed row is a new
-        dict, so rows handed out earlier never change."""
-        pivots, fresh = self._pivots, set(self._fresh)
-        for p in sorted(pivots, reverse=True):
+        """The reduced echelon rows, {pivot: row}, as Fractions: in
+        decreasing pivot order, each row loses its entries at fresh pivots.
+        The rows it hits have larger pivots, so they are fully reduced by
+        then, each 0 at every other pivot: one common multiple L of their
+        pivot entries clears every hit at once. A changed row is a new dict,
+        so rows handed out earlier never change."""
+        pivots, rows, fresh = self._pivots, self._rows, set(self._fresh)
+        stale = dict.fromkeys(self._fresh)
+        for p in sorted(pivots, reverse=True) if fresh else ():
             row = pivots[p]
             hits = [i for i in row if i in fresh and i != p]
             if hits:
-                row = pivots[p] = dict(row)
+                lcm = math.lcm(*[pivots[i][i] for i in hits])
+                out = {i: lcm * x for i, x in row.items()}
                 for i in hits:
-                    _subtract(row, row[i], pivots[i])
+                    _subtract(out, row[i] * (lcm // pivots[i][i]), pivots[i])
+                pivots[p] = _primitive_row(out, p)
+                stale[p] = None
+        for p in stale:
+            row = pivots[p]
+            a = row[p]
+            rows[p] = {i: Fraction(x, a) for i, x in row.items()}
         self._fresh = []
-        return pivots
+        return rows
 
     def to_subspace(self) -> Subspace:
-        return Subspace(self.ambient_dim, dict(self.reduced()))
+        """The reduced rows as a Subspace, which takes the integer rows over
+        as its integer view."""
+        space = Subspace(self.ambient_dim, dict(self.reduced()))
+        space.__dict__["_int_rows"] = {p: (r[p], r) for p, r in self._pivots.items()}
+        return space
 
 
-def _echelon(ambient_dim: int, vectors: Iterable[Row]) -> SpanAccumulator:
-    """The echelon of the sparse vectors, inserted sparsest first: the
-    order is free, and few entries make little fill (Markowitz 1957)."""
+def _echelon(ambient_dim: int, vectors: Iterable[Row | IntRow]) -> SpanAccumulator:
+    """The echelon of the sparse vectors, cleared to integers and inserted
+    sparsest first: the order is free, and few entries make little fill
+    (Markowitz 1957)."""
     acc = SpanAccumulator(ambient_dim)
-    for w in sorted(vectors, key=len):
+    for w in sorted(map(int_row, vectors), key=len):
         acc._add(w)
     return acc
 
@@ -441,10 +508,12 @@ class Subspace:
     @cached_property
     def _int_rows(self) -> dict[int, tuple[int, IntRow]]:
         """The reduced rows over integers, {pivot: (d_p, N_p)}: d_p is the
-        lcm of row p's denominators and N_p = d_p * row p, so N_p[p] = d_p."""
+        lcm of row p's denominators and N_p = d_p * row p, so N_p[p] = d_p.
+        N_p is the primitive row the echelon stores, and `to_subspace` hands
+        it over, so this is derived only for a Subspace built otherwise."""
         out = {}
         for p, row in self.pivot_rows.items():
-            d = math.lcm(*(x.denominator for x in row.values()))
+            d = math.lcm(*[x.denominator for x in row.values()])
             out[p] = (d, {i: x.numerator * (d // x.denominator) for i, x in row.items()})
         return out
 
@@ -455,7 +524,7 @@ class Subspace:
         integer L * w less each w[p] * (L / d_p) * N_p must vanish."""
         rows = self._int_rows
         hits = [p for p in w if p in rows]
-        lcm = math.lcm(*(rows[p][0] for p in hits))
+        lcm = math.lcm(*[rows[p][0] for p in hits])
         rest = {i: lcm * x for i, x in w.items()}
         for p in hits:
             d, row = rows[p]
@@ -492,7 +561,7 @@ class Subspace:
 
 def column_echelon(m: Matrix) -> Subspace:
     """The column space of m as a canonical Subspace. Idempotent."""
-    return _echelon(m.rows, (dict(c) for c in m.transpose().sparse_rows)).to_subspace()
+    return _echelon(m.rows, (dict(c) for c in m.transpose().int_rows)).to_subspace()
 
 
 def image(m: Matrix, space: Subspace) -> Subspace:
@@ -508,7 +577,7 @@ def kernel(m: Matrix) -> Subspace:
     p > f: 1 at f first, 0 at every other free column, which is already
     its reduced echelon row."""
     last = m.cols - 1
-    reversed_rows = ({last - j: v for j, v in r} for r in m.sparse_rows)
+    reversed_rows = ({last - j: v for j, v in r} for r in m.int_rows)
     rows = _echelon(m.cols, reversed_rows).reduced()
     vectors = {f: {f: ONE} for f in range(m.cols) if last - f not in rows}
     for p, row in rows.items():
@@ -519,7 +588,7 @@ def kernel(m: Matrix) -> Subspace:
 
 
 def rank(m: Matrix) -> int:
-    return _echelon(m.cols, (dict(row) for row in m.sparse_rows)).dim
+    return _echelon(m.cols, (dict(row) for row in m.int_rows)).dim
 
 
 def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
@@ -539,10 +608,10 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     a, b = sorted((a, b), key=lambda s: -s.dim)
-    doubled = {p: {**r, **{n + i: x for i, x in r.items()}}
-               for p, r in a.pivot_rows.items()}
-    acc = SpanAccumulator(2 * n, doubled)
-    for row in sorted(b.pivot_rows.values(), key=len):
+    acc = SpanAccumulator(2 * n)  # never read out, so it needs no Fraction rows
+    acc._pivots = {p: {**r, **{n + i: x for i, x in r.items()}}
+                   for p, (_, r) in a._int_rows.items()}
+    for _, row in sorted(b._int_rows.values(), key=lambda pair: len(pair[1])):
         acc._add(dict(row))
     tails = ({i - n: x for i, x in r.items()} for p, r in acc._pivots.items() if p >= n)
     return _echelon(n, tails).to_subspace()
@@ -609,10 +678,10 @@ def _running_sums(spaces: Iterable[Subspace]) -> Iterator[Subspace]:
     acc = None
     for space in spaces:
         if acc is None:
-            acc = SpanAccumulator(space.ambient_dim, space.pivot_rows)
+            acc = SpanAccumulator.of(space)
             yield space
             continue
-        for row in space.pivot_rows.values():
+        for _, row in space._int_rows.values():
             acc._add(dict(row))
         yield acc.to_subspace()
 
@@ -812,7 +881,7 @@ def rational_roots(coeffs: Sequence[int | str | Fraction]) -> list[Fraction]:
         poly.pop()
     if len(poly) == 1:
         return sorted(roots)
-    denom_lcm = math.lcm(*(c.denominator for c in poly))
+    denom_lcm = math.lcm(*[c.denominator for c in poly])
     f = _primitive([int(c * denom_lcm) for c in poly])
     g = _exact_quotient(f, _sturm_chain(f)[-1])
     if g[0] < 0:

@@ -121,7 +121,7 @@ def evaluate_word(
     for word, c in coeffs.items():
         if c:
             scales[word] = (c.numerator, c.denominator * prod(assignment[g].den for g in word))
-    common = lcm(*(divisor for _, divisor in scales.values()))
+    common = lcm(*[divisor for _, divisor in scales.values()])
     total: list[dict[int, int]] = [{} for _ in range(n)]  # L times the sum's rows
     # chain[i] is the integer product of the first i+1 letters, one {column:
     # entry} dict of nonzero entries per row

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from qaffine import analysis
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
     NOT_IRREDUCIBLE,
@@ -145,6 +146,25 @@ def test_reducible_burnside_never_reads_dense_entries(tensor_14, monkeypatch):
     report = burnside_irreducible(tensor_14)
     assert report.verdict == NOT_IRREDUCIBLE
     assert report.word_span_dim == 13 and report.witness.dim == 3
+
+
+def test_word_span_eliminates_over_integers(tensor_14, monkeypatch):
+    # the maps and the seed are read as integers, so the echelon that closes
+    # the word span holds only int entries, although the generators do not
+    closures = []
+
+    def recording(*args):
+        closures.append(closure(*args))
+        return closures[-1]
+
+    closure = analysis._closure
+    monkeypatch.setattr(analysis, "_closure", recording)
+    action = tensor_14.action.values()
+    assert any(v.denominator > 1 for g in action for _, _, v in g.nonzero_entries())
+    assert _word_span(tensor_14) == 13
+    [acc] = closures
+    assert acc.dim == 13
+    assert all(type(x) is int for row in acc._pivots.values() for x in row.values())
 
 
 def test_reducible_tensor_takes_exact_fallback(tensor_14):

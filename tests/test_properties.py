@@ -7,6 +7,7 @@ kernel computation on the concatenated basis matrix, instead of the
 stacked-block elimination.
 """
 
+import bisect
 import copy
 import math
 import random
@@ -323,6 +324,58 @@ def test_handed_out_subspaces_never_change(case, cut):
     assert unchanged() and seeded.dim == n
 
 
+@st.composite
+def sparse_vector_lists(draw):
+    """Sparse vectors {index: entry} of one length, each with Fraction or
+    int entries (wide ones too), explicit zeros, repeats and scaled copies."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    entry = st.one_of(wide_fractions, st.integers(min_value=-6, max_value=6),
+                      st.sampled_from([2**61 - 1, -(3**40)]))
+    vectors: list[dict] = []
+    for _ in range(draw(st.integers(min_value=0, max_value=9))):
+        if vectors and draw(st.integers(min_value=0, max_value=3)) == 0:
+            c = draw(st.one_of(fractions, st.integers(min_value=-3, max_value=3)))
+            vectors.append({i: c * x for i, x in draw(st.sampled_from(vectors)).items()})
+        else:
+            support = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n))
+            vectors.append({i: draw(entry) for i in sorted(support)})
+    return n, vectors
+
+
+def dense(n, v):
+    return [F(v.get(i, 0)) for i in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_vector_lists(), st.integers(min_value=0, max_value=9),
+       st.randoms(use_true_random=False))
+def test_integer_echelon_hands_out_the_dense_reference(case, cut, rnd):
+    # the accumulator stores primitive integer rows with a positive pivot
+    # entry and hands out Fraction rows; whatever the insertion order, and
+    # whether it starts empty or from a Subspace, every read-out equals the
+    # dense reference, and the integer view it hands over is the one the
+    # Subspace would recompute from its Fraction rows
+    n, vectors = case
+    start = Subspace.from_vectors(n, [dense(n, v) for v in vectors[:cut]])
+    for acc, kept in ((SpanAccumulator(n), []),
+                      (SpanAccumulator.of(start), vectors[:cut]),
+                      (SpanAccumulator(n, start.pivot_rows), vectors[:cut])):
+        for v in rnd.sample(vectors, len(vectors)):
+            acc.insert(v)
+            kept = kept + [v]
+            for p, row in acc._pivots.items():
+                assert all(type(x) is int for x in row.values())
+                assert min(row) == p and row[p] > 0 and math.gcd(*row.values()) == 1
+            if rnd.random() < 0.5:
+                continue
+            space = acc.to_subspace()
+            assert space == reference_span(n, [dense(n, w) for w in kept])
+            assert all_fractions(space)
+            assert space._int_rows == Subspace(n, space.pivot_rows)._int_rows
+        assert acc.to_subspace() == reference_span(n, [dense(n, w) for w in kept])
+    event("seeded" if start.dim else "empty start")
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=5).flatmap(
     lambda n: st.tuples(st.just(n), row_lists(n), row_lists(n))))
@@ -554,20 +607,29 @@ def reference_word_span(m):
     """The word span from dense words: the closure of the identity under
     left multiplication by each generator, each word flattened to its n^2
     entries; a word is kept when it does not reduce to zero against the
-    dense RREF (`reference_rref`) of the words kept so far."""
+    dense RREF of the words kept so far. Each kept word is one Gauss-Jordan
+    step: its remainder is normalized, its pivot column is cleared from the
+    kept rows, and it is inserted in pivot order."""
     n = m.dim
     gens = [m.action[g] for g in sorted(m.action)]
-    reduced = []
+    pivots, reduced = [], []
 
     def grows(w):
         rest = list(w)
-        for row in reduced:
-            c = rest[next(i for i, v in enumerate(row) if v)]
-            if c:
+        for p, row in zip(pivots, reduced):
+            if c := rest[p]:
                 rest = [a - c * b for a, b in zip(rest, row)]
         if not any(rest):
             return False
-        reduced[:] = reference_rref(reduced + [rest])
+        p = next(i for i, v in enumerate(rest) if v)
+        inv = 1 / rest[p]
+        rest = [v * inv for v in rest]
+        for k, row in enumerate(reduced):
+            if c := row[p]:
+                reduced[k] = [a - c * b for a, b in zip(row, rest)]
+        k = bisect.bisect(pivots, p)
+        pivots.insert(k, p)
+        reduced.insert(k, rest)
         return True
 
     identity = Matrix.identity(n).entries
