@@ -33,11 +33,11 @@ cross-multiplication by the pivot entries divided by their gcd, and each
 stored row is primitive (content 1) with a positive pivot entry, which is
 as canonical as the reduced Fraction row it stands for. Fractions appear
 only at hand-out. A Subspace is the reduced rows that elimination hands
-out, {pivot: row}, and its basis matrix and integer rows are views (the
-echelon hands its integer rows over too); the rows are canonical, so
-subspace equality is entry-wise. A sum extends the larger space's echelon by
-the other's rows, and a ladder's partial sums extend one echelon a space at
-a time, both from the integer rows.
+out, {pivot: row}, and its basis matrix and integer rows are views; the
+rows are canonical, so subspace equality is entry-wise, and its integer
+rows are the primitive rows the echelon stores. A sum extends the larger
+space's echelon by the other's rows, and a ladder's partial sums extend one
+echelon a space at a time, both from the integer rows.
 
 A matrix with every nonzero entry on one side of the diagonal (K, R and L
 of every module the factory builds) has its diagonal as spectrum. For any
@@ -115,7 +115,7 @@ class Matrix:
         span the graph {(x, T x)} and reduce to (e_i | T e_i). ValueError when
         the x do not span F^n or a pivot is in the right block (inconsistent)."""
         stacked = ({**x, **{n + j: v for j, v in y.items()}} for x, y in pairs)
-        rows = _echelon(2 * n, stacked).reduced()
+        rows = _echelon(2 * n, map(int_row, stacked)).reduced()
         if set(rows) != set(range(n)):
             raise ValueError("matrix is singular")
         images = [{j - n: v for j, v in rows[i].items() if j >= n} for i in range(n)]
@@ -366,21 +366,16 @@ class SpanAccumulator:
     it is handed out: row p is N_p / N_p[p], built once per new or changed
     row."""
 
-    def __init__(self, ambient_dim: int, rows: dict[int, Row] | None = None):
-        """Empty, or from reduced rows {pivot: row}, as a Subspace holds them."""
+    def __init__(self, ambient_dim: int, space: Subspace | None = None):
+        """Empty, or started from the reduced rows of a Subspace, whose
+        integer rows become the pivot rows."""
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, Row] = dict(rows or {})  # as last handed out
-        self._pivots: dict[int, IntRow] = {p: int_row(r) for p, r in self._rows.items()}
+        self._rows: dict[int, Row] = {}  # as last handed out
+        self._pivots: dict[int, IntRow] = {}
+        if space is not None:
+            self._rows = dict(space.pivot_rows)
+            self._pivots = {p: row for p, (_, row) in space._int_rows.items()}
         self._fresh: list[int] = []  # pivots added since the last read-out
-
-    @staticmethod
-    def of(space: Subspace) -> SpanAccumulator:
-        """SpanAccumulator(space.ambient_dim, space.pivot_rows), with the
-        space's integer rows taken over instead of derived again."""
-        acc = SpanAccumulator(space.ambient_dim)
-        acc._pivots = {p: row for p, (_, row) in space._int_rows.items()}
-        acc._rows = dict(space.pivot_rows)
-        return acc
 
     @property
     def dim(self) -> int:
@@ -445,19 +440,15 @@ class SpanAccumulator:
         return rows
 
     def to_subspace(self) -> Subspace:
-        """The reduced rows as a Subspace, which takes the integer rows over
-        as its integer view."""
-        space = Subspace(self.ambient_dim, dict(self.reduced()))
-        space.__dict__["_int_rows"] = {p: (r[p], r) for p, r in self._pivots.items()}
-        return space
+        return Subspace(self.ambient_dim, dict(self.reduced()))
 
 
-def _echelon(ambient_dim: int, vectors: Iterable[Row | IntRow]) -> SpanAccumulator:
-    """The echelon of the sparse vectors, cleared to integers and inserted
-    sparsest first: the order is free, and few entries make little fill
-    (Markowitz 1957)."""
+def _echelon(ambient_dim: int, vectors: Iterable[IntRow]) -> SpanAccumulator:
+    """The echelon of the sparse integer vectors, which are consumed,
+    inserted sparsest first: the order is free, and few entries make little
+    fill (Markowitz 1957)."""
     acc = SpanAccumulator(ambient_dim)
-    for w in sorted(map(int_row, vectors), key=len):
+    for w in sorted(vectors, key=len):
         acc._add(w)
     return acc
 
@@ -496,7 +487,7 @@ class Subspace:
         ambient_dim: int, vectors: Iterable[Sequence[Fraction]]
     ) -> Subspace:
         sparse = ({i: x for i, x in enumerate(v) if x} for v in vectors)
-        return _echelon(ambient_dim, sparse).to_subspace()
+        return _echelon(ambient_dim, map(int_row, sparse)).to_subspace()
 
     @cached_property
     def basis(self) -> Matrix:
@@ -508,9 +499,8 @@ class Subspace:
     @cached_property
     def _int_rows(self) -> dict[int, tuple[int, IntRow]]:
         """The reduced rows over integers, {pivot: (d_p, N_p)}: d_p is the
-        lcm of row p's denominators and N_p = d_p * row p, so N_p[p] = d_p.
-        N_p is the primitive row the echelon stores, and `to_subspace` hands
-        it over, so this is derived only for a Subspace built otherwise."""
+        lcm of row p's denominators and N_p = d_p * row p, so N_p[p] = d_p:
+        N_p is the primitive row the echelon stores."""
         out = {}
         for p, row in self.pivot_rows.items():
             d = math.lcm(*[x.denominator for x in row.values()])
@@ -608,9 +598,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
         raise ValueError("ambient dimension mismatch")
     n = a.ambient_dim
     a, b = sorted((a, b), key=lambda s: -s.dim)
-    acc = SpanAccumulator(2 * n)  # never read out, so it needs no Fraction rows
-    acc._pivots = {p: {**r, **{n + i: x for i, x in r.items()}}
-                   for p, (_, r) in a._int_rows.items()}
+    acc = SpanAccumulator(2 * n)
+    for _, r in a._int_rows.values():
+        acc._add({**r, **{n + i: x for i, x in r.items()}})
     for _, row in sorted(b._int_rows.values(), key=lambda pair: len(pair[1])):
         acc._add(dict(row))
     tails = ({i - n: x for i, x in r.items()} for p, r in acc._pivots.items() if p >= n)
@@ -678,7 +668,7 @@ def _running_sums(spaces: Iterable[Subspace]) -> Iterator[Subspace]:
     acc = None
     for space in spaces:
         if acc is None:
-            acc = SpanAccumulator.of(space)
+            acc = SpanAccumulator(space.ambient_dim, space)
             yield space
             continue
         for _, row in space._int_rows.values():

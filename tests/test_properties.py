@@ -315,7 +315,7 @@ def test_handed_out_subspaces_never_change(case, cut):
     hand_out(*ladder.tail)
     assert unchanged()
 
-    seeded = SpanAccumulator(n, prefix.pivot_rows)
+    seeded = SpanAccumulator(n, prefix)
     for v in units:
         seeded.insert(v)
     seeded.reduced()
@@ -353,13 +353,11 @@ def test_integer_echelon_hands_out_the_dense_reference(case, cut, rnd):
     # the accumulator stores primitive integer rows with a positive pivot
     # entry and hands out Fraction rows; whatever the insertion order, and
     # whether it starts empty or from a Subspace, every read-out equals the
-    # dense reference, and the integer view it hands over is the one the
-    # Subspace would recompute from its Fraction rows
+    # dense reference, and its integer rows are the ones the Subspace derives
+    # from its Fraction rows (which a seeded accumulator starts from)
     n, vectors = case
     start = Subspace.from_vectors(n, [dense(n, v) for v in vectors[:cut]])
-    for acc, kept in ((SpanAccumulator(n), []),
-                      (SpanAccumulator.of(start), vectors[:cut]),
-                      (SpanAccumulator(n, start.pivot_rows), vectors[:cut])):
+    for acc, kept in ((SpanAccumulator(n), []), (SpanAccumulator(n, start), vectors[:cut])):
         for v in rnd.sample(vectors, len(vectors)):
             acc.insert(v)
             kept = kept + [v]
@@ -371,7 +369,7 @@ def test_integer_echelon_hands_out_the_dense_reference(case, cut, rnd):
             space = acc.to_subspace()
             assert space == reference_span(n, [dense(n, w) for w in kept])
             assert all_fractions(space)
-            assert space._int_rows == Subspace(n, space.pivot_rows)._int_rows
+            assert space._int_rows == {p: (r[p], r) for p, r in acc._pivots.items()}
         assert acc.to_subspace() == reference_span(n, [dense(n, w) for w in kept])
     event("seeded" if start.dim else "empty start")
 
