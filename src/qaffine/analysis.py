@@ -54,7 +54,6 @@ from .linalg import (
     int_row,
     kernel,
     kronecker,
-    rank,
     row_product,
     subspace_intersect,
 )
@@ -272,7 +271,7 @@ def finite_decompose(m: "ModuleData", i: int) -> list[tuple[int, int]]:
     summands: list[tuple[int, int]] = []
     previous = 0
     for j in range(d // 2 + 1):
-        reach = rank(ep.power(d - 2 * j) @ spaces[j].basis)
+        reach = image(ep.power(d - 2 * j), spaces[j]).dim
         mult = reach - previous
         if mult < 0:
             raise WeightLadderError(

@@ -14,15 +14,7 @@ A Matrix caches one integer view: `den`, the lcm of its denominators, and
 the left factor, as its nonzero pairs, times the integer rows of the right
 one (`row_product`), and one Fraction, x / (den_a den_b), per nonzero entry
 of the result. Products that only feed a verdict stay in `int`, through the
-same loop. A Subspace's integer view holds its reduced rows as integer rows
-N_p with one denominator d_p each. Containment needs no Fraction at all:
-scaling a vector by a nonzero constant does not change whether it lies in a
-subspace, so an image column may be tested as the integer product of the
-two integer views, and w lies in the span of the reduced rows it hits
-exactly when L * w - sum of w[p] * (L / d_p) * N_p vanishes, with L the lcm
-of those d_p. An eigenvalue move (op - a/b I)(S) is tested the same way, as
-b (den op)(den S) - a den (den S): the shift enters the integer rows, and no
-shifted Matrix is built.
+same loop.
 
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
 spans, kernels, ranks, sums, Zassenhaus intersections ([a | a] over [b | 0])
@@ -30,14 +22,23 @@ and matrices from their graphs ((x | T x) rows reduce to (e_i | T e_i)). It
 runs over the integers, fraction-free in the manner of Bareiss (1968): a
 vector is cleared to integers once, on entry, each reduction step is a
 cross-multiplication by the pivot entries divided by their gcd, and each
-stored row is primitive (content 1) with a positive pivot entry, which is
-as canonical as the reduced Fraction row it stands for. Fractions appear
-only at hand-out. A Subspace is the reduced rows that elimination hands
-out, {pivot: row}, and its basis matrix and integer rows are views; the
-rows are canonical, so subspace equality is entry-wise, and its integer
-rows are the primitive rows the echelon stores. A sum extends the larger
-space's echelon by the other's rows, and a ladder's partial sums extend one
-echelon a space at a time, both from the integer rows.
+stored row N_p is primitive (content 1) with a positive pivot entry N_p[p].
+That is the one row format: the primitive row is as canonical as the
+reduced Fraction row N_p / N_p[p] it stands for, so a Subspace is the
+echelon's reduced rows in that form, {pivot: N_p}, shared with the
+echelon, and subspace equality is entry-wise. Its basis matrix is the one
+Fraction view, built on request. A sum extends the larger space's echelon
+by the other's rows, and a ladder's partial sums extend one echelon a space
+at a time.
+
+Containment needs no Fraction at all: scaling a vector by a nonzero
+constant does not change whether it lies in a subspace, and w lies in the
+span of the reduced rows it hits exactly when L * w - sum of w[p] * (L /
+N_p[p]) * N_p vanishes, with L the lcm of those N_p[p]. An image column of
+op on a subspace S is taken as the integer product of den * op and the
+rows N_p of S, a nonzero multiple of the true column; an eigenvalue move
+(op - a/b I)(S) is b (den op) N_p - a den N_p, so the shift enters the
+integer rows and no shifted Matrix is built.
 
 A matrix with every nonzero entry on one side of the diagonal (K, R and L
 of every module the factory builds) has its diagonal as spectrum. For any
@@ -118,7 +119,8 @@ class Matrix:
         rows = _echelon(2 * n, map(int_row, stacked)).reduced()
         if set(rows) != set(range(n)):
             raise ValueError("matrix is singular")
-        images = [{j - n: v for j, v in rows[i].items() if j >= n} for i in range(n)]
+        images = [{j - n: Fraction(v, rows[i][i]) for j, v in rows[i].items() if j >= n}
+                  for i in range(n)]
         return Matrix.from_sparse(n, n, images).transpose()
 
     @staticmethod
@@ -362,19 +364,14 @@ class SpanAccumulator:
     row. The remainder is divided by its content, and its first index
     becomes a new pivot. Rows are back-substituted the same way on read-out,
     and only through the pivots added since the last one. The reduced form
-    is unique, whatever the insertion order, and Fractions appear only when
-    it is handed out: row p is N_p / N_p[p], built once per new or changed
-    row."""
+    is unique, whatever the insertion order. A stored row is never changed
+    in place, since a Subspace shares it: reduction replaces it by a new
+    dict."""
 
     def __init__(self, ambient_dim: int, space: Subspace | None = None):
-        """Empty, or started from the reduced rows of a Subspace, whose
-        integer rows become the pivot rows."""
+        """Empty, or started from the reduced rows of a Subspace."""
         self.ambient_dim = ambient_dim
-        self._rows: dict[int, Row] = {}  # as last handed out
-        self._pivots: dict[int, IntRow] = {}
-        if space is not None:
-            self._rows = dict(space.pivot_rows)
-            self._pivots = {p: row for p, (_, row) in space._int_rows.items()}
+        self._pivots: dict[int, IntRow] = {} if space is None else dict(space.pivot_rows)
         self._fresh: list[int] = []  # pivots added since the last read-out
 
     @property
@@ -413,15 +410,13 @@ class SpanAccumulator:
         self._fresh.append(p)
         return True
 
-    def reduced(self) -> dict[int, Row]:
-        """The reduced echelon rows, {pivot: row}, as Fractions: in
-        decreasing pivot order, each row loses its entries at fresh pivots.
-        The rows it hits have larger pivots, so they are fully reduced by
-        then, each 0 at every other pivot: one common multiple L of their
-        pivot entries clears every hit at once. A changed row is a new dict,
-        so rows handed out earlier never change."""
-        pivots, rows, fresh = self._pivots, self._rows, set(self._fresh)
-        stale = dict.fromkeys(self._fresh)
+    def reduced(self) -> dict[int, IntRow]:
+        """The reduced echelon rows, {pivot: row}, each 0 at every other
+        pivot: in decreasing pivot order, each row loses its entries at
+        fresh pivots. The rows it hits have larger pivots, so they are fully
+        reduced by then: one common multiple L of their pivot entries clears
+        every hit at once."""
+        pivots, fresh = self._pivots, set(self._fresh)
         for p in sorted(pivots, reverse=True) if fresh else ():
             row = pivots[p]
             hits = [i for i in row if i in fresh and i != p]
@@ -431,13 +426,8 @@ class SpanAccumulator:
                 for i in hits:
                     _subtract(out, row[i] * (lcm // pivots[i][i]), pivots[i])
                 pivots[p] = _primitive_row(out, p)
-                stale[p] = None
-        for p in stale:
-            row = pivots[p]
-            a = row[p]
-            rows[p] = {i: Fraction(x, a) for i, x in row.items()}
         self._fresh = []
-        return rows
+        return pivots
 
     def to_subspace(self) -> Subspace:
         return Subspace(self.ambient_dim, dict(self.reduced()))
@@ -456,14 +446,15 @@ def _echelon(ambient_dim: int, vectors: Iterable[IntRow]) -> SpanAccumulator:
 @dataclass(frozen=True)
 class Subspace:
     """A subspace of F^ambient_dim held as its reduced echelon rows,
-    {pivot: row}, as `SpanAccumulator.reduced` hands them out: each row is 1
-    at its pivot and 0 at every other pivot. The rows are shared, so they
-    are never changed. The form is canonical, so two Subspace values are
-    equal as sets of vectors exactly when their rows are entry-wise equal;
-    the basis matrix and the integer rows are views built on request."""
+    {pivot: N_p}, as `SpanAccumulator.reduced` hands them out: each N_p is
+    a primitive integer row, positive at its pivot p and 0 at every other
+    pivot. The rows are shared, so they are never changed. The form is
+    canonical, so two Subspace values are equal as sets of vectors exactly
+    when their rows are entry-wise equal; the basis matrix is a Fraction
+    view built on request."""
 
     ambient_dim: int
-    pivot_rows: dict[int, Row]
+    pivot_rows: dict[int, IntRow]
 
     def __hash__(self) -> int:
         """Hashes the entries, which equal subspaces share (canonical form)."""
@@ -480,7 +471,7 @@ class Subspace:
 
     @staticmethod
     def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, {i: {i: ONE} for i in range(ambient_dim)})
+        return Subspace(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @staticmethod
     def from_vectors(
@@ -491,62 +482,63 @@ class Subspace:
 
     @cached_property
     def basis(self) -> Matrix:
-        """The ambient_dim x dim matrix with the rows as its columns, in
-        increasing pivot order: the reduced column echelon basis."""
-        rows = [self.pivot_rows[p] for p in sorted(self.pivot_rows)]
+        """The ambient_dim x dim matrix with the rows N_p / N_p[p] as its
+        columns, in increasing pivot order: the reduced column echelon basis."""
+        rows = [{i: Fraction(x, row[p]) for i, x in row.items()}
+                for p, row in sorted(self.pivot_rows.items())]
         return Matrix.from_sparse(len(rows), self.ambient_dim, rows).transpose()
-
-    @cached_property
-    def _int_rows(self) -> dict[int, tuple[int, IntRow]]:
-        """The reduced rows over integers, {pivot: (d_p, N_p)}: d_p is the
-        lcm of row p's denominators and N_p = d_p * row p, so N_p[p] = d_p:
-        N_p is the primitive row the echelon stores."""
-        out = {}
-        for p, row in self.pivot_rows.items():
-            d = math.lcm(*[x.denominator for x in row.values()])
-            out[p] = (d, {i: x.numerator * (d // x.denominator) for i, x in row.items()})
-        return out
 
     def _holds(self, w: IntRow) -> bool:
         """Whether the sparse integer vector w lies in the subspace. The rows
-        are reduced, so w = sum of w[p] * N_p / d_p over the pivots p it hits
-        exactly when it is in the span; with L the lcm of those d_p, the
-        integer L * w less each w[p] * (L / d_p) * N_p must vanish."""
-        rows = self._int_rows
+        are reduced, so w = sum of w[p] * N_p / N_p[p] over the pivots p it
+        hits exactly when it is in the span; with L the lcm of those N_p[p],
+        the integer L * w less each w[p] * (L / N_p[p]) * N_p must vanish."""
+        rows = self.pivot_rows
         hits = [p for p in w if p in rows]
-        lcm = math.lcm(*[rows[p][0] for p in hits])
+        lcm = math.lcm(*[rows[p][p] for p in hits])
         rest = {i: lcm * x for i, x in w.items()}
         for p in hits:
-            d, row = rows[p]
-            _subtract(rest, w[p] * (lcm // d), row)
+            _subtract(rest, w[p] * (lcm // rows[p][p]), rows[p])
         return not rest
 
     def contains(self, other: Subspace) -> bool:
         if other.ambient_dim != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        return all(self._holds(row) for _, row in other._int_rows.values())
+        return all(self._holds(row) for row in other.pivot_rows.values())
 
     def contains_image(self, op: Matrix, space: Subspace, shift: Fraction = ZERO) -> bool:
-        """Whether (op - shift I)(space) lies in this subspace. With shift = a/b,
-        O = op.int_rows and S = space.basis.int_rows, the columns of b O S -
-        a op.den S are nonzero multiples of the image columns, which keeps
-        membership; each is tested without building a shifted Matrix."""
-        if op.rows != self.ambient_dim or op.cols != space.ambient_dim:
+        """Whether (op - shift I)(space) lies in this subspace: each column
+        of `_image_columns` is tested, with no shifted Matrix built."""
+        if op.rows != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
-        if shift and not op.is_square:
-            raise ValueError("shift of a non-square matrix")
-        a, b = shift.numerator, shift.denominator
-        images: list[IntRow] = [{} for _ in range(space.dim)]
-        right = space.basis.int_rows
-        for i, row in enumerate(op.int_rows):
-            if a:
-                row = [(j, b * v) for j, v in row] + [(i, -a * op.den)]
-            for c, v in row_product(row, right).items():
-                images[c][i] = v
-        return all(self._holds(w) for w in images)
+        return all(self._holds(w) for w in _image_columns(op, space, shift))
 
     def is_zero(self) -> bool:
         return self.dim == 0
+
+
+def _image_columns(op: Matrix, space: Subspace, shift: Fraction = ZERO) -> list[IntRow]:
+    """Nonzero multiples of the columns (op - shift I) N_p, one for each row
+    N_p of the space, as sparse integer vectors. With shift = a/b and O =
+    op.int_rows, column p is b O N_p - a op.den N_p: row i of b O, with -a
+    op.den added at (i, i), times the transpose of the rows N_p. Scaling a
+    column keeps its membership in a subspace and the span of the columns."""
+    if op.cols != space.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if shift and not op.is_square:
+        raise ValueError("shift of a non-square matrix")
+    a, b = shift.numerator, shift.denominator
+    right: list[list[tuple[int, int]]] = [[] for _ in range(space.ambient_dim)]
+    for c, row in enumerate(space.pivot_rows.values()):
+        for t, x in row.items():
+            right[t].append((c, x))
+    columns: list[IntRow] = [{} for _ in range(space.dim)]
+    for i, row in enumerate(op.int_rows):
+        if a:
+            row = [(j, b * v) for j, v in row] + [(i, -a * op.den)]
+        for c, v in row_product(row, right).items():
+            columns[c][i] = v
+    return columns
 
 
 def column_echelon(m: Matrix) -> Subspace:
@@ -555,25 +547,32 @@ def column_echelon(m: Matrix) -> Subspace:
 
 
 def image(m: Matrix, space: Subspace) -> Subspace:
-    """The image m(space), echelonized."""
-    return column_echelon(m @ space.basis)
+    """The image m(space), echelonized from its integer columns."""
+    return _echelon(m.rows, _image_columns(m, space)).to_subspace()
 
 
 def kernel(m: Matrix) -> Subspace:
     """The null space {v : m v = 0} of an arbitrary rectangular matrix.
 
     The rows are eliminated with the columns in reverse order, so a free
-    column f gives the kernel vector e_f - sum_p row_p[f] e_p over pivots
-    p > f: 1 at f first, 0 at every other free column, which is already
-    its reduced echelon row."""
+    column f gives the kernel vector e_f - sum_p (N_p[k] / N_p[p]) e_(last - p)
+    over the reduced rows N_p that hit k = last - f; their pivots p < k put
+    last - p past f. Times the lcm L of those N_p[p] it is in integers, L > 0
+    at f first and 0 at every other free column: divided by its content, it
+    is already its reduced echelon row."""
     last = m.cols - 1
     reversed_rows = ({last - j: v for j, v in r} for r in m.int_rows)
     rows = _echelon(m.cols, reversed_rows).reduced()
-    vectors = {f: {f: ONE} for f in range(m.cols) if last - f not in rows}
+    hits: dict[int, list] = {f: [] for f in range(m.cols) if last - f not in rows}
     for p, row in rows.items():
         for k, x in row.items():
             if k != p:
-                vectors[last - k][last - p] = -x
+                hits[last - k].append((p, x))
+    vectors = {}
+    for f, terms in hits.items():
+        lcm = math.lcm(*[rows[p][p] for p, _ in terms])
+        v = {f: lcm, **{last - p: -(lcm // rows[p][p]) * x for p, x in terms}}
+        vectors[f] = _primitive_row(v, f)
     return Subspace(m.cols, vectors)
 
 
@@ -599,9 +598,9 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     n = a.ambient_dim
     a, b = sorted((a, b), key=lambda s: -s.dim)
     acc = SpanAccumulator(2 * n)
-    for _, r in a._int_rows.values():
+    for r in a.pivot_rows.values():
         acc._add({**r, **{n + i: x for i, x in r.items()}})
-    for _, row in sorted(b._int_rows.values(), key=lambda pair: len(pair[1])):
+    for row in sorted(b.pivot_rows.values(), key=len):
         acc._add(dict(row))
     tails = ({i - n: x for i, x in r.items()} for p, r in acc._pivots.items() if p >= n)
     return _echelon(n, tails).to_subspace()
@@ -671,7 +670,7 @@ def _running_sums(spaces: Iterable[Subspace]) -> Iterator[Subspace]:
             acc = SpanAccumulator(space.ambient_dim, space)
             yield space
             continue
-        for _, row in space._int_rows.values():
+        for row in space.pivot_rows.values():
             acc._add(dict(row))
         yield acc.to_subspace()
 

@@ -292,16 +292,17 @@ def test_tridiagonal_checks_build_no_new_sum(tensor_13, monkeypatch):
 
 
 def test_running_sums_build_no_basis_matrix(tensor_13, monkeypatch):
-    # A Subspace is its reduced rows. A running sum of two or more spaces is
-    # only ever a containment or equality target, so none of the head and
-    # tail sums of U, V, V*, W and W* builds its basis matrix.
+    # A Subspace is its reduced integer rows, and containment reads them
+    # directly. So no space the stages build or read, neither the U, V, V*,
+    # W and W* spaces nor their head and tail sums (the running sums past
+    # the first space), builds its basis matrix.
     r = restrict_to_ugeq0(tensor_13, 1)
     p = unit_lu(r.dim, 3)
     p_inv = p.inverse()
     dense = build_module(
         UGEQ0, r.q, {g: p_inv @ mat @ p for g, mat in r.action.items()}, "dense"
     )
-    ladders, sums = [], []
+    ladders, sums, read = [], [], []
     running_sums = linalg._running_sums
 
     def recorded(spaces):
@@ -311,10 +312,18 @@ def test_running_sums_build_no_basis_matrix(tensor_13, monkeypatch):
                 sums.append(total)
             yield total
 
+    contains_image = Subspace.contains_image
+
+    def recorded_contains_image(self, op, space, shift=F(0)):
+        read.extend((self, space))
+        return contains_image(self, op, space, shift)
+
     monkeypatch.setattr(linalg, "_running_sums", recorded)
+    monkeypatch.setattr(Subspace, "contains_image", recorded_contains_image)
     for module in (r, dense):
         ladders.clear()
         sums.clear()
+        read.clear()
         ladder = analyze_ugeq0(module)
         log = CheckLog(strict=True)
         a_mat, astar_mat = build_a_astar(module, log)
@@ -322,7 +331,8 @@ def test_running_sums_build_no_basis_matrix(tensor_13, monkeypatch):
         _, w, wstar = build_w_grid(module, ladder, a_mat, astar_mat, v, vstar, log)
         build_b_bstar(module, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
         assert len(ladders) == 10 and len(sums) == 10 * ladder.diameter
-        assert all("basis" not in vars(s) for s in sums)
+        spaces = [*ladder.spaces, *v, *vstar, *w, *wstar, *sums, *read]
+        assert read and all("basis" not in vars(s) for s in spaces)
 
 
 def test_moves_build_no_shifted_matrix(tensor_13, monkeypatch):

@@ -49,6 +49,7 @@ from qaffine.linalg import (
     eval_poly,
     first_escape,
     image,
+    int_row,
     kernel,
     rank,
     rational_roots,
@@ -188,9 +189,10 @@ def from_columns(ambient, columns):
 
 
 def reference_span(n, vectors):
-    """The Subspace whose reduced rows are the dense reference RREF's rows."""
+    """The Subspace whose reduced rows are the dense reference RREF's rows,
+    each cleared to integers: with a 1 at its pivot, the row is primitive."""
     rows = ({i: v for i, v in enumerate(row) if v} for row in reference_rref(vectors))
-    return Subspace(n, {min(row): row for row in rows})
+    return Subspace(n, {min(row): int_row(row) for row in rows})
 
 
 def reference_kernel(m):
@@ -351,10 +353,10 @@ def dense(n, v):
        st.randoms(use_true_random=False))
 def test_integer_echelon_hands_out_the_dense_reference(case, cut, rnd):
     # the accumulator stores primitive integer rows with a positive pivot
-    # entry and hands out Fraction rows; whatever the insertion order, and
-    # whether it starts empty or from a Subspace, every read-out equals the
-    # dense reference, and its integer rows are the ones the Subspace derives
-    # from its Fraction rows (which a seeded accumulator starts from)
+    # entry; whatever the insertion order, and whether it starts empty or
+    # from a Subspace, every read-out equals the dense reference, its basis
+    # view is in Fractions, and its rows are the accumulator's own (which a
+    # seeded accumulator starts from)
     n, vectors = case
     start = Subspace.from_vectors(n, [dense(n, v) for v in vectors[:cut]])
     for acc, kept in ((SpanAccumulator(n), []), (SpanAccumulator(n, start), vectors[:cut])):
@@ -369,7 +371,7 @@ def test_integer_echelon_hands_out_the_dense_reference(case, cut, rnd):
             space = acc.to_subspace()
             assert space == reference_span(n, [dense(n, w) for w in kept])
             assert all_fractions(space)
-            assert space._int_rows == {p: (r[p], r) for p, r in acc._pivots.items()}
+            assert space.pivot_rows == acc._pivots
         assert acc.to_subspace() == reference_span(n, [dense(n, w) for w in kept])
     event("seeded" if start.dim else "empty start")
 
