@@ -1,12 +1,13 @@
 """Structural analysis of modules: submodule spinning, the Burnside
 irreducibility test, raising-power isomorphisms and finite-type decomposition.
 
-Spinning a vector, the span of the words in the generators and the dual spin
+Spinning a row, the span of the words in the generators and the dual spin
 of the irreducibility test are one frontier closure, `_closure`: the span of
-some sparse seed vectors ({index: entry}), closed under a list of matrices,
-each image formed over the nonzero entries only. The word span is the
-closure of vec(I) under g (x) I for the generators g, since vec(g W) =
-(g (x) I) vec(W); no word is ever held as dim^2 dense entries.
+sparse integer seed rows ({index: entry}, as an echelon holds them; `spin`
+takes one) closed under matrices given by their columns, the integer rows
+of their transposes, each image formed over nonzero entries only. The word
+span is the closure of vec(I) under g (x) I for the generators g, since
+vec(g W) = (g (x) I) vec(W); no word is held as dim^2 dense entries.
 
 Irreducibility is first certified by Norton's criterion (Parker 1984, the
 MeatAxe; Holt-Rees 1994). Let A be the algebra of words in the generators
@@ -32,19 +33,19 @@ is the closure of the identity under left multiplication (deterministic, no
 randomization), and the module is absolutely irreducible exactly when it has
 dimension dim^2. Only this path reports NotIrreducible, with that span
 dimension as the diagnostic. A proper invariant subspace is then hunted by
-spinning standard basis vectors and then kernel vectors of shifted
-generators. A rational module that is irreducible but not absolutely so would
-be reported NotIrreducible with no witness.
+spinning the unit rows, then the kernel rows of shifted generators. A
+rational module that is irreducible but not absolutely so would be
+reported NotIrreducible with no witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CheckFailedError, WeightLadderError
 from .linalg import (
+    IntRow,
     Matrix,
     Row,
     SpanAccumulator,
@@ -82,39 +83,41 @@ class IrreducibilityReport:
 
 
 def _closure(
-    seeds: Iterable[Row], maps: Sequence[Matrix], ambient: int
+    seeds: Iterable[Row | IntRow],
+    columns: Sequence[Sequence[Iterable[tuple[int, int]]]],
+    ambient: int,
 ) -> SpanAccumulator:
-    """The span of the sparse seeds closed under the matrices. Every vector
-    that enlarges the span is mapped again, level by level, until no image
+    """The span of the sparse seeds closed under some matrices, each given
+    by its columns: the integer rows of its transpose. Every vector that
+    enlarges the span is mapped again, level by level, until no image
     enlarges it or it is all of F^ambient. The image M v is formed as the
-    row v times the rows of M^T (`row_product`), so it touches only the
-    columns of M where v is nonzero. Scaling a vector by a nonzero constant
-    does not change a span, so the seeds are cleared to integers and each M
-    is read as its integer view: the closure builds no Fraction."""
-    transposed = [f.transpose().int_rows for f in maps]
+    row v times the columns of M (`row_product`), so it touches only the
+    columns where v is nonzero. Scaling a vector or a map by a nonzero
+    constant does not change a span, so the seeds are cleared to integers
+    and the closure builds no Fraction."""
     acc = SpanAccumulator(ambient)
     frontier = [v for v in map(int_row, seeds) if acc.insert(v)]
     while frontier and acc.dim < ambient:
         new_frontier = []
         for v in frontier:
-            for rows in transposed:
-                w = row_product(v.items(), rows)
+            for cols in columns:
+                w = row_product(v.items(), cols)
                 if acc.insert(w):
                     new_frontier.append(w)
         frontier = new_frontier
     return acc
 
 
-def spin(v: Sequence[Fraction], m: "ModuleData") -> Subspace:
-    """The smallest subspace containing a nonzero vector and closed under
-    every generator matrix."""
-    if all(x == 0 for x in v):
+def spin(seed: Row | IntRow, m: "ModuleData") -> Subspace:
+    """The smallest subspace containing a nonzero sparse vector, {index:
+    entry}, and closed under every generator matrix."""
+    if not any(seed.values()):
         raise ValueError("cannot spin the zero vector")
-    if len(v) != m.dim:
-        raise ValueError("vector length does not match module dimension")
+    if not all(0 <= i < m.dim for i in seed):
+        raise ValueError("vector index out of range for the module dimension")
     gens = sorted(m.action)
-    seed = {i: x for i, x in enumerate(v) if x}
-    generated = _closure([seed], [m.action[g] for g in gens], m.dim).to_subspace()
+    columns = [m.action[g].transpose().int_rows for g in gens]
+    generated = _closure([seed], columns, m.dim).to_subspace()
     for g in gens:
         if not generated.contains_image(m.action[g], generated):
             raise CheckFailedError(
@@ -126,11 +129,13 @@ def spin(v: Sequence[Fraction], m: "ModuleData") -> Subspace:
 def _word_span(m: "ModuleData") -> int:
     """Dimension of the span of all words in the generator matrices: the
     closure of vec(I) under g (x) I for each generator g, since vec(g W) =
-    (g (x) I) vec(W) for the row-major vec of dim^2 entries."""
+    (g (x) I) vec(W) for the row-major vec of dim^2 entries. The columns of
+    g (x) I are the rows of g^T (x) I."""
     n = m.dim
     identity = Matrix.identity(n)
-    lefts = [kronecker(m.action[g], identity) for g in sorted(m.action)]
-    return _closure([{i * n + i: 1 for i in range(n)}], lefts, n * n).dim
+    columns = [kronecker(m.action[g].transpose(), identity).int_rows
+               for g in sorted(m.action)]
+    return _closure([{i * n + i: 1 for i in range(n)}], columns, n * n).dim
 
 
 def _eigenspaces(m: "ModuleData") -> Iterator[tuple[Matrix, Subspace]]:
@@ -149,39 +154,32 @@ def _norton_theta(m: "ModuleData") -> tuple[Matrix, Subspace] | None:
     return next((pair for pair in _eigenspaces(m) if pair[1].dim == 1), None)
 
 
-def _dual_spin_dim(theta: Matrix, m: "ModuleData") -> int:
-    """Dimension of the spin of the kernel vector of theta^T under the
-    transposed generators: the V* half of Norton's criterion."""
-    transposes = [m.action[g].transpose() for g in sorted(m.action)]
-    seeds = kernel(theta.transpose()).pivot_rows.values()
-    return _closure(seeds, transposes, m.dim).dim
-
-
 def _norton(m: "ModuleData") -> bool:
     """True when Norton's criterion proves m absolutely irreducible (module
-    docstring); False decides nothing."""
+    docstring); False decides nothing. The kernel row of theta spins under
+    the generators; only if it fills V is the kernel row of theta^T closed
+    under their transposes, whose columns are the generators' rows."""
     found = _norton_theta(m)
     if found is None:
         return False
     theta, null = found
     n = m.dim
+    [row] = null.pivot_rows.values()
+    rows = [m.action[g].int_rows for g in sorted(m.action)]
     return (
-        spin(null.basis.column(0), m).dim == n
-        and _dual_spin_dim(theta, m) == n
+        spin(row, m).dim == n
+        and _closure(kernel(theta.transpose()).pivot_rows.values(), rows, n).dim == n
     )
 
 
-def _witness_candidates(m: "ModuleData") -> Iterator[tuple[Fraction, ...]]:
-    """Seed vectors likely to generate a proper submodule: the standard basis,
-    then kernel bases of every rational eigenvalue shift of each generator.
-    The eigenvalues are computed only once the standard basis is used up."""
-    n = m.dim
-    for i in range(n):
-        e = [Fraction(0)] * n
-        e[i] = Fraction(1)
-        yield tuple(e)
+def _witness_candidates(m: "ModuleData") -> Iterator[IntRow]:
+    """Seeds likely to generate a proper submodule: the unit rows, then the
+    kernel rows of every rational eigenvalue shift of each generator, in
+    increasing pivot order. The eigenvalues are computed only once the unit
+    rows are used up."""
+    yield from ({i: 1} for i in range(m.dim))
     for _, null in _eigenspaces(m):
-        yield from null.basis.columns()
+        yield from (null.pivot_rows[p] for p in sorted(null.pivot_rows))
 
 
 def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
@@ -202,8 +200,8 @@ def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
             span_dim, ABSOLUTELY_IRREDUCIBLE, None, WORD_SPAN
         )
     witness = None
-    for v in _witness_candidates(m):
-        generated = spin(v, m)
+    for seed in _witness_candidates(m):
+        generated = spin(seed, m)
         if 0 < generated.dim < n:
             witness = generated
             break

@@ -57,14 +57,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Iterator, Sequence, TypeVar
+from typing import Iterable, Iterator, Sequence
 
 from .scalars import ONE, ZERO, as_scalar
 
 Vector = tuple[Fraction, ...]
 Row = dict[int, Fraction]  # the nonzero entries of a vector, {index: entry}
 IntRow = dict[int, int]  # the same, scaled to integers
-Entry = TypeVar("Entry", int, Fraction)
 
 
 @dataclass(frozen=True)
@@ -294,14 +293,12 @@ class Matrix:
 
 
 def row_product(
-    row: Iterable[tuple[int, Entry]],
-    rows: Sequence[Iterable[tuple[int, Entry]]],
-) -> dict[int, Entry]:
-    """The row vector given by its nonzero (index, entry) pairs times the
-    matrix given by its rows' nonzero (column, entry) pairs, as {column:
-    entry}; entries that cancel to zero are dropped. The entries may be
-    Fractions or ints (integer views)."""
-    out: dict[int, Entry] = {}
+    row: Iterable[tuple[int, int]], rows: Sequence[Iterable[tuple[int, int]]]
+) -> IntRow:
+    """The integer row vector given by its nonzero (index, entry) pairs times
+    the integer matrix given by its rows' nonzero (column, entry) pairs, as
+    {column: entry}; entries that cancel to zero are dropped."""
+    out: IntRow = {}
     for t, c in row:
         for j, b in rows[t]:
             v = c * b

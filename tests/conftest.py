@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,19 @@ def tensor_13(v111, v113):
 @pytest.fixture(scope="session")
 def tensor_14(v111, v114):
     return tensor_product(v111, v114)
+
+
+@pytest.fixture(scope="session")
+def dense_tensor_14(tensor_14):
+    """tensor_14 conjugated by P = unit_lu(4, 1), the seeded L U of the dense
+    CI modules (each generator g acts as P^-1 g P), and P^-1, which maps
+    each submodule of tensor_14 onto the matching one."""
+    from test_properties import unit_lu
+
+    p = unit_lu(4, 1)
+    p_inv = p.inverse()
+    action = {g: p_inv @ a @ p for g, a in tensor_14.action.items()}
+    return replace(tensor_14, action=action), p_inv
 
 
 @pytest.fixture(scope="session")

@@ -193,8 +193,8 @@ def test_criterion_4_irreducibility_boundary():
             bad.witness.contains(image(mat, bad.witness))
             for mat in critical.action.values()
         )
-        for j in range(bad.witness.dim):
-            generated = spin(bad.witness.basis.column(j), critical)
+        for row in bad.witness.pivot_rows.values():
+            generated = spin(row, critical)
             witness_ok = witness_ok and bad.witness.contains(generated)
     ok = (
         good.word_span_dim == 16

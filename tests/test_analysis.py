@@ -7,7 +7,6 @@ from qaffine import analysis
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
     NOT_IRREDUCIBLE,
-    _dual_spin_dim,
     _norton_theta,
     _word_span,
     burnside_irreducible,
@@ -23,7 +22,7 @@ from qaffine.factory import (
     restrict_to_ugeq0,
     tensor_product,
 )
-from qaffine.linalg import Matrix, Subspace, image
+from qaffine.linalg import Matrix, Subspace, image, kernel, subspace_sum
 from qaffine.presentations import AFFINE_FULL
 from qaffine.scalars import qparam
 
@@ -41,31 +40,38 @@ def unit_vector(n, i):
 
 def test_spin_irreducible_reaches_everything(v111):
     for i in range(2):
-        assert spin(unit_vector(2, i), v111) == Subspace.full(2)
+        assert spin({i: 1}, v111) == Subspace.full(2)
 
 
 def test_spin_one_dimensional(q2):
     m = evaluation_module(EvalParams(0, 1, 1), q2)
-    assert spin([F(3)], m) == Subspace.full(1)
+    assert spin({0: F(3)}, m) == Subspace.full(1)
 
 
 def test_spin_finds_proper_submodule(tensor_14):
     # v_0 x w_0 generates the 3-dimensional component of the critical tensor
-    result = spin(unit_vector(4, 0), tensor_14)
+    result = spin({0: 1}, tensor_14)
     assert result.dim == 3
     assert result.contains(Subspace.from_vectors(4, [[F(0), F(1), F(2), F(0)]]))
 
 
 def test_spin_monotone(tensor_14):
-    big = spin(unit_vector(4, 0), tensor_14)
+    big = spin({0: 1}, tensor_14)
     assert big.contains(Subspace.from_vectors(4, [unit_vector(4, 3)]))
-    inner = spin(unit_vector(4, 3), tensor_14)
+    inner = spin({3: 1}, tensor_14)
     assert big.contains(inner)
 
 
 def test_spin_zero_vector_rejected(v111):
-    with pytest.raises(ValueError):
-        spin([F(0), F(0)], v111)
+    for seed in ({}, {0: F(0), 1: 0}):
+        with pytest.raises(ValueError):
+            spin(seed, v111)
+
+
+def test_spin_index_out_of_range_rejected(v111):
+    for seed in ({2: 1}, {-1: 1}):
+        with pytest.raises(ValueError):
+            spin(seed, v111)
 
 
 # -- burnside ------------------------------------------------------------------
@@ -173,8 +179,24 @@ def test_reducible_tensor_takes_exact_fallback(tensor_14):
     assert report.word_span_dim == _word_span(tensor_14) == 13
     assert report.verdict == NOT_IRREDUCIBLE
     # the first candidate, e_0, spins to the 3-dimensional component
-    assert report.witness == spin(unit_vector(4, 0), tensor_14)
+    assert report.witness == spin({0: 1}, tensor_14)
     assert report.witness.dim == 3
+
+
+def test_spin_unit_rows_fill_dense_tensor_14(dense_tensor_14):
+    m, _ = dense_tensor_14
+    assert [spin({i: 1}, m).dim for i in range(4)] == [4, 4, 4, 4]
+
+
+def test_witness_from_eigenspace_row(tensor_14, dense_tensor_14):
+    # no unit row of the conjugated module lies in its 3-dim submodule, so
+    # the witness is spun from a kernel row of a shifted generator
+    m, p_inv = dense_tensor_14
+    plain = burnside_irreducible(tensor_14)
+    report = burnside_irreducible(m)
+    assert report.witness == image(p_inv, plain.witness)
+    assert report.witness.dim == 3
+    assert report.word_span_dim == 13
 
 
 def test_prime_in_denominator_skips_certificate(tensor_14):
@@ -265,6 +287,19 @@ def test_dim16_reducible_word_span_time_bound(run_snippet):
     assert seconds < 8, f"dim-16 reducible Burnside test took {seconds:.1f} s"
 
 
+def dual_spin_dim(theta, m):
+    # the V* half of Norton's criterion, by repeated subspace sums: the
+    # kernel of theta^T closed under the transposed generators
+    space = kernel(theta.transpose())
+    while True:
+        grown = space
+        for g in m.action.values():
+            grown = subspace_sum(grown, image(g.transpose(), space))
+        if grown == space:
+            return space.dim
+        space = grown
+
+
 def assert_exact_fallback(m):
     report = burnside_irreducible(m)
     assert report.certificate == "word-span"
@@ -276,8 +311,9 @@ def assert_exact_fallback(m):
 def test_norton_proper_spin_falls_back(tensor_14):
     # theta = K0 - q^-2 I; its kernel vector spins to the 3-dim submodule
     theta, null = _norton_theta(tensor_14)
-    assert spin(null.basis.column(0), tensor_14).dim == 3
-    assert _dual_spin_dim(theta, tensor_14) == 4
+    [row] = null.pivot_rows.values()
+    assert spin(row, tensor_14).dim == 3
+    assert dual_spin_dim(theta, tensor_14) == 4
     assert_exact_fallback(tensor_14)
 
 
@@ -287,8 +323,9 @@ def test_norton_proper_dual_spin_falls_back(v111, q2):
     # alone would wrongly certify this module
     m = tensor_product(v111, evaluation_module(EvalParams(1, 1, F(1, 4)), q2))
     theta, null = _norton_theta(m)
-    assert spin(null.basis.column(0), m).dim == 4
-    assert _dual_spin_dim(theta, m) == 3
+    [row] = null.pivot_rows.values()
+    assert spin(row, m).dim == 4
+    assert dual_spin_dim(theta, m) == 3
     report = assert_exact_fallback(m)
     assert report.word_span_dim == 13
 
@@ -315,7 +352,7 @@ def test_no_one_dimensional_eigenspace_takes_word_span(v111):
 
 def test_spin_full_space_on_certified_modules(tensor_13):
     for i in range(4):
-        assert spin(unit_vector(4, i), tensor_13) == Subspace.full(4)
+        assert spin({i: 1}, tensor_13) == Subspace.full(4)
 
 
 # -- raising-power isomorphisms ---------------------------------------------------

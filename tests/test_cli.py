@@ -10,6 +10,8 @@ import pytest
 from qaffine import cli
 from qaffine.cli import main
 from qaffine.errors import CheckFailedError
+from qaffine.factory import EvalParams, evaluation_module, tensor_product
+from qaffine.linalg import Matrix, Subspace
 from qaffine.modfile import write_module
 
 
@@ -363,6 +365,51 @@ def test_analyze_reports_verdict(tmp_path, v111, v114, capsys):
 def test_analyze_irreducible(tmp_path, v111_file, capsys):
     assert main(["analyze", str(v111_file)]) == 0
     assert "AbsolutelyIrreducible" in capsys.readouterr().out
+
+
+@pytest.fixture()
+def dense_views(monkeypatch):
+    """The name of each dense view read, in order: Subspace.basis,
+    Matrix.column and Matrix.columns are wrapped to record it."""
+    reads = []
+    basis = Subspace.basis.func
+
+    def counting_basis(self):
+        reads.append("basis")
+        return basis(self)
+
+    monkeypatch.setattr(Subspace, "basis", property(counting_basis))
+    for name in ("column", "columns"):
+        def counting(*args, name=name, original=getattr(Matrix, name)):
+            reads.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(Matrix, name, counting)
+    return reads
+
+
+@pytest.mark.parametrize("verb, module", [
+    ("roundtrip", "t16"), ("roundtrip", "eval40"),
+    ("analyze", "rt16"), ("analyze", "dense_t14"),
+])
+def test_irreducibility_test_reads_no_dense_view(
+    tmp_path, q2, dense_tensor_14, dense_views, verb, module
+):
+    # the Norton spins, the word span and the witness search are seeded with
+    # echelon rows, so no basis matrix or dense column is built
+    def ev(d, a):
+        return evaluation_module(EvalParams(d, 1, a), q2)
+
+    modules = {
+        "t16": lambda: tensor_product(ev(3, 1), ev(3, 11)),
+        "eval40": lambda: ev(40, 1),
+        "rt16": lambda: tensor_product(ev(3, 1), ev(3, 4)),
+        "dense_t14": lambda: dense_tensor_14[0],
+    }
+    path = tmp_path / f"{module}.json"
+    write_module(modules[module](), path)
+    assert main([verb, str(path)]) == 0
+    assert dense_views == []
 
 
 def test_build_invalid_parameter_exits_2(tmp_path):
