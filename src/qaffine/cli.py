@@ -14,6 +14,7 @@ as structured report files. Exit codes partition the failure modes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .analysis import NOT_IRREDUCIBLE, burnside_irreducible
@@ -189,7 +190,10 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_RELATION
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args keeps no state between calls and
+    # returns a fresh namespace each time
     parser = argparse.ArgumentParser(
         prog="qaffine",
         description=(

@@ -5,6 +5,12 @@ precision survives any JSON implementation's number limits. Output ordering
 is deterministic (top-level keys fixed, generators in the presentation's
 alphabet order), which makes serialize(parse(serialize(x))) == serialize(x)
 a literal byte equality and files diff-able.
+
+Both directions cost what a file holds. Reading skips entries equal to "0"
+before parsing and parses every other distinct string once per document,
+through a memo that lives for one `module_from_dict` call and keeps only
+successful parses, so a bad string raises at its first occurrence. Writing
+fills each row with "0" and renders only the matrix's nonzero entries.
 """
 
 from __future__ import annotations
@@ -23,11 +29,19 @@ from .scalars import QParam, as_scalar, scalar_str
 FORMAT_VERSION = 1
 
 
+def _row_strings(cols: int, row: tuple[tuple[int, Fraction], ...]) -> list[str]:
+    """The dense row of entry strings: "0" except at the row's nonzero entries."""
+    out = ["0"] * cols
+    for j, v in row:
+        out[j] = scalar_str(v)
+    return out
+
+
 def module_to_dict(m: ModuleData) -> dict:
     action = {}
     for gen in ALPHABETS[m.kind]:
         mat = m.action[gen]
-        action[gen] = [[scalar_str(v) for v in mat.row(i)] for i in range(mat.rows)]
+        action[gen] = [_row_strings(mat.cols, row) for row in mat.sparse_rows]
     return {
         "format_version": FORMAT_VERSION,
         "presentation": m.kind,
@@ -102,6 +116,14 @@ def module_from_dict(
         raise ModuleFormatError(
             f"action keys {sorted(raw_action)} do not match the {kind} alphabet"
         )
+    parsed: dict[str, Fraction] = {}  # this document's successful parses
+
+    def entry(value, context: str) -> Fraction:
+        if isinstance(value, str) and value in parsed:
+            return parsed[value]
+        parsed[value] = scalar = _parse_scalar(value, context)
+        return scalar
+
     action: dict[str, Matrix] = {}
     for gen, rows in raw_action.items():
         if (
@@ -112,7 +134,8 @@ def module_from_dict(
             raise ModuleFormatError(f"action of {gen} is not a {dim}x{dim} array")
         context = f"action[{gen}]"
         action[gen] = Matrix.from_sparse(dim, dim, [
-            {j: _parse_scalar(v, context) for j, v in enumerate(row)} for row in rows
+            {j: entry(v, context) for j, v in enumerate(row) if v != "0"}
+            for row in rows
         ])
     provenance = doc.get("provenance", "")
     if not isinstance(provenance, str):

@@ -58,6 +58,39 @@ def test_verify_pass_with_report(tmp_path, v111_file, capsys):
     assert all(c["residual_nonzero_entries"] == [] for c in doc["checks"])
 
 
+def test_parser_is_built_once_per_process(tmp_path, v111_file, capsys):
+    cli._build_parser.cache_clear()
+    for _ in range(3):
+        assert main(["verify", str(v111_file)]) == 0
+    assert main(["--q", "3", "verify", str(v111_file)]) == 2
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_consecutive_verifies_share_no_report(tmp_path, v111_file, v113):
+    other = tmp_path / "v113.json"
+    write_module(v113, other)
+    report = tmp_path / "rep.json"
+    assert main(["verify", str(v111_file), "--report", str(report)]) == 0
+    report.unlink()
+    assert main(["verify", str(other)]) == 0
+    assert not report.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["v111.json", "v113.json"]
+
+
+def test_consecutive_extends_share_no_trace(tmp_path, v111_file):
+    restricted = tmp_path / "r.json"
+    assert main(["restrict", str(v111_file), "-o", str(restricted)]) == 0
+    trace = tmp_path / "t.json"
+    assert main(["extend", str(restricted), "--eps0", "1", "--eps1", "1",
+                 "--trace", str(trace), "-o", str(tmp_path / "e1.json")]) == 0
+    trace.unlink()
+    assert main(["extend", str(restricted), "--eps0", "1", "--eps1", "1",
+                 "-o", str(tmp_path / "e2.json")]) == 0
+    assert not trace.exists()
+    assert (tmp_path / "e1.json").read_text() == (tmp_path / "e2.json").read_text()
+
+
 def test_verify_corrupted_names_relation(tmp_path, v111_file, capsys):
     doc = json.loads(v111_file.read_text())
     doc["action"]["e0p"][0][0] = "1"

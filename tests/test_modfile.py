@@ -125,19 +125,58 @@ def test_non_rational_strings_rejected_fast(tmp_path, v111, entry):
     assert time.perf_counter() - start < 1.0
 
 
-def test_each_entry_is_parsed_once(tmp_path, monkeypatch, q2):
-    # one as_scalar call per matrix entry, plus two for q: the file's string
-    # and QParam's own coercion; validate=False leaves out the relation
-    # check, so that only the parse is counted
+def _entry_strings(doc):
+    return [v for rows in doc["action"].values() for row in rows for v in row]
+
+
+def test_each_distinct_entry_is_parsed_once(tmp_path, monkeypatch, q2):
+    # one as_scalar call per distinct entry string other than "0", plus two
+    # for q: the file's string and QParam's own coercion; validate=False
+    # leaves out the relation check, so that only the parse is counted
     from conftest import _count_calls
     from qaffine import scalars
 
     path = tmp_path / "m.json"
     write_module(evaluation_module(EvalParams(3, 1, 5), q2), path)
+    entries = _entry_strings(json.loads(path.read_text()))
+    distinct = set(entries) - {"0"}
     calls = _count_calls(monkeypatch, scalars, "as_scalar", lambda value: value)
     module = read_module(path, validate=False)
     assert module.dim == 4
-    assert len(calls) == len(ALPHABETS[module.kind]) * 4 * 4 + 2
+    assert len(calls) == len(distinct) + 2 < len(entries) + 2
+    assert calls[:2] == ["2", 2] and sorted(calls[2:]) == sorted(distinct)
+    # the memo lives for one read: a second read parses the same strings again
+    read_module(path, validate=False)
+    assert len(calls) == 2 * (len(distinct) + 2)
+
+
+@pytest.mark.parametrize("entry", [0, 0.0, False, None, [], {}])
+def test_non_string_entries_rejected(v111, entry):
+    doc = json.loads(module_to_json(v111))
+    assert doc["action"]["K0"][0][1] == "0"
+    doc["action"]["K0"][0][1] = entry
+    with pytest.raises(ModuleFormatError, match="rationals must be strings"):
+        module_from_dict(doc)
+
+
+@pytest.mark.parametrize("entry", ["0/7", "-0", "00", " 0"])
+def test_other_spellings_of_zero_load_as_zero(v111, entry):
+    doc = json.loads(module_to_json(v111))
+    assert doc["action"]["K0"][0][1] == "0"
+    doc["action"]["K0"][0][1] = entry
+    doc["action"]["e0p"][1][1] = entry
+    loaded = module_from_dict(doc)
+    assert loaded.action == v111.action
+    assert module_to_json(loaded) == module_to_json(v111)
+
+
+def test_repeated_bad_entry_names_its_first_generator(v111):
+    doc = json.loads(module_to_json(v111))
+    for gen in ("K1", "e0p", "K0"):
+        doc["action"][gen][0][1] = "1e5"
+    with pytest.raises(ModuleFormatError) as info:
+        module_from_dict(doc)
+    assert str(info.value) == "action[e0p]: not an exact rational: '1e5'"
 
 
 def test_relation_violation_named_on_load(v111):

@@ -9,6 +9,7 @@ stacked-block elimination.
 
 import bisect
 import copy
+import json
 import math
 import random
 from dataclasses import replace
@@ -37,6 +38,8 @@ from qaffine.factory import (
     evaluation_module,
     restrict_to_ugeq0,
     tensor_product,
+    twist_borel,
+    twist_full,
 )
 from qaffine.linalg import (
     Ladder,
@@ -56,7 +59,15 @@ from qaffine.linalg import (
     subspace_intersect,
     subspace_sum,
 )
-from qaffine.presentations import UGEQ0, check_relations, evaluate_word, q_serre, weyl
+from qaffine.modfile import FORMAT_VERSION, module_from_dict, module_to_json
+from qaffine.presentations import (
+    ALPHABETS,
+    UGEQ0,
+    check_relations,
+    evaluate_word,
+    q_serre,
+    weyl,
+)
 from qaffine.report import CheckLog
 from qaffine.scalars import qint, qparam
 from qaffine.weights import WeightLadder
@@ -1400,3 +1411,33 @@ def test_equality_and_hash_match_dense(case):
     transposed_zero = Matrix.zero(cols, rows)
     assert (Matrix.zero(rows, cols) == transposed_zero) == (rows == cols)
     event("equal" if a == b else "different")
+
+
+def reference_module_json(m):
+    """The module file from dense rows: every entry of every row through str."""
+    doc = {
+        "format_version": FORMAT_VERSION,
+        "presentation": m.kind,
+        "q": str(m.q.q),
+        "dim": m.dim,
+        "action": {g: [[str(v) for v in m.action[g].row(i)] for i in range(m.dim)]
+                   for g in ALPHABETS[m.kind]},
+        "provenance": m.provenance,
+    }
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_eval_tensors(), st.sampled_from([None, (-1, 1), (1, -1), (-1, -1)]),
+       st.one_of(st.none(), st.integers(0, 2**16)))
+def test_module_file_matches_the_dense_writer(m, twist, seed):
+    # the sparse writer against dense rows, on plain, sign-twisted or
+    # Borel-rescaled modules, in the standard basis or a conjugated dense one
+    if twist is not None:
+        m = twist_full(m, *twist) if m.kind != UGEQ0 else twist_borel(m, twist[0] * 3)
+    m = conjugated(m, seed)
+    text = module_to_json(m)
+    assert text == reference_module_json(m)
+    assert module_from_dict(json.loads(text)).action == m.action
+    event(f"{m.kind}, {'plain' if twist is None else 'twisted'}, "
+          f"{'standard' if seed is None else 'conjugated'} basis")
