@@ -5,6 +5,7 @@ generator is triangular:
   dense.json      eval(3,1,1) (x) eval(3,1,11) at q = 2 (dim 16)
   dense27.json    eval(2,1,1) (x) eval(2,1,3) (x) eval(2,1,5) at q = 3/2
   dense_t14.json  eval(1,1,1) (x) eval(1,1,4) at q = 2 (reducible, dim 4)
+  dense_rt16.json eval(3,1,1) (x) eval(3,1,4) at q = 2 (reducible, dim 16)
 
 Run with src on PYTHONPATH:  python .github/dense_modules.py
 """
@@ -41,3 +42,4 @@ def tensor(q, d, *points):
 write_module(conjugate(tensor(qparam(2), 3, 1, 11)), "dense.json")
 write_module(conjugate(tensor(qparam("3/2"), 2, 1, 3, 5)), "dense27.json")
 write_module(conjugate(tensor(qparam(2), 1, 1, 4)), "dense_t14.json")
+write_module(conjugate(tensor(qparam(2), 3, 1, 4)), "dense_rt16.json")

@@ -27,20 +27,30 @@ holds over every extension field: V is *absolutely* irreducible, and by
 Burnside's theorem the words span all dim^2 matrices. The certificate
 reports that span dimension without computing it.
 
-Every other case (no one-dimensional eigenspace, or either spin proper) is
-decided in exact arithmetic: the span of all words in the generator matrices
-is the closure of the identity under left multiplication (deterministic, no
-randomization), and the module is absolutely irreducible exactly when it has
-dimension dim^2. Only this path reports NotIrreducible, with that span
-dimension as the diagnostic. A proper invariant subspace is then hunted by
-spinning the unit rows, then the kernel rows of shifted generators. A
-rational module that is irreducible but not absolutely so would be
-reported NotIrreducible with no witness.
+When Norton's test does not decide, a proper invariant subspace W is hunted
+first, by spinning the unit rows, then the kernel rows of shifted
+generators. With a witness, the word span may follow from the two
+composition factors (the MeatAxe argument; `_composition_span` states the
+lemma and proves it). Its premises: Norton's criterion certifies both W
+and Q = V/W absolutely irreducible, and dim W != dim Q. Then the words
+span n1^2 + n2^2 matrices if V = W (+) Q as modules and n1^2 + n2^2 + n1 n2
+if not, with n1 = dim W and n2 = dim Q; whether V splits is one linear
+system in n1 n2 unknowns. Every other case (no witness, a factor Norton
+cannot certify, factors of equal dimension, three or more composition
+factors) is decided in exact arithmetic: the span of all words in the
+generator matrices is the closure of the identity under left
+multiplication (deterministic, no randomization), and the module is
+absolutely irreducible exactly when it has dimension dim^2. The report
+names the certificate that decided: NORTON, COMPOSITION or WORD_SPAN. Only
+the last two report NotIrreducible, with the span dimension as the
+diagnostic. A rational module that is irreducible but not absolutely so
+would be reported NotIrreducible with no witness.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 from .errors import CheckFailedError, WeightLadderError
@@ -50,6 +60,7 @@ from .linalg import (
     Row,
     SpanAccumulator,
     Subspace,
+    _echelon,
     eigenvalues,
     image,
     int_row,
@@ -67,6 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover
 ABSOLUTELY_IRREDUCIBLE = "AbsolutelyIrreducible"
 NOT_IRREDUCIBLE = "NotIrreducible"
 NORTON = "norton"
+COMPOSITION = "composition"
 WORD_SPAN = "word-span"
 
 
@@ -74,7 +86,9 @@ WORD_SPAN = "word-span"
 class IrreducibilityReport:
     """Verdict of the irreducibility test. `certificate` names what decided
     it: NORTON (Norton's criterion, word_span_dim = dim^2 by Burnside's
-    theorem) or WORD_SPAN (the exact word span)."""
+    theorem), COMPOSITION (a witness W whose sub- and quotient modules are
+    Norton-certified and of different dimensions, word_span_dim counted by
+    the lemma of `_composition_span`) or WORD_SPAN (the exact word span)."""
 
     word_span_dim: int
     verdict: str
@@ -182,30 +196,153 @@ def _witness_candidates(m: "ModuleData") -> Iterator[IntRow]:
         yield from (null.pivot_rows[p] for p in sorted(null.pivot_rows))
 
 
+def _factors(
+    m: "ModuleData", w: Subspace
+) -> tuple[dict[str, Matrix], dict[str, Matrix], dict[str, Matrix]]:
+    """The actions g_W on the invariant subspace w, g_Q on V/w and the
+    corner c_g of each generator, g = [[g_W, c_g], [0, g_Q]] in the basis
+    of V adapted to w: w's reduced rows b_p = N_p / N_p[p], in pivot order,
+    then the unit vectors e_c at the other indices c, in order. A vector of
+    w has its coordinates at w's pivots, since b_p is 1 at p and 0 at every
+    other pivot; so g_W[q, p] = (g b_p)[q] and c_g[p, c] = g[p, c]. The
+    class of g e_c in V/w is g e_c less sum_p g[p, c] b_p, which vanishes at
+    the pivots: g_Q keeps its other entries. Each column is formed over the
+    nonzero entries of den * g's columns and of the rows N_p."""
+    rows = w.pivot_rows
+    sub_at = {p: k for k, p in enumerate(sorted(rows))}
+    quot_at = {c: k for k, c in enumerate(c for c in range(m.dim) if c not in rows)}
+    n1, n2 = len(sub_at), len(quot_at)
+    sub, quot, corner = {}, {}, {}
+    for g in sorted(m.action):
+        den, cols = m.action[g].den, m.action[g].transpose().int_rows
+        sub_cols = []
+        for p in sub_at:
+            row, s = rows[p], den * rows[p][p]
+            sub_cols.append({sub_at[i]: Fraction(x, s)
+                             for i, x in row_product(row.items(), cols).items()
+                             if i in sub_at})
+        quot_cols, corner_cols = [], []
+        for c in quot_at:
+            top = {p: x for p, x in cols[c] if p in sub_at}
+            out = {quot_at[i]: Fraction(x, den) for i, x in cols[c] if i in quot_at}
+            for p, x in top.items():
+                s = Fraction(x, den * rows[p][p])
+                for i, y in rows[p].items():
+                    if i != p:
+                        k = quot_at[i]
+                        out[k] = out[k] - s * y if k in out else -s * y
+            quot_cols.append(out)
+            corner_cols.append({sub_at[p]: Fraction(x, den) for p, x in top.items()})
+        sub[g] = Matrix.from_sparse(n1, n1, sub_cols).transpose()
+        quot[g] = Matrix.from_sparse(n2, n2, quot_cols).transpose()
+        corner[g] = Matrix.from_sparse(n2, n1, corner_cols).transpose()
+    return sub, quot, corner
+
+
+def _splits(sub: "ModuleData", quot: "ModuleData", corner: dict[str, Matrix]) -> bool:
+    """Whether V = W (+) Q as modules, for the blocks g_W, g_Q and c_g of
+    `_factors`, the first two as the modules W and Q. A complement of W is
+    the graph {(T y, y)} of a unique n1 x n2 matrix T, in the adapted basis,
+    and g maps it into itself exactly when g_W T y + c_g y = T g_Q y for all
+    y. So V splits iff c_g = T g_Q - g_W T has a solution T for every
+    generator g: one equation per g and entry (a, b), in the unknowns
+    T[a, j] at index a n2 + j, with c_g[a, b] in the last column. The
+    system is inconsistent exactly when that column holds a pivot of its
+    echelon, a row (0 ... 0 | 1)."""
+    n1, n2 = sub.dim, quot.dim
+    rhs = n1 * n2
+    equations = []
+    for g, cg in corner.items():
+        gw, gq = sub.action[g].sparse_rows, quot.action[g].transpose().sparse_rows
+        for a in range(n1):
+            c_row = dict(cg.sparse_rows[a])
+            for b in range(n2):
+                eq: Row = {a * n2 + j: v for j, v in gq[b]}
+                for i, v in gw[a]:
+                    k = i * n2 + b
+                    eq[k] = eq[k] - v if k in eq else -v
+                if b in c_row:
+                    eq[rhs] = c_row[b]
+                if w := int_row(eq):
+                    equations.append(w)
+    return rhs not in _echelon(rhs + 1, equations).reduced()
+
+
+def _composition_span(m: "ModuleData", w: Subspace) -> int | None:
+    """The word span dimension from the proper nonzero invariant subspace
+    w, or None when a premise of the lemma below does not hold.
+
+    The lemma. Let W be a proper nonzero invariant subspace of V, Q = V/W,
+    n1 = dim W, n2 = dim Q, and A the span of the words, an algebra with 1.
+    Suppose W and Q are absolutely irreducible and n1 != n2. Then dim A =
+    n1^2 + n2^2 if V = W (+) Q as modules, and n1^2 + n2^2 + n1 n2 if not.
+
+    Proof. In a basis adapted to W each a in A is [[a_W, c_a], [0, a_Q]], and
+    rho(a) = (a_W, a_Q) is an algebra map into End(W) x End(Q). Its image B
+    maps onto End(W) and onto End(Q), by Burnside's theorem for the
+    absolutely irreducible W and Q. The elements of B with Q-part 0 form an
+    ideal, whose W-parts form an ideal of End(W), so 0 or End(W). If 0, then
+    B -> End(Q) is injective as well as onto, so B is the simple algebra
+    End(Q), and its map onto End(W) != 0 is injective too: n1^2 = n2^2,
+    which n1 != n2 excludes. So B holds End(W) x 0, likewise 0 x End(Q), and
+    B = End(W) x End(Q). The kernel J of rho is the set of [[0, c], [0, 0]]
+    in A. For a, a' in A, a j a' has corner a_W c a'_Q, and (a_W, a'_Q)
+    ranges over End(W) x End(Q), so the corners of J form a subspace of the
+    n1 x n2 matrices closed under c -> X c Y for all X and Y: 0 or all of
+    them, since from one c != 0 the products E_ij c E_kl give every matrix
+    unit. So dim A = n1^2 + n2^2 + (0 or n1 n2). If V = W (+) W' with W'
+    invariant, every a is block diagonal in a basis adapted to W and W', so
+    J = 0. If J = 0, rho is injective; take e in A with rho(e) = (0, 1).
+    Then e^2 = e, a e = e a e for every a (same image under rho), so e V is
+    invariant; e W = 0, e v = v for v in e V, so W n e V = 0, and e acts as
+    1 on Q, so W + e V = V: V = W (+) e V splits.
+
+    The premises are checked exactly: Norton's criterion on W and on Q
+    (`_norton`, which proves absolute irreducibility), n1 != n2, and the
+    splitting by `_splits`. A factor Norton cannot certify, equal
+    dimensions, and three or more composition factors (some factor is
+    then reducible, and Norton certifies no reducible module) return
+    None."""
+    n1, n2 = w.dim, m.dim - w.dim
+    if n1 == n2:
+        return None
+    sub_action, quot_action, corner = _factors(m, w)
+    sub = replace(m, dim=n1, action=sub_action)
+    quot = replace(m, dim=n2, action=quot_action)
+    if not (_norton(sub) and _norton(quot)):
+        return None
+    span = n1 * n1 + n2 * n2
+    return span if _splits(sub, quot, corner) else span + n1 * n2
+
+
 def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
     """Irreducibility test with witness search.
 
     Absolutely irreducible iff the word span has dimension dim^2; otherwise
     NotIrreducible, with a spin-verified proper invariant subspace as witness
-    whenever one of the candidate seeds finds one. Norton's criterion
-    certifies the first case; every other case is decided by the exact word
-    span.
+    whenever one of the candidate seeds finds one. Three certificates, tried
+    in turn: Norton's criterion proves the first case (NORTON); when it
+    fails, the witness search runs, and a witness with two Norton-certified
+    factors of different dimensions gives the span by the lemma of
+    `_composition_span` (COMPOSITION); every other case is decided by the
+    exact word span (WORD_SPAN).
     """
     n = m.dim
     if _norton(m):
         return IrreducibilityReport(n * n, ABSOLUTELY_IRREDUCIBLE, None, NORTON)
-    span_dim = _word_span(m)
-    if span_dim == n * n:
-        return IrreducibilityReport(
-            span_dim, ABSOLUTELY_IRREDUCIBLE, None, WORD_SPAN
-        )
     witness = None
     for seed in _witness_candidates(m):
         generated = spin(seed, m)
         if 0 < generated.dim < n:
             witness = generated
             break
-    return IrreducibilityReport(span_dim, NOT_IRREDUCIBLE, witness, WORD_SPAN)
+    if witness is not None:
+        span_dim = _composition_span(m, witness)
+        if span_dim is not None:
+            return IrreducibilityReport(span_dim, NOT_IRREDUCIBLE, witness, COMPOSITION)
+    span_dim = _word_span(m)
+    verdict = ABSOLUTELY_IRREDUCIBLE if span_dim == n * n else NOT_IRREDUCIBLE
+    return IrreducibilityReport(span_dim, verdict, witness, WORD_SPAN)
 
 
 def verify_raising_powers(m: "ModuleData") -> list[CheckResult]:

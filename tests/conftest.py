@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from qaffine import EvalParams, evaluation_module, qparam, tensor_product
+from qaffine.linalg import Matrix
 
 
 @pytest.fixture(scope="session")
@@ -57,6 +58,21 @@ def dense_tensor_14(tensor_14):
     p_inv = p.inverse()
     action = {g: p_inv @ a @ p for g, a in tensor_14.action.items()}
     return replace(tensor_14, action=action), p_inv
+
+
+def direct_sum(*modules):
+    """The block-diagonal module of modules of one presentation and q: each
+    generator acts on the i-th block as on modules[i]."""
+    n = sum(m.dim for m in modules)
+    action = {}
+    for g in modules[0].action:
+        rows, offset = [], 0
+        for m in modules:
+            rows += [{offset + j: v for j, v in row} for row in m.action[g].sparse_rows]
+            offset += m.dim
+        action[g] = Matrix.from_sparse(n, n, rows)
+    provenance = " (+) ".join(m.provenance for m in modules)
+    return replace(modules[0], dim=n, action=action, provenance=provenance)
 
 
 @pytest.fixture(scope="session")

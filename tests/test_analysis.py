@@ -1,12 +1,16 @@
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
+from conftest import direct_sum
 from qaffine import analysis
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
+    COMPOSITION,
     NOT_IRREDUCIBLE,
+    WORD_SPAN,
     _norton_theta,
     _word_span,
     burnside_irreducible,
@@ -23,6 +27,7 @@ from qaffine.factory import (
     tensor_product,
 )
 from qaffine.linalg import Matrix, Subspace, image, kernel, subspace_sum
+from qaffine.modfile import write_module
 from qaffine.presentations import AFFINE_FULL
 from qaffine.scalars import qparam
 
@@ -175,7 +180,7 @@ def test_word_span_eliminates_over_integers(tensor_14, monkeypatch):
 
 def test_reducible_tensor_takes_exact_fallback(tensor_14):
     report = burnside_irreducible(tensor_14)
-    assert report.certificate == "word-span"
+    assert report.certificate == "composition"
     assert report.word_span_dim == _word_span(tensor_14) == 13
     assert report.verdict == NOT_IRREDUCIBLE
     # the first candidate, e_0, spins to the 3-dimensional component
@@ -215,7 +220,7 @@ def test_prime_in_denominator_skips_certificate(tensor_14):
     )
     plain = burnside_irreducible(tensor_14)
     report = burnside_irreducible(conj)
-    assert report.certificate == "word-span"
+    assert report.certificate == "composition"
     assert (report.word_span_dim, report.verdict) == (
         plain.word_span_dim,
         plain.verdict,
@@ -259,8 +264,9 @@ def test_dim27_certificate_time_bound():
 
 
 def test_dim16_reducible_word_span_time_bound(run_snippet):
-    # V3(1) (x) V3(q^2) is reducible, so Norton's criterion cannot decide and
-    # the whole exact word span of dimension 241 in F^256 is closed
+    # V3(1) (x) V3(q^2) is reducible, so Norton's criterion cannot decide;
+    # the witness's two factors, of dims 15 and 1, give the word span 241
+    # of 256 by the composition lemma, with no closure in F^256
     seconds, verdict, span_dim, witness_dim = run_snippet(
         """
         import json, time
@@ -287,6 +293,91 @@ def test_dim16_reducible_word_span_time_bound(run_snippet):
     assert seconds < 8, f"dim-16 reducible Burnside test took {seconds:.1f} s"
 
 
+def test_composition_closes_no_word_span(tensor_14, q2, monkeypatch):
+    # a 3 + 1 and a 15 + 1 composition series: the span is counted from the
+    # two Norton-certified factors, never by the closure in F^(n^2)
+    def refuse(m):
+        raise AssertionError("_word_span called")
+
+    monkeypatch.setattr(analysis, "_word_span", refuse)
+    rt16 = eval_tensor(q2, (3, 1, 1), (3, 1, 4))
+    for m, span_dim, witness_dim in ((tensor_14, 13, 3), (rt16, 241, 15)):
+        report = burnside_irreducible(m)
+        assert report.certificate == COMPOSITION
+        assert report.verdict == NOT_IRREDUCIBLE
+        assert (report.word_span_dim, report.witness.dim) == (span_dim, witness_dim)
+
+
+def rotation_module(v111, second):
+    """A 2-dim module of v111's presentation with two generators: the
+    rotation J, which has no rational eigenvalue, and `second`."""
+    action = {"J": Matrix.from_rows([[0, -1], [1, 0]]), "M": Matrix.from_rows(second)}
+    return replace(v111, action=action, provenance="rotation")
+
+
+@pytest.mark.parametrize("case, verdict, span_dim, witness_dim", [
+    ("equal dims of certified factors", NOT_IRREDUCIBLE, 108, 6),
+    ("three factors", NOT_IRREDUCIBLE, 44, 6),
+    ("split three factors", NOT_IRREDUCIBLE, 14, 1),
+    ("irreducible over Q only", NOT_IRREDUCIBLE, 2, None),
+    ("no rational eigenvalue", ABSOLUTELY_IRREDUCIBLE, 4, None),
+])
+def test_composition_premise_failures_take_word_span(
+    case, verdict, span_dim, witness_dim, v111, q2
+):
+    # v111 (+) v111, equal dims without a one-dim eigenspace, is
+    # test_no_one_dimensional_eigenspace_takes_word_span
+    if case == "equal dims of certified factors":
+        m = eval_tensor(q2, (2, 1, 1), (3, 1, 32))  # V2 (x) V3(q^5): 6 + 6
+    elif case == "three factors":
+        m = eval_tensor(q2, (1, 1, 1), (1, 1, 4), (1, 1, F(1, 4)))
+    elif case == "split three factors":
+        m = direct_sum(*(evaluation_module(EvalParams(d, 1, a), q2)
+                         for d, a in ((0, 1), (1, 3), (2, 5))))
+    elif case == "irreducible over Q only":
+        m = rotation_module(v111, [[1, 0], [0, 1]])  # the words span I and J
+    else:
+        m = rotation_module(v111, [[0, 2], [1, 0]])  # I, J, M, J M span M_2
+    report = burnside_irreducible(m)
+    assert (report.certificate, report.verdict) == (WORD_SPAN, verdict)
+    assert report.word_span_dim == _word_span(m) == span_dim
+    if witness_dim is None:
+        assert report.witness is None
+    else:
+        assert report.witness.dim == witness_dim
+
+
+def test_dense_rt16_burnside_time_bound(run_snippet, tmp_path, q2):
+    # rt16 = eval(3,1,1) (x) eval(3,1,4) conjugated by unit_lu(16, 1): every
+    # unit row spins to V, the first eigenspace row to the dim-15 submodule,
+    # and the two factors give the span (the closure did not end in 600 s)
+    from test_properties import unit_lu
+
+    m = eval_tensor(q2, (3, 1, 1), (3, 1, 4))
+    p = unit_lu(16, 1)
+    p_inv = p.inverse()
+    path = tmp_path / "dense_rt16.json"
+    write_module(replace(m, action={g: p_inv @ a @ p for g, a in m.action.items()}), path)
+    seconds, certificate, span_dim, witness_dim = run_snippet(
+        f"""
+        import json, time
+        from qaffine.analysis import burnside_irreducible
+        from qaffine.modfile import read_module
+
+        m = read_module({str(path)!r}, validate=False)
+        start = time.perf_counter()
+        report = burnside_irreducible(m)
+        seconds = time.perf_counter() - start
+        print(json.dumps(
+            [seconds, report.certificate, report.word_span_dim, report.witness.dim]
+        ))
+        """,
+        timeout=60,
+    )
+    assert (certificate, span_dim, witness_dim) == ("composition", 241, 15)
+    assert seconds < 5, f"dense dim-16 reducible Burnside test took {seconds:.1f} s"
+
+
 def dual_spin_dim(theta, m):
     # the V* half of Norton's criterion, by repeated subspace sums: the
     # kernel of theta^T closed under the transposed generators
@@ -300,9 +391,9 @@ def dual_spin_dim(theta, m):
         space = grown
 
 
-def assert_exact_fallback(m):
+def assert_exact_fallback(m, certificate="word-span"):
     report = burnside_irreducible(m)
-    assert report.certificate == "word-span"
+    assert report.certificate == certificate
     assert report.verdict == NOT_IRREDUCIBLE
     assert report.word_span_dim == _word_span(m) < m.dim**2
     return report
@@ -314,7 +405,7 @@ def test_norton_proper_spin_falls_back(tensor_14):
     [row] = null.pivot_rows.values()
     assert spin(row, tensor_14).dim == 3
     assert dual_spin_dim(theta, tensor_14) == 4
-    assert_exact_fallback(tensor_14)
+    assert_exact_fallback(tensor_14, "composition")
 
 
 def test_norton_proper_dual_spin_falls_back(v111, q2):
@@ -326,7 +417,7 @@ def test_norton_proper_dual_spin_falls_back(v111, q2):
     [row] = null.pivot_rows.values()
     assert spin(row, m).dim == 4
     assert dual_spin_dim(theta, m) == 3
-    report = assert_exact_fallback(m)
+    report = assert_exact_fallback(m, "composition")
     assert report.word_span_dim == 13
 
 

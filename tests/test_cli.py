@@ -489,3 +489,69 @@ def test_dim48_roundtrip_time_bound(run_snippet, tmp_path):
     )
     assert last == "ALL PASS"
     assert seconds < 10.0, f"dim-48 roundtrip took {seconds:.2f} s"
+
+
+def write_reducible(path, d, restrict=False):
+    """Python that writes rt16 (x) eval(d,1,37) at q = 2 to path, rt16 =
+    eval(3,1,1) (x) eval(3,1,4), or with restrict its U>=0 restriction of
+    type alpha = 1."""
+    return f"""
+        from fractions import Fraction as F
+        from qaffine.factory import (
+            EvalParams, evaluation_module, restrict_to_ugeq0, tensor_product)
+        from qaffine.modfile import write_module
+        from qaffine.scalars import qparam
+
+        q = qparam(F(2))
+        a, b, c = (evaluation_module(EvalParams(d, 1, F(x)), q)
+                   for d, x in ((3, 1), (3, 4), ({d}, 37)))
+        m = tensor_product(tensor_product(a, b), c)
+        write_module(restrict_to_ugeq0(m, 1) if {restrict} else m, {str(path)!r})
+        """
+
+
+@pytest.mark.parametrize("d, detail", [
+    (1, "word span 964 of 1024; proper invariant subspace of dim 30"),
+    (2, "word span 2169 of 2304; proper invariant subspace of dim 45"),
+], ids=["rt32", "rt48"])
+def test_reducible_analyze_time_bound(run_snippet, tmp_path, d, detail):
+    # rt32 and rt48 have a dim-30 (dim-45) submodule and a dim-2 (dim-3)
+    # quotient, both Norton-certified: the span is counted from them, not
+    # closed in F^1024 (13 s) or F^2304 (322 s)
+    path = tmp_path / "rt.json"
+    seconds, status, lines = run_snippet(write_reducible(path, d) + f"""
+        import contextlib, io, json, time
+        from qaffine.cli import main
+
+        out = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(out):
+            status = main(["analyze", {str(path)!r}])
+        seconds = time.perf_counter() - start
+        print(json.dumps([seconds, status, out.getvalue().splitlines()]))
+        """, timeout=60)
+    assert status == 0
+    assert f"irreducibility: NotIrreducible ({detail})" in lines
+    assert seconds < 5, f"analyze of rt{16 * (d + 1)} took {seconds:.2f} s"
+
+
+def test_reducible_extend_time_bound(run_snippet, tmp_path):
+    # the U>=0 restriction of rt32 is refused with exit 4 once the word span
+    # is counted, with no module written
+    path, out = tmp_path / "rr32.json", tmp_path / "rx32.json"
+    seconds, status, error = run_snippet(write_reducible(path, 1, restrict=True) + f"""
+        import contextlib, io, json, time
+        from qaffine.cli import main
+
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stderr(err):
+            status = main(["extend", {str(path)!r}, "--eps0", "1", "--eps1", "1",
+                           "-o", {str(out)!r}])
+        seconds = time.perf_counter() - start
+        print(json.dumps([seconds, status, err.getvalue()]))
+        """, timeout=60)
+    assert status == 4
+    assert "word span dimension is 964 of 1024" in error
+    assert not out.exists()
+    assert seconds < 5, f"extend of rt32's restriction took {seconds:.2f} s"
