@@ -10,7 +10,8 @@ Both directions cost what a file holds. Reading skips entries equal to "0"
 before parsing and parses every other distinct string once per document,
 through a memo that lives for one `module_from_dict` call and keeps only
 successful parses, so a bad string raises at its first occurrence. Writing
-fills each row with "0" and renders only the matrix's nonzero entries.
+fills each row with "0" and renders only the matrix's nonzero entries, and
+joins the strings into the fixed indented layout without the json encoder.
 """
 
 from __future__ import annotations
@@ -53,7 +54,27 @@ def module_to_dict(m: ModuleData) -> dict:
 
 
 def module_to_json(m: ModuleData) -> str:
-    return json.dumps(module_to_dict(m), indent=2) + "\n"
+    """The text of json.dumps(module_to_dict(m), indent=2) + "\n", laid out
+    by str.join: with an indent the json module encodes in pure Python, the
+    layout is fixed, and an entry string ("p" or "p/q") needs no escaping.
+    The names and the provenance still go through json.dumps."""
+    blocks = []
+    for gen in ALPHABETS[m.kind]:
+        mat = m.action[gen]
+        rows = ",\n      ".join([
+            '[\n        "' + '",\n        "'.join(_row_strings(mat.cols, row)) + '"\n      ]'
+            for row in mat.sparse_rows
+        ])
+        blocks.append(f"    {json.dumps(gen)}: [\n      {rows}\n    ]")
+    action = ",\n".join(blocks)
+    return (
+        f'{{\n  "format_version": {FORMAT_VERSION},\n'
+        f'  "presentation": {json.dumps(m.kind)},\n'
+        f'  "q": "{scalar_str(m.q.q)}",\n'
+        f'  "dim": {m.dim},\n'
+        f'  "action": {{\n{action}\n  }},\n'
+        f'  "provenance": {json.dumps(m.provenance)}\n}}\n'
+    )
 
 
 def _write(path: str | Path, text: str) -> None:

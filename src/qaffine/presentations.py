@@ -9,11 +9,14 @@ every matrix identity of the extension pipeline (whose A, A*, B, B*, r, l
 are just more generator names, with the shared ``weyl``, ``q_serre`` and
 ``zero_commutator`` builders). ``evaluate_word`` multiplies the words in
 sorted order, so each prefix shared by neighbouring words is computed once,
-and keeps every product and the residual sum sparse, over nonzero entries.
-It works in ``int``: each matrix contributes its integer view (den * M) and
-every word is scaled to one common denominator L, the lcm over the words of
-den(c_w) times the product of the letters' den; Fractions are built only
-for the residual's nonzero entries, as v / L.
+and keeps every product and the residual sum sparse. It works in ``int``:
+each matrix contributes its integer view (den * M), each new letter is
+multiplied into the prefix product by one inline loop over the rows, with
+no call per row, and every word is scaled to one common denominator L, the
+lcm over the words of den(c_w) times the product of the letters' den.
+Fractions are built only for the residual's nonzero entries, as v / L, and
+a residual that cancels everywhere, as on every passing check, is the zero
+matrix at once.
 
 Supported presentations:
 
@@ -41,10 +44,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm, prod
-from typing import TYPE_CHECKING, Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import QAffineError
-from .linalg import Matrix, row_product
+from .linalg import Matrix
 from .report import CheckLog, VerificationReport
 from .scalars import ONE, ZERO, QParam, qint
 
@@ -97,13 +100,15 @@ def evaluate_word(
     order so that each prefix shared by neighbouring words is computed once.
     Everything runs over integers and one common denominator. A word w is
     N_w / D_w, where N_w is the product of its letters' integer views
-    (`Matrix.int_rows`, through `linalg.row_product`, one dict of nonzero
-    entries per row) and D_w the product of their `den`. With L the lcm of
-    den(c_w) * D_w over the words, L times the sum is the integer sum of
-    c_w * (L / (den(c_w) * D_w)) * N_w, over nonzero entries only; the
-    empty word adds on the diagonal. One Matrix is built at the end, with a
-    Fraction(v, L) for each entry v that did not cancel. All assigned
-    matrices must be square and of equal dimension.
+    (`Matrix.int_rows`, multiplied in by an inline loop over each row's
+    entries into one dict per row) and D_w the product of their `den`.
+    With L the lcm of den(c_w) * D_w over the words, L times the sum is the
+    integer sum of c_w * (L / (den(c_w) * D_w)) * N_w, added in by the same
+    kind of loop; the empty word adds on the diagonal. An entry that cancels
+    inside a product stays as a 0 until the end. When every entry of the
+    sum is 0 the result is `Matrix.zero`; otherwise one Matrix is built,
+    with a Fraction(v, L) for each entry v that did not cancel. All
+    assigned matrices must be square and of equal dimension.
     """
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
@@ -123,9 +128,11 @@ def evaluate_word(
             scales[word] = (c.numerator, c.denominator * prod(assignment[g].den for g in word))
     common = lcm(*[divisor for _, divisor in scales.values()])
     total: list[dict[int, int]] = [{} for _ in range(n)]  # L times the sum's rows
-    # chain[i] is the integer product of the first i+1 letters, one {column:
-    # entry} dict of nonzero entries per row
-    chain: list[list[dict[int, int]]] = []
+    # chain[i] holds the rows of the integer product of the first i+1 letters,
+    # each as its (column, entry) pairs: the first letter's `int_rows` as they
+    # are, every later product's rows as dict items, where an entry that
+    # cancelled stays as a 0 (the residual drops it at the end)
+    chain: list[Sequence[Iterable[tuple[int, int]]]] = []
     previous: Word = ()
     for word in sorted(scales):
         shared = 0
@@ -136,22 +143,35 @@ def evaluate_word(
         del chain[shared:]
         for gen in word[shared:]:
             right = assignment[gen].int_rows
-            chain.append(
-                [row_product(row.items(), right) for row in chain[-1]]
-                if chain
-                else [dict(row) for row in right]
-            )
+            if not chain:
+                chain.append(right)
+                continue
+            rows = []
+            for left in chain[-1]:
+                out: dict[int, int] = {}
+                for t, a in left:
+                    for j, b in right[t]:
+                        if j in out:
+                            out[j] += a * b
+                        else:
+                            out[j] = a * b
+                rows.append(out.items())
+            chain.append(rows)
         previous = word
         numerator, divisor = scales[word]
         c = numerator * (common // divisor)
-        terms = (
-            ((i, j, v) for i, row in enumerate(chain[-1]) for j, v in row.items())
-            if word
-            else ((i, i, 1) for i in range(n))  # c I
-        )
-        for i, j, v in terms:
-            row = total[i]
-            row[j] = row[j] + c * v if j in row else c * v
+        if word:
+            for row, out in zip(chain[-1], total):
+                for j, v in row:
+                    if j in out:
+                        out[j] += c * v
+                    else:
+                        out[j] = c * v
+        else:  # c I, into a still empty total: the empty word sorts first
+            for i, out in enumerate(total):
+                out[i] = c
+    if not any(v for row in total for v in row.values()):
+        return Matrix.zero(n, n)
     return Matrix.from_sparse(
         n, n, [{j: Fraction(v, common) for j, v in row.items() if v} for row in total]
     )

@@ -75,6 +75,19 @@ def direct_sum(*modules):
     return replace(modules[0], dim=n, action=action, provenance=provenance)
 
 
+def naive_evaluate(words, assignment):
+    """A formal sum evaluated word by word with Matrix products and sums, as
+    a reference for `evaluate_word`."""
+    n = next(iter(assignment.values())).rows
+    total = Matrix.zero(n, n)
+    for coeff, word in words:
+        product = Matrix.identity(n)
+        for gen in word:
+            product = product @ assignment[gen]
+        total = total + coeff * product
+    return total
+
+
 @pytest.fixture(scope="session")
 def run_snippet():
     """Run Python code in a fresh interpreter with qaffine importable and

@@ -1,5 +1,6 @@
 import json
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -9,7 +10,9 @@ from qaffine.factory import (
     EvalParams,
     evaluation_module,
     finite_module,
+    restrict_to_borel,
     restrict_to_ugeq0,
+    tensor_product,
 )
 from qaffine.modfile import (
     module_from_dict,
@@ -26,6 +29,22 @@ def test_serialize_parse_is_fixed_point(tensor_13):
     text = module_to_json(tensor_13)
     again = module_from_dict(json.loads(text))
     assert module_to_json(again) == text
+
+
+def test_module_text_is_json_dumps_layout(q2, tensor_13):
+    q = qparam("3/2")
+    e = evaluation_module(EvalParams(2, 1, 3), q)
+    modules = [
+        tensor_13,
+        restrict_to_borel(tensor_product(e, evaluation_module(EvalParams(1, -1, 5), q))),
+        restrict_to_ugeq0(e, F(-3, 2)),
+        finite_module(3, -1, q),
+        evaluation_module(EvalParams(80, 1, 1), q2),
+        replace(e, provenance='say "tensor(\\a, \\"b\\")" \\ q\u00b2 \u2265 0 \u2713 \U0001d53d'),
+    ]
+    assert {m.kind for m in modules} == set(ALPHABETS)
+    for m in modules:
+        assert module_to_json(m) == json.dumps(module_to_dict(m), indent=2) + "\n"
 
 
 def test_file_round_trip(tmp_path, v111):

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from conftest import naive_evaluate
 from qaffine.errors import QAffineError
 from qaffine.factory import build_module, restrict_to_ugeq0
 from qaffine.linalg import Matrix
@@ -17,6 +18,7 @@ from qaffine.presentations import (
     relations_for,
     term,
 )
+from qaffine.report import CheckLog
 
 
 def trivial_ugeq0(q, alpha=F(1)):
@@ -85,6 +87,29 @@ def test_evaluate_word_dimension_mismatch():
         )
 
 
+def test_evaluate_word_cancels_inside_a_chain_product():
+    # Every entry of N N cancels between two nonzero products, so the prefix
+    # product A N N holds explicit zeros when B is multiplied in.
+    a = Matrix.from_rows([[1, 2, 0], [F(1, 2), 1, 3], [0, -1, 1]])
+    n = Matrix.from_rows([[1, -1, 0], [1, -1, 0], [2, -2, 0]])
+    b = Matrix.from_rows([[2, 0, 1], [1, F(1, 3), 0], [0, 1, 1]])
+    assert (n @ n).is_zero()
+    assignment = {"A": a, "N": n, "B": b, "C": a @ n @ b}
+    words = formal_sum(
+        term(1, "A", "N", "N", "B"), term(F(3, 2), "A", "N", "B"), term(-1), term(2, "N", "N")
+    )
+    out = evaluate_word(words, assignment)
+    assert out == naive_evaluate(words, assignment)
+    assert not out.is_zero()
+    # the same chain, with A N B cancelled by C = A N B in the sum
+    words = formal_sum(term(1, "A", "N", "N", "B"), term(1, "A", "N", "B"), term(-1, "C"))
+    out = evaluate_word(words, assignment)
+    assert out == naive_evaluate(words, assignment)
+    assert out == Matrix.zero(3, 3)
+    assert hash(out) == hash(Matrix.zero(3, 3))
+    assert out.nonzero_entries() == []
+
+
 # -- relation lists -------------------------------------------------------------
 
 
@@ -140,6 +165,25 @@ def test_corrupted_module_fails_with_residual(v111, q2):
     failing = report.failing()
     assert any(e.residual_entries for e in failing)
     assert any(e.name.startswith("serre") for e in failing)
+
+
+@pytest.mark.parametrize("restricted", [False, True], ids=["affine_full", "ugeq0"])
+def test_corrupted_k_entry_report_matches_naive_residuals(tensor_13, q2, restricted):
+    # one entry of a K-type generator changed, as the benchmark's corrupted copies
+    m = restrict_to_ugeq0(tensor_13, F(-3, 2)) if restricted else tensor_13
+    k = "K" if restricted else "K0"
+    action = dict(m.action)
+    bump = Matrix.from_sparse(m.dim, m.dim, [{1: F(1, 2)} if i == 2 else {} for i in range(m.dim)])
+    action[k] = action[k] + bump
+    bad = build_module(m.kind, q2, action, "corrupted", validate=False)
+    report = check_presentation(m.kind, bad)
+    log = CheckLog(strict=False)
+    for rel in relations_for(m.kind, q2):
+        difference = rel.lhs + tuple((-c, w) for c, w in rel.rhs)
+        residual = naive_evaluate(difference, action)
+        log.matrix_zero(rel.name, f"defining relations ({m.kind})", residual)
+    assert report.entries == log.entries
+    assert not report.passed and report.failing()[0].name == f"unit({k} {k}inv)"
 
 
 def test_alphabet_mismatch_raises(v111, q2):

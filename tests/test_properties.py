@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_sum
+from conftest import direct_sum, naive_evaluate
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
     COMPOSITION,
@@ -1187,17 +1187,6 @@ def formal_sums(draw):
         st.lists(st.tuples(fractions, st.sampled_from(pool)), min_size=1, max_size=8)
     )
     return tuple(words), assignment
-
-
-def naive_evaluate(words, assignment):
-    n = next(iter(assignment.values())).rows
-    total = Matrix.zero(n, n)
-    for coeff, word in words:
-        product = Matrix.identity(n)
-        for gen in word:
-            product = product @ assignment[gen]
-        total = total + coeff * product
-    return total
 
 
 @settings(max_examples=80, deadline=None)
