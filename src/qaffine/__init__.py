@@ -35,7 +35,6 @@ from .linalg import (
     Matrix,
     Subspace,
     char_poly,
-    column_echelon,
     eigenvalues,
     kernel,
     kronecker,

@@ -4,10 +4,11 @@ irreducibility test, raising-power isomorphisms and finite-type decomposition.
 Spinning a row, the span of the words in the generators and the dual spin
 of the irreducibility test are one frontier closure, `_closure`: the span of
 sparse integer seed rows ({index: entry}, as an echelon holds them; `spin`
-takes one) closed under matrices given by their columns, the integer rows
-of their transposes, each image formed over nonzero entries only. The word
-span is the closure of vec(I) under g (x) I for the generators g, since
-vec(g W) = (g (x) I) vec(W); no word is held as dim^2 dense entries.
+takes one) closed under matrices given by their columns (`Matrix.int_cols`,
+the integer rows of their transposes), each image formed over nonzero
+entries only. The word span is the closure of vec(I) under g (x) I for the
+generators g, since vec(g W) = (g (x) I) vec(W); no word is held as dim^2
+dense entries.
 
 Irreducibility is first certified by Norton's criterion (Parker 1984, the
 MeatAxe; Holt-Rees 1994). Let A be the algebra of words in the generators
@@ -66,6 +67,7 @@ from .linalg import (
     int_row,
     kernel,
     kronecker,
+    left_kernel,
     row_product,
     subspace_intersect,
 )
@@ -130,7 +132,7 @@ def spin(seed: Row | IntRow, m: "ModuleData") -> Subspace:
     if not all(0 <= i < m.dim for i in seed):
         raise ValueError("vector index out of range for the module dimension")
     gens = sorted(m.action)
-    columns = [m.action[g].transpose().int_rows for g in gens]
+    columns = [m.action[g].int_cols for g in gens]
     generated = _closure([seed], columns, m.dim).to_subspace()
     for g in gens:
         if not generated.contains_image(m.action[g], generated):
@@ -152,20 +154,20 @@ def _word_span(m: "ModuleData") -> int:
     return _closure([{i * n + i: 1 for i in range(n)}], columns, n * n).dim
 
 
-def _eigenspaces(m: "ModuleData") -> Iterator[tuple[Matrix, Subspace]]:
-    """(g - lambda I, its kernel) for each generator g in sorted order and
-    each distinct rational eigenvalue lambda of g in increasing order."""
+def _eigenspaces(m: "ModuleData") -> Iterator[tuple[Matrix, Fraction, Subspace]]:
+    """(g, lambda, ker(g - lambda I)) for each generator g in sorted order
+    and each distinct rational eigenvalue lambda of g in increasing order."""
     for g in sorted(m.action):
         mat = m.action[g]
         for lam in sorted(set(eigenvalues(mat))):
-            theta = mat.shift(lam)
-            yield theta, kernel(theta)
+            yield mat, lam, kernel(mat, lam)
 
 
-def _norton_theta(m: "ModuleData") -> tuple[Matrix, Subspace] | None:
-    """The first (theta, ker theta) of `_eigenspaces` with a one-dimensional
-    kernel; None when no generator has a one-dimensional eigenspace."""
-    return next((pair for pair in _eigenspaces(m) if pair[1].dim == 1), None)
+def _norton_theta(m: "ModuleData") -> tuple[Matrix, Fraction, Subspace] | None:
+    """The first (g, lambda, ker theta) of `_eigenspaces`, theta = g -
+    lambda I, with a one-dimensional kernel; None when no generator has a
+    one-dimensional eigenspace."""
+    return next((found for found in _eigenspaces(m) if found[2].dim == 1), None)
 
 
 def _norton(m: "ModuleData") -> bool:
@@ -176,13 +178,13 @@ def _norton(m: "ModuleData") -> bool:
     found = _norton_theta(m)
     if found is None:
         return False
-    theta, null = found
+    mat, lam, null = found
     n = m.dim
     [row] = null.pivot_rows.values()
     rows = [m.action[g].int_rows for g in sorted(m.action)]
     return (
         spin(row, m).dim == n
-        and _closure(kernel(theta.transpose()).pivot_rows.values(), rows, n).dim == n
+        and _closure(left_kernel(mat, lam).pivot_rows.values(), rows, n).dim == n
     )
 
 
@@ -192,7 +194,7 @@ def _witness_candidates(m: "ModuleData") -> Iterator[IntRow]:
     increasing pivot order. The eigenvalues are computed only once the unit
     rows are used up."""
     yield from ({i: 1} for i in range(m.dim))
-    for _, null in _eigenspaces(m):
+    for *_, null in _eigenspaces(m):
         yield from (null.pivot_rows[p] for p in sorted(null.pivot_rows))
 
 
@@ -214,7 +216,7 @@ def _factors(
     n1, n2 = len(sub_at), len(quot_at)
     sub, quot, corner = {}, {}, {}
     for g in sorted(m.action):
-        den, cols = m.action[g].den, m.action[g].transpose().int_rows
+        den, cols = m.action[g].den, m.action[g].int_cols
         sub_cols = []
         for p in sub_at:
             row, s = rows[p], den * rows[p][p]

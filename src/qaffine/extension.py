@@ -226,8 +226,8 @@ def eigen_flags(
     ev = _eigenvalues(m.q, ladder.alpha, ladder.diameter)
     K, Kinv = m.action["K"], m.action["Kinv"]
     u = Ladder(ladder.spaces)
-    v = Ladder(kernel(a_mat.shift(t)) for t in ev.theta)
-    vstar = Ladder(kernel(astar_mat.shift(t)) for t in ev.theta_star)
+    v = Ladder(kernel(a_mat, t) for t in ev.theta)
+    vstar = Ladder(kernel(astar_mat, t) for t in ev.theta_star)
     for name, flag in (("eigendecomp(A)", v), ("eigendecomp(Astar)", vstar)):
         dims = [s.dim for s in flag]
         log.condition(

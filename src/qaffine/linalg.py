@@ -8,13 +8,14 @@ only nonzero entries; dense rows, columns and entries are views built on
 request. Sums, differences, scalings and shifts go through one sparse self +
 c * other.
 
-A Matrix caches one integer view: `den`, the lcm of its denominators, and
-`int_rows`, the nonzero rows of den * M. A product is formed row by row
-(Gustavson 1978) over the two factors' integer views: each integer row of
-the left factor, as its nonzero pairs, times the integer rows of the right
-one (`row_product`), and one Fraction, x / (den_a den_b), per nonzero entry
-of the result. Products that only feed a verdict stay in `int`, through the
-same loop.
+A Matrix caches one integer view, by rows and by columns: `den`, the lcm
+of its denominators, `int_rows`, the nonzero rows of den * M, and
+`int_cols`, its columns, transposed once from `int_rows` (Gustavson 1978,
+permuted transposition). A product is formed row by row (Gustavson 1978)
+over the two factors' integer rows: each integer row of the left factor, as
+its nonzero pairs, times the integer rows of the right one (`row_product`),
+and one Fraction, x / (den_a den_b), per nonzero entry of the result.
+Products that only feed a verdict stay in `int`, through the same loop.
 
 One sparse echelon form (`SpanAccumulator`) does all exact elimination:
 spans, kernels, ranks, sums, Zassenhaus intersections ([a | a] over [b | 0])
@@ -35,10 +36,12 @@ Containment needs no Fraction at all: scaling a vector by a nonzero
 constant does not change whether it lies in a subspace, and w lies in the
 span of the reduced rows it hits exactly when L * w - sum of w[p] * (L /
 N_p[p]) * N_p vanishes, with L the lcm of those N_p[p]. An image column of
-op on a subspace S is taken as the integer product of den * op and the
-rows N_p of S, a nonzero multiple of the true column; an eigenvalue move
-(op - a/b I)(S) is b (den op) N_p - a den N_p, so the shift enters the
-integer rows and no shifted Matrix is built.
+op on a subspace S is taken as (den op) N_p, a nonzero multiple of the true
+column, summed from the integer columns of op that the row N_p of S hits;
+an eigenvalue move (op - a/b I)(S) is b (den op) N_p - a den N_p. A kernel
+of op - a/b I eliminates the rows b (den op)_i - a den e_i, and one of its
+transpose the columns likewise. So the shift enters the integer view, and
+no shifted or transposed Matrix is built.
 
 A matrix with every nonzero entry on one side of the diagonal (K, R and L
 of every module the factory builds) has its diagonal as spectrum. For any
@@ -69,7 +72,9 @@ IntRow = dict[int, int]  # the same, scaled to integers
 @dataclass(frozen=True)
 class Matrix:
     """An immutable rows x cols matrix of exact rationals, held as its
-    canonical nonzero rows (module docstring); `from_sparse` builds them."""
+    canonical nonzero rows (module docstring); `from_sparse` builds them.
+    Its integer view, `den` with `int_rows` and `int_cols`, is built on
+    request and cached."""
 
     rows: int
     cols: int
@@ -150,6 +155,17 @@ class Matrix:
             tuple([(j, v.numerator * (d // v.denominator)) for j, v in row])
             for row in self.sparse_rows
         )
+
+    @cached_property
+    def int_cols(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The columns of den * self, each as its nonzero (row, entry) pairs
+        in increasing row order: `int_rows` transposed in one pass over its
+        entries (Gustavson 1978, permuted transposition), with no Fraction."""
+        cols: list[list[tuple[int, int]]] = [[] for _ in range(self.cols)]
+        for i, row in enumerate(self.int_rows):
+            for j, v in row:
+                cols[j].append((i, v))
+        return tuple(map(tuple, cols))
 
     # -- dense views, built on request -------------------------------------
 
@@ -515,32 +531,30 @@ class Subspace:
 
 
 def _image_columns(op: Matrix, space: Subspace, shift: Fraction = ZERO) -> list[IntRow]:
-    """Nonzero multiples of the columns (op - shift I) N_p, one for each row
-    N_p of the space, as sparse integer vectors. With shift = a/b and O =
-    op.int_rows, column p is b O N_p - a op.den N_p: row i of b O, with -a
-    op.den added at (i, i), times the transpose of the rows N_p. Scaling a
+    """Nonzero multiples of the columns (op - shift I) N_c, one for each row
+    N_c of the space, as sparse integer vectors. With shift = a/b and O_t
+    the columns of den * op (`int_cols`), column c is b sum_t N_c[t] O_t -
+    a den N_c: only the columns of op that N_c hits are read. Scaling a
     column keeps its membership in a subspace and the span of the columns."""
     if op.cols != space.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if shift and not op.is_square:
         raise ValueError("shift of a non-square matrix")
     a, b = shift.numerator, shift.denominator
-    right: list[list[tuple[int, int]]] = [[] for _ in range(space.ambient_dim)]
-    for c, row in enumerate(space.pivot_rows.values()):
+    cols = op.int_cols
+    if not a:
+        return [row_product(row.items(), cols) for row in space.pivot_rows.values()]
+    ad = a * op.den
+    columns = []
+    for row in space.pivot_rows.values():
+        out: IntRow = {}
         for t, x in row.items():
-            right[t].append((c, x))
-    columns: list[IntRow] = [{} for _ in range(space.dim)]
-    for i, row in enumerate(op.int_rows):
-        if a:
-            row = [(j, b * v) for j, v in row] + [(i, -a * op.den)]
-        for c, v in row_product(row, right).items():
-            columns[c][i] = v
+            bx = b * x
+            for i, v in cols[t]:
+                out[i] = out[i] + bx * v if i in out else bx * v
+            out[t] = out[t] - ad * x if t in out else -ad * x
+        columns.append({i: v for i, v in out.items() if v})
     return columns
-
-
-def column_echelon(m: Matrix) -> Subspace:
-    """The column space of m as a canonical Subspace. Idempotent."""
-    return _echelon(m.rows, (dict(c) for c in m.transpose().int_rows)).to_subspace()
 
 
 def image(m: Matrix, space: Subspace) -> Subspace:
@@ -548,8 +562,27 @@ def image(m: Matrix, space: Subspace) -> Subspace:
     return _echelon(m.rows, _image_columns(m, space)).to_subspace()
 
 
-def kernel(m: Matrix) -> Subspace:
-    """The null space {v : m v = 0} of an arbitrary rectangular matrix.
+def kernel(m: Matrix, shift: Fraction = ZERO) -> Subspace:
+    """The null space {v : (m - shift I) v = 0} of an arbitrary rectangular
+    matrix (square when shift is nonzero), from the integer rows of m
+    (`_null_space`): no shifted Matrix is built."""
+    return _null_space(m, m.int_rows, m.cols, shift)
+
+
+def left_kernel(m: Matrix, shift: Fraction = ZERO) -> Subspace:
+    """The null space {v : v (m - shift I) = 0}, that of the transpose, from
+    the integer columns of m (`_null_space`): no transposed or shifted
+    Matrix is built."""
+    return _null_space(m, m.int_cols, m.rows, shift)
+
+
+def _null_space(
+    m: Matrix, rows: Sequence[Iterable[tuple[int, int]]], n: int, shift: Fraction
+) -> Subspace:
+    """The null space in F^n of the integer rows of den * m (or of its
+    transpose) less shift = a/b on the diagonal. Its rows are taken as b
+    (den row_i) - a den e_i, a positive multiple of the shifted rows, which
+    has the same null space.
 
     The rows are eliminated with the columns in reverse order, so a free
     column f gives the kernel vector e_f - sum_p (N_p[k] / N_p[p]) e_(last - p)
@@ -557,20 +590,33 @@ def kernel(m: Matrix) -> Subspace:
     last - p past f. Times the lcm L of those N_p[p] it is in integers, L > 0
     at f first and 0 at every other free column: divided by its content, it
     is already its reduced echelon row."""
-    last = m.cols - 1
-    reversed_rows = ({last - j: v for j, v in r} for r in m.int_rows)
-    rows = _echelon(m.cols, reversed_rows).reduced()
-    hits: dict[int, list] = {f: [] for f in range(m.cols) if last - f not in rows}
-    for p, row in rows.items():
+    if shift and not m.is_square:
+        raise ValueError("shift of a non-square matrix")
+    last = n - 1
+    a, b = shift.numerator, shift.denominator
+    ad = a * m.den
+    reversed_rows = []
+    for i, r in enumerate(rows):
+        w = {last - j: b * v for j, v in r}
+        if ad:
+            k = last - i
+            if x := w.get(k, 0) - ad:
+                w[k] = x
+            else:
+                del w[k]
+        reversed_rows.append(w)
+    pivots = _echelon(n, reversed_rows).reduced()
+    hits: dict[int, list] = {f: [] for f in range(n) if last - f not in pivots}
+    for p, row in pivots.items():
         for k, x in row.items():
             if k != p:
                 hits[last - k].append((p, x))
     vectors = {}
     for f, terms in hits.items():
-        lcm = math.lcm(*[rows[p][p] for p, _ in terms])
-        v = {f: lcm, **{last - p: -(lcm // rows[p][p]) * x for p, x in terms}}
+        lcm = math.lcm(*[pivots[p][p] for p, _ in terms])
+        v = {f: lcm, **{last - p: -(lcm // pivots[p][p]) * x for p, x in terms}}
         vectors[f] = _primitive_row(v, f)
-    return Subspace(m.cols, vectors)
+    return Subspace(n, vectors)
 
 
 def rank(m: Matrix) -> int:

@@ -116,16 +116,17 @@ def k_ladder(K: Matrix, q: QParam, label: str = "K") -> tuple[Fraction, list[Sub
         raise WeightLadderError(
             f"eigenvalues of {label} do not form a single q^2-ladder"
         )
-    spaces = [kernel(K.shift(v)) for v in values]
+    spaces = [kernel(K, v) for v in values]
     if sum(s.dim for s in spaces) != n:
         raise WeightLadderError(f"{label} does not act semisimply")
     return zeta, spaces
 
 
 def _scalar_action(mat: Matrix, label: str) -> Fraction:
-    """The scalar c with mat = c I, or a WeightLadderError."""
+    """The scalar c with mat = c I, or a WeightLadderError: every row i of
+    mat must be exactly c at i (no entry at all when c = 0)."""
     c = mat.at(0, 0)
-    if not mat.shift(c).is_zero():
+    if any(row != (((i, c),) if c else ()) for i, row in enumerate(mat.sparse_rows)):
         raise WeightLadderError(f"{label} does not act as a scalar")
     return c
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from qaffine import EvalParams, evaluation_module, qparam, tensor_product
-from qaffine.linalg import Matrix
+from qaffine.linalg import Matrix, SpanAccumulator
 
 
 @pytest.fixture(scope="session")
@@ -73,6 +73,15 @@ def direct_sum(*modules):
         action[g] = Matrix.from_sparse(n, n, rows)
     provenance = " (+) ".join(m.provenance for m in modules)
     return replace(modules[0], dim=n, action=action, provenance=provenance)
+
+
+def column_space(m):
+    """The column space of m as a canonical Subspace: its integer columns
+    inserted in order into one echelon."""
+    acc = SpanAccumulator(m.rows)
+    for column in m.int_cols:
+        acc.insert(dict(column))
+    return acc.to_subspace()
 
 
 def naive_evaluate(words, assignment):

@@ -401,10 +401,10 @@ def assert_exact_fallback(m, certificate="word-span"):
 
 def test_norton_proper_spin_falls_back(tensor_14):
     # theta = K0 - q^-2 I; its kernel vector spins to the 3-dim submodule
-    theta, null = _norton_theta(tensor_14)
+    mat, lam, null = _norton_theta(tensor_14)
     [row] = null.pivot_rows.values()
     assert spin(row, tensor_14).dim == 3
-    assert dual_spin_dim(theta, tensor_14) == 4
+    assert dual_spin_dim(mat.shift(lam), tensor_14) == 4
     assert_exact_fallback(tensor_14, "composition")
 
 
@@ -413,10 +413,10 @@ def test_norton_proper_dual_spin_falls_back(v111, q2):
     # the one of theta^T spins to a proper submodule of V*; the spin of V
     # alone would wrongly certify this module
     m = tensor_product(v111, evaluation_module(EvalParams(1, 1, F(1, 4)), q2))
-    theta, null = _norton_theta(m)
+    mat, lam, null = _norton_theta(m)
     [row] = null.pivot_rows.values()
     assert spin(row, m).dim == 4
-    assert dual_spin_dim(theta, m) == 3
+    assert dual_spin_dim(mat.shift(lam), m) == 3
     report = assert_exact_fallback(m, "composition")
     assert report.word_span_dim == 13
 

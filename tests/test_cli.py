@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -443,6 +444,64 @@ def test_irreducibility_test_reads_no_dense_view(
     write_module(modules[module](), path)
     assert main([verb, str(path)]) == 0
     assert dense_views == []
+
+
+@pytest.fixture()
+def matrix_copies(monkeypatch):
+    """(method, caller) for each Matrix.shift and Matrix.transpose call, in
+    order; the caller is the innermost named function, past comprehensions."""
+    calls = []
+    for name in ("shift", "transpose"):
+        def counting(*args, name=name, original=getattr(Matrix, name)):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            calls.append((name, frame.f_code.co_name))
+            return original(*args)
+
+        monkeypatch.setattr(Matrix, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("module", ["t16", "eval40"])
+def test_roundtrip_builds_no_shifted_or_transposed_copy(
+    tmp_path, q2, matrix_copies, module
+):
+    # the weight ladder, the eigenflags and every image move take their
+    # eigenvalue shifts and columns from the integer views: only R and L of
+    # the lowering suite are shifted, and only B, B* read off their graphs
+    # are transposed
+    def ev(d, a):
+        return evaluation_module(EvalParams(d, 1, a), q2)
+
+    modules = {
+        "t16": lambda: tensor_product(ev(3, 1), ev(3, 11)),
+        "eval40": lambda: ev(40, 1),
+    }
+    path = tmp_path / f"{module}.json"
+    write_module(modules[module](), path)
+    assert main(["roundtrip", str(path), "--alpha", "1"]) == 0
+    assert sorted(matrix_copies) == (
+        [("shift", "_lowering_suite")] * 2 + [("transpose", "from_graph")] * 2
+    )
+
+
+def test_analyze_spins_from_integer_columns(tmp_path, q2, matrix_copies):
+    # dense rt16: the Norton spins and the witness search read each
+    # generator's integer columns and take eigenvalue shifts into the
+    # kernels, so only char_poly builds a shifted matrix
+    from test_properties import unit_lu
+
+    rt16 = tensor_product(*(evaluation_module(EvalParams(3, 1, a), q2) for a in (1, 4)))
+    p = unit_lu(16, 1)
+    p_inv = p.inverse()
+    action = {g: p_inv @ a @ p for g, a in rt16.action.items()}
+    path = tmp_path / "dense_rt16.json"
+    write_module(replace(rt16, action=action), path)
+    matrix_copies.clear()
+    assert main(["analyze", str(path)]) == 0
+    assert ("transpose", "spin") not in matrix_copies
+    assert {caller for name, caller in matrix_copies if name == "shift"} == {"char_poly"}
 
 
 def test_build_invalid_parameter_exits_2(tmp_path):

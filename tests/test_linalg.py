@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from conftest import column_space
 
 from qaffine.linalg import (
     Ladder,
@@ -9,7 +10,6 @@ from qaffine.linalg import (
     SpanAccumulator,
     Subspace,
     char_poly,
-    column_echelon,
     eigenvalues,
     first_escape,
     kernel,
@@ -37,14 +37,14 @@ def span(ambient, *vectors):
 
 
 def test_echelon_identity():
-    s = column_echelon(Matrix.identity(2))
+    s = column_space(Matrix.identity(2))
     assert s.dim == 2
     assert s.basis == Matrix.identity(2)
 
 
 def test_echelon_dependent_columns():
     m = Matrix.from_rows([[1, 2], [1, 2]])
-    s = column_echelon(m)
+    s = column_space(m)
     assert s.dim == 1
     assert s.basis.column(0) == (F(1), F(1))
 
@@ -52,17 +52,17 @@ def test_echelon_dependent_columns():
 def test_echelon_rank_two():
     # columns (1,0,1), (0,1,1), (1,1,2): the third is the sum of the first two
     m = Matrix.from_rows([[1, 0, 1], [0, 1, 1], [1, 1, 2]])
-    assert column_echelon(m).dim == 2
+    assert column_space(m).dim == 2
 
 
 def test_echelon_idempotent():
     m = Matrix.from_rows([[1, 2, 3], [0, 1, 1], [2, 5, 7]])
-    s = column_echelon(m)
-    assert column_echelon(s.basis) == s
+    s = column_space(m)
+    assert column_space(s.basis) == s
 
 
 def test_echelon_zero_matrix():
-    assert column_echelon(Matrix.zero(3, 2)).is_zero()
+    assert column_space(Matrix.zero(3, 2)).is_zero()
 
 
 def test_subspace_canonical_equality():
@@ -77,7 +77,7 @@ def test_integer_input_gives_fractions():
     results = [
         Subspace.from_vectors(2, [[2, 1]]).basis,
         kernel(Matrix.from_entries(2, 2, (2, 1, 4, 2))).basis,
-        column_echelon(Matrix.from_entries(2, 2, (3, 6, 1, 2))).basis,
+        column_space(Matrix.from_entries(2, 2, (3, 6, 1, 2))).basis,
     ]
     assert [m.entries for m in results] == [(1, F(1, 2)), (1, -2), (1, F(1, 3))]
     for m in results:

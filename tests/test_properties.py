@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_sum, naive_evaluate
+from conftest import column_space, direct_sum, naive_evaluate
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
     COMPOSITION,
@@ -49,13 +49,13 @@ from qaffine.linalg import (
     SpanAccumulator,
     Subspace,
     char_poly,
-    column_echelon,
     eigenvalues,
     eval_poly,
     first_escape,
     image,
     int_row,
     kernel,
+    left_kernel,
     rank,
     rational_roots,
     subspace_intersect,
@@ -289,7 +289,7 @@ def test_echelon_matches_dense_reference(case, rnd):
     halves = (Subspace.from_vectors(n, rows[:half]), Subspace.from_vectors(n, rows[half:]))
     # every route reaches the same reduced rows, so equal values hash equal
     for route in (reference_span(n, rows), acc.to_subspace(), shuffled.to_subspace(),
-                  column_echelon(m.transpose()), subspace_sum(*halves)):
+                  column_space(m.transpose()), subspace_sum(*halves)):
         assert route == span and hash(route) == hash(span)
     assert acc.dim == span.dim
     assert kernel(m) == reference_kernel(m)
@@ -449,13 +449,13 @@ def test_kernel_rank_duality(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices(square=False))
 def test_echelon_canonical_under_column_mixing(m):
-    s = column_echelon(m)
+    s = column_space(m)
     # append sums of existing columns: the span must not change
     cols = m.columns()
     if cols:
         mixed = cols + [tuple(x + y for x, y in zip(cols[0], cols[-1]))]
         assert Subspace.from_vectors(m.rows, mixed) == s
-    assert column_echelon(s.basis) == s
+    assert column_space(s.basis) == s
 
 
 @settings(max_examples=40, deadline=None)
@@ -916,6 +916,65 @@ def test_shifted_containment_matches_shifted_matrix(m, seed, data):
     event("contained" if expected else "escapes")
     assert target.contains_image(op, space, c) == expected
     assert target.contains_image(shifted, space) == expected
+
+
+@st.composite
+def shifted_view_cases(draw):
+    """A sparse rational matrix, square or rectangular, a subspace of its
+    source space, a subspace of its target space and a shift: 0, one of its
+    diagonal entries (so that a row cancels there), or a drawn fraction,
+    often not an integer. Subspaces may be zero."""
+    entry = draw(st.sampled_from([fractions, wide_fractions]))
+    m = draw(matrices(max_dim=5, square=draw(st.booleans()),
+                      entry=st.one_of(st.just(F(0)), st.just(F(0)), entry)))
+    diagonal = [m.at(i, i) for i in range(min(m.rows, m.cols))]
+    shift = draw(st.one_of(st.just(F(0)), st.sampled_from(diagonal), entry))
+
+    def subspace(n):
+        k = draw(st.integers(min_value=0, max_value=n))
+        return Subspace.from_vectors(n, [[draw(entry) for _ in range(n)]
+                                         for _ in range(k)])
+
+    return m, subspace(m.cols), subspace(m.rows), shift
+
+
+def cancelling_shift_case():
+    """A Jordan block at 1/2 next to 3, shifted by 1/2: two diagonal entries
+    cancel, and the block's plane maps onto the line of its first vector,
+    which it maps to zero."""
+    m = Matrix.from_rows([[F(1, 2), 1, 0], [0, F(1, 2), 0], [0, 0, 3]])
+    plane = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
+    return m, plane, Subspace.from_vectors(3, [[1, 0, 0]]), F(1, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shifted_view_cases())
+@example(cancelling_shift_case())
+def test_shifts_in_the_integer_views_match_the_shifted_matrix(case):
+    # kernels and images take the shift into the integer rows and columns;
+    # they must agree with Matrix.shift and a dense reference from the basis
+    m, space, target, s = case
+    wrong = Subspace.zero(m.cols + 1)
+    for call in (lambda: target.contains_image(m, wrong, s), lambda: image(m, wrong),
+                 lambda: Subspace.zero(m.rows + 1).contains_image(m, space, s)):
+        with pytest.raises(ValueError, match="^ambient dimension mismatch$"):
+            call()
+    if s and not m.is_square:
+        for call in (lambda: m.shift(s), lambda: kernel(m, s), lambda: left_kernel(m, s),
+                     lambda: target.contains_image(m, space, s)):
+            with pytest.raises(ValueError, match="^shift of a non-square matrix$"):
+                call()
+        event("non-square shift rejected")
+        return
+    op = m.shift(s) if m.is_square else m
+    moved = reference_span(m.rows, (op @ space.basis).columns())
+    expected = reference_contains(target, moved)
+    event("contained" if expected else "escapes")
+    assert image(op, space) == moved
+    assert target.contains_image(m, space, s) == expected
+    assert kernel(m, s) == kernel(op) == reference_kernel(op)
+    assert left_kernel(m, s) == kernel(op.transpose()) == reference_kernel(op.transpose())
+    assert all_fractions(kernel(m, s), left_kernel(m, s))
 
 
 GRID_CHECKS = (
@@ -1429,6 +1488,9 @@ def test_constructors_and_views_match_dense(case):
     assert t.sparse_rows == canonical(columns_of(dense, cols))
     assert_canonical(t)
     assert t.transpose() == m
+    scaled = [[m.den * x for x in row] for row in dense]
+    assert m.int_cols == t.int_rows == canonical(columns_of(scaled, cols))
+    assert all(type(v) is int for column in m.int_cols for _, v in column)
     assert m.is_zero() == (not any(flat(dense)))
     event("zero" if m.is_zero() else "nonzero")
 

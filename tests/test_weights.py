@@ -3,6 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
+from conftest import column_space
 
 from qaffine.errors import WeightLadderError
 from qaffine.factory import (
@@ -14,7 +15,7 @@ from qaffine.factory import (
     tensor_product,
     twist_full,
 )
-from qaffine.linalg import Matrix, Subspace, column_echelon
+from qaffine.linalg import Matrix, Subspace
 from qaffine.presentations import AFFINE_BOREL, AFFINE_FULL, UGEQ0
 from qaffine.scalars import qparam
 from qaffine.weights import analyze_borel, analyze_full, analyze_ugeq0, k_ladder
@@ -172,7 +173,7 @@ def test_uniqueness_under_basis_permutation(tensor_13):
         wd_moved.diameter,
     )
     for s, s_moved in zip(wd.spaces, wd_moved.spaces):
-        assert column_echelon(perm_inv @ s.basis) == s_moved
+        assert column_space(perm_inv @ s.basis) == s_moved
 
 
 def test_full_non_sign_pair_rejected(q2, v111):
