@@ -66,7 +66,6 @@ from .linalg import (
     image,
     int_row,
     kernel,
-    kronecker,
     left_kernel,
     row_product,
     subspace_intersect,
@@ -146,11 +145,14 @@ def _word_span(m: "ModuleData") -> int:
     """Dimension of the span of all words in the generator matrices: the
     closure of vec(I) under g (x) I for each generator g, since vec(g W) =
     (g (x) I) vec(W) for the row-major vec of dim^2 entries. The columns of
-    g (x) I are the rows of g^T (x) I."""
+    g (x) I are the rows of g^T (x) I: row a n + b holds g[c, a] at c n + b
+    for each entry of g's column a, read from g's integer columns."""
     n = m.dim
-    identity = Matrix.identity(n)
-    columns = [kronecker(m.action[g].transpose(), identity).int_rows
-               for g in sorted(m.action)]
+    columns = []
+    for g in sorted(m.action):
+        cols = m.action[g].int_cols
+        columns.append([tuple([(c * n + b, v) for c, v in cols[a]])
+                        for a in range(n) for b in range(n)])
     return _closure([{i * n + i: 1 for i in range(n)}], columns, n * n).dim
 
 
@@ -209,7 +211,8 @@ def _factors(
     other pivot; so g_W[q, p] = (g b_p)[q] and c_g[p, c] = g[p, c]. The
     class of g e_c in V/w is g e_c less sum_p g[p, c] b_p, which vanishes at
     the pivots: g_Q keeps its other entries. Each column is formed over the
-    nonzero entries of den * g's columns and of the rows N_p."""
+    nonzero entries of den * g's columns and of the rows N_p, and its
+    entries go straight into the rows of the block."""
     rows = w.pivot_rows
     sub_at = {p: k for k, p in enumerate(sorted(rows))}
     quot_at = {c: k for k, c in enumerate(c for c in range(m.dim) if c not in rows)}
@@ -217,27 +220,29 @@ def _factors(
     sub, quot, corner = {}, {}, {}
     for g in sorted(m.action):
         den, cols = m.action[g].den, m.action[g].int_cols
-        sub_cols = []
-        for p in sub_at:
-            row, s = rows[p], den * rows[p][p]
-            sub_cols.append({sub_at[i]: Fraction(x, s)
-                             for i, x in row_product(row.items(), cols).items()
-                             if i in sub_at})
-        quot_cols, corner_cols = [], []
-        for c in quot_at:
+        sub_rows: list[Row] = [{} for _ in range(n1)]
+        for p, k in sub_at.items():
+            s = den * rows[p][p]
+            for i, x in row_product(rows[p].items(), cols).items():
+                if i in sub_at:
+                    sub_rows[sub_at[i]][k] = Fraction(x, s)
+        quot_rows: list[Row] = [{} for _ in range(n2)]
+        corner_rows: list[Row] = [{} for _ in range(n1)]
+        for c, k in quot_at.items():
             top = {p: x for p, x in cols[c] if p in sub_at}
             out = {quot_at[i]: Fraction(x, den) for i, x in cols[c] if i in quot_at}
             for p, x in top.items():
                 s = Fraction(x, den * rows[p][p])
                 for i, y in rows[p].items():
                     if i != p:
-                        k = quot_at[i]
-                        out[k] = out[k] - s * y if k in out else -s * y
-            quot_cols.append(out)
-            corner_cols.append({sub_at[p]: Fraction(x, den) for p, x in top.items()})
-        sub[g] = Matrix.from_sparse(n1, n1, sub_cols).transpose()
-        quot[g] = Matrix.from_sparse(n2, n2, quot_cols).transpose()
-        corner[g] = Matrix.from_sparse(n2, n1, corner_cols).transpose()
+                        t = quot_at[i]
+                        out[t] = out[t] - s * y if t in out else -s * y
+                corner_rows[sub_at[p]][k] = Fraction(x, den)
+            for t, v in out.items():
+                quot_rows[t][k] = v
+        sub[g] = Matrix.from_sparse(n1, n1, sub_rows)
+        quot[g] = Matrix.from_sparse(n2, n2, quot_rows)
+        corner[g] = Matrix.from_sparse(n1, n2, corner_rows)
     return sub, quot, corner
 
 
@@ -250,21 +255,25 @@ def _splits(sub: "ModuleData", quot: "ModuleData", corner: dict[str, Matrix]) ->
     generator g: one equation per g and entry (a, b), in the unknowns
     T[a, j] at index a n2 + j, with c_g[a, b] in the last column. The
     system is inconsistent exactly when that column holds a pivot of its
-    echelon, a row (0 ... 0 | 1)."""
+    echelon, a row (0 ... 0 | 1). Each equation is taken times the product
+    of the three blocks' `den`, in integers: g_W by its rows, g_Q by its
+    columns and c_g by its rows, from the integer views."""
     n1, n2 = sub.dim, quot.dim
     rhs = n1 * n2
     equations = []
     for g, cg in corner.items():
-        gw, gq = sub.action[g].sparse_rows, quot.action[g].transpose().sparse_rows
+        gw, gq = sub.action[g], quot.action[g]
+        w_rows, q_cols, c_rows = gw.int_rows, gq.int_cols, cg.int_rows
+        w_scale, q_scale, c_scale = gq.den * cg.den, gw.den * cg.den, gw.den * gq.den
         for a in range(n1):
-            c_row = dict(cg.sparse_rows[a])
+            c_row = dict(c_rows[a])
             for b in range(n2):
-                eq: Row = {a * n2 + j: v for j, v in gq[b]}
-                for i, v in gw[a]:
+                eq: IntRow = {a * n2 + j: q_scale * v for j, v in q_cols[b]}
+                for i, v in w_rows[a]:
                     k = i * n2 + b
-                    eq[k] = eq[k] - v if k in eq else -v
+                    eq[k] = eq[k] - w_scale * v if k in eq else -w_scale * v
                 if b in c_row:
-                    eq[rhs] = c_row[b]
+                    eq[rhs] = c_scale * c_row[b]
                 if w := int_row(eq):
                     equations.append(w)
     return rhs not in _echelon(rhs + 1, equations).reduced()

@@ -11,7 +11,8 @@ before parsing and parses every other distinct string once per document,
 through a memo that lives for one `module_from_dict` call and keeps only
 successful parses, so a bad string raises at its first occurrence. Writing
 fills each row with "0" and renders only the matrix's nonzero entries, and
-joins the strings into the fixed indented layout without the json encoder.
+joins the strings into the fixed indented layout without the json encoder;
+a report (`--report`, `--trace`) is laid out the same way.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import ModuleFormatError
 from .factory import ModuleData, build_module
 from .linalg import Matrix
 from .presentations import ALPHABETS
-from .report import VerificationReport
+from .report import CheckResult, VerificationReport
 from .scalars import QParam, as_scalar, scalar_str
 
 FORMAT_VERSION = 1
@@ -182,9 +183,41 @@ def read_module(
     return module
 
 
+def _check_json(e: CheckResult) -> str:
+    """One check of `report_to_json`, indented as an item of "checks"."""
+    if e.residual_entries:
+        entries = ",\n        ".join([
+            f"[\n          {i},\n          {j},\n          {json.dumps(v)}\n        ]"
+            for i, j, v in e.residual_entries
+        ])
+        residual = f"[\n        {entries}\n      ]"
+    else:
+        residual = "[]"
+    return (
+        f'    {{\n      "name": {json.dumps(e.name)},\n'
+        f'      "anchor": {json.dumps(e.anchor)},\n'
+        f'      "pass": {"true" if e.passed else "false"},\n'
+        f'      "residual_nonzero_entries": {residual},\n'
+        f'      "detail": {json.dumps(e.detail)}\n    }}'
+    )
+
+
 def report_to_json(report: VerificationReport) -> str:
-    doc = {"format_version": FORMAT_VERSION, **report.to_dict()}
-    return json.dumps(doc, indent=2) + "\n"
+    """The text of json.dumps({"format_version": 1, **report.to_dict()},
+    indent=2) + "\n", laid out by str.join like `module_to_json`: only the
+    strings (and the summary's values, JSON scalars) go through json.dumps."""
+    checks = ",\n".join([_check_json(e) for e in report.entries])
+    checks = f"[\n{checks}\n  ]" if report.entries else "[]"
+    summary = ",\n".join([
+        f"    {json.dumps(key)}: {json.dumps(value)}"
+        for key, value in {**report.summary, "pass": report.passed}.items()
+    ])
+    return (
+        f'{{\n  "format_version": {FORMAT_VERSION},\n'
+        f'  "subject": {json.dumps(report.subject)},\n'
+        f'  "checks": {checks},\n'
+        f'  "summary": {{\n{summary}\n  }}\n}}\n'
+    )
 
 
 def write_report(report: VerificationReport, path: str | Path) -> None:

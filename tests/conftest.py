@@ -136,6 +136,23 @@ def _count_calls(monkeypatch, home, name, record):
 
 
 @pytest.fixture()
+def matrix_copies(monkeypatch):
+    """(method, caller) for each Matrix.shift and Matrix.transpose call, in
+    order; the caller is the innermost named function, past comprehensions."""
+    calls = []
+    for name in ("shift", "transpose"):
+        def counting(*args, name=name, original=getattr(Matrix, name)):
+            frame = sys._getframe(1)
+            while frame.f_code.co_name.startswith("<"):
+                frame = frame.f_back
+            calls.append((name, frame.f_code.co_name))
+            return original(*args)
+
+        monkeypatch.setattr(Matrix, name, counting)
+    return calls
+
+
+@pytest.fixture()
 def full_analyses(monkeypatch):
     """The kind of every module given to weights.analyze_full, in order."""
     from qaffine import weights

@@ -26,7 +26,7 @@ from qaffine.factory import (
     restrict_to_ugeq0,
     tensor_product,
 )
-from qaffine.linalg import Matrix, Subspace, image, kernel, subspace_sum
+from qaffine.linalg import Matrix, Subspace, image, kernel, kronecker, subspace_sum
 from qaffine.modfile import write_module
 from qaffine.presentations import AFFINE_FULL
 from qaffine.scalars import qparam
@@ -177,6 +177,26 @@ def test_word_span_eliminates_over_integers(tensor_14, monkeypatch):
     assert acc.dim == 13
     assert all(type(x) is int for row in acc._pivots.values() for x in row.values())
 
+
+def test_word_span_reads_integer_columns(q2, matrix_copies, monkeypatch):
+    # the rows of g^T (x) I come from g's integer columns, with no transposed
+    # Matrix and no Kronecker product: the closure gets the same rows as
+    # from kronecker(g^T, I).int_rows
+    m = tensor_product(*(evaluation_module(EvalParams(1, 1, a), q2) for a in (1, F(1, 4))))
+    given = []
+
+    def recording(seeds, columns, ambient):
+        given.append(columns)
+        return closure(seeds, columns, ambient)
+
+    closure = analysis._closure
+    monkeypatch.setattr(analysis, "_closure", recording)
+    assert _word_span(m) == 13
+    assert matrix_copies == []
+    identity = Matrix.identity(m.dim)
+    [columns] = given
+    assert columns == [list(kronecker(m.action[g].transpose(), identity).int_rows)
+                       for g in sorted(m.action)]
 
 def test_reducible_tensor_takes_exact_fallback(tensor_14):
     report = burnside_irreducible(tensor_14)

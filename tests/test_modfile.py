@@ -19,9 +19,11 @@ from qaffine.modfile import (
     module_to_dict,
     module_to_json,
     read_module,
+    report_to_json,
     write_module,
 )
-from qaffine.presentations import ALPHABETS
+from qaffine.presentations import ALPHABETS, check_presentation
+from qaffine.report import CheckResult, VerificationReport
 from qaffine.scalars import qparam
 
 
@@ -45,6 +47,29 @@ def test_module_text_is_json_dumps_layout(q2, tensor_13):
     assert {m.kind for m in modules} == set(ALPHABETS)
     for m in modules:
         assert module_to_json(m) == json.dumps(module_to_dict(m), indent=2) + "\n"
+
+
+
+def test_report_text_is_json_dumps_layout(v111):
+    odd = 'say "tensor(\\a, \\"b\\")" \\ q\u00b2 \u2265 0 \u2713 \U0001d53d'
+    doc = json.loads(module_to_json(v111))
+    doc["action"]["K0"][0][0] = "3"
+    broken = module_from_dict(doc, validate=False)
+    failing = check_presentation(broken.kind, broken)
+    assert not failing.passed and any(e.residual_entries for e in failing.entries)
+    reports = [
+        check_presentation(v111.kind, v111),
+        failing,
+        VerificationReport(subject=odd),
+        VerificationReport(odd, [
+            CheckResult(odd, odd, False, ((0, 1, "-3/2"), (2, 0, odd)), odd),
+            CheckResult("ok", "", True),
+            CheckResult("bad", "anchor", False, (), "dimension 3 of 4"),
+        ], {odd: odd, "pass": "overwritten in place", "q": "2"}),
+    ]
+    for report in reports:
+        expected = {"format_version": 1, **report.to_dict()}
+        assert report_to_json(report) == json.dumps(expected, indent=2) + "\n"
 
 
 def test_file_round_trip(tmp_path, v111):

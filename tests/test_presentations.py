@@ -88,8 +88,9 @@ def test_evaluate_word_dimension_mismatch():
 
 
 def test_evaluate_word_cancels_inside_a_chain_product():
-    # Every entry of N N cancels between two nonzero products, so the prefix
-    # product A N N holds explicit zeros when B is multiplied in.
+    # Every entry of N N cancels between two nonzero products, so the last
+    # product of A N N B, the halves A N times N B, adds only cancelling
+    # terms into the residual.
     a = Matrix.from_rows([[1, 2, 0], [F(1, 2), 1, 3], [0, -1, 1]])
     n = Matrix.from_rows([[1, -1, 0], [1, -1, 0], [2, -2, 0]])
     b = Matrix.from_rows([[2, 0, 1], [1, F(1, 3), 0], [0, 1, 1]])

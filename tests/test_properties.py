@@ -63,11 +63,14 @@ from qaffine.linalg import (
 )
 from qaffine.modfile import FORMAT_VERSION, module_from_dict, module_to_json
 from qaffine.presentations import (
+    AFFINE_FULL,
     ALPHABETS,
     UGEQ0,
+    RelationWord,
     check_relations,
     evaluate_word,
     q_serre,
+    relations_for,
     weyl,
 )
 from qaffine.report import CheckLog
@@ -1253,6 +1256,76 @@ def formal_sums(draw):
 def test_prefix_sharing_evaluation_matches_naive(case):
     words, assignment = case
     assert evaluate_word(words, assignment) == naive_evaluate(words, assignment)
+
+
+@st.composite
+def planned_sums(draw):
+    """(lhs, rhs, assignment): formal sums over X, Y, Z, whose matrices are
+    scaled by different rationals so that their `den` differ. Words of
+    length 0-6 are drawn, and more are glued from a pool of halves, so halves
+    repeat across words; words repeat, and some cancel in lhs - rhs."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    entry = st.one_of(mostly_zero, fractions)
+    assignment = {
+        g: Matrix.from_entries(n, n, tuple(
+            scale * v for v in draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        ))
+        for g, scale in zip("XYZ", (F(1), F(2, 5), F(3, 7)))
+    }
+    word = st.lists(st.sampled_from("XYZ"), max_size=6).map(tuple)
+    halves = draw(st.lists(st.lists(st.sampled_from("XYZ"), min_size=1, max_size=3)
+                           .map(tuple), min_size=1, max_size=3))
+    glued = st.tuples(st.sampled_from(halves), st.sampled_from(halves)).map(
+        lambda pair: pair[0] + pair[1]
+    )
+    pool = [()] + draw(st.lists(st.one_of(word, glued), min_size=1, max_size=6))
+    terms = st.lists(st.tuples(wide_fractions, st.sampled_from(pool)), max_size=6)
+    lhs, rhs = draw(terms), draw(terms)
+    for coeff, w in draw(st.lists(st.sampled_from(lhs), max_size=2)) if lhs else []:
+        rhs.append((coeff, w))  # cancels against its lhs copy
+    assume(lhs or rhs)
+    return tuple(lhs), tuple(rhs), assignment
+
+
+@settings(max_examples=120, deadline=None)
+@given(planned_sums())
+def test_compiled_evaluation_matches_naive(case):
+    lhs, rhs, assignment = case
+    relation = RelationWord("r", lhs, rhs)
+    difference = lhs + tuple((-c, w) for c, w in rhs)
+    expected = naive_evaluate(difference, assignment)
+    plan = relation.plan
+    assert relation.plan is plan
+    # one product per distinct half, every product used by a later one or a word
+    assert len(set(plan.halves)) == len(plan.halves)
+    used = {k for pair in plan.halves for k in pair}
+    used |= {k for *_, left, right in plan.terms for k in (left, right) if k is not None}
+    assert used >= set(range(len(plan.letters) + len(plan.halves)))
+    assert len({w for _, _, w, _, _ in plan.terms}) == len(plan.terms)
+    assert all(numerator for numerator, *_ in plan.terms)
+    got = evaluate_word(plan, assignment)
+    event("zero residual" if got.is_zero() else "nonzero residual")
+    assert got == expected == evaluate_word(difference, assignment)
+    assert_exact_equal(got, expected)
+    log, reference = CheckLog(), CheckLog()
+    check_relations(log, "test", [relation], assignment)
+    reference.matrix_zero("r", "test", expected)
+    assert log.entries == reference.entries
+
+
+def test_relation_plans_share_halves_and_fuse_the_last_product(q2):
+    # x^3 y, x^2 y x, x y x^2, y x^3 split into the halves xx, xy, yx and
+    # four fused products; k e k^-1 into e k^-1 and one fused product
+    def products(plan):
+        return len(plan.halves), sum(right is not None for *_, right in plan.terms)
+
+    assert products(q_serre("x", "y", q2).plan) == (3, 4)
+    weights = [r for r in relations_for(AFFINE_FULL, q2) if r.name.startswith("weight")]
+    assert len(weights) == 8
+    assert {products(r.plan) for r in weights} == {(1, 1)}
+    unit, = (r for r in relations_for(UGEQ0, q2) if r.name == "unit(K Kinv)")
+    assert products(unit.plan) == (0, 1)
+    assert unit.plan.terms[-1][:3] == (-1, 1, ())
 
 
 # -- sparse products against dense references -----------------------------------
