@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .analysis import NOT_IRREDUCIBLE, burnside_irreducible
@@ -78,9 +79,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     elif args.what == "finite":
         module = finite_module(args.d, as_scalar(args.eps), q)
     else:  # tensor
-        m1 = read_module(args.inputs[0], _session_q(args.q))
-        m2 = read_module(args.inputs[1], _session_q(args.q))
-        module = tensor_product(m1, m2)
+        module = tensor_product(*(read_module(f, _session_q(args.q)) for f in args.inputs))
     write_module(module, args.out)
     print(f"wrote {args.out}: {_describe(module)}")
     return EXIT_OK
@@ -114,12 +113,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_OK if report.passed else EXIT_RELATION
 
 
-def cmd_restrict(args: argparse.Namespace) -> int:
+def _read_kind(args: argparse.Namespace, kind: str) -> ModuleData:
+    """The module file of a verb that takes only modules of this kind."""
     module = read_module(args.file, _session_q(args.q))
-    if module.kind != AFFINE_FULL:
+    if module.kind != kind:
+        article = "a" if kind == UGEQ0 else "an"
         raise ModuleFormatError(
-            f"restrict requires an affine_full module, got {module.kind}"
+            f"{args.command} requires {article} {kind} module, got {module.kind}"
         )
+    return module
+
+
+def cmd_restrict(args: argparse.Namespace) -> int:
+    module = _read_kind(args, AFFINE_FULL)
     if args.target == "ugeq0":
         restricted = restrict_to_ugeq0(module, as_scalar(args.alpha))
     else:
@@ -130,11 +136,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
 
 
 def cmd_extend(args: argparse.Namespace) -> int:
-    module = read_module(args.file, _session_q(args.q))
-    if module.kind != UGEQ0:
-        raise ModuleFormatError(
-            f"extend requires a ugeq0 module, got {module.kind}"
-        )
+    module = _read_kind(args, UGEQ0)
     full, trace = extend(module, as_scalar(args.eps0), as_scalar(args.eps1))
     if args.trace:
         report = VerificationReport(
@@ -151,11 +153,7 @@ def cmd_extend(args: argparse.Namespace) -> int:
 
 
 def cmd_roundtrip(args: argparse.Namespace) -> int:
-    module = read_module(args.file, _session_q(args.q))
-    if module.kind != AFFINE_FULL:
-        raise ModuleFormatError(
-            f"roundtrip requires an affine_full module, got {module.kind}"
-        )
+    module = _read_kind(args, AFFINE_FULL)
     wd = module.weights
     restricted = restrict_to_ugeq0(module, as_scalar(args.alpha))
     full, _ = extend(restricted, wd.eps0, wd.eps1)
@@ -264,8 +262,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    # argparse reads "-N" and "-N.N" as negative numbers but "-p/q" as an
+    # option, so a fraction after a space is joined to its option as --opt=-p/q
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for k in range(len(argv) - 1, 0, -1):
+        opt, value = argv[k - 1], argv[k]
+        if opt in ("--q", "--a", "--alpha") and re.fullmatch(r"-[0-9]+/[0-9]+", value):
+            argv[k - 1:k + 1] = [f"{opt}={value}"]
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (RelationError, WeightLadderError) as exc:

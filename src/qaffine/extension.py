@@ -112,8 +112,9 @@ class ExtensionTrace:
     def w_grid(self) -> dict[tuple[int, int], Subspace]:
         """Every cell W(i,j) = W_(d-j) + ... + W_i: a trace exists only when
         every check has passed, and then the lemma of build_w_grid holds."""
-        w, d = Ladder(self.w_spaces), self.diameter
-        return {(i, j): w.interval(d - j, i) for i in range(d + 1) for j in range(d + 1)}
+        w, d, zero = self.w_spaces, self.diameter, Subspace.zero(self.a_mat.rows)
+        return {(i, j): reduce(subspace_sum, w[d - j:i + 1], zero)
+                for i in range(d + 1) for j in range(d + 1)}
 
     def check_names(self) -> list[str]:
         return [c.name for c in self.checks]
@@ -138,10 +139,7 @@ class _Eigenvalues:
 
     theta: tuple[Fraction, ...]  # alpha q^(2i-d): A on V_i, K on U_i
     theta_star: tuple[Fraction, ...]  # alpha^-1 q^(d-2i): A* on V*_i, K^-1 on U_i
-    theta_rev: tuple[Fraction, ...]  # theta reversed
-    theta_star_rev: tuple[Fraction, ...]  # theta_star reversed
-    b: tuple[Fraction, ...]  # q^(2i-d): B on W_i
-    bstar: tuple[Fraction, ...]  # q^(d-2i): B* on W*_i
+    b: tuple[Fraction, ...]  # q^(2i-d): B on W_i; reversed, B* on W*_i
 
 
 @lru_cache(maxsize=None)
@@ -149,9 +147,7 @@ def _eigenvalues(q: QParam, alpha: Fraction, d: int) -> _Eigenvalues:
     theta = tuple(alpha * q.pow(2 * i - d) for i in range(d + 1))
     theta_star = tuple(q.pow(d - 2 * i) / alpha for i in range(d + 1))
     b = tuple(q.pow(2 * i - d) for i in range(d + 1))
-    return _Eigenvalues(
-        theta, theta_star, theta[::-1], theta_star[::-1], b, b[::-1]
-    )
+    return _Eigenvalues(theta, theta_star, b)
 
 
 def _moves_into(
@@ -337,12 +333,12 @@ def build_w_grid(
     ):
         staged.condition(name, ANCHOR_GRID, failure is None, failure or "")
     _moves_into(staged, ANCHOR_GRID, (
-        ("ladder(W):A-up", a_mat, ev.theta_rev, w, w.step(1)),
+        ("ladder(W):A-up", a_mat, ev.theta[::-1], w, w.step(1)),
         ("ladder(W):Astar-down", astar_mat, ev.theta_star, w, w.step(-1)),
         ("ladder(W):Kinv-down", Kinv, ev.theta_star, w, w.step(-1)),
         ("ladder(W):K-head", K, ev.theta, w, Ladder(w.head).step(-1)),
         ("ladder(Wstar):A-up", a_mat, ev.theta, wstar, wstar.step(1)),
-        ("ladder(Wstar):Astar-down", astar_mat, ev.theta_star_rev, wstar,
+        ("ladder(Wstar):Astar-down", astar_mat, ev.theta_star[::-1], wstar,
          wstar.step(-1)),
         ("ladder(Wstar):K-up", K, ev.theta, wstar, wstar.step(1)),
         ("ladder(Wstar):Kinv-tail", Kinv, ev.theta_star, wstar,
@@ -440,7 +436,7 @@ def build_b_bstar(
     q, alpha, n = m.q, ladder.alpha, m.dim
     ev = _eigenvalues(q, alpha, ladder.diameter)
     b_mat = _projector_operator(w, ev.b, n)
-    bstar_mat = _projector_operator(wstar, ev.bstar, n)
+    bstar_mat = _projector_operator(wstar, ev.b[::-1], n)
     check_relations(log, ANCHOR_B, (
         weyl("A", "B", alpha, q),
         weyl("B", "Astar", 1 / alpha, q),
@@ -454,12 +450,12 @@ def build_b_bstar(
 
     u = Ladder(ladder.spaces)
     _moves_into(log, ANCHOR_B, (
-        ("move(B,V)", b_mat, ev.bstar, v, v.step(-1)),
+        ("move(B,V)", b_mat, ev.b[::-1], v, v.step(-1)),
         ("move(B,Vstar)", b_mat, ev.b, vstar, vstar.step(-1)),
-        ("move(Bstar,V)", bstar_mat, ev.bstar, v, v.step(1)),
+        ("move(Bstar,V)", bstar_mat, ev.b[::-1], v, v.step(1)),
         ("move(Bstar,Vstar)", bstar_mat, ev.b, vstar, vstar.step(1)),
         ("move(B,U)", b_mat, ev.b, u, u.step(-1)),
-        ("move(Bstar,U)", bstar_mat, ev.bstar, u, u.step(1)),
+        ("move(Bstar,U)", bstar_mat, ev.b[::-1], u, u.step(1)),
         ("tridiag(B,Wstar)", b_mat, None, wstar, *_nears(wstar)),
         ("tridiag(Bstar,W)", bstar_mat, None, w, *_nears(w)),
     ))

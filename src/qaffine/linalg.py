@@ -486,13 +486,6 @@ class Subspace:
     def full(ambient_dim: int) -> Subspace:
         return Subspace(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
-    @staticmethod
-    def from_vectors(
-        ambient_dim: int, vectors: Iterable[Sequence[Fraction]]
-    ) -> Subspace:
-        sparse = ({i: x for i, x in enumerate(v) if x} for v in vectors)
-        return _echelon(ambient_dim, map(int_row, sparse)).to_subspace()
-
     @cached_property
     def basis(self) -> Matrix:
         """The ambient_dim x dim matrix with the rows N_p / N_p[p] as its
@@ -526,25 +519,19 @@ class Subspace:
             raise ValueError("ambient dimension mismatch")
         return all(self._holds(w) for w in _image_columns(op, space, shift))
 
-    def is_zero(self) -> bool:
-        return self.dim == 0
-
 
 def _image_columns(op: Matrix, space: Subspace, shift: Fraction = ZERO) -> list[IntRow]:
     """Nonzero multiples of the columns (op - shift I) N_c, one for each row
     N_c of the space, as sparse integer vectors. With shift = a/b and O_t
     the columns of den * op (`int_cols`), column c is b sum_t N_c[t] O_t -
-    a den N_c: only the columns of op that N_c hits are read. Scaling a
-    column keeps its membership in a subspace and the span of the columns."""
+    a den N_c, the last term skipped when a = 0: only the columns of op
+    that N_c hits are read. Scaling a column keeps its membership in a
+    subspace and the span of the columns."""
     if op.cols != space.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     if shift and not op.is_square:
         raise ValueError("shift of a non-square matrix")
-    a, b = shift.numerator, shift.denominator
-    cols = op.int_cols
-    if not a:
-        return [row_product(row.items(), cols) for row in space.pivot_rows.values()]
-    ad = a * op.den
+    ad, b, cols = shift.numerator * op.den, shift.denominator, op.int_cols
     columns = []
     for row in space.pivot_rows.values():
         out: IntRow = {}
@@ -552,7 +539,8 @@ def _image_columns(op: Matrix, space: Subspace, shift: Fraction = ZERO) -> list[
             bx = b * x
             for i, v in cols[t]:
                 out[i] = out[i] + bx * v if i in out else bx * v
-            out[t] = out[t] - ad * x if t in out else -ad * x
+            if ad:
+                out[t] = out[t] - ad * x if t in out else -ad * x
         columns.append({i: v for i, v in out.items() if v})
     return columns
 
@@ -655,15 +643,15 @@ class Ladder:
     one step at a time (weight spaces, eigenflags, split decompositions).
 
     Off its ends the ladder is the zero space. The partial sums head[i] =
-    spaces[0] + ... + spaces[i], tail[i] = spaces[i] + ... + spaces[d] and
-    interval(lo, hi) = spaces[lo] + ... + spaces[hi] are running sums: each
-    extends the previous sum's echelon. head and tail are found once.
+    spaces[0] + ... + spaces[i] and tail[i] = spaces[i] + ... + spaces[d]
+    are running sums, found once: each extends the previous sum's echelon.
 
     The lemma: when the spaces are independent (a direct sum, which need
-    not fill the ambient space), head[hi] n tail[lo] = interval(lo, hi).
-    A vector of head[hi] n tail[lo] has one set of components, one in each
-    space; read off head[hi] those past hi are zero, read off tail[lo] those
-    before lo are, so it lies in interval(lo, hi). The converse is plain.
+    not fill the ambient space), head[hi] n tail[lo] = spaces[lo] + ... +
+    spaces[hi]. A vector of head[hi] n tail[lo] has one set of components,
+    one in each space; read off head[hi] those past hi are zero, read off
+    tail[lo] those before lo are, so it lies in that sum. The converse is
+    plain.
     """
 
     spaces: tuple[Subspace, ...]
@@ -685,15 +673,6 @@ class Ladder:
     def step(self, k: int) -> tuple[Subspace, ...]:
         """(at(k), at(1 + k), ..., at(d + k)): the targets of a k-step move."""
         return tuple(self.at(i + k) for i in range(len(self.spaces)))
-
-    def interval(self, lo: int, hi: int) -> Subspace:
-        """spaces[lo] + ... + spaces[hi], clamped to the ladder's ends; zero
-        when the clamped range is empty."""
-        lo, hi = max(lo, 0), min(hi, len(self.spaces) - 1)
-        if lo > hi:
-            return Subspace.zero(self.spaces[0].ambient_dim)
-        *_, total = _running_sums(self.spaces[lo:hi + 1])
-        return total
 
     @cached_property
     def head(self) -> tuple[Subspace, ...]:

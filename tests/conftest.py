@@ -84,6 +84,15 @@ def column_space(m):
     return acc.to_subspace()
 
 
+def span(ambient, vectors):
+    """The span of dense vectors as a canonical Subspace: each inserted in
+    turn into one echelon."""
+    acc = SpanAccumulator(ambient)
+    for v in vectors:
+        acc.insert(dict(enumerate(v)))
+    return acc.to_subspace()
+
+
 def naive_evaluate(words, assignment):
     """A formal sum evaluated word by word with Matrix products and sums, as
     a reference for `evaluate_word`."""

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import direct_sum
+from conftest import direct_sum, span
 from qaffine import analysis
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
@@ -57,12 +57,12 @@ def test_spin_finds_proper_submodule(tensor_14):
     # v_0 x w_0 generates the 3-dimensional component of the critical tensor
     result = spin({0: 1}, tensor_14)
     assert result.dim == 3
-    assert result.contains(Subspace.from_vectors(4, [[F(0), F(1), F(2), F(0)]]))
+    assert result.contains(span(4, [[F(0), F(1), F(2), F(0)]]))
 
 
 def test_spin_monotone(tensor_14):
     big = spin({0: 1}, tensor_14)
-    assert big.contains(Subspace.from_vectors(4, [unit_vector(4, 3)]))
+    assert big.contains(span(4, [unit_vector(4, 3)]))
     inner = spin({3: 1}, tensor_14)
     assert big.contains(inner)
 

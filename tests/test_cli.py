@@ -304,6 +304,55 @@ def test_restrict_requires_full_module(tmp_path, v111_file):
     assert main(["restrict", str(restricted), "-o", str(tmp_path / "x.json")]) == 2
 
 
+@pytest.mark.parametrize("verb, options, required, given", [
+    ("restrict", ["-o", "x.json"], "an affine_full", "ugeq0"),
+    ("extend", ["--eps0", "1", "--eps1", "1", "-o", "x.json"], "a ugeq0", "affine_full"),
+    ("roundtrip", [], "an affine_full", "ugeq0"),
+])
+def test_verbs_name_the_kind_they_require(
+    tmp_path, v111_file, capsys, verb, options, required, given
+):
+    restricted = tmp_path / "r.json"
+    assert main(["restrict", str(v111_file), "-o", str(restricted)]) == 0
+    capsys.readouterr()
+    path = restricted if given == "ugeq0" else v111_file
+    options = [str(tmp_path / o) if o.endswith(".json") else o for o in options]
+    assert main([verb, str(path), *options]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {verb} requires {required} module, got {given}\n"
+    )
+    assert not (tmp_path / "x.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "-3/2", "build", "eval", "--d", "1", "--eps", "1", "--a", "2"],
+    ["build", "eval", "--d", "1", "--eps", "-1", "--a", "-1/5"],
+    ["restrict", "FILE", "--alpha", "-2/7"],
+], ids=["q", "a", "alpha"])
+def test_negative_fraction_after_a_space(tmp_path, v111_file, capsys, argv):
+    # argparse reads "-p/q" after a space as an option string, so main joins
+    # it to its flag: the spaced form and the "=" form give the same bytes,
+    # and "--eps -1", a negative number to argparse, is left as it is
+    out = tmp_path / "out.json"
+    argv = [str(v111_file) if a == "FILE" else a for a in argv] + ["-o", str(out)]
+    k = next(i for i, a in enumerate(argv) if a.startswith("-") and "/" in a)
+    joined = argv[:k - 1] + [f"{argv[k - 1]}={argv[k]}"] + argv[k + 1:]
+    results = []
+    for form in (argv, joined):
+        code = main(form)
+        results.append((code, capsys.readouterr(), out.read_bytes()))
+        out.unlink()
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and not results[0][1].err
+
+
+def test_negative_fraction_with_zero_denominator(tmp_path, v111_file, capsys):
+    out = tmp_path / "r.json"
+    assert main(["restrict", str(v111_file), "--alpha", "-1/0", "-o", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["error: not an exact rational: '-1/0'"]
+    assert not out.exists()
+
+
 def test_extend_reducible_exits_4(tmp_path, q2):
     from qaffine.factory import build_module
     from qaffine.linalg import Matrix

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import column_space, direct_sum, naive_evaluate
+from conftest import column_space, direct_sum, naive_evaluate, span
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
     COMPOSITION,
@@ -118,7 +118,7 @@ def subspace_pairs(draw):
     vecs2 = [
         [draw(fractions) for _ in range(n)] for _ in range(k2)
     ]
-    return Subspace.from_vectors(n, vecs1), Subspace.from_vectors(n, vecs2)
+    return span(n, vecs1), span(n, vecs2)
 
 
 def oracle_intersection(a: Subspace, b: Subspace) -> Subspace:
@@ -135,7 +135,7 @@ def oracle_intersection(a: Subspace, b: Subspace) -> Subspace:
         col = coeffs.basis.column(j)
         s = col[: a.dim]
         vectors.append(a.basis.apply(s))
-    return Subspace.from_vectors(n, vectors)
+    return span(n, vectors)
 
 
 @st.composite
@@ -169,7 +169,7 @@ def test_span_accumulator_tracks_prefix_rank(case):
         assert acc.insert(dict(enumerate(v))) == (prefix_rank > previous)
         assert acc.dim == prefix_rank
         previous = prefix_rank
-    assert acc.to_subspace() == Subspace.from_vectors(n, vectors)
+    assert acc.to_subspace() == span(n, vectors[::-1])
 
 
 def reference_rref(rows):
@@ -282,23 +282,23 @@ def all_fractions(*spaces):
 def test_echelon_matches_dense_reference(case, rnd):
     n, rows = case
     m = as_matrix(rows, n)
-    span = Subspace.from_vectors(n, rows)
+    spanned = span(n, rows)
     acc, shuffled = SpanAccumulator(n), SpanAccumulator(n)
     for row in rows:
         acc.insert(dict(enumerate(row)))
     for row in rnd.sample(rows, len(rows)):
         shuffled.insert(dict(enumerate(row)))
     half = len(rows) // 2
-    halves = (Subspace.from_vectors(n, rows[:half]), Subspace.from_vectors(n, rows[half:]))
+    halves = (span(n, rows[:half]), span(n, rows[half:]))
     # every route reaches the same reduced rows, so equal values hash equal
     for route in (reference_span(n, rows), acc.to_subspace(), shuffled.to_subspace(),
                   column_space(m.transpose()), subspace_sum(*halves)):
-        assert route == span and hash(route) == hash(span)
-    assert acc.dim == span.dim
+        assert route == spanned and hash(route) == hash(spanned)
+    assert acc.dim == spanned.dim
     assert kernel(m) == reference_kernel(m)
-    assert rank(m) == len(reference_rref(rows)) == span.dim
-    assert all_fractions(span, acc.to_subspace(), kernel(m))
-    event("full rank" if span.dim == min(len(rows), n) else "rank deficient")
+    assert rank(m) == len(reference_rref(rows)) == spanned.dim
+    assert all_fractions(spanned, acc.to_subspace(), kernel(m))
+    event("full rank" if spanned.dim == min(len(rows), n) else "rank deficient")
 
 
 @settings(max_examples=100, deadline=None)
@@ -327,7 +327,7 @@ def test_handed_out_subspaces_never_change(case, cut):
         hand_out(acc.to_subspace())
     assert unchanged() and acc.dim == n
 
-    lines = [Subspace.from_vectors(n, [v]) for v in vectors]
+    lines = [span(n, [v]) for v in vectors]
     ladder = Ladder([prefix, *lines])
     hand_out(*lines, *ladder.head)
     hand_out(*ladder.tail)
@@ -374,7 +374,7 @@ def test_integer_echelon_hands_out_the_dense_reference(case, cut, rnd):
     # view is in Fractions, and its rows are the accumulator's own (which a
     # seeded accumulator starts from)
     n, vectors = case
-    start = Subspace.from_vectors(n, [dense(n, v) for v in vectors[:cut]])
+    start = span(n, [dense(n, v) for v in vectors[:cut]])
     for acc, kept in ((SpanAccumulator(n), []), (SpanAccumulator(n, start), vectors[:cut])):
         for v in rnd.sample(vectors, len(vectors)):
             acc.insert(v)
@@ -397,7 +397,7 @@ def test_integer_echelon_hands_out_the_dense_reference(case, cut, rnd):
     lambda n: st.tuples(st.just(n), row_lists(n), row_lists(n))))
 def test_sum_and_intersection_match_dense_reference(case):
     n, rows_a, rows_b = case
-    a, b = Subspace.from_vectors(n, rows_a), Subspace.from_vectors(n, rows_b)
+    a, b = span(n, rows_a), span(n, rows_b)
     total, meet = subspace_sum(a, b), subspace_intersect(a, b)
     assert total == reference_span(n, rows_a + rows_b)
     assert meet == reference_intersect(a, b)
@@ -457,7 +457,7 @@ def test_echelon_canonical_under_column_mixing(m):
     cols = m.columns()
     if cols:
         mixed = cols + [tuple(x + y for x, y in zip(cols[0], cols[-1]))]
-        assert Subspace.from_vectors(m.rows, mixed) == s
+        assert span(m.rows, mixed) == s
     assert column_space(s.basis) == s
 
 
@@ -836,8 +836,7 @@ def escape_cases(draw):
 
     def subspace():
         k = draw(st.integers(min_value=0, max_value=n))
-        return Subspace.from_vectors(n, [[draw(entry) for _ in range(n)]
-                                         for _ in range(k)])
+        return span(n, [[draw(entry) for _ in range(n)] for _ in range(k)])
 
     spaces, targets = [], []
     for i in range(length):
@@ -861,7 +860,7 @@ def hard_escape_case():
     1000003, an operator that maps it into itself and mixes its rows, and
     the whole space, which escapes the plane."""
     rows = [[F(1), F(0), F(2**61 - 1, 3)], [F(0), F(1), F(-7, 1000003)]]
-    plane = Subspace.from_vectors(3, rows)
+    plane = span(3, rows)
     basis = from_columns(3, rows + [[F(0), F(0), F(1)]])
     mixing = Matrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, F(5, 2**31 - 1)]])
     mat = basis @ mixing @ basis.inverse()
@@ -898,7 +897,7 @@ def test_shifted_containment_matches_shifted_matrix(m, seed, data):
     def drawn():
         vectors = data.draw(st.lists(
             st.lists(wide_fractions, min_size=n, max_size=n), max_size=2))
-        return Subspace.from_vectors(n, vectors)
+        return span(n, vectors)
 
     eigenspaces = [kernel(op.shift(lam)) for lam in spectrum]
     space = data.draw(st.sampled_from(["drawn", "full", "eigenspace"]))
@@ -935,8 +934,7 @@ def shifted_view_cases(draw):
 
     def subspace(n):
         k = draw(st.integers(min_value=0, max_value=n))
-        return Subspace.from_vectors(n, [[draw(entry) for _ in range(n)]
-                                         for _ in range(k)])
+        return span(n, [[draw(entry) for _ in range(n)] for _ in range(k)])
 
     return m, subspace(m.cols), subspace(m.rows), shift
 
@@ -946,8 +944,8 @@ def cancelling_shift_case():
     cancel, and the block's plane maps onto the line of its first vector,
     which it maps to zero."""
     m = Matrix.from_rows([[F(1, 2), 1, 0], [0, F(1, 2), 0], [0, 0, 3]])
-    plane = Subspace.from_vectors(3, [[1, 0, 0], [0, 1, 0]])
-    return m, plane, Subspace.from_vectors(3, [[1, 0, 0]]), F(1, 2)
+    plane = span(3, [[1, 0, 0], [0, 1, 0]])
+    return m, plane, span(3, [[1, 0, 0]]), F(1, 2)
 
 
 @settings(max_examples=200, deadline=None)
