@@ -109,15 +109,16 @@ def _closure(
     row v times the columns of M (`row_product`), so it touches only the
     columns where v is nonzero. Scaling a vector or a map by a nonzero
     constant does not change a span, so the seeds are cleared to integers
-    and the closure builds no Fraction."""
+    once and the closure builds no Fraction. Each image is already a sparse
+    integer row, so a copy of it goes straight to the echelon."""
     acc = SpanAccumulator(ambient)
-    frontier = [v for v in map(int_row, seeds) if acc.insert(v)]
+    frontier = [v for v in map(int_row, seeds) if acc._add(dict(v))]
     while frontier and acc.dim < ambient:
         new_frontier = []
         for v in frontier:
             for cols in columns:
                 w = row_product(v.items(), cols)
-                if acc.insert(w):
+                if acc._add(dict(w)):
                     new_frontier.append(w)
         frontier = new_frontier
     return acc

@@ -263,11 +263,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # argparse reads "-N" and "-N.N" as negative numbers but "-p/q" as an
-    # option, so a fraction after a space is joined to its option as --opt=-p/q
+    # option, so a fraction after a space is joined to its option as --opt=-p/q;
+    # the option may be abbreviated, as argparse allows ("--al" for "--alpha")
     argv = list(sys.argv[1:] if argv is None else argv)
     for k in range(len(argv) - 1, 0, -1):
         opt, value = argv[k - 1], argv[k]
-        if opt in ("--q", "--a", "--alpha") and re.fullmatch(r"-[0-9]+/[0-9]+", value):
+        scalar = opt == "--q" or (len(opt) >= 3 and "--alpha".startswith(opt))
+        if scalar and re.fullmatch(r"-[0-9]+/[0-9]+", value):
             argv[k - 1:k + 1] = [f"{opt}={value}"]
     args = _build_parser().parse_args(argv)
     try:

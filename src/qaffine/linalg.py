@@ -43,6 +43,18 @@ of op - a/b I eliminates the rows b (den op)_i - a den e_i, and one of its
 transpose the columns likewise. So the shift enters the integer view, and
 no shifted or transposed Matrix is built.
 
+Coordinate subspaces, those spanned by unit vectors, are decided without
+elimination. A matrix whose nonzero entries all lie on the diagonal (K, K0
+and K1 of every module the factory builds) caches that diagonal,
+`diagonal_entries`, and the kernel of D - s I, which is also that of its
+transpose, is the span of the e_i with d_i = s: the reduced rows {i: 1}
+that elimination would give. A subspace whose reduced rows are all unit
+rows {p: 1} (`is_coordinate`: the eigenspaces of a diagonal K and every
+sum of them) holds a vector exactly when the vector's support lies within
+the pivots. The whole space holds every image, so `contains_image` forms
+no column for it. Any other matrix or subspace takes the general path, at
+the cost of one cached scan.
+
 A matrix with every nonzero entry on one side of the diagonal (K, R and L
 of every module the factory builds) has its diagonal as spectrum. For any
 other, the characteristic polynomial comes from the Faddeev-LeVerrier
@@ -166,6 +178,22 @@ class Matrix:
             for j, v in row:
                 cols[j].append((i, v))
         return tuple(map(tuple, cols))
+
+    @cached_property
+    def diagonal_entries(self) -> tuple[Fraction, ...] | None:
+        """The n diagonal entries when the matrix is n x n and every nonzero
+        entry lies on the diagonal, else None: one scan of the rows."""
+        if not self.is_square:
+            return None
+        out = []
+        for i, row in enumerate(self.sparse_rows):
+            if not row:
+                out.append(ZERO)
+            elif len(row) == 1 and row[0][0] == i:
+                out.append(row[0][1])
+            else:
+                return None
+        return tuple(out)
 
     # -- dense views, built on request -------------------------------------
 
@@ -494,12 +522,22 @@ class Subspace:
                 for p, row in sorted(self.pivot_rows.items())]
         return Matrix.from_sparse(len(rows), self.ambient_dim, rows).transpose()
 
+    @cached_property
+    def is_coordinate(self) -> bool:
+        """Whether the subspace is spanned by unit vectors: every reduced row
+        has one entry, which in primitive form is {p: 1}."""
+        return all(len(row) == 1 for row in self.pivot_rows.values())
+
     def _holds(self, w: IntRow) -> bool:
-        """Whether the sparse integer vector w lies in the subspace. The rows
-        are reduced, so w = sum of w[p] * N_p / N_p[p] over the pivots p it
-        hits exactly when it is in the span; with L the lcm of those N_p[p],
-        the integer L * w less each w[p] * (L / N_p[p]) * N_p must vanish."""
+        """Whether the sparse integer vector w, with no stored zero, lies in
+        the subspace. In a coordinate span that is support(w) within the
+        pivots. Otherwise, the rows are reduced, so w = sum of w[p] * N_p /
+        N_p[p] over the pivots p it hits exactly when it is in the span;
+        with L the lcm of those N_p[p], the integer L * w less each w[p] *
+        (L / N_p[p]) * N_p must vanish."""
         rows = self.pivot_rows
+        if self.is_coordinate:
+            return w.keys() <= rows.keys()
         hits = [p for p in w if p in rows]
         lcm = math.lcm(*[rows[p][p] for p in hits])
         rest = {i: lcm * x for i, x in w.items()}
@@ -514,10 +552,22 @@ class Subspace:
 
     def contains_image(self, op: Matrix, space: Subspace, shift: Fraction = ZERO) -> bool:
         """Whether (op - shift I)(space) lies in this subspace: each column
-        of `_image_columns` is tested, with no shifted Matrix built."""
+        of `_image_columns` is tested, with no shifted Matrix built. The
+        whole space holds every image, so no column is formed for it."""
         if op.rows != self.ambient_dim:
             raise ValueError("ambient dimension mismatch")
+        if self.dim == self.ambient_dim:
+            _check_image(op, space, shift)
+            return True
         return all(self._holds(w) for w in _image_columns(op, space, shift))
+
+
+def _check_image(op: Matrix, space: Subspace, shift: Fraction) -> None:
+    """ValueError unless (op - shift I) can act on the space."""
+    if op.cols != space.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    if shift and not op.is_square:
+        raise ValueError("shift of a non-square matrix")
 
 
 def _image_columns(op: Matrix, space: Subspace, shift: Fraction = ZERO) -> list[IntRow]:
@@ -527,10 +577,7 @@ def _image_columns(op: Matrix, space: Subspace, shift: Fraction = ZERO) -> list[
     a den N_c, the last term skipped when a = 0: only the columns of op
     that N_c hits are read. Scaling a column keeps its membership in a
     subspace and the span of the columns."""
-    if op.cols != space.ambient_dim:
-        raise ValueError("ambient dimension mismatch")
-    if shift and not op.is_square:
-        raise ValueError("shift of a non-square matrix")
+    _check_image(op, space, shift)
     ad, b, cols = shift.numerator * op.den, shift.denominator, op.int_cols
     columns = []
     for row in space.pivot_rows.values():
@@ -553,15 +600,28 @@ def image(m: Matrix, space: Subspace) -> Subspace:
 def kernel(m: Matrix, shift: Fraction = ZERO) -> Subspace:
     """The null space {v : (m - shift I) v = 0} of an arbitrary rectangular
     matrix (square when shift is nonzero), from the integer rows of m
-    (`_null_space`): no shifted Matrix is built."""
+    (`_null_space`): no shifted Matrix is built. A diagonal m needs no
+    elimination (`_diagonal_kernel`)."""
+    if (diagonal := m.diagonal_entries) is not None:
+        return _diagonal_kernel(diagonal, shift)
     return _null_space(m, m.int_rows, m.cols, shift)
 
 
 def left_kernel(m: Matrix, shift: Fraction = ZERO) -> Subspace:
     """The null space {v : v (m - shift I) = 0}, that of the transpose, from
     the integer columns of m (`_null_space`): no transposed or shifted
-    Matrix is built."""
+    Matrix is built. A diagonal m is its own transpose."""
+    if (diagonal := m.diagonal_entries) is not None:
+        return _diagonal_kernel(diagonal, shift)
     return _null_space(m, m.int_cols, m.rows, shift)
+
+
+def _diagonal_kernel(diagonal: Sequence[Fraction], shift: Fraction) -> Subspace:
+    """The null space of D - shift I for D = diag(d_0, ..., d_(n-1)): (D -
+    shift I) v = 0 exactly when v is supported on {i : d_i = shift}, so it
+    is the coordinate span of those e_i, the form `_null_space` gives a free
+    column that no reduced row hits."""
+    return Subspace(len(diagonal), {i: {i: 1} for i, d in enumerate(diagonal) if d == shift})
 
 
 def _null_space(

@@ -346,6 +346,22 @@ def test_negative_fraction_after_a_space(tmp_path, v111_file, capsys, argv):
     assert results[0][0] == 0 and not results[0][1].err
 
 
+@pytest.mark.parametrize("verb", ["restrict", "roundtrip"])
+@pytest.mark.parametrize("option", ["--a", "--al", "--alph"])
+def test_negative_fraction_after_an_abbreviation(tmp_path, v111_file, capsys, verb, option):
+    # argparse takes a unique prefix of --alpha for it, and so does the
+    # joining of a fraction after a space: same bytes as "--alpha=-2/7"
+    out = tmp_path / "out.json"
+    extra = ["-o", str(out)] if verb == "restrict" else ["--report", str(out)]
+    results = []
+    for form in ([option, "-2/7"], ["--alpha=-2/7"]):
+        code = main([verb, str(v111_file), *form, *extra])
+        results.append((code, capsys.readouterr(), out.read_bytes()))
+        out.unlink()
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and not results[0][1].err
+
+
 def test_negative_fraction_with_zero_denominator(tmp_path, v111_file, capsys):
     out = tmp_path / "r.json"
     assert main(["restrict", str(v111_file), "--alpha", "-1/0", "-o", str(out)]) == 2

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from conftest import column_space, span
+from conftest import _count_calls, column_space, span
 
+from qaffine import linalg
 from qaffine.linalg import (
     Ladder,
     Matrix,
@@ -14,6 +15,7 @@ from qaffine.linalg import (
     first_escape,
     kernel,
     kronecker,
+    left_kernel,
     rank,
     rational_roots,
     subspace_intersect,
@@ -521,6 +523,69 @@ def test_contains_image():
     assert Subspace.zero(3).contains_image(Matrix.diagonal([5, 2, 2]), line, 5)
     with pytest.raises(ValueError, match="shift of a non-square matrix"):
         plane.contains_image(inject, Subspace.full(2), F(1, 2))
+
+
+def t16(q):
+    from qaffine.factory import EvalParams, evaluation_module, tensor_product
+
+    return tensor_product(*(evaluation_module(EvalParams(3, 1, a), q) for a in (1, 11)))
+
+
+def test_diagonal_entries():
+    assert Matrix.diagonal([2, 0, F(-1, 3)]).diagonal_entries == (2, 0, F(-1, 3))
+    assert Matrix.zero(2, 2).diagonal_entries == (0, 0)
+    assert Matrix.zero(2, 3).diagonal_entries is None
+    assert Matrix.from_rows([[1, 0], [1, 1]]).diagonal_entries is None
+
+
+def test_roundtrip_eliminates_no_diagonal_kernel(tmp_path, q2, monkeypatch):
+    # t16: K, K0 and K1 are diagonal, so their eigenspaces and left kernels
+    # are read off the diagonal and only the kernels of A and A* are
+    # eliminated; a target that is the whole space holds every image
+    # without a column formed
+    from qaffine.cli import main
+    from qaffine.modfile import write_module
+
+    path = tmp_path / "t16.json"
+    write_module(t16(q2), path)
+    null_spaces = _count_calls(monkeypatch, linalg, "_null_space", lambda *args: None)
+    columns = _count_calls(monkeypatch, linalg, "_image_columns", lambda *args: None)
+    full_targets = []
+    original = Subspace.contains_image
+
+    def tracked(target, *args):
+        before = len(columns)
+        result = original(target, *args)
+        if target.dim == target.ambient_dim:
+            full_targets.append(len(columns) - before)
+        return result
+
+    monkeypatch.setattr(Subspace, "contains_image", tracked)
+    assert main(["roundtrip", str(path), "--alpha", "1"]) == 0
+    assert len(null_spaces) == 14
+    assert full_targets and set(full_targets) == {0}
+
+
+def test_dense_kernels_take_the_elimination(q2, monkeypatch):
+    # K of t16 conjugated by unit_lu is not diagonal: its eigenspaces and
+    # left kernels are eliminated, and equal the conjugated coordinate spans
+    from test_properties import unit_lu
+
+    k = t16(q2).action["K0"]
+    p = unit_lu(16, 1)
+    p_inv = p.inverse()
+    dense = p_inv @ k @ p
+    assert dense.diagonal_entries is None
+    null_spaces = _count_calls(monkeypatch, linalg, "_null_space", lambda *args: None)
+    for lam in sorted(set(k.diagonal_entries)):
+        right, left = kernel(dense, lam), left_kernel(dense, lam)
+        assert right == column_space(p_inv @ kernel(k, lam).basis)
+        assert left == column_space(p.transpose() @ left_kernel(k, lam).basis)
+    assert len(null_spaces) == 2 * len(set(k.diagonal_entries))
+    null_spaces.clear()
+    kernel(k, F(1))
+    left_kernel(k, F(1))
+    assert null_spaces == []
 
 
 def test_first_escape():

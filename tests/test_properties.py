@@ -21,6 +21,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import column_space, direct_sum, naive_evaluate, span
+from qaffine import linalg
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
     COMPOSITION,
@@ -1229,6 +1230,80 @@ def test_eigenvalues_match_characteristic_roots(case, seed):
     p = unit_lu(m.rows, seed)
     dense = p.inverse() @ m @ p
     assert eigenvalues(dense) == rational_roots(char_poly(dense)) == sorted(diagonal)
+
+
+@settings(max_examples=150, deadline=None)
+@given(triangular_matrices(), st.data())
+def test_diagonal_kernels_match_the_elimination(case, data):
+    # kernels of a diagonal matrix are read off its diagonal; they must equal
+    # _null_space's on the same input, entry for entry and in pivot order,
+    # for shifts on the diagonal (repeated, zero, negative) and off it
+    m, diagonal = case
+    n = m.rows
+    off = any(m.at(i, j) for i in range(n) for j in range(n) if i != j)
+    assert m.diagonal_entries == (None if off else tuple(diagonal))
+    event("off-diagonal entries" if off else "no off-diagonal entry")
+    shift = data.draw(st.one_of(st.sampled_from(diagonal + [F(0)]), wide_fractions))
+    event("shift on the diagonal" if shift in diagonal else "shift off the diagonal")
+    for got, rows, size in ((kernel(m, shift), m.int_rows, m.cols),
+                            (left_kernel(m, shift), m.int_cols, m.rows)):
+        expected = linalg._null_space(m, rows, size, shift)
+        assert list(got.pivot_rows.items()) == list(expected.pivot_rows.items())
+
+
+@st.composite
+def coordinate_cases(draw):
+    """A span of some coordinate vectors, or of the same columns of unit_lu
+    (a dense span), with a vector and an operator that often stay inside it:
+    a combination of its spanning vectors, perhaps plus a unit vector, and P
+    D P^-1 for a diagonal D, perhaps plus one entry, shifted by an entry of
+    D, 0 or a fraction. The support may be empty or everything."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    support = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    seed = draw(st.none() | st.integers(0, 2**16))
+    p = Matrix.identity(n) if seed is None else unit_lu(n, seed)
+    target = span(n, [p.column(j) for j in support])
+    inner = sorted(draw(st.sets(st.sampled_from(support)))) if support else []
+    space = span(n, [p.column(j) for j in inner])
+    if draw(st.booleans()):
+        space = span(n, [[draw(fractions) for _ in range(n)]])
+    entry = st.one_of(st.just(F(0)), fractions)
+    diagonal = [draw(entry) for _ in range(n)]
+    op = p @ Matrix.diagonal(diagonal) @ p.inverse()
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = op + Matrix.from_sparse(n, n, [{j: F(1)} if k == i else {} for k in range(n)])
+    shift = draw(st.one_of(st.sampled_from(diagonal), st.just(F(0)), fractions))
+    w = [F(0)] * n
+    for j in support:
+        c = draw(fractions)
+        w = [x + c * y for x, y in zip(w, p.column(j))]
+    if draw(st.booleans()):
+        w[draw(st.integers(0, n - 1))] += draw(fractions)
+    event("coordinate" if seed is None else "conjugated")
+    return target, space, op, shift, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinate_cases())
+def test_coordinate_containment_matches_a_rank_test(case):
+    # a coordinate span decides containment by support, and the whole space
+    # holds every image; both must agree with w in S <=> dim(S + w) = dim S
+    target, space, op, shift, w = case
+    n = target.ambient_dim
+    units = all(sum(map(bool, row)) == 1 for row in reference_rref(target.basis.columns()))
+    assert target.is_coordinate == units
+
+    def inside(vectors):
+        return len(reference_rref(target.basis.columns() + vectors)) == target.dim
+
+    expected = inside([w])
+    event("w contained" if expected else "w escapes")
+    assert target.contains(span(n, [w])) == expected
+    moved = (op.shift(shift) @ space.basis).columns()
+    expected = inside(moved)
+    event("image contained" if expected else "image escapes")
+    assert target.contains_image(op, space, shift) == expected
 
 
 @st.composite
