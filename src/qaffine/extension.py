@@ -32,6 +32,14 @@ The weight spaces, both flags and both split decompositions are each held
 as a linalg.Ladder (zero off its ends, partial sums computed once), and
 every "operator moves each space of a ladder one step" check is one call of
 linalg.first_escape, the containment primitive the weight analysis shares.
+A check that a ladder's partial sums equal sums already built is decided by
+containment plus dimension (the lemma in Ladder) and, once it passes, the
+ladder reads those sums as its own: the A-flag's tail sums are the weight
+spaces' tail sums, the A*-flag's head sums their head sums, and the sums of
+W and W* are flag sums. So a passing run builds four running sums: the head
+and tail of the weight spaces, the head of the A-flag and the tail of the
+A*-flag. The lowering suite copies the input's own q-Serre checks in R and
+L instead of evaluating them again.
 A tridiagonal move, into S_(i-1) + S_i + S_(i+1), is tested against the
 ladder's own head[i+1] and tail[i-1] (clamped to its ends), which meet in
 that sum because each ladder it is checked on is a direct sum, so no
@@ -62,6 +70,7 @@ from .linalg import (
     Matrix,
     Subspace,
     first_escape,
+    independent,
     kernel,
     subspace_intersect,
     subspace_sum,
@@ -173,6 +182,21 @@ def _nears(ladder: Ladder) -> tuple[tuple[Subspace, ...], tuple[Subspace, ...]]:
     return ladder.head[1:] + ladder.head[-1:], ladder.tail[:1] + ladder.tail[:-1]
 
 
+def _dims_match(spaces: Sequence[Subspace], chain: Sequence[Subspace]) -> bool:
+    """Whether dim chain[i] = dim spaces[0] + ... + dim spaces[i] for every i:
+    for independent spaces, each inside its member of the nested chain, that
+    count decides whether their running sums are the chain (the lemma in
+    Ladder)."""
+    return all(c.dim == k for c, k in zip(chain, accumulate(s.dim for s in spaces)))
+
+
+def _fills(spaces: Sequence[Subspace], chain: Sequence[Subspace]) -> bool:
+    """Whether the running sums of independent spaces are the nested chain:
+    containment plus dimension (the lemma in Ladder), with no sum built."""
+    return _dims_match(spaces, chain) and all(
+        c.contains(s) for s, c in zip(spaces, chain))
+
+
 def _decomposition_failure(ladder: Ladder) -> str | None:
     """Why the spaces are not all nonzero, pairwise independent and summing
     to the full space; None when they are."""
@@ -186,6 +210,37 @@ def _decomposition_failure(ladder: Ladder) -> str | None:
     if total.dim != total.ambient_dim:
         return f"components span dimension {total.dim} of {total.ambient_dim}"
     return None
+
+
+def _certified_direct(spaces: Sequence[Subspace]) -> bool:
+    """Whether the spaces decompose the whole space: each is nonzero, their
+    dimensions add up to n, and all their rows, put into one forward
+    elimination, stay independent."""
+    dims = [s.dim for s in spaces]
+    return all(dims) and sum(dims) == spaces[0].ambient_dim and independent(spaces)
+
+
+def _split_spaces(
+    head: tuple[Subspace, ...], tail: tuple[Subspace, ...]
+) -> tuple[Ladder, str | None, bool, bool]:
+    """The spaces S_k = head[k] n tail[k] of a rising chain head and a falling
+    chain tail, as a Ladder; why they do not decompose the space (None when
+    they do); whether their head sums are the chain head; and whether their
+    tail sums are the chain tail.
+
+    Each S_k lies in both chains, so once `_certified_direct` shows S direct
+    both sum checks are counts (the lemma in Ladder), and the Ladder reads
+    each chain that passes as its sums. Otherwise the running sums are built
+    and compared literally, so a failing run logs the same details."""
+    spaces = [subspace_intersect(h, t) for h, t in zip(head, tail)]
+    if _certified_direct(spaces):
+        head_ok = _dims_match(spaces, head)
+        tail_ok = _dims_match(spaces[::-1], tail[::-1])
+        split = Ladder(spaces, known_head=head if head_ok else None,
+                       known_tail=tail if tail_ok else None)
+        return split, None, head_ok, tail_ok
+    split = Ladder(spaces)
+    return split, _decomposition_failure(split), split.head == head, split.tail == tail
 
 
 def build_a_astar(m: ModuleData, log: CheckLog) -> tuple[Matrix, Matrix]:
@@ -222,24 +277,30 @@ def eigen_flags(
     ev = _eigenvalues(m.q, ladder.alpha, ladder.diameter)
     K, Kinv = m.action["K"], m.action["Kinv"]
     u = Ladder(ladder.spaces)
-    v = Ladder(kernel(a_mat, t) for t in ev.theta)
-    vstar = Ladder(kernel(astar_mat, t) for t in ev.theta_star)
+    v = tuple(kernel(a_mat, t) for t in ev.theta)
+    vstar = tuple(kernel(astar_mat, t) for t in ev.theta_star)
     for name, flag in (("eigendecomp(A)", v), ("eigendecomp(Astar)", vstar)):
         dims = [s.dim for s in flag]
         log.condition(
             name, ANCHOR_FLAGS, sum(dims) == n and all(dims),
             f"eigenspace dims {dims} do not fill dimension {n}",
         )
+    # V and V* are kernels of A, A* at distinct eigenvalues (alpha != 0, and q
+    # is no root of unity), so each is independent: a flag matches the weight
+    # sums by containment plus dimension (the lemma in Ladder), and a flag
+    # that matches reads the weight sums as its own.
     tails_match = log.condition(
         "flag-tail-match", ANCHOR_FLAGS,
-        u.tail == v.tail,
+        _fills(v[::-1], u.tail[::-1]),
         "suffix sums of the A-flag do not match the weight-space suffix sums",
     )
     heads_match = log.condition(
         "flag-head-match", ANCHOR_FLAGS,
-        u.head == vstar.head,
+        _fills(vstar, u.head),
         "prefix sums of the A*-flag do not match the weight-space prefix sums",
     )
+    v = Ladder(v, known_tail=u.tail if tails_match else None)
+    vstar = Ladder(vstar, known_head=u.head if heads_match else None)
     # When U is a direct sum head[i] n tail[i] = U_i (the lemma in Ladder),
     # so flags that match the weight spaces need no intersection.
     log.condition(
@@ -293,6 +354,13 @@ def build_w_grid(
       (A* - theta*_k) W_k and (K^-1 - theta*_k) W_k in W_(k-1), and
       (K - theta_k) W_k in W_0 + ... + W_(k-1).
 
+    No sum is built for these premises when W is shown direct
+    (`_certified_direct`): W_k is the intersection of the two prefixes, so
+    it lies in both, and each sum check is then a count of dimensions, by
+    the containment-plus-dimension lemma in Ladder. W* is the same against
+    the two flags' suffixes. A sum that passes is the flag's own, which is
+    what every later reader of W's or W*'s sums is handed.
+
     W is a direct sum, so by the lemma in Ladder W(i,j) = W_(d-j) + ... + W_i,
     zero when i + j < d. The boundary, vanishing and monotone checks read off
     this interval form. Each move acts on a component W_k of the cell,
@@ -321,15 +389,13 @@ def build_w_grid(
     ev = _eigenvalues(m.q, ladder.alpha, d)
     K, Kinv = m.action["K"], m.action["Kinv"]
     zero = Subspace.zero(m.dim)
-    w = Ladder(subspace_intersect(vstar.head[i], v.head[d - i]) for i in range(d + 1))
-    wstar = Ladder(
-        subspace_intersect(vstar.tail[d - i], v.tail[i]) for i in range(d + 1)
-    )
+    w, w_failure, w_head, w_tail = _split_spaces(vstar.head, v.head[::-1])
+    wstar, wstar_failure, wstar_head, wstar_tail = _split_spaces(vstar.tail[::-1], v.tail)
 
     staged = CheckLog()
     for name, failure in (
-        ("decomposition(W)", _decomposition_failure(w)),
-        ("decomposition(Wstar)", _decomposition_failure(wstar)),
+        ("decomposition(W)", w_failure),
+        ("decomposition(Wstar)", wstar_failure),
     ):
         staged.condition(name, ANCHOR_GRID, failure is None, failure or "")
     _moves_into(staged, ANCHOR_GRID, (
@@ -345,13 +411,13 @@ def build_w_grid(
          Ladder(wstar.tail).step(1)),
     ))
     for name, ok, detail in (
-        ("sum(W-tail)", w.tail == v.head[::-1],
+        ("sum(W-tail)", w_tail,
          "suffix sums of W do not match prefix sums of the A-flag"),
-        ("sum(W-head)", w.head == vstar.head,
+        ("sum(W-head)", w_head,
          "prefix sums of W do not match prefix sums of the A*-flag"),
-        ("sum(Wstar-tail)", wstar.tail == v.tail,
+        ("sum(Wstar-tail)", wstar_tail,
          "suffix sums of W* do not match suffix sums of the A-flag"),
-        ("sum(Wstar-head)", wstar.head == vstar.tail[::-1],
+        ("sum(Wstar-head)", wstar_head,
          "prefix sums of W* do not match suffix sums of the A*-flag"),
     ):
         staged.condition(name, ANCHOR_GRID, ok, detail)
@@ -470,12 +536,15 @@ def _lowering_suite(
     log: CheckLog,
 ) -> tuple[Matrix, Matrix]:
     """r and l, plus the complete commutation suite they satisfy with R, L
-    and K^{±1}."""
+    and K^{±1}. Its q-Serre relations in R and L are the input's own, on
+    the same R and L: their entries are copied from the input's relation
+    report, in place, not evaluated again."""
     q, alpha = m.q, ladder.alpha
     K, Kinv = m.action["K"], m.action["Kinv"]
     denom, c = q.lowering_denominator, ONE / q.weyl_denominator
     r_mat = (K @ bstar_mat).shift(alpha).scale(-1 / denom)
     l_mat = (Kinv @ b_mat).shift(1 / alpha).scale(-1 / denom)
+    assignment = {**m.action, "B": b_mat, "Bstar": bstar_mat, "r": r_mat, "l": l_mat}
     check_relations(log, ANCHOR_LOWER, (
         RelationWord("reconstruct(B)", formal_sum(term(1, "B")),
                      formal_sum((1 / alpha, ("K",)), (-denom, ("K", "l")))),
@@ -491,11 +560,14 @@ def _lowering_suite(
                      formal_sum((c * alpha, ("Kinv",)), (-c / alpha, ("K",)))),
         zero_commutator("l", "L"),
         zero_commutator("r", "R"),
-        q_serre("R", "L", q),
-        q_serre("L", "R", q),
+    ), assignment)
+    input_checks = {check.name: check for check in m.relations.entries}
+    for name in ("serre(R,L)", "serre(L,R)"):
+        log.reuse(input_checks[name], ANCHOR_LOWER)
+    check_relations(log, ANCHOR_LOWER, (
         q_serre("r", "l", q),
         q_serre("l", "r", q),
-    ), {**m.action, "B": b_mat, "Bstar": bstar_mat, "r": r_mat, "l": l_mat})
+    ), assignment)
     return r_mat, l_mat
 
 

@@ -68,7 +68,7 @@ fits in it. No floating point appears anywhere, so results are bit-exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from heapq import heapify, heappop, heappush
@@ -697,6 +697,14 @@ def subspace_intersect(a: Subspace, b: Subspace) -> Subspace:
     return _echelon(n, tails).to_subspace()
 
 
+def independent(spaces: Sequence[Subspace]) -> bool:
+    """Whether the spaces form a direct sum: every row of every space, put
+    into one echelon (sparsest first, with no read-out), raises its
+    dimension. The order does not matter."""
+    rows = [dict(row) for s in spaces for row in s.pivot_rows.values()]
+    return _echelon(spaces[0].ambient_dim, rows).dim == len(rows)
+
+
 @dataclass(frozen=True)
 class Ladder:
     """Subspaces spaces[0..d] of one ambient space that operators move along
@@ -705,6 +713,9 @@ class Ladder:
     Off its ends the ladder is the zero space. The partial sums head[i] =
     spaces[0] + ... + spaces[i] and tail[i] = spaces[i] + ... + spaces[d]
     are running sums, found once: each extends the previous sum's echelon.
+    A caller that has already certified them equal to other sums hands
+    those over as `known_head` or `known_tail`, which are then read as they
+    are: they must be the running sums.
 
     The lemma: when the spaces are independent (a direct sum, which need
     not fill the ambient space), head[hi] n tail[lo] = spaces[lo] + ... +
@@ -712,9 +723,21 @@ class Ladder:
     one in each space; read off head[hi] those past hi are zero, read off
     tail[lo] those before lo are, so it lies in that sum. The converse is
     plain.
+
+    Containment plus dimension: when the spaces are independent and each
+    spaces[k] lies in C_k, for a nested chain C_0 <= ... <= C_d, then head[i]
+    lies in C_i, and equals it exactly when dim spaces[0] + ... + dim
+    spaces[i] = dim C_i. A tail against a chain C_0 >= ... >= C_d works the
+    same way. So a sum that is to equal a chain already built is decided by
+    containments and counts, and the chain is then the sum. That is how a
+    passing `extension.extend` builds only four running sums, the head and
+    tail of the weight spaces, the head of the A-flag and the tail of the
+    A*-flag, and reads every other ladder's sums off those.
     """
 
     spaces: tuple[Subspace, ...]
+    known_head: tuple[Subspace, ...] | None = field(default=None, compare=False, repr=False)
+    known_tail: tuple[Subspace, ...] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "spaces", tuple(self.spaces))
@@ -736,10 +759,14 @@ class Ladder:
 
     @cached_property
     def head(self) -> tuple[Subspace, ...]:
+        if self.known_head is not None:
+            return self.known_head
         return tuple(_running_sums(self.spaces))
 
     @cached_property
     def tail(self) -> tuple[Subspace, ...]:
+        if self.known_tail is not None:
+            return self.known_tail
         return tuple(_running_sums(reversed(self.spaces)))[::-1]
 
 

@@ -9,7 +9,7 @@ human-readable table and a JSON-ready dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import CheckFailedError
 from .linalg import Matrix
@@ -98,6 +98,10 @@ class CheckLog:
         nz = tuple((i, j, str(v)) for i, j, v in residual.nonzero_entries())
         detail = "" if not nz else f"{len(nz)} nonzero residual entries"
         return self._record(CheckResult(name, anchor, not nz, nz, detail))
+
+    def reuse(self, result: CheckResult, anchor: str) -> bool:
+        """Log a check already made on the same matrices, under this anchor."""
+        return self._record(replace(result, anchor=anchor))
 
     def condition(self, name: str, anchor: str, ok: bool, detail: str = "") -> bool:
         """Assert a described condition (subspace equality, dimension, ...)."""

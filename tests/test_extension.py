@@ -2,15 +2,19 @@ from fractions import Fraction as F
 
 import pytest
 
-from test_golden import STAGE_FAILURES
+from conftest import span
+from test_golden import LEDGER, STAGE_FAILURES
 from test_properties import unit_lu
 
 import qaffine.extension
 import qaffine.weights
-from qaffine import linalg
+from qaffine import linalg, presentations
 from qaffine.cli import main
 from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
 from qaffine.extension import (
+    ANCHOR_LOWER,
+    _certified_direct,
+    _lowering_suite,
     build_a_astar,
     build_b_bstar,
     build_w_grid,
@@ -27,7 +31,7 @@ from qaffine.factory import (
 )
 from qaffine.linalg import Ladder, Matrix, Subspace, subspace_intersect
 from qaffine.modfile import write_module
-from qaffine.presentations import UGEQ0
+from qaffine.presentations import UGEQ0, check_relations, q_serre
 from qaffine.report import CheckLog
 from qaffine.scalars import qparam
 from qaffine.weights import WeightLadder, analyze_full, analyze_ugeq0
@@ -236,6 +240,26 @@ def test_grid_of_repeated_flag_takes_the_literal_path(tensor_13, monkeypatch):
     assert failing == REPEATED_FLAG_FAILURES
 
 
+def test_certified_direct_needs_nonzero_independent_spaces_filling_n():
+    # W is certified direct only when every component is nonzero, the
+    # dimensions add up to n and the rows stay independent; otherwise the
+    # running sums are built and compared literally
+    e0, e1, e2 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    whole, zero, plane = span(3, [e0, e1, e2]), Subspace.zero(3), span(3, [e0, e1])
+    cases = [
+        ((span(3, [e0]), span(3, [(1, 1, 0)]), span(3, [(0, 1, 1)])), True),
+        ((span(3, [e0, (0, 1, 1)]), span(3, [(1, 1, 0)])), True),
+        ((plane, span(3, [e1])), False),
+        ((span(3, [e0, (0, 1, 1)]), span(3, [(1, 1, 1)])), False),
+        ((zero, whole), False),
+        ((span(3, [e0]), span(3, [e1])), False),
+    ]
+    for spaces, direct in cases:
+        assert _certified_direct(spaces) is direct
+        if direct:
+            assert Ladder(spaces).head[-1] == whole
+
+
 def test_split_operators_diameter_one(v111):
     _, trace = extend(restrict_to_ugeq0(v111, 1), 1, 1)
     assert trace.b_mat == Matrix.from_rows([[2, 0], [F(-9, 4), F(1, 2)]])
@@ -272,8 +296,10 @@ def test_split_operators_need_no_inverse(tensor_13, monkeypatch):
 
 def test_tridiagonal_checks_build_no_new_sum(tensor_13, monkeypatch):
     # Each tridiagonal move reads the ladder's own cached head and tail sums,
-    # so the only running sums of extend are the head and tail of U, V, V*, W
-    # and W*, in the standard basis and in a dense one.
+    # and every sum certified equal to another one by containment plus
+    # dimension reads that one, so the only running sums of extend are the
+    # head and tail of U, the head of V and the tail of V*, in the standard
+    # basis and in a dense one.
     r = restrict_to_ugeq0(tensor_13, 1)
     p = unit_lu(r.dim, 3)
     p_inv = p.inverse()
@@ -292,14 +318,42 @@ def test_tridiagonal_checks_build_no_new_sum(tensor_13, monkeypatch):
         sums.clear()
         _, trace = extend(module, 1, 1)
         assert all(c.passed for c in trace.checks)
-        assert len(sums) == 10
+        assert len(sums) == 4
+
+
+def test_lowering_suite_evaluates_ten_relations(tensor_13, monkeypatch):
+    # serre(R,L) and serre(L,R) are the input's own relations on the same R
+    # and L, and its check has passed, so the lowering suite copies those
+    # two entries of the input report: it evaluates 10 of its 12 relations,
+    # and the ledger keeps its 71 checks in the same order.
+    r = restrict_to_ugeq0(tensor_13, 1)
+    _, trace = extend(r, 1, 1)
+    assert trace.check_names() == LEDGER and len(LEDGER) == 71
+    calls = []
+    evaluate_word = presentations.evaluate_word
+
+    def counted(plan, assignment):
+        calls.append(plan)
+        return evaluate_word(plan, assignment)
+
+    monkeypatch.setattr(presentations, "evaluate_word", counted)
+    log = CheckLog(strict=True)
+    _lowering_suite(r, r.weights, trace.b_mat, trace.bstar_mat, log)
+    assert len(calls) == 10
+    assert log.entries == [c for c in trace.checks if c.anchor == ANCHOR_LOWER]
+    evaluated = CheckLog()
+    check_relations(evaluated, ANCHOR_LOWER, (q_serre("R", "L", r.q), q_serre("L", "R", r.q)),
+                    r.action)
+    copies = [c for c in log.entries if c.name in ("serre(R,L)", "serre(L,R)")]
+    assert copies == evaluated.entries
 
 
 def test_running_sums_build_no_basis_matrix(tensor_13, monkeypatch):
     # A Subspace is its reduced integer rows, and containment reads them
     # directly. So no space the stages build or read, neither the U, V, V*,
-    # W and W* spaces nor their head and tail sums (the running sums past
-    # the first space), builds its basis matrix.
+    # W and W* spaces nor the four running sums (past their first space)
+    # that every other head and tail sum is read from, builds its basis
+    # matrix.
     r = restrict_to_ugeq0(tensor_13, 1)
     p = unit_lu(r.dim, 3)
     p_inv = p.inverse()
@@ -334,7 +388,7 @@ def test_running_sums_build_no_basis_matrix(tensor_13, monkeypatch):
         v, vstar = eigen_flags(module, a_mat, astar_mat, ladder, log)
         _, w, wstar = build_w_grid(module, ladder, a_mat, astar_mat, v, vstar, log)
         build_b_bstar(module, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
-        assert len(ladders) == 10 and len(sums) == 10 * ladder.diameter
+        assert len(ladders) == 4 and len(sums) == 4 * ladder.diameter
         spaces = [*ladder.spaces, *v, *vstar, *w, *wstar, *sums, *read]
         assert read and all("basis" not in vars(s) for s in spaces)
 

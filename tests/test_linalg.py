@@ -501,6 +501,27 @@ def test_ladder_at_head_tail():
     assert [s.dim for s in ladder.tail] == [3, 3, 2, 1]
 
 
+def test_ladder_reads_known_sums(monkeypatch):
+    # sums handed over as known_head / known_tail are read as they are: no
+    # running sum is built for them, and the ladder compares equal to one
+    # that built its own
+    spaces = [span(3, [(1, 0, 0)]), span(3, [(0, 1, 0)]), span(3, [(0, 0, 1)])]
+    head, tail = Ladder(spaces).head, Ladder(spaces).tail
+    built = []
+    monkeypatch.setattr(linalg, "_running_sums", lambda s: built.append(s) or iter(()))
+    ladder = Ladder(spaces, known_head=head, known_tail=tail)
+    assert ladder.head is head and ladder.tail is tail and not built
+    assert ladder == Ladder(spaces)
+
+
+def test_independent():
+    e0, e1, e2 = span(3, [(1, 0, 0)]), span(3, [(0, 1, 0)]), span(3, [(0, 0, 1)])
+    skew = span(3, [(1, 1, 0)])
+    assert linalg.independent([e0, e1, e2]) and linalg.independent([skew, e1])
+    assert not linalg.independent([skew, e0, e1])
+    assert not linalg.independent([span(3, [(1, 0, 0), (0, 1, 0)]), skew])
+
+
 def test_contains_image():
     plane = span(3, [(1, 0, 0), (0, 1, 0)])
     R = Matrix.from_rows([[0, 0, 0], [1, 0, 0], [0, 1, 0]])

@@ -1174,6 +1174,119 @@ def test_tridiag_checks_match_the_literal_near_sums(m, seed, fed):
             event("first escape " + ("at 0" if detail.endswith(" 0") else "above 0"))
 
 
+def literal_heads(spaces):
+    """spaces[0] + ... + spaces[i] for each i, each summed by subspace_sum."""
+    return tuple(reduce(subspace_sum, spaces[:i + 1]) for i in range(len(spaces)))
+
+
+def literal_tails(spaces):
+    """spaces[i] + ... + spaces[d] for each i, each summed by subspace_sum."""
+    return tuple(reduce(subspace_sum, spaces[i:]) for i in range(len(spaces)))
+
+
+def reference_decomposition(spaces):
+    """The failure detail of decomposition(...) from literal prefix sums, or
+    "" when the spaces are nonzero, independent and fill the space."""
+    if any(s.dim == 0 for s in spaces):
+        return "a component is zero"
+    size = 0
+    for i, (s, running) in enumerate(zip(spaces, literal_heads(spaces))):
+        size += s.dim
+        if running.dim != size:
+            return f"component {i} overlaps the preceding sum"
+    n = spaces[0].ambient_dim
+    return "" if size == n else f"components span dimension {size} of {n}"
+
+
+def reference_sum_checks(weights, v, vstar, grid_v, grid_vstar):
+    """(name, pass, detail) of the two flag matches on the flag spaces v and
+    vstar, and of decomposition(W), decomposition(Wstar) and the four
+    sum(...) checks on W and W* intersected from the flags grid_v and
+    grid_vstar, with every running sum built literally."""
+    u, d = weights.spaces, weights.diameter
+    checks = []
+    for name, ok, detail in (
+        ("flag-tail-match", literal_tails(u) == literal_tails(v),
+         "suffix sums of the A-flag do not match the weight-space suffix sums"),
+        ("flag-head-match", literal_heads(u) == literal_heads(vstar),
+         "prefix sums of the A*-flag do not match the weight-space prefix sums"),
+    ):
+        checks.append((name, ok, "" if ok else detail))
+    v_head, v_tail = literal_heads(grid_v), literal_tails(grid_v)
+    star_head, star_tail = literal_heads(grid_vstar), literal_tails(grid_vstar)
+    w = [subspace_intersect(star_head[i], v_head[d - i]) for i in range(d + 1)]
+    wstar = [subspace_intersect(star_tail[d - i], v_tail[i]) for i in range(d + 1)]
+    for name, spaces in (("decomposition(W)", w), ("decomposition(Wstar)", wstar)):
+        detail = reference_decomposition(spaces)
+        checks.append((name, not detail, detail))
+    for name, ok, detail in (
+        ("sum(W-tail)", literal_tails(w) == v_head[::-1],
+         "suffix sums of W do not match prefix sums of the A-flag"),
+        ("sum(W-head)", literal_heads(w) == star_head,
+         "prefix sums of W do not match prefix sums of the A*-flag"),
+        ("sum(Wstar-tail)", literal_tails(wstar) == v_tail,
+         "suffix sums of W* do not match suffix sums of the A-flag"),
+        ("sum(Wstar-head)", literal_heads(wstar) == star_tail[::-1],
+         "prefix sums of W* do not match suffix sums of the A*-flag"),
+    ):
+        checks.append((name, ok, "" if ok else detail))
+    return checks
+
+
+SUM_CHECKS = ("flag-tail-match", "flag-head-match",
+              "decomposition(W)", "decomposition(Wstar)",
+              "sum(W-tail)", "sum(W-head)", "sum(Wstar-tail)", "sum(Wstar-head)")
+CERTIFIED_SUM_INPUTS = GRID_INPUTS + ("A-flag escapes U", "W component zeroed",
+                                      "W component repeated")
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)),
+       st.sampled_from(CERTIFIED_SUM_INPUTS))
+@example(EVAL_6, None, "plain")
+@example(EVAL_6, 3, "plain")
+@example(EVAL_6, None, "W component repeated")
+@example(EVAL_6, 3, "W component repeated")
+def test_certified_sums_match_the_running_sums(m, seed, fed):
+    # The flag matches, both decompositions and the four sum checks, decided
+    # by containment plus dimension when the spaces are certified direct,
+    # against every running sum built literally; and every head and tail
+    # sum the ladders hand out, certified or not, is the literal one. With
+    # the A-flag of A^T the flag escapes U; a zeroed or repeated component
+    # leaves W undecided, so its sums are built.
+    if m.kind != UGEQ0:
+        m = restrict_to_ugeq0(m, F(1))
+    assume(burnside_irreducible(m).verdict == ABSOLUTELY_IRREDUCIBLE)
+    m = conjugated(m, seed)
+    ladder = m.weights
+    a_mat, astar_mat = build_a_astar(m, CheckLog())
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, CheckLog())
+    _, w, _ = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, CheckLog())
+    weights = (WeightLadder(ladder.alpha, ladder.diameter, ladder.spaces[::-1])
+               if fed == "mirrored ladder" else ladder)
+    flag_a = a_mat.transpose() if fed == "A-flag escapes U" else a_mat
+    log = CheckLog()
+    v, vstar = eigen_flags(m, flag_a, astar_mat, weights, log)
+    repeated = (w.spaces[0],) + w.spaces[:1] + w.spaces[2:]
+    grid_flags = {
+        "swapped flags": (vstar, v),
+        "A-flag twice": (v, v),
+        "A*-flag twice": (vstar, vstar),
+        "W component zeroed": (v, Ladder((Subspace.zero(m.dim),) + vstar.spaces[1:])),
+        "W component repeated": (Ladder(repeated[::-1]), Ladder(repeated)),
+    }.get(fed, (v, vstar))
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, *grid_flags, log)
+    ledger = [(c.name, c.passed, c.detail) for c in log.entries if c.name in SUM_CHECKS]
+    expected = reference_sum_checks(
+        weights, v.spaces, vstar.spaces, grid_flags[0].spaces, grid_flags[1].spaces)
+    assert ledger == expected
+    for handed_out in (v, vstar, w, wstar):
+        assert handed_out.head == literal_heads(handed_out.spaces)
+        assert handed_out.tail == literal_tails(handed_out.spaces)
+    event(fed)
+    event("passing" if all(passed for _, passed, _ in ledger) else "failing")
+
+
 @settings(max_examples=30, deadline=None)
 @given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)))
 @example(restrict_to_ugeq0(tensor_product(
