@@ -39,7 +39,8 @@ spaces' tail sums, the A*-flag's head sums their head sums, and the sums of
 W and W* are flag sums. So a passing run builds four running sums: the head
 and tail of the weight spaces, the head of the A-flag and the tail of the
 A*-flag. The lowering suite copies the input's own q-Serre checks in R and
-L instead of evaluating them again.
+L instead of evaluating them again, and so does the output check, whose
+e0p and e1p are that R and L (`ModuleData.certified`).
 A tridiagonal move, into S_(i-1) + S_i + S_(i+1), is tested against the
 ladder's own head[i+1] and tail[i-1] (clamped to its ends), which meet in
 that sum because each ladder it is checked on is a direct sum, so no
@@ -166,10 +167,12 @@ def _moves_into(
     """For each move (name, mat, shifts, spaces, *targets), log whether
     (mat - shifts[i] I)(spaces[i]) lies inside t[i] for every i and every
     target list t; with shifts None, whether mat(spaces[i]) does. A failure's
-    detail is detail(i) at the first index i that escapes some t[i]."""
+    detail is detail(i) at the first index i that escapes some t[i]. With
+    several target lists each image is formed once, for all of them
+    (`first_escape` of the tuples of targets)."""
     for name, mat, shifts, spaces, *targets in moves:
-        escapes = (first_escape(mat, shifts, spaces, t) for t in targets)
-        i = min((k for k in escapes if k is not None), default=None)
+        i = first_escape(mat, shifts, spaces, targets[0] if len(targets) == 1
+                         else tuple(zip(*targets)))
         log.condition(name, anchor, i is None, "" if i is None else detail(i))
 
 
@@ -528,6 +531,14 @@ def build_b_bstar(
     return b_mat, bstar_mat
 
 
+def _serre_checks(m: ModuleData, x: str, y: str) -> dict[str, CheckResult]:
+    """The input's checks of serre(R,L) and serre(L,R), by the names of the
+    same relations with R and L called x and y."""
+    checks = {check.name: check for check in m.relations.entries}
+    return {f"serre({x},{y})": checks["serre(R,L)"],
+            f"serre({y},{x})": checks["serre(L,R)"]}
+
+
 def _lowering_suite(
     m: ModuleData,
     ladder: WeightLadder,
@@ -560,14 +571,11 @@ def _lowering_suite(
                      formal_sum((c * alpha, ("Kinv",)), (-c / alpha, ("K",)))),
         zero_commutator("l", "L"),
         zero_commutator("r", "R"),
-    ), assignment)
-    input_checks = {check.name: check for check in m.relations.entries}
-    for name in ("serre(R,L)", "serre(L,R)"):
-        log.reuse(input_checks[name], ANCHOR_LOWER)
-    check_relations(log, ANCHOR_LOWER, (
+        q_serre("R", "L", q),
+        q_serre("L", "R", q),
         q_serre("r", "l", q),
         q_serre("l", "r", q),
-    ), assignment)
+    ), assignment, _serre_checks(m, "R", "L"))
     return r_mat, l_mat
 
 
@@ -634,6 +642,8 @@ def extend(
         action,
         f"extend({m.provenance}, eps0={eps0}, eps1={eps1})",
     )
+    # e0p and e1p are the input's R and L: its q-Serre checks are theirs
+    full.certified.update(_serre_checks(m, "e0p", "e1p"))
     out_report = full.relations
     log.condition(
         "output-relations", ANCHOR_OUT, out_report.passed,

@@ -5,7 +5,12 @@ Relations are checked once, where untrusted matrices come in: build_module
 violation. The other constructors apply an algebra homomorphism (named in
 each docstring) to valid modules, so their output is valid unchecked; the
 tests confirm it. ModuleData memoizes `relations` and `weights` (the weight
-analysis of its own presentation): each is evaluated once, on first read.
+analysis of its own presentation): each is evaluated once, on first read. A
+module derived from a checked one inherits what holds on the same matrices:
+`restrict_to_ugeq0` hands its result the weight ladder and, when the full
+module's report is at hand, the relation report of the module it restricts,
+and `extension.extend` hands its output the input's q-Serre checks in R and
+L (`ModuleData.certified`).
 
 Conventions fixed here (any consistent choice works, and the relation
 checker enforces consistency in the tests):
@@ -22,7 +27,7 @@ checker enforces consistency in the tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -37,8 +42,9 @@ from .presentations import (
     FINITE,
     UGEQ0,
     check_presentation,
+    presentation_report,
 )
-from .report import VerificationReport
+from .report import CheckResult, VerificationReport
 from .scalars import QParam, as_scalar, qint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -60,6 +66,13 @@ class ModuleData:
     q: QParam
     action: dict[str, Matrix]
     provenance: str
+    # Relation checks already made on these very matrices, by the relation's
+    # name here, which `check_presentation` copies instead of evaluating.
+    # Only the constructor that derives the module fills it, at once; it is
+    # no argument of __init__, so dataclasses.replace starts an empty one.
+    certified: dict[str, CheckResult] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def relations(self) -> VerificationReport:
@@ -227,17 +240,37 @@ def twist_borel(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     return ModuleData(UGEQ0, m.dim, m.q, action, f"ktwist({m.provenance}, {alpha})")
 
 
+# Each ugeq0 relation of a restriction and the full relation it is: alpha
+# cancels and eps0^2 = 1, so the residuals are the same matrices.
+_RESTRICTED_RELATIONS = {
+    "unit(K Kinv)": "unit(K0 K0inv)",
+    "unit(Kinv K)": "unit(K0inv K0)",
+    "weight(K,R)": "weight(K0,e0p)",
+    "weight(K,L)": "weight(K0,e1p)",
+    "serre(R,L)": "serre(e0p,e1p)",
+    "serre(L,R)": "serre(e1p,e0p)",
+}
+
+
 def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     """View a full affine module through the three-generator presentation:
     R = e0p, L = e1p, K = eps0 * alpha * K0, where eps0 is the module's first
     type sign. The result has type alpha. This assignment is an algebra
-    homomorphism from ugeq0 into the full algebra."""
+    homomorphism from ugeq0 into the full algebra.
+
+    The result inherits what was found on m. Its weight ladder is m's
+    weight spaces with type alpha, and no analysis runs. When m's relation
+    report is at hand (m was read from a file, which checks it, or has been
+    checked since), the result's report is six of its entries, renamed
+    (`_RESTRICTED_RELATIONS`), and nothing is evaluated; otherwise the
+    result evaluates its own relations when they are first read."""
     if m.kind != AFFINE_FULL:
         raise ModuleFormatError("restrict_to_ugeq0 requires an affine_full module")
     alpha = as_scalar(alpha)
     if alpha == 0:
         raise ModuleFormatError("alpha must be nonzero")
-    eps0 = m.weights.eps0
+    full = m.weights
+    eps0 = full.eps0
     action = {
         "R": m.action["e0p"],
         "L": m.action["e1p"],
@@ -245,7 +278,18 @@ def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
         "Kinv": (eps0 / alpha) * m.action["K0inv"],
     }
     provenance = f"restrict_ugeq0({m.provenance}, alpha={alpha})"
-    return ModuleData(UGEQ0, m.dim, m.q, action, provenance)
+    restricted = ModuleData(UGEQ0, m.dim, m.q, action, provenance)
+    # K acts on K0's weight space i as eps0 alpha eps0 q^(2i-d) = alpha
+    # q^(2i-d), and R, L are e0p, e1p, whose moves analyze_full has checked:
+    # that is analyze_ugeq0's ladder, which is not searched for again.
+    memos = {"weights": weight_analysis.WeightLadder(alpha, full.diameter, full.spaces)}
+    if "relations" in vars(m):  # the full report is at hand: copy, do not evaluate
+        checks = {c.name: c for c in m.relations.entries}
+        memos["relations"] = presentation_report(UGEQ0, restricted, {
+            name: checks[source] for name, source in _RESTRICTED_RELATIONS.items()
+        })
+    vars(restricted).update(memos)  # where cached_property keeps `weights`, `relations`
+    return restricted
 
 
 def restrict_to_borel(m: ModuleData) -> ModuleData:

@@ -52,8 +52,15 @@ that elimination would give. A subspace whose reduced rows are all unit
 rows {p: 1} (`is_coordinate`: the eigenspaces of a diagonal K and every
 sum of them) holds a vector exactly when the vector's support lies within
 the pivots. The whole space holds every image, so `contains_image` forms
-no column for it. Any other matrix or subspace takes the general path, at
-the cost of one cached scan.
+no column for it. A move of one coordinate space into another, (op - s
+I)(S) inside T, is read off op's integer columns at the pivots of S: each
+entry off the diagonal must sit at a pivot of T, and the diagonal entry
+must be s unless its index is one (`_coordinate_move`), so no image
+column is formed. Every move along the weight ladder of a diagonal K is
+one: the U-moves of `extension.extend` and those each weight analysis
+checks. Any other matrix or subspace takes the general path, at the cost
+of one cached scan, and an image tested against several targets (a
+tridiagonal move) has its columns formed once for all of them.
 
 A matrix with every nonzero entry on one side of the diagonal (K, R and L
 of every module the factory builds) has its diagonal as spectrum. For any
@@ -551,15 +558,9 @@ class Subspace:
         return all(self._holds(row) for row in other.pivot_rows.values())
 
     def contains_image(self, op: Matrix, space: Subspace, shift: Fraction = ZERO) -> bool:
-        """Whether (op - shift I)(space) lies in this subspace: each column
-        of `_image_columns` is tested, with no shifted Matrix built. The
-        whole space holds every image, so no column is formed for it."""
-        if op.rows != self.ambient_dim:
-            raise ValueError("ambient dimension mismatch")
-        if self.dim == self.ambient_dim:
-            _check_image(op, space, shift)
-            return True
-        return all(self._holds(w) for w in _image_columns(op, space, shift))
+        """Whether (op - shift I)(space) lies in this subspace, with no
+        shifted Matrix built (`_image_inside`)."""
+        return _image_inside((self,), op, space, shift)
 
 
 def _check_image(op: Matrix, space: Subspace, shift: Fraction) -> None:
@@ -568,6 +569,55 @@ def _check_image(op: Matrix, space: Subspace, shift: Fraction) -> None:
         raise ValueError("ambient dimension mismatch")
     if shift and not op.is_square:
         raise ValueError("shift of a non-square matrix")
+
+
+def _image_inside(
+    targets: Sequence[Subspace], op: Matrix, space: Subspace, shift: Fraction
+) -> bool:
+    """Whether (op - shift I)(space) lies in every target. The whole space
+    holds every image. A coordinate space moves into a coordinate target
+    exactly when `_coordinate_move` says so, and no column is formed. For
+    any other target each column of `_image_columns` is tested, and the
+    columns are formed once, for every target that reads them."""
+    if any(op.rows != target.ambient_dim for target in targets):
+        raise ValueError("ambient dimension mismatch")
+    _check_image(op, space, shift)
+    columns = None
+    for target in targets:
+        if target.dim == target.ambient_dim:
+            continue
+        if space.is_coordinate and target.is_coordinate:
+            inside = _coordinate_move(op, space, shift, target)
+        else:
+            if columns is None:
+                columns = _image_columns(op, space, shift)
+            inside = all(map(target._holds, columns))
+        if not inside:
+            return False
+    return True
+
+
+def _coordinate_move(
+    op: Matrix, space: Subspace, shift: Fraction, target: Subspace
+) -> bool:
+    """Whether (op - shift I)(space) lies in the target, both spanned by unit
+    vectors: each e_p of the space, p a pivot, goes to column p of op less
+    shift e_p, which lies in the span of the target's e_i exactly when every
+    nonzero entry of column p off the diagonal sits at a target pivot and,
+    when p is not one, op[p, p] = shift. With shift = a/b that last test
+    reads b (den op)[p, p] = a den off the integer column."""
+    ad, b, cols = shift.numerator * op.den, shift.denominator, op.int_cols
+    inside = target.pivot_rows
+    for p in space.pivot_rows:
+        diagonal = 0
+        for i, v in cols[p]:
+            if i == p:
+                diagonal = v
+            elif i not in inside:
+                return False
+        if p not in inside and b * diagonal != ad:
+            return False
+    return True
 
 
 def _image_columns(op: Matrix, space: Subspace, shift: Fraction = ZERO) -> list[IntRow]:
@@ -788,14 +838,21 @@ def first_escape(
     mat: Matrix,
     shifts: Sequence[Fraction] | None,
     spaces: Iterable[Subspace],
-    targets: Iterable[Subspace],
+    targets: Iterable[Subspace | tuple[Subspace, ...]],
 ) -> int | None:
     """The first index i at which (mat - shifts[i] I)(spaces[i]) is not inside
-    targets[i], or None when every image is. With shifts None the operator is
-    mat itself. Every test reads mat's one integer view: the shift goes
-    straight to `Subspace.contains_image`, so no shifted matrix is built."""
+    targets[i], or not inside each of them when targets[i] is a tuple, or
+    None when every image is. With shifts None the operator is mat itself.
+    Every test reads mat's one integer view: the shift goes straight to
+    `Subspace.contains_image` (`_image_inside` for a tuple, which forms
+    each image once for all its targets), so no shifted matrix is built."""
     for i, (space, target) in enumerate(zip(spaces, targets)):
-        if not target.contains_image(mat, space, ZERO if shifts is None else shifts[i]):
+        shift = ZERO if shifts is None else shifts[i]
+        if isinstance(target, Subspace):
+            inside = target.contains_image(mat, space, shift)
+        else:
+            inside = _image_inside(target, mat, space, shift)
+        if not inside:
             return i
     return None
 

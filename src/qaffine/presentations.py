@@ -7,19 +7,31 @@ path, ``check_relations``, substitutes matrices for generator names and logs
 the exact residual lhs - rhs; it checks the defining relations below and
 every matrix identity of the extension pipeline (whose A, A*, B, B*, r, l
 are just more generator names, with the shared ``weyl``, ``q_serre`` and
-``zero_commutator`` builders). Each relation's lhs - rhs is compiled once,
-on first use, into a ``WordPlan`` kept on the ``RelationWord``: repeated
-words merged into integer coefficients and zero ones dropped, every word
-split at its midpoint, recursively, so that a half shared by several words
-is one product, and each word's last product (left half times right half)
-added straight into the residual. A q-Serre relation costs 7 sparse
-products (x x, x y, y x and 4 fused ones). ``evaluate_word`` runs a plan in
-``int``: each matrix contributes its integer view (den * M), each product
-is one inline loop over the left rows' entries, with no call per row, and
-every word is scaled to one common denominator L, the lcm over the words of
-den(c_w) times the product of the letters' den. Fractions are built only
-for the residual's nonzero entries, as v / L, and a residual that cancels
-everywhere, as on every passing check, is the zero matrix at once.
+``zero_commutator`` builders). A relation's lhs - rhs is merged once, on
+first use (``RelationWord.merged``): repeated words merged into one
+coefficient and zero ones dropped. ``check_relations`` compiles a whole
+relation list into one straight-line program, a ``ListPlan``: every word
+split at its midpoint, recursively, so that a half shared by several words,
+of one relation or of several, is one product, and each word's last
+product (left half times right half) added straight into its relation's
+residual. A q-Serre relation costs 7 sparse products (x x, x y, y x and 4
+fused ones), and its x y is shared with any other relation of the list
+that reads it. The plan holds no coefficient: it is cached by the list's
+shape, the merged words and letters of each relation, and a ``BoundList``
+pairs it with the coefficients of one call. So the lists of the extension
+pipeline, whose coefficients hold alpha, are compiled once per process,
+not once per run. ``evaluate_word`` runs a bound list in ``int``, with the
+assignment checked once per list: each matrix contributes its integer view
+(den * M), each product is one inline loop over the left rows' entries,
+with no call per row, and the words of each relation are scaled to one
+common denominator L, the lcm over its words of den(c_w) times the product
+of the letters' den. Fractions are built only for a residual's nonzero
+entries, as v / L, and a residual that cancels everywhere, as on every
+passing check, is the zero matrix at once. A single formal sum compiles to
+a ``WordPlan`` (``RelationWord.plan``), the same program with its
+coefficients in it. A relation whose check on the same matrices is already
+known, perhaps under another name, is copied instead of evaluated
+(``check_relations``' ``known``, ``ModuleData.certified``).
 
 Supported presentations:
 
@@ -51,7 +63,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import QAffineError
 from .linalg import Matrix
-from .report import CheckLog, VerificationReport
+from .report import CheckLog, CheckResult, VerificationReport
 from .scalars import ONE, QParam, qint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -107,6 +119,35 @@ class WordPlan:
     terms: tuple[tuple[int, int, Word, int | None, int | None], ...]
 
 
+@dataclass(frozen=True)
+class ListPlan:
+    """A relation list compiled for `evaluate_word` into one straight-line
+    program, with one residual per relation.
+
+    Operands and ``halves`` are those of a `WordPlan`, over the letters of
+    the whole list, so a half shared by several relations is one product.
+    ``sums`` holds, per relation, its distinct words with a nonzero merged
+    coefficient, each as (word, left, right) like the terms of a WordPlan,
+    but with no coefficient: a `BoundList` supplies those on each call. So
+    the plan depends only on the list's shape, its words and letters, and
+    relations whose coefficients hold alpha share one plan for every alpha.
+    ``generators`` lists the letters of every term, zero terms included."""
+
+    generators: tuple[GeneratorName, ...]
+    letters: tuple[GeneratorName, ...]
+    halves: tuple[tuple[int, int], ...]
+    sums: tuple[tuple[tuple[Word, int | None, int | None], ...], ...]
+
+
+@dataclass(frozen=True)
+class BoundList:
+    """A `ListPlan` with the merged coefficients of one relation list: per
+    relation, a (numerator, denominator) pair for each word of its sum."""
+
+    plan: ListPlan
+    coefficients: tuple[tuple[tuple[int, int], ...], ...]
+
+
 def _operand(part: Word, operand: dict[Word, int], halves: list[tuple[int, int]]) -> int:
     """The operand of a nonempty word part: a letter's, or a half product's,
     appended to ``halves`` after its own halves if it is new. ``operand``
@@ -120,29 +161,54 @@ def _operand(part: Word, operand: dict[Word, int], halves: list[tuple[int, int]]
     return operand[part]
 
 
-def compile_words(words: FormalSum) -> WordPlan:
-    """The `WordPlan` of a formal sum: the coefficients of a repeated word
-    merged, words whose coefficient is 0 dropped, every other word split
-    into halves."""
+def _compile(sums: Sequence[Sequence[Word]]) -> tuple[
+    tuple[GeneratorName, ...], tuple[tuple[int, int], ...],
+    tuple[tuple[tuple[Word, int | None, int | None], ...], ...],
+]:
+    """The letters, halves and (word, left, right) sums of the program that
+    evaluates several sums of distinct words, every word split into halves
+    (`WordPlan`), each half computed once for all of them."""
+    letters = tuple(dict.fromkeys([g for words in sums for word in words for g in word]))
+    operand = {(g,): k for k, g in enumerate(letters)}
+    halves: list[tuple[int, int]] = []
+    compiled = []
+    for words in sums:
+        out = []
+        for word in words:
+            left = right = None
+            if len(word) == 1:
+                left = operand[word]
+            elif word:
+                mid = len(word) // 2
+                left = _operand(word[:mid], operand, halves)
+                right = _operand(word[mid:], operand, halves)
+            out.append((word, left, right))
+        compiled.append(tuple(out))
+    return letters, tuple(halves), tuple(compiled)
+
+
+def _merge(words: FormalSum) -> tuple[
+    tuple[Word, ...], tuple[tuple[int, int], ...], tuple[GeneratorName, ...]
+]:
+    """A formal sum merged: its distinct words whose merged coefficient is
+    not 0, in order of first appearance, those coefficients as (numerator,
+    denominator), and the letters of every term, zero terms included."""
     coeffs: dict[Word, Fraction] = {}
     for coeff, word in words:
         coeffs[word] = coeffs[word] + coeff if word in coeffs else coeff
     kept = {word: c for word, c in coeffs.items() if c}
-    letters = tuple(dict.fromkeys([g for word in kept for g in word]))
-    operand = {(g,): k for k, g in enumerate(letters)}
-    halves: list[tuple[int, int]] = []
-    terms = []
-    for word, c in kept.items():
-        left = right = None
-        if len(word) == 1:
-            left = operand[word]
-        elif word:
-            mid = len(word) // 2
-            left = _operand(word[:mid], operand, halves)
-            right = _operand(word[mid:], operand, halves)
-        terms.append((c.numerator, c.denominator, word, left, right))
     generators = tuple(dict.fromkeys([g for _, word in words for g in word]))
-    return WordPlan(generators, letters, tuple(halves), tuple(terms))
+    coefficients = tuple((c.numerator, c.denominator) for c in kept.values())
+    return tuple(kept), coefficients, generators
+
+
+def compile_words(words: FormalSum) -> WordPlan:
+    """The `WordPlan` of a formal sum: the coefficients of a repeated word
+    merged, words whose coefficient is 0 dropped, every other word split
+    into halves."""
+    kept, coeffs, generators = _merge(words)
+    letters, halves, (sum_,) = _compile([kept])
+    return WordPlan(generators, letters, halves, tuple(c + t for c, t in zip(coeffs, sum_)))
 
 
 @dataclass(frozen=True)
@@ -153,36 +219,74 @@ class RelationWord:
     lhs: FormalSum
     rhs: FormalSum
 
+    @property
+    def difference(self) -> FormalSum:
+        return self.lhs + tuple((-c, w) for c, w in self.rhs)
+
     @cached_property
     def plan(self) -> WordPlan:
         """lhs - rhs compiled, once: the relation is frozen."""
-        return compile_words(self.lhs + tuple((-c, w) for c, w in self.rhs))
+        return compile_words(self.difference)
+
+    @cached_property
+    def merged(self) -> tuple[
+        tuple[Word, ...], tuple[tuple[int, int], ...], tuple[GeneratorName, ...]
+    ]:
+        """lhs - rhs merged (`_merge`): its words and letters are its part of
+        a list's shape, and its coefficients what a `BoundList` binds."""
+        return _merge(self.difference)
+
+
+@lru_cache(maxsize=256)
+def _list_plan(
+    shape: tuple[tuple[tuple[Word, ...], tuple[GeneratorName, ...]], ...]
+) -> ListPlan:
+    """The `ListPlan` of a list shape, per relation its merged words and its
+    letters: compiled once per shape and process."""
+    letters, halves, sums = _compile([words for words, _ in shape])
+    generators = tuple(dict.fromkeys([g for _, gens in shape for g in gens]))
+    return ListPlan(generators, letters, halves, sums)
+
+
+def bind_relations(relations: Sequence[RelationWord]) -> BoundList:
+    """The relations as one program (`_list_plan`, cached by shape) with
+    their merged coefficients bound."""
+    merged = [rel.merged for rel in relations]
+    plan = _list_plan(tuple((words, gens) for words, _, gens in merged))
+    return BoundList(plan, tuple(coeffs for _, coeffs, _ in merged))
 
 
 def evaluate_word(
-    words: FormalSum | WordPlan, assignment: Mapping[GeneratorName, Matrix]
-) -> Matrix:
+    words: FormalSum | WordPlan | BoundList, assignment: Mapping[GeneratorName, Matrix]
+) -> Matrix | tuple[Matrix, ...]:
     """Substitute matrices for generators in a formal sum and evaluate.
 
     ``words`` is a formal sum, compiled for this one call, or its
-    `WordPlan`. The empty word is the identity and a one-letter word is its
-    matrix. Everything runs over integers and one common denominator. A
-    word w is N_w / D_w, where N_w is the product of its letters' integer
-    views (`Matrix.int_rows`) and D_w the product of their `den`. With L the
-    lcm of den(c_w) * D_w over the words, L times the sum is the integer sum
-    of c_w * (L / (den(c_w) * D_w)) * N_w. Each half of the plan is one
-    sparse product, by an inline loop over the left rows' entries into one
-    dict per row. A word's last product, left half times right half, is
-    added straight into the sum's rows by the same loop, with its scale
-    folded into each left entry, so N_w itself is never built; a one-letter
-    word adds its scaled integer rows and the empty word adds on the
-    diagonal. An entry that cancels inside a product stays as a 0 until the
-    end. When every entry of the sum is 0 the result is `Matrix.zero`;
-    otherwise one Matrix is built, with a Fraction(v, L) for each entry v
-    that did not cancel. All assigned matrices must be square and of equal
-    dimension.
+    `WordPlan`, and the result is its matrix; or a `BoundList`, and the
+    result is one matrix per relation, in order. The assignment is checked
+    once per call. The empty word is the identity and a one-letter word is
+    its matrix. Everything runs over integers and one common denominator
+    per sum. A word w is N_w / D_w, where N_w is the product of its
+    letters' integer views (`Matrix.int_rows`) and D_w the product of their
+    `den`. With L the lcm of den(c_w) * D_w over the words of a sum, L
+    times the sum is the integer sum of c_w * (L / (den(c_w) * D_w)) * N_w.
+    Each half of the plan is one sparse product, by an inline loop over the
+    left rows' entries into one dict per row, made once for every sum that
+    reads it. A word's last product, left half times right half, is added
+    straight into its sum's rows by the same loop, with its scale folded
+    into each left entry, so N_w itself is never built; a one-letter word
+    adds its scaled integer rows and the empty word adds on the diagonal.
+    An entry that cancels inside a product stays as a 0 until the end. When
+    every entry of a sum is 0 its result is `Matrix.zero`; otherwise one
+    Matrix is built, with a Fraction(v, L) for each entry v that did not
+    cancel. All assigned matrices must be square and of equal dimension.
     """
-    plan = words if isinstance(words, WordPlan) else compile_words(words)
+    if isinstance(words, BoundList):
+        plan = words.plan
+        sums = [zip(c, s) for c, s in zip(words.coefficients, plan.sums)]
+    else:
+        plan = words if isinstance(words, WordPlan) else compile_words(words)
+        sums = [[(t[:2], t[2:]) for t in plan.terms]]
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
     dims = {m.rows for m in assignment.values()} | {m.cols for m in assignment.values()}
@@ -192,13 +296,10 @@ def evaluate_word(
     for gen in plan.generators:
         if gen not in assignment:
             raise QAffineError(f"generator {gen!r} is not assigned a matrix")
-    divisors = [
-        den * prod([assignment[g].den for g in word]) for _, den, word, _, _ in plan.terms
-    ]
-    common = lcm(*divisors)
+    dens = {g: assignment[g].den for g in plan.letters}
     # each operand's rows as (column, entry) pairs: the letters' `int_rows`
     # as they are, every half product's rows as dict items, where an entry
-    # that cancelled stays as a 0 (the residual drops it at the end)
+    # that cancelled stays as a 0 (a residual drops it at the end)
     operands: list[Sequence[Iterable[tuple[int, int]]]] = [
         assignment[g].int_rows for g in plan.letters
     ]
@@ -215,34 +316,41 @@ def evaluate_word(
                         out[j] = a * b
             rows.append(out.items())
         operands.append(rows)
-    total: list[dict[int, int]] = [{} for _ in range(n)]  # L times the sum's rows
-    for (numerator, _, _, left, right), divisor in zip(plan.terms, divisors):
-        c = numerator * (common // divisor)
-        if right is not None:  # the last product, into the sum
-            right_rows = operands[right]
-            for row, out in zip(operands[left], total):
-                for t, a in row:
-                    ca = c * a
-                    for j, b in right_rows[t]:
+    residuals = []
+    for pairs in sums:
+        terms = [(num, den * prod([dens[g] for g in word]), left, right)
+                 for (num, den), (word, left, right) in pairs]
+        common = lcm(*[divisor for _, divisor, _, _ in terms])
+        total: list[dict[int, int]] = [{} for _ in range(n)]  # L times the sum's rows
+        for numerator, divisor, left, right in terms:
+            c = numerator * (common // divisor)
+            if right is not None:  # the last product, into the sum
+                right_rows = operands[right]
+                for row, out in zip(operands[left], total):
+                    for t, a in row:
+                        ca = c * a
+                        for j, b in right_rows[t]:
+                            if j in out:
+                                out[j] += ca * b
+                            else:
+                                out[j] = ca * b
+            elif left is not None:
+                for row, out in zip(operands[left], total):
+                    for j, v in row:
                         if j in out:
-                            out[j] += ca * b
+                            out[j] += c * v
                         else:
-                            out[j] = ca * b
-        elif left is not None:
-            for row, out in zip(operands[left], total):
-                for j, v in row:
-                    if j in out:
-                        out[j] += c * v
-                    else:
-                        out[j] = c * v
-        else:  # c I
-            for i, out in enumerate(total):
-                out[i] = out[i] + c if i in out else c
-    if not any(any(row.values()) for row in total):
-        return Matrix.zero(n, n)
-    return Matrix.from_sparse(
-        n, n, [{j: Fraction(v, common) for j, v in row.items() if v} for row in total]
-    )
+                            out[j] = c * v
+            else:  # c I
+                for i, out in enumerate(total):
+                    out[i] = out[i] + c if i in out else c
+        if any(any(row.values()) for row in total):
+            residuals.append(Matrix.from_sparse(n, n, [
+                {j: Fraction(v, common) for j, v in row.items() if v} for row in total
+            ]))
+        else:
+            residuals.append(Matrix.zero(n, n))
+    return tuple(residuals) if isinstance(words, BoundList) else residuals[0]
 
 
 def check_relations(
@@ -250,11 +358,21 @@ def check_relations(
     anchor: str,
     relations: Iterable[RelationWord],
     assignment: Mapping[GeneratorName, Matrix],
+    known: Mapping[str, CheckResult] | None = None,
 ) -> None:
-    """Log, under ``anchor``, the exact residual lhs - rhs of each relation,
-    one `evaluate_word` call per relation on its compiled plan."""
+    """Log, under ``anchor``, the exact residual lhs - rhs of each relation.
+    A relation whose check on these same matrices is in ``known``, by its
+    name, is copied from there (`CheckLog.reuse`), in place; the others are
+    evaluated by one `evaluate_word` call on their `BoundList`."""
+    known = known or {}
+    relations = tuple(relations)
+    todo = [rel for rel in relations if rel.name not in known]
+    residuals = iter(evaluate_word(bind_relations(todo), assignment) if todo else ())
     for rel in relations:
-        log.matrix_zero(rel.name, anchor, evaluate_word(rel.plan, assignment))
+        if rel.name in known:
+            log.reuse(known[rel.name], anchor, rel.name)
+        else:
+            log.matrix_zero(rel.name, anchor, next(residuals))
 
 
 def q_serre(x: GeneratorName, y: GeneratorName, q: QParam) -> RelationWord:
@@ -362,7 +480,9 @@ def relations_for(kind: str, q: QParam) -> tuple[RelationWord, ...]:
 
 
 def check_presentation(kind: str, data: "ModuleData") -> VerificationReport:
-    """Evaluate every defining relation of ``kind`` on the module's matrices.
+    """Evaluate every defining relation of ``kind`` on the module's matrices,
+    except those whose check the module inherits (`ModuleData.certified`),
+    which are copied.
 
     The report lists, per relation, the exact residual lhs - rhs; a relation
     passes iff its residual is the zero matrix. Deterministic and pure.
@@ -375,9 +495,18 @@ def check_presentation(kind: str, data: "ModuleData") -> VerificationReport:
             f"generator alphabet mismatch for {kind}: missing "
             f"{sorted(expected - given)}, unexpected {sorted(given - expected)}"
         )
+    return presentation_report(kind, data, data.certified)
+
+
+def presentation_report(
+    kind: str, data: "ModuleData", known: Mapping[str, CheckResult]
+) -> VerificationReport:
+    """The relation report of ``kind`` on the module: each relation whose
+    check on these matrices is in ``known``, by name, copied, and every
+    other one evaluated, with no check of the alphabet."""
     log = CheckLog(strict=False)
     check_relations(
-        log, f"defining relations ({kind})", relations_for(kind, data.q), data.action
+        log, f"defining relations ({kind})", relations_for(kind, data.q), data.action, known
     )
     report = VerificationReport(subject=f"{kind} relations", entries=log.entries)
     report.summary.update(presentation=kind, q=str(data.q.q), dim=str(data.dim))

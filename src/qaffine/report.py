@@ -99,9 +99,10 @@ class CheckLog:
         detail = "" if not nz else f"{len(nz)} nonzero residual entries"
         return self._record(CheckResult(name, anchor, not nz, nz, detail))
 
-    def reuse(self, result: CheckResult, anchor: str) -> bool:
-        """Log a check already made on the same matrices, under this anchor."""
-        return self._record(replace(result, anchor=anchor))
+    def reuse(self, result: CheckResult, anchor: str, name: str) -> bool:
+        """Log a check already made on the same matrices, under this anchor
+        and the name the relation has here."""
+        return self._record(replace(result, name=name, anchor=anchor))
 
     def condition(self, name: str, anchor: str, ok: bool, detail: str = "") -> bool:
         """Assert a described condition (subspace equality, dimension, ...)."""

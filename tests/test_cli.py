@@ -258,6 +258,51 @@ def test_restrict_evaluates_relations_once(tmp_path, v111_file, relation_checks)
     assert relation_checks == ["affine_full"]
 
 
+def test_roundtrip_evaluates_relations_twice(v111_file, relation_checks, monkeypatch):
+    # the file when it is read and the assembled output: the restriction's
+    # six relations are entries of the read report, renamed, and each check
+    # is one relation list
+    from qaffine import presentations
+
+    lists = []
+    evaluate_word = presentations.evaluate_word
+
+    def recorded(words, assignment):
+        lists.append(len(words.plan.sums))
+        return evaluate_word(words, assignment)
+
+    monkeypatch.setattr(presentations, "evaluate_word", recorded)
+    assert main(["roundtrip", str(v111_file), "--alpha", "2"]) == 0
+    assert relation_checks == ["affine_full", "affine_full"]
+    # read, A and A*, B and B*, the lowering suite, the output
+    assert lists == [21, 4, 8, 10, 19]
+
+
+def test_corrupted_raising_generator_reports_residuals(tmp_path, capsys):
+    # one entry of e0p changed: verify exits 3 and each failing relation
+    # names its first residual entry and how many more there are
+    factors = [tmp_path / f"e{a}.json" for a in (1, 11)]
+    for path, a in zip(factors, (1, 11)):
+        assert main(["build", "eval", "--d", "3", "--eps", "1", "--a", str(a),
+                     "-o", str(path)]) == 0
+    t16 = tmp_path / "t16.json"
+    assert main(["build", "tensor", *map(str, factors), "-o", str(t16)]) == 0
+    doc = json.loads(t16.read_text())
+    assert doc["action"]["e0p"][0][1] == "462"
+    doc["action"]["e0p"][0][1] = "463"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["verify", str(bad)]) == 3
+    failing = [line for line in capsys.readouterr().out.splitlines() if " FAIL " in line]
+    assert failing == [
+        "bracket(e0p,e0m)  FAIL    residual[0,0]=1/11 (+2 more)",
+        "commute(e0p,e1m)  FAIL    residual[0,2]=5/2 (+1 more)",
+        "serre(e0p,e1p)    FAIL    residual[0,2]=546315/8 (+8 more)",
+        "serre(e1p,e0p)    FAIL    residual[2,0]=-105/4096 (+6 more)",
+    ]
+
+
 BAD_FULL = "error: construction of 'eval(d=1,eps=1,a=1)' violates unit(K0 K0inv)\n"
 BAD_UGEQ0 = (
     "error: construction of 'restrict_ugeq0(eval(d=1,eps=1,a=1), alpha=1)' "

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -12,9 +13,12 @@ from qaffine import linalg, presentations
 from qaffine.cli import main
 from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
 from qaffine.extension import (
+    ANCHOR_FLAGS,
     ANCHOR_LOWER,
     _certified_direct,
     _lowering_suite,
+    _moves_into,
+    _nears,
     build_a_astar,
     build_b_bstar,
     build_w_grid,
@@ -31,7 +35,7 @@ from qaffine.factory import (
 )
 from qaffine.linalg import Ladder, Matrix, Subspace, subspace_intersect
 from qaffine.modfile import write_module
-from qaffine.presentations import UGEQ0, check_relations, q_serre
+from qaffine.presentations import AFFINE_FULL, UGEQ0, check_relations, q_serre
 from qaffine.report import CheckLog
 from qaffine.scalars import qparam
 from qaffine.weights import WeightLadder, analyze_full, analyze_ugeq0
@@ -325,7 +329,8 @@ def test_lowering_suite_evaluates_ten_relations(tensor_13, monkeypatch):
     # serre(R,L) and serre(L,R) are the input's own relations on the same R
     # and L, and its check has passed, so the lowering suite copies those
     # two entries of the input report: it evaluates 10 of its 12 relations,
-    # and the ledger keeps its 71 checks in the same order.
+    # as one relation list, and the ledger keeps its 71 checks in the same
+    # order.
     r = restrict_to_ugeq0(tensor_13, 1)
     _, trace = extend(r, 1, 1)
     assert trace.check_names() == LEDGER and len(LEDGER) == 71
@@ -339,13 +344,100 @@ def test_lowering_suite_evaluates_ten_relations(tensor_13, monkeypatch):
     monkeypatch.setattr(presentations, "evaluate_word", counted)
     log = CheckLog(strict=True)
     _lowering_suite(r, r.weights, trace.b_mat, trace.bstar_mat, log)
-    assert len(calls) == 10
+    assert sum(len(bound.plan.sums) for bound in calls) == 10
     assert log.entries == [c for c in trace.checks if c.anchor == ANCHOR_LOWER]
     evaluated = CheckLog()
     check_relations(evaluated, ANCHOR_LOWER, (q_serre("R", "L", r.q), q_serre("L", "R", r.q)),
                     r.action)
     copies = [c for c in log.entries if c.name in ("serre(R,L)", "serre(L,R)")]
     assert copies == evaluated.entries
+
+
+def test_output_check_evaluates_nineteen_relations(tensor_13, monkeypatch):
+    # e0p and e1p of the output are the input's R and L, so output-relations
+    # copies serre(e0p,e1p) and serre(e1p,e0p) from the input report, at
+    # their own positions, and evaluates the other 19 as one list; the
+    # report is the literal one and the ledger keeps its 71 checks
+    lists = []
+    evaluate_word = presentations.evaluate_word
+
+    def recorded(words, assignment):
+        lists.append(words)
+        return evaluate_word(words, assignment)
+
+    monkeypatch.setattr(presentations, "evaluate_word", recorded)
+    r = restrict_to_ugeq0(tensor_13, 1)
+    full, trace = extend(r, 1, 1)
+    assert trace.check_names() == LEDGER
+    output = lists[-1]
+    assert len(output.plan.sums) == 19
+    monkeypatch.undo()
+    literal = presentations.check_presentation(AFFINE_FULL, replace(full))
+    assert full.relations.to_dict() == literal.to_dict()
+    names = [c.name for c in full.relations.entries]
+    evaluated = [rel.name for rel in presentations.relations_for(AFFINE_FULL, full.q)
+                 if rel.name not in ("serre(e0p,e1p)", "serre(e1p,e0p)")]
+    assert [names[k] for k in range(21) if k not in (17, 19)] == evaluated
+    assert (names[17], names[19]) == ("serre(e0p,e1p)", "serre(e1p,e0p)")
+
+
+def test_second_extend_compiles_no_plan(tensor_13, monkeypatch):
+    # relation lists are compiled once per shape, with their coefficients
+    # bound on each call, so the alpha-dependent lists of A, A*, B, B* and
+    # the lowering suite, and the output check, compile nothing at another
+    # alpha
+    extend(restrict_to_ugeq0(tensor_13, 1), 1, 1)
+    compiled = []
+    compile_ = presentations._compile
+
+    def counted(sums):
+        compiled.append(len(sums))
+        return compile_(sums)
+
+    monkeypatch.setattr(presentations, "_compile", counted)
+    _, trace = extend(restrict_to_ugeq0(tensor_13, F(-2, 7)), 1, 1)
+    assert all(c.passed for c in trace.checks) and len(trace.checks) == 71
+    assert compiled == []
+
+
+def test_tridiag_moves_form_each_image_once(q2, monkeypatch):
+    # a tridiag check has two target lists; each source space's image
+    # columns are formed once and tested against both (those of a target
+    # that is the whole space, or a coordinate span of a coordinate source,
+    # are never formed), and the first escape and its detail are those of
+    # the two lists checked one by one
+    m = tensor_product(*(evaluation_module(EvalParams(2, 1, a), q2) for a in (1, 3)))
+    r, ladder, a_mat, astar_mat, v, vstar = _grid_inputs(m)
+    d = ladder.diameter
+    heads, tails = _nears(v)
+
+    def reading(i):
+        return [t for t in (heads[i], tails[i]) if t.dim < t.ambient_dim
+                and not (v.spaces[i].is_coordinate and t.is_coordinate)]
+
+    assert any(len(reading(i)) == 2 for i in range(d + 1))
+    columns = []
+    image_columns = linalg._image_columns
+
+    def counted(op, space, shift=F(0)):
+        columns.append(space)
+        return image_columns(op, space, shift)
+
+    monkeypatch.setattr(linalg, "_image_columns", counted)
+    log = CheckLog()
+    _moves_into(log, ANCHOR_FLAGS, (("tridiag(Astar,V)", astar_mat, None, v, *_nears(v)),))
+    assert log.entries[0].passed
+    assert columns == [s for i, s in enumerate(v) if reading(i)]
+    backwards = Ladder(v.spaces[::-1])
+    for spaces, targets in ((backwards, _nears(v)), (v, _nears(backwards))):
+        columns.clear()
+        log = CheckLog()
+        _moves_into(log, ANCHOR_FLAGS, (("tridiag", astar_mat, None, spaces, *targets),))
+        formed = list(columns)
+        escapes = [linalg.first_escape(astar_mat, None, spaces, t) for t in targets]
+        first = min(i for i in escapes if i is not None)
+        assert log.entries[0].detail == f"containment fails at index {first}"
+        assert len(formed) == len(set(map(id, formed))) <= first + 1
 
 
 def test_running_sums_build_no_basis_matrix(tensor_13, monkeypatch):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -250,9 +251,8 @@ def test_restrict_kind_guards(v111, q2):
 
 @pytest.mark.parametrize("derive, name", [
     (lambda m: m, "analyze_full"),
-    (lambda m: restrict_to_ugeq0(m, 3), "analyze_ugeq0"),
     (restrict_to_borel, "analyze_borel"),
-], ids=["eval", "ugeq0-restriction", "borel-restriction"])
+], ids=["eval", "borel-restriction"])
 def test_weights_memoizes_the_analysis_of_the_presentation(
     q2, monkeypatch, derive, name
 ):
@@ -266,6 +266,69 @@ def test_weights_memoizes_the_analysis_of_the_presentation(
     assert module.weights is first
     assert calls == [module.kind]
     assert first == analyze(module)
+
+
+def _restriction_cases(q2):
+    """Full modules with both type signs, the restriction types, and the
+    same modules with one entry of e0p or K0inv (restricted generators) or
+    of e1m (a forgotten one) changed: their relations fail, their ladders
+    hold."""
+    m = tensor_product(*(evaluation_module(EvalParams(1, 1, a), q2) for a in (1, 3)))
+    for module in (m, twist_full(m, -1, 1)):
+        for gen in (None, "e0p", "K0inv", "e1m"):
+            action = dict(module.action)
+            if gen is not None:  # the first nonzero entry, plus 1
+                rows = [dict(r) for r in action[gen].sparse_rows]
+                row = next(r for r in rows if r)
+                row[min(row)] += 1
+                action[gen] = Matrix.from_sparse(module.dim, module.dim, rows)
+            for alpha in (F(1), F(-2, 7), F(3)):
+                yield replace(module, action=action), alpha
+
+
+def test_restriction_inherits_the_weight_ladder(q2, monkeypatch):
+    # K = eps0 alpha K0 has K0's eigenspaces, as alpha q^(2i-d), and R, L
+    # are e0p, e1p, whose moves analyze_full has checked: the restriction
+    # reads the full module's ladder and analyzes nothing, and the ladder is
+    # analyze_ugeq0's
+    from conftest import _count_calls
+    from qaffine import weights
+
+    cases = list(_restriction_cases(q2))
+    for full, _ in cases:
+        full.weights
+    calls = _count_calls(monkeypatch, weights, "analyze_ugeq0", lambda m: m.kind)
+    restricted = [restrict_to_ugeq0(full, alpha) for full, alpha in cases]
+    ladders = [r.weights for r in restricted]
+    assert all(r.weights is ladder for r, ladder in zip(restricted, ladders))
+    assert calls == []
+    for r, ladder in zip(restricted, ladders):
+        assert ladder == analyze_ugeq0(replace(r))
+
+
+def test_restriction_copies_the_full_relation_report(q2, relation_checks):
+    # each ugeq0 relation of a restriction is a full relation with alpha
+    # cancelled and eps0^2 = 1: when the full report is at hand its six
+    # entries are the restriction's, renamed, with nothing evaluated, also
+    # where they fail; without it the restriction evaluates its own
+    cases = list(_restriction_cases(q2))
+    failing = set()
+    for full, alpha in cases:
+        full.relations
+        relation_checks.clear()
+        restricted = restrict_to_ugeq0(full, alpha)
+        report = restricted.relations
+        assert relation_checks == []
+        literal = check_presentation(UGEQ0, replace(restricted))
+        assert report.to_dict() == literal.to_dict()
+        assert report.text_table() == literal.text_table()
+        failing |= {c.name for c in report.failing()}
+        fresh = restrict_to_ugeq0(replace(full), alpha)
+        relation_checks.clear()
+        assert fresh.relations.to_dict() == literal.to_dict()
+        assert relation_checks == [UGEQ0]
+    assert failing == {"unit(K Kinv)", "unit(Kinv K)", "weight(K,L)", "serre(R,L)",
+                       "serre(L,R)"}
 
 
 def test_weights_of_a_finite_module_is_none(q2):

@@ -620,3 +620,33 @@ def test_first_escape():
     assert first_escape(R, None, axes, axes.step(1)) is None
     assert first_escape(R, None, axes, axes.step(-1)) == 0
     assert first_escape(K, None, axes, axes) is None
+
+
+def test_roundtrip_forms_no_image_column_for_coordinate_moves(tmp_path, q2, monkeypatch):
+    # t16: K, K0 and K1 are diagonal, so every weight space is a coordinate
+    # span, and a move of one into another (the U-moves of extend, and those
+    # of each weight analysis) is read off the generator's integer columns
+    from qaffine.cli import main
+    from qaffine.modfile import write_module
+
+    path = tmp_path / "t16.json"
+    write_module(t16(q2), path)
+    columns = _count_calls(monkeypatch, linalg, "_image_columns", lambda *args: None)
+    scans = _count_calls(monkeypatch, linalg, "_coordinate_move", lambda *args: None)
+    coordinate, formed = [], []
+    original = linalg._image_inside
+
+    def tracked(targets, op, space, shift):
+        before = len(columns)
+        result = original(targets, op, space, shift)
+        if space.is_coordinate and all(t.is_coordinate for t in targets):
+            coordinate.append(1)
+            formed.append(len(columns) - before)
+        return result
+
+    monkeypatch.setattr(linalg, "_image_inside", tracked)
+    assert main(["roundtrip", str(path), "--alpha", "1"]) == 0
+    # d = 6: 4 moves of each weight analysis (input, output) and 4 U-moves
+    # of extend, over 7 weight spaces, none of them into the whole space
+    assert len(coordinate) >= 12 * 7 and set(formed) == {0}
+    assert len(scans) >= 12 * 7

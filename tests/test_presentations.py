@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,7 @@ from qaffine.presentations import (
     FINITE,
     UGEQ0,
     check_presentation,
+    check_relations,
     evaluate_word,
     formal_sum,
     relations_for,
@@ -85,6 +87,40 @@ def test_evaluate_word_dimension_mismatch():
             formal_sum(term(1, "X", "Y")),
             {"X": Matrix.identity(2), "Y": Matrix.identity(3)},
         )
+
+
+def test_check_relations_copies_known_checks_in_place(q2, monkeypatch):
+    # a relation whose check on the same matrices is known is copied under
+    # its own name and this anchor, at its position; the others are one
+    # relation list, evaluated once, with the assignment checked once
+    from qaffine import presentations
+
+    k = Matrix.diagonal([2, F(1, 2)])
+    action = {"R": Matrix.from_rows([[0, 0], [1, 0]]), "L": Matrix.from_rows([[0, 1], [0, 0]]),
+              "K": k, "Kinv": k.inverse()}
+    relations = relations_for(UGEQ0, q2)
+    reference = CheckLog()
+    check_relations(reference, "here", relations, action)
+    source = CheckLog()
+    check_relations(source, "there", relations[4:5], action)
+    (copied,) = source.entries
+    lists = []
+    evaluate_word = presentations.evaluate_word
+
+    def recorded(words, assignment):
+        lists.append(len(words.plan.sums))
+        return evaluate_word(words, assignment)
+
+    monkeypatch.setattr(presentations, "evaluate_word", recorded)
+    log = CheckLog()
+    check_relations(log, "here", relations, action, {"serre(R,L)": copied})
+    assert lists == [5]
+    assert log.entries == reference.entries
+    lists.clear()
+    renamed = CheckLog()
+    check_relations(renamed, "here", relations[4:5], action, {"serre(R,L)": replace(
+        copied, name="serre(e0p,e1p)")})
+    assert lists == [] and renamed.entries == reference.entries[4:5]
 
 
 def test_evaluate_word_cancels_inside_a_chain_product():

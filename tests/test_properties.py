@@ -68,6 +68,7 @@ from qaffine.presentations import (
     ALPHABETS,
     UGEQ0,
     RelationWord,
+    bind_relations,
     check_relations,
     evaluate_word,
     q_serre,
@@ -1512,6 +1513,139 @@ def test_relation_plans_share_halves_and_fuse_the_last_product(q2):
     unit, = (r for r in relations_for(UGEQ0, q2) if r.name == "unit(K Kinv)")
     assert products(unit.plan) == (0, 1)
     assert unit.plan.terms[-1][:3] == (-1, 1, ())
+
+
+@st.composite
+def relation_lists(draw):
+    """(relations, the same relations at another alpha, assignment): one to
+    four relations over X, Y, Z whose words come from one pool, part of
+    them glued from a pool of halves, so words and halves repeat within and
+    across relations. Some words repeat with cancelling coefficients, so
+    their merged coefficient is 0. Each relation of the second list has the
+    first's coefficients times a nonzero factor of its own: the same words,
+    so the same shape, with other coefficients."""
+    n = draw(st.integers(min_value=1, max_value=3))
+    entry = st.one_of(mostly_zero, fractions)
+    assignment = {
+        g: Matrix.from_entries(n, n, tuple(
+            scale * v for v in draw(st.lists(entry, min_size=n * n, max_size=n * n))
+        ))
+        for g, scale in zip("XYZ", (F(1), F(2, 5), F(3, 7)))
+    }
+    word = st.lists(st.sampled_from("XYZ"), max_size=5).map(tuple)
+    halves = draw(st.lists(st.lists(st.sampled_from("XYZ"), min_size=1, max_size=3)
+                           .map(tuple), min_size=1, max_size=3))
+    glued = st.tuples(st.sampled_from(halves), st.sampled_from(halves)).map(
+        lambda pair: pair[0] + pair[1]
+    )
+    pool = [()] + draw(st.lists(st.one_of(word, glued), min_size=1, max_size=6))
+    terms = st.lists(st.tuples(wide_fractions, st.sampled_from(pool)), max_size=5)
+    first, second = [], []
+    for k in range(draw(st.integers(min_value=1, max_value=4))):
+        lhs, rhs = draw(terms), draw(terms)
+        for coeff, w in draw(st.lists(st.sampled_from(lhs), max_size=2)) if lhs else []:
+            rhs.append((coeff, w))  # cancels against its lhs copy
+        factor = draw(st.sampled_from([F(2), F(-3, 7), F(5, 2**31 - 1)]))
+        first.append(RelationWord(f"r{k}", tuple(lhs), tuple(rhs)))
+        second.append(RelationWord(f"r{k}", *(tuple((factor * c, w) for c, w in side)
+                                               for side in (lhs, rhs))))
+    return first, second, assignment
+
+
+@settings(max_examples=120, deadline=None)
+@given(relation_lists())
+def test_list_program_matches_naive_relation_by_relation(case):
+    # one program per list shape, each half product made once for the whole
+    # list, and one exact residual per relation; the second list hits the
+    # first's plan and must be evaluated with its own coefficients
+    first, second, assignment = case
+    plan = bind_relations(first).plan
+    assert bind_relations(second).plan is plan
+    assert len(set(plan.halves)) == len(plan.halves)
+    if len(plan.halves) < sum(len(rel.plan.halves) for rel in first):
+        event("a half shared across relations")
+    for relations in (first, second):
+        expected = [naive_evaluate(rel.difference, assignment) for rel in relations]
+        got = evaluate_word(bind_relations(relations), assignment)
+        assert len(got) == len(relations)
+        for residual, reference in zip(got, expected):
+            assert_exact_equal(residual, reference)
+        for rel in relations:
+            if len(rel.merged[0]) < len({w for _, w in rel.difference}):
+                event("a zero merged coefficient")
+        event("a nonzero residual" if any(not r.is_zero() for r in got)
+              else "all residuals zero")
+        log, reference_log = CheckLog(), CheckLog()
+        check_relations(log, "test", relations, assignment)
+        for rel, residual in zip(relations, expected):
+            reference_log.matrix_zero(rel.name, "test", residual)
+        assert log.entries == reference_log.entries
+
+
+@st.composite
+def coordinate_moves(draw):
+    """An operator of mostly zero entries whose diagonal comes from a pool
+    of at most three values, a ladder of coordinate spaces (none, some or
+    all of the unit vectors), two lists of coordinate targets (zero, whole
+    or drawn), and shifts None or drawn from the pool (on the diagonal), 0
+    and fractions (mostly off it)."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    pool = draw(st.lists(st.one_of(st.just(F(0)), fractions), min_size=1, max_size=3))
+    op = Matrix.from_rows([
+        [draw(st.sampled_from(pool)) if i == j else draw(mostly_zero) for j in range(n)]
+        for i in range(n)
+    ])
+    length = draw(st.integers(min_value=1, max_value=4))
+
+    def coordinate():
+        units = draw(st.sets(st.integers(min_value=0, max_value=n - 1)))
+        return Subspace(n, {i: {i: 1} for i in sorted(units)})
+
+    def target():
+        kind = draw(st.sampled_from(["zero", "full", "drawn", "drawn"]))
+        return {"zero": lambda: Subspace.zero(n), "full": lambda: Subspace.full(n),
+                "drawn": coordinate}[kind]()
+
+    spaces = [coordinate() for _ in range(length)]
+    targets = [[target() for _ in range(length)] for _ in range(2)]
+    shift = st.one_of(st.sampled_from(pool), st.just(F(0)), wide_fractions)
+    shifts = draw(st.none() | st.lists(shift, min_size=length, max_size=length))
+    return op, shifts, spaces, targets
+
+
+@settings(max_examples=200, deadline=None)
+@given(coordinate_moves())
+def test_coordinate_moves_match_the_image_columns(case):
+    # the scan of op's integer columns at the source pivots must agree with
+    # forming the image columns and testing each one, per target, and so
+    # must the first escape index, for one target list and for two
+    op, shifts, spaces, targets = case
+
+    def inside(target, i):
+        shift = F(0) if shifts is None else shifts[i]
+        columns = linalg._image_columns(op, spaces[i], shift)
+        return all(target._holds(w) for w in columns)
+
+    for i, space in enumerate(spaces):
+        shift = F(0) if shifts is None else shifts[i]
+        if shift and any(shift == op.at(k, k) for k in space.pivot_rows):
+            event("shift on the diagonal")
+        for t in targets:
+            expected = inside(t[i], i)
+            event("contained" if expected else "escapes")
+            assert linalg._coordinate_move(op, space, shift, t[i]) == expected
+            assert t[i].contains_image(op, space, shift) == expected
+
+    def reference(lists):
+        return next((i for i in range(len(spaces))
+                     if not all(inside(t[i], i) for t in lists)), None)
+
+    expected = reference(targets[:1])
+    assert first_escape(op, shifts, spaces, targets[0]) == expected
+    assert expected == reference_first_escape(op, shifts, spaces, targets[0])
+    both = reference(targets)
+    event("no escape" if both is None else f"first escape at {both}")
+    assert first_escape(op, shifts, spaces, tuple(zip(*targets))) == both
 
 
 # -- sparse products against dense references -----------------------------------
