@@ -39,8 +39,7 @@ spaces' tail sums, the A*-flag's head sums their head sums, and the sums of
 W and W* are flag sums. So a passing run builds four running sums: the head
 and tail of the weight spaces, the head of the A-flag and the tail of the
 A*-flag. The lowering suite copies the input's own q-Serre checks in R and
-L instead of evaluating them again, and so does the output check, whose
-e0p and e1p are that R and L (`ModuleData.certified`).
+L instead of evaluating them again.
 A tridiagonal move, into S_(i-1) + S_i + S_(i+1), is tested against the
 ladder's own head[i+1] and tail[i-1] (clamped to its ends), which meet in
 that sum because each ladder it is checked on is a direct sum, so no
@@ -48,6 +47,35 @@ three-space sum is built.
 Every matrix identity (steps 1, 4, 5) is a presentations.RelationWord over
 the names R, L, K, Kinv, A, Astar, B, Bstar, r, l, checked by
 presentations.check_relations, the evaluator of the defining relations.
+
+The output check inherits 16 of its 21 relations (`ModuleData.certified`).
+Lemma: on the assembled action e0p = R, e1p = L, e0m = eps0 l,
+e1m = eps1 r, K0 = (eps0/alpha) K, K0inv = eps0 alpha Kinv,
+K1 = eps1 alpha Kinv and K1inv = (eps1/alpha) K, each of these residuals
+equals, entry for entry, a sign times a residual that extend has already
+computed on the same R, L, K, Kinv, r and l (eps0^2 = eps1^2 = 1; the
+scalars of K_i and K_i^-1 cancel in every word that holds both, and each
+word of a q-Serre relation has three x and one y):
+
+- from the input report, with sign 1: unit(K0 K0inv) and unit(K1inv K1)
+  from unit(K Kinv); unit(K0inv K0) and unit(K1 K1inv) from unit(Kinv K);
+  weight(K0,e0p) from weight(K,R); weight(K0,e1p) from weight(K,L);
+  serre(e0p,e1p) from serre(R,L); serre(e1p,e0p) from serre(L,R);
+- from the lowering suite: weight(K0,e0m) = eps0 weight(l);
+  weight(K0,e1m) = eps1 weight(r); bracket(e0p,e0m) = -eps0
+  commutator(l,R); bracket(e1p,e1m) = -eps1 commutator(r,L);
+  commute(e0p,e1m) = -eps1 commute(r,R); commute(e0m,e1p) = eps0
+  commute(l,L); serre(e0m,e1m) = eps0 eps1 serre(l,r); serre(e1m,e0m) =
+  eps0 eps1 serre(r,l).
+
+A source that passed has the zero residual, and so has its relation here,
+whatever the sign: its entry is copied under the new name. A source that
+failed is not copied, whatever the sign: with sign -1 its entries would be
+the negatives of the literal ones, and one rule for every sign keeps each
+copy a statement about a zero residual; that relation is evaluated. Every
+source has passed by the time the output is checked (the log is strict),
+so output-relations evaluates 5 relations, commute(K0,K1) and the four K1
+weights, whose words K^-1 e K appear in no earlier check.
 
 Every check failure aborts with the check's name; the engine doubles as a
 certificate generator for the whole chain of identities. Conversely, for a
@@ -531,32 +559,10 @@ def build_b_bstar(
     return b_mat, bstar_mat
 
 
-def _serre_checks(m: ModuleData, x: str, y: str) -> dict[str, CheckResult]:
-    """The input's checks of serre(R,L) and serre(L,R), by the names of the
-    same relations with R and L called x and y."""
-    checks = {check.name: check for check in m.relations.entries}
-    return {f"serre({x},{y})": checks["serre(R,L)"],
-            f"serre({y},{x})": checks["serre(L,R)"]}
-
-
-def _lowering_suite(
-    m: ModuleData,
-    ladder: WeightLadder,
-    b_mat: Matrix,
-    bstar_mat: Matrix,
-    log: CheckLog,
-) -> tuple[Matrix, Matrix]:
-    """r and l, plus the complete commutation suite they satisfy with R, L
-    and K^{±1}. Its q-Serre relations in R and L are the input's own, on
-    the same R and L: their entries are copied from the input's relation
-    report, in place, not evaluated again."""
-    q, alpha = m.q, ladder.alpha
-    K, Kinv = m.action["K"], m.action["Kinv"]
+def _lowering_relations(q: QParam, alpha: Fraction) -> tuple[RelationWord, ...]:
+    """The commutation suite of r and l with R, L, K^{±1}, B and B*."""
     denom, c = q.lowering_denominator, ONE / q.weyl_denominator
-    r_mat = (K @ bstar_mat).shift(alpha).scale(-1 / denom)
-    l_mat = (Kinv @ b_mat).shift(1 / alpha).scale(-1 / denom)
-    assignment = {**m.action, "B": b_mat, "Bstar": bstar_mat, "r": r_mat, "l": l_mat}
-    check_relations(log, ANCHOR_LOWER, (
+    return (
         RelationWord("reconstruct(B)", formal_sum(term(1, "B")),
                      formal_sum((1 / alpha, ("K",)), (-denom, ("K", "l")))),
         RelationWord("reconstruct(Bstar)", formal_sum(term(1, "Bstar")),
@@ -575,8 +581,83 @@ def _lowering_suite(
         q_serre("L", "R", q),
         q_serre("r", "l", q),
         q_serre("l", "r", q),
-    ), assignment, _serre_checks(m, "R", "L"))
+    )
+
+
+def _lowering_suite(
+    m: ModuleData,
+    ladder: WeightLadder,
+    b_mat: Matrix,
+    bstar_mat: Matrix,
+    log: CheckLog,
+) -> tuple[Matrix, Matrix]:
+    """r and l, plus the complete commutation suite they satisfy with R, L
+    and K^{±1}. Its q-Serre relations in R and L are the input's own, on
+    the same R and L: their entries are copied from the input's relation
+    report, in place, not evaluated again."""
+    q, alpha = m.q, ladder.alpha
+    K, Kinv = m.action["K"], m.action["Kinv"]
+    denom = q.lowering_denominator
+    r_mat = (K @ bstar_mat).shift(alpha).scale(-1 / denom)
+    l_mat = (Kinv @ b_mat).shift(1 / alpha).scale(-1 / denom)
+    assignment = {**m.action, "B": b_mat, "Bstar": bstar_mat, "r": r_mat, "l": l_mat}
+    checks = {check.name: check for check in m.relations.entries}
+    check_relations(log, ANCHOR_LOWER, _lowering_relations(q, alpha), assignment,
+                    {name: checks[name] for name in ("serre(R,L)", "serre(L,R)")})
     return r_mat, l_mat
+
+
+def assemble(
+    action: dict[str, Matrix], r_mat: Matrix, l_mat: Matrix,
+    alpha: Fraction, eps0: Fraction, eps1: Fraction,
+) -> dict[str, Matrix]:
+    """The full action of type (eps0, eps1) from the input's R, L, K, Kinv
+    and the lowering operators r, l."""
+    return {
+        "e0p": action["R"],
+        "e1p": action["L"],
+        "e0m": eps0 * l_mat,
+        "e1m": eps1 * r_mat,
+        "K0": (eps0 / alpha) * action["K"],
+        "K0inv": (eps0 * alpha) * action["Kinv"],
+        "K1": (eps1 * alpha) * action["Kinv"],
+        "K1inv": (eps1 / alpha) * action["K"],
+    }
+
+
+# The output relations whose residual is, on the assembled action, a sign
+# times the residual of a relation extend has already checked on the same
+# R, L, K, Kinv, r and l: output name -> (source name, the sign as a
+# function of (eps0, eps1)). The lemma is in the module docstring.
+_OUTPUT_COPIES = {
+    # from the input's ugeq0 report
+    "unit(K0 K0inv)": ("unit(K Kinv)", lambda e0, e1: 1),
+    "unit(K0inv K0)": ("unit(Kinv K)", lambda e0, e1: 1),
+    "unit(K1 K1inv)": ("unit(Kinv K)", lambda e0, e1: 1),
+    "unit(K1inv K1)": ("unit(K Kinv)", lambda e0, e1: 1),
+    "weight(K0,e0p)": ("weight(K,R)", lambda e0, e1: 1),
+    "weight(K0,e1p)": ("weight(K,L)", lambda e0, e1: 1),
+    "serre(e0p,e1p)": ("serre(R,L)", lambda e0, e1: 1),
+    "serre(e1p,e0p)": ("serre(L,R)", lambda e0, e1: 1),
+    # from the lowering suite
+    "weight(K0,e0m)": ("weight(l)", lambda e0, e1: e0),
+    "weight(K0,e1m)": ("weight(r)", lambda e0, e1: e1),
+    "bracket(e0p,e0m)": ("commutator(l,R)", lambda e0, e1: -e0),
+    "bracket(e1p,e1m)": ("commutator(r,L)", lambda e0, e1: -e1),
+    "commute(e0p,e1m)": ("commute(r,R)", lambda e0, e1: -e1),
+    "commute(e0m,e1p)": ("commute(l,L)", lambda e0, e1: e0),
+    "serre(e0m,e1m)": ("serre(l,r)", lambda e0, e1: e0 * e1),
+    "serre(e1m,e0m)": ("serre(r,l)", lambda e0, e1: e0 * e1),
+}
+
+
+def _inherited(checks: Sequence[CheckResult]) -> dict[str, CheckResult]:
+    """The output relations of `_OUTPUT_COPIES` whose source check passed,
+    each with that check: a zero residual times a sign is zero. A source
+    that failed is not copied, so its relation is evaluated."""
+    by_name = {check.name: check for check in checks}
+    return {name: by_name[source] for name, (source, _) in _OUTPUT_COPIES.items()
+            if by_name[source].passed}
 
 
 def extend(
@@ -588,9 +669,12 @@ def extend(
     (eps0, eps1), same diameter, with every intermediate identity verified.
 
     The full action is R, L for the raising generators, eps0*l and eps1*r for
-    the lowering ones, and eps0 alpha^-1 K, eps1 alpha K^-1 for K0, K1.
-    Raises RelationError, IrreducibilityError or CheckFailedError (naming the
-    failed verification) on malformed input.
+    the lowering ones, and eps0 alpha^-1 K, eps1 alpha K^-1 for K0, K1
+    (`assemble`). Its relation report copies the 16 relations that are a
+    sign times a passing check already made (the lemma in the module
+    docstring) and evaluates the other 5. Raises RelationError,
+    IrreducibilityError or CheckFailedError (naming the failed verification)
+    on malformed input.
     """
     eps0, eps1 = as_scalar(eps0), as_scalar(eps1)
     if eps0 * eps0 != 1 or eps1 * eps1 != 1:
@@ -625,25 +709,15 @@ def extend(
         b_mat=b_mat, bstar_mat=bstar_mat, r_mat=r_mat, l_mat=l_mat, checks=log.entries,
     )
 
-    action = {
-        "e0p": m.action["R"],
-        "e1p": m.action["L"],
-        "e0m": eps0 * l_mat,
-        "e1m": eps1 * r_mat,
-        "K0": (eps0 / alpha) * m.action["K"],
-        "K0inv": (eps0 * alpha) * m.action["Kinv"],
-        "K1": (eps1 * alpha) * m.action["Kinv"],
-        "K1inv": (eps1 / alpha) * m.action["K"],
-    }
     full = ModuleData(
         AFFINE_FULL,
         m.dim,
         m.q,
-        action,
+        assemble(m.action, r_mat, l_mat, alpha, eps0, eps1),
         f"extend({m.provenance}, eps0={eps0}, eps1={eps1})",
     )
-    # e0p and e1p are the input's R and L: its q-Serre checks are theirs
-    full.certified.update(_serre_checks(m, "e0p", "e1p"))
+    # 16 of the 21 output relations are a sign times a check already made
+    full.certified.update(_inherited([*input_report.entries, *log.entries]))
     out_report = full.relations
     log.condition(
         "output-relations", ANCHOR_OUT, out_report.passed,

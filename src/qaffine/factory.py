@@ -9,8 +9,9 @@ analysis of its own presentation): each is evaluated once, on first read. A
 module derived from a checked one inherits what holds on the same matrices:
 `restrict_to_ugeq0` hands its result the weight ladder and, when the full
 module's report is at hand, the relation report of the module it restricts,
-and `extension.extend` hands its output the input's q-Serre checks in R and
-L (`ModuleData.certified`).
+and `extension.extend` hands its output 16 of its 21 relation checks
+(`ModuleData.certified`): each a passing check of the input report or of
+the lowering suite whose residual is a sign times that relation's.
 
 Conventions fixed here (any consistent choice works, and the relation
 checker enforces consistency in the tests):
@@ -66,8 +67,10 @@ class ModuleData:
     q: QParam
     action: dict[str, Matrix]
     provenance: str
-    # Relation checks already made on these very matrices, by the relation's
-    # name here, which `check_presentation` copies instead of evaluating.
+    # Relation checks already made, by the relation's name here, which
+    # `check_presentation` copies instead of evaluating: each a passing
+    # check whose residual is +-1 times this relation's residual on these
+    # very matrices, so both are zero.
     # Only the constructor that derives the module fills it, at once; it is
     # no argument of __init__, so dataclasses.replace starts an empty one.
     certified: dict[str, CheckResult] = field(

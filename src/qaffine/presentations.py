@@ -20,18 +20,24 @@ that reads it. The plan holds no coefficient: it is cached by the list's
 shape, the merged words and letters of each relation, and a ``BoundList``
 pairs it with the coefficients of one call. So the lists of the extension
 pipeline, whose coefficients hold alpha, are compiled once per process,
-not once per run. ``evaluate_word`` runs a bound list in ``int``, with the
-assignment checked once per list: each matrix contributes its integer view
-(den * M), each product is one inline loop over the left rows' entries,
-with no call per row, and the words of each relation are scaled to one
-common denominator L, the lcm over its words of den(c_w) times the product
-of the letters' den. Fractions are built only for a residual's nonzero
-entries, as v / L, and a residual that cancels everywhere, as on every
-passing check, is the zero matrix at once. A single formal sum compiles to
-a ``WordPlan`` (``RelationWord.plan``), the same program with its
-coefficients in it. A relation whose check on the same matrices is already
-known, perhaps under another name, is copied instead of evaluated
-(``check_relations``' ``known``, ``ModuleData.certified``).
+not once per run. A presentation's list is bound once per kind, q and set
+of copied names (``_presentation_list``), so checking a module file merges
+no relation and hashes no list shape. ``evaluate_word`` runs a bound list
+in ``int``, with the assignment checked once per list: each matrix
+contributes its integer view (den * M), each product is one inline loop
+over the left rows' entries, with no call per row, and the words of each
+relation are scaled to one common denominator L, the lcm over its words of
+den(c_w) times the product of the letters' den. The plan holds each word
+as the positions of its letters, so that product reads the letters' den
+with no name lookup. Fractions are built only for a residual's nonzero
+entries, as v / L, and every residual that cancels everywhere, as on every
+passing check, is one shared zero matrix, which `CheckLog.matrix_zero`
+logs with no scan of its entries. A single formal sum compiles to a
+``WordPlan`` (``RelationWord.plan``), the same program with its
+coefficients in it. A relation whose check is already known, perhaps under
+another name, is copied instead of evaluated (``check_relations``'
+``known``, ``ModuleData.certified``): the known residual is this
+relation's on these matrices, or, for a passing check, +-1 times it.
 
 Supported presentations:
 
@@ -107,16 +113,16 @@ class WordPlan:
     its midpoint, w[:len(w)//2] times w[len(w)//2:], and so is each half of
     two or more letters, so a half shared by several words is one product.
     ``terms`` holds each distinct word with a nonzero merged coefficient,
-    as (numerator, denominator, word, left, right): left and right are the
-    operands of its halves for two or more letters, left is its letter's
-    operand and right None for one letter, and both are None for the empty
-    word. ``generators`` lists the letters of every term of the sum, zero
-    terms included, in term order."""
+    as (numerator, denominator, word, left, right): the word as the
+    positions of its letters in ``letters``, then the operands of its
+    halves for two or more letters, its letter's operand and None for one
+    letter, and None twice for the empty word. ``generators`` lists the
+    letters of every term of the sum, zero terms included, in term order."""
 
     generators: tuple[GeneratorName, ...]
     letters: tuple[GeneratorName, ...]
     halves: tuple[tuple[int, int], ...]
-    terms: tuple[tuple[int, int, Word, int | None, int | None], ...]
+    terms: tuple[tuple[int, int, tuple[int, ...], int | None, int | None], ...]
 
 
 @dataclass(frozen=True)
@@ -136,7 +142,7 @@ class ListPlan:
     generators: tuple[GeneratorName, ...]
     letters: tuple[GeneratorName, ...]
     halves: tuple[tuple[int, int], ...]
-    sums: tuple[tuple[tuple[Word, int | None, int | None], ...], ...]
+    sums: tuple[tuple[tuple[tuple[int, ...], int | None, int | None], ...], ...]
 
 
 @dataclass(frozen=True)
@@ -163,11 +169,12 @@ def _operand(part: Word, operand: dict[Word, int], halves: list[tuple[int, int]]
 
 def _compile(sums: Sequence[Sequence[Word]]) -> tuple[
     tuple[GeneratorName, ...], tuple[tuple[int, int], ...],
-    tuple[tuple[tuple[Word, int | None, int | None], ...], ...],
+    tuple[tuple[tuple[tuple[int, ...], int | None, int | None], ...], ...],
 ]:
     """The letters, halves and (word, left, right) sums of the program that
     evaluates several sums of distinct words, every word split into halves
-    (`WordPlan`), each half computed once for all of them."""
+    and held as its letters' positions (`WordPlan`), each half computed once
+    for all of them."""
     letters = tuple(dict.fromkeys([g for words in sums for word in words for g in word]))
     operand = {(g,): k for k, g in enumerate(letters)}
     halves: list[tuple[int, int]] = []
@@ -182,7 +189,7 @@ def _compile(sums: Sequence[Sequence[Word]]) -> tuple[
                 mid = len(word) // 2
                 left = _operand(word[:mid], operand, halves)
                 right = _operand(word[mid:], operand, halves)
-            out.append((word, left, right))
+            out.append((tuple([operand[(g,)] for g in word]), left, right))
         compiled.append(tuple(out))
     return letters, tuple(halves), tuple(compiled)
 
@@ -277,9 +284,10 @@ def evaluate_word(
     into each left entry, so N_w itself is never built; a one-letter word
     adds its scaled integer rows and the empty word adds on the diagonal.
     An entry that cancels inside a product stays as a 0 until the end. When
-    every entry of a sum is 0 its result is `Matrix.zero`; otherwise one
-    Matrix is built, with a Fraction(v, L) for each entry v that did not
-    cancel. All assigned matrices must be square and of equal dimension.
+    every entry of a sum is 0 its result is one `Matrix.zero`, the same for
+    every such sum of the call; otherwise one Matrix is built, with a
+    Fraction(v, L) for each entry v that did not cancel. All assigned
+    matrices must be square and of equal dimension.
     """
     if isinstance(words, BoundList):
         plan = words.plan
@@ -296,7 +304,7 @@ def evaluate_word(
     for gen in plan.generators:
         if gen not in assignment:
             raise QAffineError(f"generator {gen!r} is not assigned a matrix")
-    dens = {g: assignment[g].den for g in plan.letters}
+    dens = [assignment[g].den for g in plan.letters]
     # each operand's rows as (column, entry) pairs: the letters' `int_rows`
     # as they are, every half product's rows as dict items, where an entry
     # that cancelled stays as a 0 (a residual drops it at the end)
@@ -317,8 +325,9 @@ def evaluate_word(
             rows.append(out.items())
         operands.append(rows)
     residuals = []
+    zero = None  # one zero matrix for every residual that cancels
     for pairs in sums:
-        terms = [(num, den * prod([dens[g] for g in word]), left, right)
+        terms = [(num, den * prod([dens[k] for k in word]), left, right)
                  for (num, den), (word, left, right) in pairs]
         common = lcm(*[divisor for _, divisor, _, _ in terms])
         total: list[dict[int, int]] = [{} for _ in range(n)]  # L times the sum's rows
@@ -349,7 +358,9 @@ def evaluate_word(
                 {j: Fraction(v, common) for j, v in row.items() if v} for row in total
             ]))
         else:
-            residuals.append(Matrix.zero(n, n))
+            if zero is None:
+                zero = Matrix.zero(n, n)
+            residuals.append(zero)
     return tuple(residuals) if isinstance(words, BoundList) else residuals[0]
 
 
@@ -366,8 +377,21 @@ def check_relations(
     evaluated by one `evaluate_word` call on their `BoundList`."""
     known = known or {}
     relations = tuple(relations)
-    todo = [rel for rel in relations if rel.name not in known]
-    residuals = iter(evaluate_word(bind_relations(todo), assignment) if todo else ())
+    bound = bind_relations([rel for rel in relations if rel.name not in known])
+    _log_residuals(log, anchor, relations, bound, assignment, known)
+
+
+def _log_residuals(
+    log: CheckLog,
+    anchor: str,
+    relations: Sequence[RelationWord],
+    bound: BoundList,
+    assignment: Mapping[GeneratorName, Matrix],
+    known: Mapping[str, CheckResult],
+) -> None:
+    """`check_relations` with the relations not in ``known`` already bound,
+    in order, as ``bound``."""
+    residuals = iter(evaluate_word(bound, assignment) if bound.coefficients else ())
     for rel in relations:
         if rel.name in known:
             log.reuse(known[rel.name], anchor, rel.name)
@@ -479,6 +503,17 @@ def relations_for(kind: str, q: QParam) -> tuple[RelationWord, ...]:
     return _relations(kind, q.q)
 
 
+@lru_cache(maxsize=None)
+def _presentation_list(
+    kind: str, q_value: Fraction, copied: frozenset[str]
+) -> tuple[tuple[RelationWord, ...], BoundList]:
+    """The relations of a presentation at q and those not ``copied`` bound
+    as one list: merged and shaped once per kind, q and set of copied
+    names, so a check of another module binds nothing again."""
+    relations = _relations(kind, q_value)
+    return relations, bind_relations([rel for rel in relations if rel.name not in copied])
+
+
 def check_presentation(kind: str, data: "ModuleData") -> VerificationReport:
     """Evaluate every defining relation of ``kind`` on the module's matrices,
     except those whose check the module inherits (`ModuleData.certified`),
@@ -505,9 +540,8 @@ def presentation_report(
     check on these matrices is in ``known``, by name, copied, and every
     other one evaluated, with no check of the alphabet."""
     log = CheckLog(strict=False)
-    check_relations(
-        log, f"defining relations ({kind})", relations_for(kind, data.q), data.action, known
-    )
+    relations, bound = _presentation_list(kind, data.q.q, frozenset(known))
+    _log_residuals(log, f"defining relations ({kind})", relations, bound, data.action, known)
     report = VerificationReport(subject=f"{kind} relations", entries=log.entries)
     report.summary.update(presentation=kind, q=str(data.q.q), dim=str(data.dim))
     return report

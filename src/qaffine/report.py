@@ -9,7 +9,7 @@ human-readable table and a JSON-ready dict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import CheckFailedError
 from .linalg import Matrix
@@ -94,15 +94,19 @@ class CheckLog:
         return result.passed
 
     def matrix_zero(self, name: str, anchor: str, residual: Matrix) -> bool:
-        """Assert an exactly-zero residual matrix."""
+        """Assert an exactly-zero residual matrix; a zero one passes with no
+        scan of its entries."""
+        if residual.is_zero():
+            return self._record(CheckResult(name, anchor, True))
         nz = tuple((i, j, str(v)) for i, j, v in residual.nonzero_entries())
-        detail = "" if not nz else f"{len(nz)} nonzero residual entries"
-        return self._record(CheckResult(name, anchor, not nz, nz, detail))
+        return self._record(
+            CheckResult(name, anchor, False, nz, f"{len(nz)} nonzero residual entries"))
 
     def reuse(self, result: CheckResult, anchor: str, name: str) -> bool:
         """Log a check already made on the same matrices, under this anchor
         and the name the relation has here."""
-        return self._record(replace(result, name=name, anchor=anchor))
+        return self._record(CheckResult(
+            name, anchor, result.passed, result.residual_entries, result.detail))
 
     def condition(self, name: str, anchor: str, ok: bool, detail: str = "") -> bool:
         """Assert a described condition (subspace equality, dimension, ...)."""

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import span
 from test_golden import LEDGER, STAGE_FAILURES
-from test_properties import unit_lu
+from test_properties import EVALUATED_OUTPUT_RELATIONS, unit_lu
 
 import qaffine.extension
 import qaffine.weights
@@ -15,7 +15,9 @@ from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
 from qaffine.extension import (
     ANCHOR_FLAGS,
     ANCHOR_LOWER,
+    _OUTPUT_COPIES,
     _certified_direct,
+    _inherited,
     _lowering_suite,
     _moves_into,
     _nears,
@@ -353,11 +355,12 @@ def test_lowering_suite_evaluates_ten_relations(tensor_13, monkeypatch):
     assert copies == evaluated.entries
 
 
-def test_output_check_evaluates_nineteen_relations(tensor_13, monkeypatch):
-    # e0p and e1p of the output are the input's R and L, so output-relations
-    # copies serre(e0p,e1p) and serre(e1p,e0p) from the input report, at
-    # their own positions, and evaluates the other 19 as one list; the
-    # report is the literal one and the ledger keeps its 71 checks
+def test_output_check_evaluates_five_relations(tensor_13, monkeypatch):
+    # 16 output relations are a sign times a passing check of the input
+    # report or the lowering suite (`_OUTPUT_COPIES`), so output-relations
+    # copies them at their own positions and evaluates the other 5
+    # (commute(K0,K1) and the four K1 weights) as one list; the report is
+    # the literal one and the ledger keeps its 71 checks
     lists = []
     evaluate_word = presentations.evaluate_word
 
@@ -370,15 +373,32 @@ def test_output_check_evaluates_nineteen_relations(tensor_13, monkeypatch):
     full, trace = extend(r, 1, 1)
     assert trace.check_names() == LEDGER
     output = lists[-1]
-    assert len(output.plan.sums) == 19
+    assert len(output.plan.sums) == 5
     monkeypatch.undo()
     literal = presentations.check_presentation(AFFINE_FULL, replace(full))
     assert full.relations.to_dict() == literal.to_dict()
     names = [c.name for c in full.relations.entries]
-    evaluated = [rel.name for rel in presentations.relations_for(AFFINE_FULL, full.q)
-                 if rel.name not in ("serre(e0p,e1p)", "serre(e1p,e0p)")]
-    assert [names[k] for k in range(21) if k not in (17, 19)] == evaluated
-    assert (names[17], names[19]) == ("serre(e0p,e1p)", "serre(e1p,e0p)")
+    assert names == [rel.name for rel in presentations.relations_for(AFFINE_FULL, full.q)]
+    assert len(_OUTPUT_COPIES) == 16 and set(full.certified) == set(_OUTPUT_COPIES)
+    assert [name for name in names if name not in _OUTPUT_COPIES] == EVALUATED_OUTPUT_RELATIONS
+    sources = {c.name: c for c in r.relations.entries + trace.checks}
+    for entry, expected in zip(full.relations.entries, literal.entries):
+        if entry.name in _OUTPUT_COPIES:
+            source = sources[_OUTPUT_COPIES[entry.name][0]]
+            assert entry == replace(source, name=entry.name, anchor=expected.anchor)
+
+
+def test_output_inherits_only_passing_checks(tensor_13):
+    # a source check that failed is not copied, whatever its sign, so its
+    # output relation is evaluated; the others are copied as they are
+    r = restrict_to_ugeq0(tensor_13, 1)
+    _, trace = extend(r, 1, 1)
+    checks = [replace(c, passed=False) if c.name in ("unit(K Kinv)", "commute(r,R)") else c
+              for c in r.relations.entries + trace.checks]
+    inherited = _inherited(checks)
+    assert set(inherited) == set(_OUTPUT_COPIES) - {
+        "unit(K0 K0inv)", "unit(K1inv K1)", "commute(e0p,e1m)"}
+    assert all(inherited[name].name == _OUTPUT_COPIES[name][0] for name in inherited)
 
 
 def test_second_extend_compiles_no_plan(tensor_13, monkeypatch):

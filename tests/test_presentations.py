@@ -223,6 +223,40 @@ def test_corrupted_k_entry_report_matches_naive_residuals(tensor_13, q2, restric
     assert not report.passed and report.failing()[0].name == f"unit({k} {k}inv)"
 
 
+def test_second_check_binds_nothing(tensor_13, monkeypatch):
+    # a presentation's relation list is merged and bound once per kind, q
+    # and set of copied names: checking another module of the same kind at
+    # the same q merges no relation and hashes no list shape
+    from qaffine import presentations
+
+    first = check_presentation(AFFINE_FULL, tensor_13)
+    calls = []
+
+    def counted(name):
+        original = getattr(presentations, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+        return wrapper
+
+    for name in ("_merge", "_list_plan"):
+        monkeypatch.setattr(presentations, name, counted(name))
+    second = check_presentation(AFFINE_FULL, replace(tensor_13))
+    assert calls == []
+    assert second.to_dict() == first.to_dict()
+
+
+def test_cancelling_residuals_share_one_zero(tensor_13):
+    # every residual of a passing list is one zero matrix, built once
+    from qaffine.presentations import bind_relations
+
+    residuals = evaluate_word(
+        bind_relations(relations_for(AFFINE_FULL, tensor_13.q)), tensor_13.action)
+    assert len(residuals) == 21 and residuals[0].is_zero()
+    assert all(residual is residuals[0] for residual in residuals)
+
+
 def test_alphabet_mismatch_raises(v111, q2):
     from qaffine.factory import ModuleData
 

@@ -30,6 +30,9 @@ from qaffine.analysis import (
     burnside_irreducible,
 )
 from qaffine.extension import (
+    _OUTPUT_COPIES,
+    _lowering_relations,
+    assemble,
     build_a_astar,
     build_b_bstar,
     build_w_grid,
@@ -69,6 +72,7 @@ from qaffine.presentations import (
     UGEQ0,
     RelationWord,
     bind_relations,
+    check_presentation,
     check_relations,
     evaluate_word,
     q_serre,
@@ -1580,6 +1584,68 @@ def test_list_program_matches_naive_relation_by_relation(case):
         for rel, residual in zip(relations, expected):
             reference_log.matrix_zero(rel.name, "test", residual)
         assert log.entries == reference_log.entries
+
+
+SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+EVALUATED_OUTPUT_RELATIONS = [
+    "commute(K0,K1)", "weight(K1,e1p)", "weight(K1,e1m)", "weight(K1,e0p)", "weight(K1,e0m)",
+]
+
+
+@st.composite
+def lowering_inputs(draw):
+    """R, L, K, Kinv, r and l: square matrices of dim 2 or 3 with nonzero
+    entries, which satisfy none of the relations, at a drawn q and alpha."""
+    n = draw(st.integers(min_value=2, max_value=3))
+    nonzero = st.builds(F, st.sampled_from([-3, -2, -1, 1, 2, 5]),
+                        st.integers(min_value=1, max_value=3))
+    action = {g: Matrix.from_entries(n, n, tuple(draw(st.lists(
+        nonzero, min_size=n * n, max_size=n * n)))) for g in ("R", "L", "K", "Kinv", "r", "l")}
+    q = qparam(draw(st.sampled_from([F(2), F(3, 2), F(-1, 3)])))
+    alpha = draw(st.sampled_from([F(1), F(3), F(-2, 7), F(-5, 3)]))
+    return action, q, alpha
+
+
+@settings(max_examples=40, deadline=None)
+@given(lowering_inputs())
+def test_output_copies_are_a_sign_times_their_source(case):
+    # on matrices where no relation holds, each of the 16 output relations
+    # that extend copies has, literally, its sign times its source's residual
+    # on the assembled action, for every type; the other 5 are evaluated
+    action, q, alpha = case
+    sources = {**{rel.name: rel for rel in relations_for(UGEQ0, q)},
+               **{rel.name: rel for rel in _lowering_relations(q, alpha)}}
+    residuals = {source: evaluate_word(sources[source].plan, action)
+                 for source, _ in _OUTPUT_COPIES.values()}
+    assume(not any(residual.is_zero() for residual in residuals.values()))
+    output = {rel.name: rel for rel in relations_for(AFFINE_FULL, q)}
+    assert len(_OUTPUT_COPIES) == 16
+    assert [name for name in output if name not in _OUTPUT_COPIES] == EVALUATED_OUTPUT_RELATIONS
+    for eps0, eps1 in SIGN_PAIRS:
+        full = assemble(action, action["r"], action["l"], alpha, F(eps0), F(eps1))
+        for name, (source, sign) in _OUTPUT_COPIES.items():
+            got = evaluate_word(output[name].plan, full)
+            assert_exact_equal(got, sign(eps0, eps1) * residuals[source])
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)),
+       st.sampled_from([F(1), F(-2, 7)]))
+def test_output_report_with_copies_matches_the_literal_check(m, seed, alpha):
+    # the assembled module's report, 16 of its entries copied, against every
+    # relation evaluated on its matrices, for each of the four types, in the
+    # standard basis and conjugated into a dense one
+    m = conjugated(m, seed)
+    r = m if m.kind == UGEQ0 else restrict_to_ugeq0(m, alpha)
+    assume(burnside_irreducible(r).verdict == ABSOLUTELY_IRREDUCIBLE)
+    for eps0, eps1 in SIGN_PAIRS:
+        full, _ = extend(r, eps0, eps1)
+        assert len(full.certified) == 16
+        literal = check_presentation(AFFINE_FULL, replace(full))
+        assert full.relations.to_dict() == literal.to_dict()
+        assert full.relations.text_table() == literal.text_table()
+        assert [c.name for c in full.relations.entries] == [
+            rel.name for rel in relations_for(AFFINE_FULL, full.q)]
 
 
 @st.composite
