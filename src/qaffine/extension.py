@@ -30,10 +30,11 @@ intermediate identity with exactly-zero residuals:
 
 The weight spaces, both flags and both split decompositions are each held
 as a linalg.Ladder (zero off its ends, partial sums computed once), and
-every "operator moves each space of a ladder one step" check is one call of
-linalg.first_escape, the containment primitive the weight analysis shares.
-A check that a ladder's partial sums equal sums already built is decided by
-containment plus dimension (the lemma in Ladder) and, once it passes, the
+every "operator moves each space of a ladder one step" check that is
+evaluated is one call of linalg.first_escape, the containment primitive the
+weight analysis shares; on a passing run 20 of the 28 are derived instead
+(below). A check that a ladder's partial sums equal sums already built is
+decided by containment plus dimension (the lemma in Ladder) and, once it passes, the
 ladder reads those sums as its own: the A-flag's tail sums are the weight
 spaces' tail sums, the A*-flag's head sums their head sums, and the sums of
 W and W* are flag sums. So a passing run builds four running sums: the head
@@ -47,6 +48,74 @@ three-space sum is built.
 Every matrix identity (steps 1, 4, 5) is a presentations.RelationWord over
 the names R, L, K, Kinv, A, Astar, B, Bstar, r, l, checked by
 presentations.check_relations, the evaluator of the defining relations.
+
+Moves derived from the checks that imply them. Each move of the flags and
+of the split spaces listed below is the classical consequence of a Weyl or
+a q-Serre relation, of the weight ladder, or of moves of the flags, all
+already checked on the same matrices (Ito, Tanabe and Terwilliger 2001,
+"Two linear transformations each tridiagonal with respect to an eigenbasis
+of the other"). Throughout, q is rational with q^2 != 1,
+theta_i = alpha q^(2i-d) and theta*_i = 1/theta_i.
+
+- Weyl step. Let q X Y - q^-1 Y X = (q - q^-1) t. If X v = x v with
+  x != 0, then (X - q^-2 x)(Y - t/x) v = 0; if instead Y v = y v with
+  y != 0, then (Y - q^2 y)(X - t/y) v = 0. So a shifted Y moves the
+  eigenspace of X at x into its eigenspace at q^(-+2) x, which is zero when
+  that is not an eigenvalue: a passing eigendecomp check shows X
+  diagonalizable with exactly the eigenvalues of its ladder.
+- q-Serre tridiagonal. Let X be diagonalizable with eigenvalues x_j in
+  ratio q^2 (or q^-2), with projections E_j, and let q_serre(X, Y) hold.
+  Then E_j Y E_i (x_j - x_i)(x_j - q^2 x_i)(x_j - q^-2 x_i) = 0, so Y maps
+  S_i into S_(i-1) + S_i + S_(i+1): a tridiag check.
+- Inherited moves. An operator that maps P into P' and Q into Q' maps
+  P n Q into P' n Q'. W_k is vstar.head[k] n v.head[d-k] and W*_k is
+  vstar.tail[d-k] n v.tail[k]; a shift c = c_j + (c - c_j) moves a space
+  S_j of a ladder by its own move plus a multiple of S_j, so one-step moves
+  of each space move each head (tail) sum one step. A sum check that
+  passed makes the ladder's head (tail) sums the flag's own.
+
+The premises (`_PREMISES`; "weights" is the weight ladder the analyzer
+certified, on which K acts as theta_i and, with the unit relations, K^-1 as
+theta*_i):
+
+- eigendecomp(A) with weyl(Kinv,A), weyl(A,B), weyl(Bstar,A): move(Kinv,V),
+  move(B,V), move(Bstar,V) (Weyl step); with serre(A,Astar):
+  tridiag(Astar,V) (q-Serre);
+- eigendecomp(Astar) with weyl(K,Astar), weyl(B,Astar), weyl(Astar,Bstar):
+  move(K,Vstar), move(B,Vstar), move(Bstar,Vstar); with serre(Astar,A):
+  tridiag(A,Vstar);
+- weights, unit(K Kinv) and unit(Kinv K) with flag-tail-match:
+  move(K,V-tail); with flag-head-match: move(Kinv,Vstar-head) (V_i lies in
+  U_i + ... + U_d, which K - theta_i moves one step down the weight tails);
+- tridiag(A,Vstar): ladder(W):A-up and ladder(Wstar):A-up;
+  tridiag(Astar,V): ladder(W):Astar-down and ladder(Wstar):Astar-down (the
+  other flag's side is an eigenspace shift);
+- move(Kinv,V) with move(Kinv,Vstar-head): ladder(W):Kinv-down; move(K,Vstar)
+  with move(K,V-tail): ladder(Wstar):K-up (inherited moves);
+- move(K,Vstar) with sum(W-head): ladder(W):K-head; move(Kinv,V) with
+  sum(Wstar-tail): ladder(Wstar):Kinv-tail (W_k lies in vstar.head[k], and
+  W's head sums are the A*-flag's; the same for W* against V's tails);
+- decomposition(Wstar) with serre(Bstar,B): tridiag(B,Wstar);
+  decomposition(W) with serre(B,Bstar): tridiag(Bstar,W) (q-Serre, with B*
+  and B diagonal on the split spaces they were built from).
+
+The K^{+-1} moves on W and W* name the flags' K^{+-1} moves, not the flag
+matches: a flag match alone says nothing of how K^{+-1} acts unless the
+weight ladder and the unit relations hold, and those are the premises of
+the flags' K^{+-1} moves. A stage derives a move only when every premise
+passed on the matrices and spaces it is handed (`Premises`): those it
+decides itself (eigendecomp, the flag matches, the sums, the relations of
+B and B*) by their outcome there, the others only when its caller hands
+them in. extend hands over the checks passed in its strict log and its
+input report, and its certified weight ladder. A stage handed no premises
+evaluates every check, because each derivation needs at least one fact
+from outside the stage, and a stage cannot know on which matrices and
+spaces an outside check was made; so a stage called on its own, or on
+input that fails a premise, logs the literal ledger. The four U-moves stay
+literal: on a diagonal K they take the coordinate path and form no image
+column, so the four together cost under a millisecond of a t16 extend and
+deriving them would save little. The grid moves are derived in
+build_w_grid.
 
 The output check inherits 16 of its 21 relations (`ModuleData.certified`).
 Lemma: on the assembled action e0p = R, e1p = L, e0m = eps0 l,
@@ -188,17 +257,78 @@ def _eigenvalues(q: QParam, alpha: Fraction, d: int) -> _Eigenvalues:
     return _Eigenvalues(theta, theta_star, b)
 
 
+# Each move check a stage logs as passed without forming an image, with the
+# checks it follows from (the lemmas in the module docstring). _WEIGHTS
+# stands for the weight ladder the analyzer certified.
+_WEIGHTS = "weights"
+_PREMISES = {
+    "move(Kinv,V)": ("eigendecomp(A)", "weyl(Kinv,A)"),
+    "move(K,V-tail)": (_WEIGHTS, "unit(K Kinv)", "unit(Kinv K)", "flag-tail-match"),
+    "move(K,Vstar)": ("eigendecomp(Astar)", "weyl(K,Astar)"),
+    "move(Kinv,Vstar-head)": (_WEIGHTS, "unit(K Kinv)", "unit(Kinv K)", "flag-head-match"),
+    "tridiag(Astar,V)": ("eigendecomp(A)", "serre(A,Astar)"),
+    "tridiag(A,Vstar)": ("eigendecomp(Astar)", "serre(Astar,A)"),
+    "ladder(W):A-up": ("tridiag(A,Vstar)",),
+    "ladder(W):Astar-down": ("tridiag(Astar,V)",),
+    "ladder(W):Kinv-down": ("move(Kinv,V)", "move(Kinv,Vstar-head)"),
+    "ladder(W):K-head": ("move(K,Vstar)", "sum(W-head)"),
+    "ladder(Wstar):A-up": ("tridiag(A,Vstar)",),
+    "ladder(Wstar):Astar-down": ("tridiag(Astar,V)",),
+    "ladder(Wstar):K-up": ("move(K,Vstar)", "move(K,V-tail)"),
+    "ladder(Wstar):Kinv-tail": ("move(Kinv,V)", "sum(Wstar-tail)"),
+    "move(B,V)": ("eigendecomp(A)", "weyl(A,B)"),
+    "move(B,Vstar)": ("eigendecomp(Astar)", "weyl(B,Astar)"),
+    "move(Bstar,V)": ("eigendecomp(A)", "weyl(Bstar,A)"),
+    "move(Bstar,Vstar)": ("eigendecomp(Astar)", "weyl(Astar,Bstar)"),
+    "tridiag(B,Wstar)": ("decomposition(Wstar)", "serre(Bstar,B)"),
+    "tridiag(Bstar,W)": ("decomposition(W)", "serre(B,Bstar)"),
+}
+
+
+@dataclass(frozen=True)
+class Premises:
+    """What a stage may take as certified about the matrices and spaces it
+    is handed: the names of the checks that passed on them, and the weight
+    ladder the analyzer certified. The default, no premises, has the stage
+    evaluate every check."""
+
+    passed: frozenset[str] = frozenset()
+    weights: WeightLadder | None = None
+
+
+def _derived(
+    premises: Premises, decided: dict[str, bool], ladder: WeightLadder | None = None
+) -> frozenset[str]:
+    """The checks of `_PREMISES` whose premises all hold. A premise the
+    stage decided itself (decided, by name) holds when it passed there; any
+    other only when it was handed in; the weight ladder only when the one
+    the stage was handed is the certified one. With none handed in, no
+    check."""
+    if not premises.passed:
+        return frozenset()
+    decided = {**decided, _WEIGHTS: ladder is not None and ladder is premises.weights}
+    held = {name for name in premises.passed if name not in decided}
+    held.update(name for name, ok in decided.items() if ok)
+    return frozenset(name for name, needs in _PREMISES.items() if held.issuperset(needs))
+
+
 def _moves_into(
-    log: CheckLog, anchor: str, moves: tuple,
+    log: CheckLog, anchor: str, moves: tuple, derived: frozenset[str] = frozenset(),
     detail: Callable[[int], str] = "containment fails at index {}".format,
 ) -> None:
-    """For each move (name, mat, shifts, spaces, *targets), log whether
+    """For each move (name, mat, shifts, spaces, targets), log whether
     (mat - shifts[i] I)(spaces[i]) lies inside t[i] for every i and every
-    target list t; with shifts None, whether mat(spaces[i]) does. A failure's
-    detail is detail(i) at the first index i that escapes some t[i]. With
-    several target lists each image is formed once, for all of them
-    (`first_escape` of the tuples of targets)."""
-    for name, mat, shifts, spaces, *targets in moves:
+    target list t of targets(); with shifts None, whether mat(spaces[i])
+    does. A failure's detail is detail(i) at the first index i that escapes
+    some t[i]. With several target lists each image is formed once, for all
+    of them (`first_escape` of the tuples of targets). A move named in
+    derived follows from checks already passed (`_derived`): it is logged
+    as passed, and its targets are never built."""
+    for name, mat, shifts, spaces, targets in moves:
+        if name in derived:
+            log.condition(name, anchor, True)
+            continue
+        targets = targets()
         i = first_escape(mat, shifts, spaces, targets[0] if len(targets) == 1
                          else tuple(zip(*targets)))
         log.condition(name, anchor, i is None, "" if i is None else detail(i))
@@ -294,6 +424,7 @@ def eigen_flags(
     astar_mat: Matrix,
     ladder: WeightLadder,
     log: CheckLog,
+    premises: Premises = Premises(),
 ) -> tuple[Ladder, Ladder]:
     """Eigenspace ladders of A and A* at their closed-form eigenvalues.
 
@@ -302,7 +433,9 @@ def eigen_flags(
     the space, that partial sums match the weight-space partial sums, the
     one-step moves of A, A* on the weight ladder and of K^{±1} on the
     flags, and the tridiagonal action of each split operator on the other's
-    flag.
+    flag. The K^{±1} and tridiagonal moves whose premises hold (handed in
+    about A, A* and the weight ladder, or decided here) are derived, not
+    evaluated (`_PREMISES`).
     """
     n = m.dim
     ev = _eigenvalues(m.q, ladder.alpha, ladder.diameter)
@@ -310,9 +443,10 @@ def eigen_flags(
     u = Ladder(ladder.spaces)
     v = tuple(kernel(a_mat, t) for t in ev.theta)
     vstar = tuple(kernel(astar_mat, t) for t in ev.theta_star)
+    decided = {}
     for name, flag in (("eigendecomp(A)", v), ("eigendecomp(Astar)", vstar)):
         dims = [s.dim for s in flag]
-        log.condition(
+        decided[name] = log.condition(
             name, ANCHOR_FLAGS, sum(dims) == n and all(dims),
             f"eigenspace dims {dims} do not fill dimension {n}",
         )
@@ -343,17 +477,18 @@ def eigen_flags(
         ),
         "weight spaces differ from head(A*-flag) n tail(A-flag)",
     )
+    decided.update({"flag-tail-match": tails_match, "flag-head-match": heads_match})
     _moves_into(log, ANCHOR_FLAGS, (
-        ("move(A,U)", a_mat, ev.theta, u, u.step(1)),
-        ("move(Astar,U)", astar_mat, ev.theta_star, u, u.step(-1)),
-        ("move(Kinv,V)", Kinv, ev.theta_star, v, v.step(1)),
-        ("move(K,V-tail)", K, ev.theta, v, Ladder(v.tail).step(1)),
-        ("move(K,Vstar)", K, ev.theta, vstar, vstar.step(-1)),
+        ("move(A,U)", a_mat, ev.theta, u, lambda: (u.step(1),)),
+        ("move(Astar,U)", astar_mat, ev.theta_star, u, lambda: (u.step(-1),)),
+        ("move(Kinv,V)", Kinv, ev.theta_star, v, lambda: (v.step(1),)),
+        ("move(K,V-tail)", K, ev.theta, v, lambda: (Ladder(v.tail).step(1),)),
+        ("move(K,Vstar)", K, ev.theta, vstar, lambda: (vstar.step(-1),)),
         ("move(Kinv,Vstar-head)", Kinv, ev.theta_star, vstar,
-         Ladder(vstar.head).step(-1)),
-        ("tridiag(Astar,V)", astar_mat, None, v, *_nears(v)),
-        ("tridiag(A,Vstar)", a_mat, None, vstar, *_nears(vstar)),
-    ))
+         lambda: (Ladder(vstar.head).step(-1),)),
+        ("tridiag(Astar,V)", astar_mat, None, v, lambda: _nears(v)),
+        ("tridiag(A,Vstar)", a_mat, None, vstar, lambda: _nears(vstar)),
+    ), _derived(premises, decided, ladder))
     return v, vstar
 
 
@@ -365,6 +500,7 @@ def build_w_grid(
     v: Ladder,
     vstar: Ladder,
     log: CheckLog,
+    premises: Premises = Premises(),
 ) -> tuple[dict[tuple[int, int], Subspace], Ladder, Ladder]:
     """The intersection grid W(i,j) and the two split decompositions.
 
@@ -413,6 +549,13 @@ def build_w_grid(
     space.) When every staged check holds, the eight grid checks are logged
     as passed and no cell is built. Otherwise every cell is intersected
     literally, so a failing run logs the same checks and details either way.
+
+    The eight ladder moves are themselves inherited from the flags when
+    their premises are handed in (`_PREMISES`, the lemmas in the module
+    docstring): W_k is vstar.head[k] n v.head[d-k] and W*_k is
+    vstar.tail[d-k] n v.tail[k]. The sums are staged before them, since two
+    of those premises are sum checks.
+
     Returns the literally intersected cells (none on a passing run), W and
     W*.
     """
@@ -423,24 +566,12 @@ def build_w_grid(
     w, w_failure, w_head, w_tail = _split_spaces(vstar.head, v.head[::-1])
     wstar, wstar_failure, wstar_head, wstar_tail = _split_spaces(vstar.tail[::-1], v.tail)
 
-    staged = CheckLog()
+    staged, sums = CheckLog(), CheckLog()
     for name, failure in (
         ("decomposition(W)", w_failure),
         ("decomposition(Wstar)", wstar_failure),
     ):
         staged.condition(name, ANCHOR_GRID, failure is None, failure or "")
-    _moves_into(staged, ANCHOR_GRID, (
-        ("ladder(W):A-up", a_mat, ev.theta[::-1], w, w.step(1)),
-        ("ladder(W):Astar-down", astar_mat, ev.theta_star, w, w.step(-1)),
-        ("ladder(W):Kinv-down", Kinv, ev.theta_star, w, w.step(-1)),
-        ("ladder(W):K-head", K, ev.theta, w, Ladder(w.head).step(-1)),
-        ("ladder(Wstar):A-up", a_mat, ev.theta, wstar, wstar.step(1)),
-        ("ladder(Wstar):Astar-down", astar_mat, ev.theta_star[::-1], wstar,
-         wstar.step(-1)),
-        ("ladder(Wstar):K-up", K, ev.theta, wstar, wstar.step(1)),
-        ("ladder(Wstar):Kinv-tail", Kinv, ev.theta_star, wstar,
-         Ladder(wstar.tail).step(1)),
-    ))
     for name, ok, detail in (
         ("sum(W-tail)", w_tail,
          "suffix sums of W do not match prefix sums of the A-flag"),
@@ -451,7 +582,20 @@ def build_w_grid(
         ("sum(Wstar-head)", wstar_head,
          "prefix sums of W* do not match suffix sums of the A*-flag"),
     ):
-        staged.condition(name, ANCHOR_GRID, ok, detail)
+        sums.condition(name, ANCHOR_GRID, ok, detail)
+    _moves_into(staged, ANCHOR_GRID, (
+        ("ladder(W):A-up", a_mat, ev.theta[::-1], w, lambda: (w.step(1),)),
+        ("ladder(W):Astar-down", astar_mat, ev.theta_star, w, lambda: (w.step(-1),)),
+        ("ladder(W):Kinv-down", Kinv, ev.theta_star, w, lambda: (w.step(-1),)),
+        ("ladder(W):K-head", K, ev.theta, w, lambda: (Ladder(w.head).step(-1),)),
+        ("ladder(Wstar):A-up", a_mat, ev.theta, wstar, lambda: (wstar.step(1),)),
+        ("ladder(Wstar):Astar-down", astar_mat, ev.theta_star[::-1], wstar,
+         lambda: (wstar.step(-1),)),
+        ("ladder(Wstar):K-up", K, ev.theta, wstar, lambda: (wstar.step(1),)),
+        ("ladder(Wstar):Kinv-tail", Kinv, ev.theta_star, wstar,
+         lambda: (Ladder(wstar.tail).step(1),)),
+    ), _derived(premises, {c.name: c.passed for c in sums.entries}))
+    staged.entries += sums.entries
 
     # By the lemma the grid checks hold over every cell; they run over none.
     derived = all(c.passed for c in staged.entries)
@@ -493,12 +637,13 @@ def build_w_grid(
     ]
     spaces = list(grid.values())
     _moves_into(log, ANCHOR_GRID, (
-        ("grid-move(A)", a_mat, [ev.theta[j] for _, j in cells], spaces, up),
+        ("grid-move(A)", a_mat, [ev.theta[j] for _, j in cells], spaces, lambda: (up,)),
         ("grid-move(Astar)", astar_mat, [ev.theta_star[i] for i, _ in cells],
-         spaces, down),
-        ("grid-move(Kinv)", Kinv, [ev.theta_star[i] for i, _ in cells], spaces, down),
-        ("grid-move(K)", K, [ev.theta[i] for i, _ in cells], spaces, k_sums),
-    ), lambda k: "grid move fails at ({},{})".format(*cells[k]))
+         spaces, lambda: (down,)),
+        ("grid-move(Kinv)", Kinv, [ev.theta_star[i] for i, _ in cells], spaces,
+         lambda: (down,)),
+        ("grid-move(K)", K, [ev.theta[i] for i, _ in cells], spaces, lambda: (k_sums,)),
+    ), detail=lambda k: "grid move fails at ({},{})".format(*cells[k]))
 
     for c in staged.entries:
         log.condition(c.name, c.anchor, c.passed, c.detail)
@@ -525,16 +670,20 @@ def build_b_bstar(
     w: Ladder,
     wstar: Ladder,
     log: CheckLog,
+    premises: Premises = Premises(),
 ) -> tuple[Matrix, Matrix]:
     """The split operators: B has eigenvalue q^(2i-d) on W_i, B* has
     eigenvalue q^(d-2i) on W*_i. Verifies the Weyl pairings with A, A* and
     K^{±1}, the q-Serre relations, and all one-step moves on the three
-    ladders."""
+    ladders. The flag and tridiagonal moves whose premises hold (the
+    relations checked here, and the flags' and split spaces' decompositions
+    handed in) are derived, not evaluated (`_PREMISES`)."""
     q, alpha, n = m.q, ladder.alpha, m.dim
     ev = _eigenvalues(q, alpha, ladder.diameter)
     b_mat = _projector_operator(w, ev.b, n)
     bstar_mat = _projector_operator(wstar, ev.b[::-1], n)
-    check_relations(log, ANCHOR_B, (
+    relations = CheckLog()
+    check_relations(relations, ANCHOR_B, (
         weyl("A", "B", alpha, q),
         weyl("B", "Astar", 1 / alpha, q),
         weyl("Astar", "Bstar", 1 / alpha, q),
@@ -544,18 +693,20 @@ def build_b_bstar(
         q_serre("B", "Bstar", q),
         q_serre("Bstar", "B", q),
     ), {**m.action, "A": a_mat, "Astar": astar_mat, "B": b_mat, "Bstar": bstar_mat})
+    for c in relations.entries:
+        log.reuse(c, c.anchor, c.name)
 
     u = Ladder(ladder.spaces)
     _moves_into(log, ANCHOR_B, (
-        ("move(B,V)", b_mat, ev.b[::-1], v, v.step(-1)),
-        ("move(B,Vstar)", b_mat, ev.b, vstar, vstar.step(-1)),
-        ("move(Bstar,V)", bstar_mat, ev.b[::-1], v, v.step(1)),
-        ("move(Bstar,Vstar)", bstar_mat, ev.b, vstar, vstar.step(1)),
-        ("move(B,U)", b_mat, ev.b, u, u.step(-1)),
-        ("move(Bstar,U)", bstar_mat, ev.b[::-1], u, u.step(1)),
-        ("tridiag(B,Wstar)", b_mat, None, wstar, *_nears(wstar)),
-        ("tridiag(Bstar,W)", bstar_mat, None, w, *_nears(w)),
-    ))
+        ("move(B,V)", b_mat, ev.b[::-1], v, lambda: (v.step(-1),)),
+        ("move(B,Vstar)", b_mat, ev.b, vstar, lambda: (vstar.step(-1),)),
+        ("move(Bstar,V)", bstar_mat, ev.b[::-1], v, lambda: (v.step(1),)),
+        ("move(Bstar,Vstar)", bstar_mat, ev.b, vstar, lambda: (vstar.step(1),)),
+        ("move(B,U)", b_mat, ev.b, u, lambda: (u.step(-1),)),
+        ("move(Bstar,U)", bstar_mat, ev.b[::-1], u, lambda: (u.step(1),)),
+        ("tridiag(B,Wstar)", b_mat, None, wstar, lambda: _nears(wstar)),
+        ("tridiag(Bstar,W)", bstar_mat, None, w, lambda: _nears(w)),
+    ), _derived(premises, {c.name: c.passed for c in relations.entries}))
     return b_mat, bstar_mat
 
 
@@ -695,11 +846,19 @@ def extend(
     alpha, d = ladder.alpha, ladder.diameter
 
     log = CheckLog(strict=True)
+
+    def premises() -> Premises:
+        """The checks passed so far, of the input report and of the log, on
+        the matrices and spaces handed on, and the certified weight ladder."""
+        checks = (*input_report.entries, *log.entries)
+        return Premises(frozenset(c.name for c in checks if c.passed), ladder)
+
     log.condition("input-relations", ANCHOR_SPLIT, input_report.passed)
     a_mat, astar_mat = build_a_astar(m, log)
-    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log)
-    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log)
-    b_mat, bstar_mat = build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log, premises())
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log, premises())
+    b_mat, bstar_mat = build_b_bstar(
+        m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log, premises())
     r_mat, l_mat = _lowering_suite(m, ladder, b_mat, bstar_mat, log)
     # checks is the log's own list, so the output checks below land in it too
     trace = ExtensionTrace(

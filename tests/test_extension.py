@@ -16,6 +16,8 @@ from qaffine.extension import (
     ANCHOR_FLAGS,
     ANCHOR_LOWER,
     _OUTPUT_COPIES,
+    _PREMISES,
+    Premises,
     _certified_direct,
     _inherited,
     _lowering_suite,
@@ -173,15 +175,17 @@ def _counting_intersections(monkeypatch):
 
 def test_grid_intersects_only_the_split_spaces(tensor_13, monkeypatch):
     # On a passing run weight-from-flags and the eight grid checks follow from
-    # direct sums: the only intersections are W_i and W*_i, and the only
-    # containments of the grid stage are the eight split-decomposition moves.
+    # direct sums: the only intersections are W_i and W*_i. Handed no
+    # premises, the only containments of the grid stage are the eight
+    # split-decomposition moves; handed the flag stage's checks, those moves
+    # are inherited from the flags and no containment is made.
     r = restrict_to_ugeq0(tensor_13, 1)
     ladder = analyze_ugeq0(r)
     d = ladder.diameter
     a_mat, astar_mat = build_a_astar(r, CheckLog())
     calls = _counting_intersections(monkeypatch)
-    log = CheckLog(strict=True)
-    v, vstar = eigen_flags(r, a_mat, astar_mat, ladder, log)
+    flags = CheckLog(strict=True)
+    v, vstar = eigen_flags(r, a_mat, astar_mat, ladder, flags)
     containments = []
     contains_image = Subspace.contains_image
 
@@ -190,11 +194,16 @@ def test_grid_intersects_only_the_split_spaces(tensor_13, monkeypatch):
         return contains_image(self, *args)
 
     monkeypatch.setattr(Subspace, "contains_image", counted)
-    grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, log)
-    assert len(calls) == 2 * (d + 1)
-    assert len(containments) == 8 * (d + 1)
-    assert grid == {}
-    assert all(c.passed for c in log.entries)
+    handed = Premises(frozenset(c.name for c in flags.entries), ladder)
+    for premises, count in ((Premises(), 8 * (d + 1)), (handed, 0)):
+        calls.clear()
+        containments.clear()
+        log = CheckLog(strict=True)
+        grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, log, premises)
+        assert len(calls) == 2 * (d + 1)
+        assert len(containments) == count
+        assert grid == {}
+        assert len(log.entries) == 22 and all(c.passed for c in log.entries)
 
 
 def test_grid_of_swapped_flags_reads_the_same_failures(tensor_13, monkeypatch):
@@ -244,6 +253,154 @@ def test_grid_of_repeated_flag_takes_the_literal_path(tensor_13, monkeypatch):
         assert cell == subspace_intersect(v.head[i], v.head[j])
     failing = [(c.name, c.detail) for c in log.entries if not c.passed]
     assert failing == REPEATED_FLAG_FAILURES
+
+
+def _handed_stages(m, ladder, handed, swap=False):
+    """The split-pair, flag, grid and split-operator stages of m on one
+    non-strict log, given the weight ladder `ladder`; with `handed`, each
+    stage is handed the checks passed so far (the input report's and the
+    log's) and m's certified weight ladder, else no premises. W and W* are
+    swapped before the split operators when `swap`. The log's entries, and
+    the message of the ValueError raised when B has no graph."""
+    log, raised = CheckLog(), []
+
+    def premises():
+        if not handed:
+            return Premises()
+        checks = (*m.relations.entries, *log.entries)
+        return Premises(frozenset(c.name for c in checks if c.passed), m.weights)
+
+    a_mat, astar_mat = build_a_astar(m, log)
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log, premises())
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log, premises())
+    if swap:
+        w, wstar = wstar, w
+    try:
+        build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log, premises())
+    except ValueError as err:  # W is no decomposition
+        raised.append(str(err))
+    return [c.to_dict() for c in log.entries], raised
+
+
+def _first_escapes(monkeypatch):
+    calls = []
+    first_escape = linalg.first_escape
+
+    def counted(*args):
+        calls.append(1)
+        return first_escape(*args)
+
+    monkeypatch.setattr(qaffine.extension, "first_escape", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_handed_premises_leave_failing_ledgers_unchanged(dim, q2, monkeypatch):
+    # Each stage is handed the checks that passed before it, on a corrupted
+    # Kinv, a corrupted R, a mirrored weight ladder and swapped W and W*:
+    # every ledger equals the all-literal one, name for name and detail for
+    # detail, and the moves whose premises held were not evaluated.
+    m = restrict_to_ugeq0(_eval_tensor(q2, *{4: ((1, 1), (1, 3)), 8: GRID_MODULES[8]}[dim]), 1)
+    n, R = m.dim, m.action["R"]
+    i, j = next((i, j) for i in range(n) for j in range(n) if R.at(i, j))
+    bump_r = Matrix.from_sparse(n, n, [{j: 1} if k == i else {} for k in range(n)])
+    bump_kinv = Matrix.from_sparse(n, n, [{0: 1}] + [{}] * (n - 1))
+
+    def corrupted(gen, bump):
+        action = {**m.action, gen: m.action[gen] + bump}
+        return build_module(UGEQ0, m.q, action, f"bad {gen}", validate=False)
+
+    ladder = m.weights
+    mirrored = WeightLadder(ladder.alpha, ladder.diameter, ladder.spaces[::-1])
+    cases = {
+        "Kinv": (corrupted("Kinv", bump_kinv), None, False),
+        "R": (corrupted("R", bump_r), None, False),
+        "mirrored ladder": (m, mirrored, False),
+        "swapped W": (m, None, True),
+    }
+    calls = _first_escapes(monkeypatch)
+    for name, (module, given, swap) in cases.items():
+        given = given or module.weights
+        calls.clear()
+        literal = _handed_stages(module, given, False, swap)
+        evaluated = len(calls)
+        calls.clear()
+        assert _handed_stages(module, given, True, swap) == literal, name
+        assert not all(c["pass"] for c in literal[0]), name
+        assert len(calls) < evaluated, name
+
+
+def test_weight_moves_need_the_certified_ladder(tensor_13, monkeypatch):
+    # move(K,V-tail) and move(Kinv,Vstar-head) follow from the weight ladder
+    # the analyzer certified: handed any other ladder, even an equal copy,
+    # the flag stage evaluates them besides the two U-moves
+    r = restrict_to_ugeq0(tensor_13, 1)
+    ladder = r.weights
+    log = CheckLog(strict=True)
+    a_mat, astar_mat = build_a_astar(r, log)
+    passed = frozenset(c.name for c in (*r.relations.entries, *log.entries))
+    calls = _first_escapes(monkeypatch)
+    for given, evaluated in ((ladder, 2), (replace(ladder), 4)):
+        calls.clear()
+        flags = CheckLog(strict=True)
+        eigen_flags(r, a_mat, astar_mat, given, flags, Premises(passed, ladder))
+        assert len(calls) == evaluated and len(flags.entries) == 13
+
+
+def test_every_premise_is_decided_before_its_check(tensor_13, monkeypatch):
+    # Each premise of a derived move is the input report's, the certified
+    # weight ladder, or a check decided earlier in the run: earlier in the
+    # ledger, or staged earlier in the same stage (the grid stage decides
+    # its sums before its ladder moves and logs them after). The 20 derived
+    # checks are ledger checks, and no U-move or grid move is among them.
+    r = restrict_to_ugeq0(tensor_13, 1)
+    before = {c.name for c in r.relations.entries} | {"weights"}
+    decided = []
+    record = CheckLog._record
+
+    def recorded(self, result):
+        if result.name not in decided:
+            decided.append(result.name)
+        return record(self, result)
+
+    monkeypatch.setattr(CheckLog, "_record", recorded)
+    _, trace = extend(r, 1, 1)
+    assert trace.check_names() == LEDGER
+    assert len(_PREMISES) == 20 and set(_PREMISES) < set(LEDGER)
+    assert not {name for name in _PREMISES if name.endswith("U)") or "grid" in name}
+    for name, needs in _PREMISES.items():
+        for premise in needs:
+            assert premise in before or decided.index(premise) < decided.index(name), (
+                name, premise)
+
+
+def test_passing_extend_forms_no_image_column(q2, monkeypatch):
+    # On t16 the 20 derived moves form no image, and the 4 U-moves and the
+    # 4 grid moves left to first_escape take the coordinate path or run over
+    # no cell: 8 first_escape calls (28 with every move evaluated) and no
+    # image column (124). Conjugated by unit_lu(16, 1), the module of the
+    # dense CI steps, the U-moves form 56 (196).
+    t16 = _eval_tensor(q2, (3, 1), (3, 11))
+    p = unit_lu(16, 1)
+    p_inv = p.inverse()
+    dense = replace(t16, action={g: p_inv @ a @ p for g, a in t16.action.items()})
+    calls = _first_escapes(monkeypatch)
+    columns = []
+    image_columns = linalg._image_columns
+
+    def counted(*args):
+        columns.append(1)
+        return image_columns(*args)
+
+    monkeypatch.setattr(linalg, "_image_columns", counted)
+    for module, images in ((t16, 0), (dense, 56)):
+        r = restrict_to_ugeq0(module, 1)
+        assert r.relations.passed and r.weights.diameter == 6
+        calls.clear()
+        columns.clear()
+        _, trace = extend(r, 1, 1)
+        assert len(trace.checks) == 71 and all(c.passed for c in trace.checks)
+        assert (len(calls), len(columns)) == (8, images)
 
 
 def test_certified_direct_needs_nonzero_independent_spaces_filling_n():
@@ -445,14 +602,14 @@ def test_tridiag_moves_form_each_image_once(q2, monkeypatch):
 
     monkeypatch.setattr(linalg, "_image_columns", counted)
     log = CheckLog()
-    _moves_into(log, ANCHOR_FLAGS, (("tridiag(Astar,V)", astar_mat, None, v, *_nears(v)),))
+    _moves_into(log, ANCHOR_FLAGS, (("tridiag(Astar,V)", astar_mat, None, v, lambda: _nears(v)),))
     assert log.entries[0].passed
     assert columns == [s for i, s in enumerate(v) if reading(i)]
     backwards = Ladder(v.spaces[::-1])
     for spaces, targets in ((backwards, _nears(v)), (v, _nears(backwards))):
         columns.clear()
         log = CheckLog()
-        _moves_into(log, ANCHOR_FLAGS, (("tridiag", astar_mat, None, spaces, *targets),))
+        _moves_into(log, ANCHOR_FLAGS, (("tridiag", astar_mat, None, spaces, lambda: targets),))
         formed = list(columns)
         escapes = [linalg.first_escape(astar_mat, None, spaces, t) for t in targets]
         first = min(i for i in escapes if i is not None)

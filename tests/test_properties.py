@@ -21,6 +21,7 @@ from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import column_space, direct_sum, naive_evaluate, span
+import qaffine.extension
 from qaffine import linalg
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
@@ -31,7 +32,9 @@ from qaffine.analysis import (
 )
 from qaffine.extension import (
     _OUTPUT_COPIES,
+    _PREMISES,
     _lowering_relations,
+    _moves_into,
     assemble,
     build_a_astar,
     build_b_bstar,
@@ -1646,6 +1649,42 @@ def test_output_report_with_copies_matches_the_literal_check(m, seed, alpha):
         assert full.relations.text_table() == literal.text_table()
         assert [c.name for c in full.relations.entries] == [
             rel.name for rel in relations_for(AFFINE_FULL, full.q)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)),
+       st.sampled_from(SIGN_PAIRS), st.sampled_from([F(1), F(3), F(-2, 7), F(-5, 3)]))
+def test_derived_moves_hold_literally(m, seed, signs, alpha):
+    # every move extend derives from checks already passed (`_PREMISES`)
+    # holds: first_escape on the run's own operator, shifts, spaces and
+    # targets finds no escape; and the stages handed no premises log the
+    # same checks as extend. In the standard basis and conjugated into a
+    # dense one, twisted to each of the four types, at drawn alpha.
+    m = conjugated(m, seed)
+    if m.kind != UGEQ0:
+        m = restrict_to_ugeq0(twist_full(m, *signs), alpha)
+    assume(burnside_irreducible(m).verdict == ABSOLUTELY_IRREDUCIBLE)
+    derived = []
+
+    def recorded(log, anchor, moves, names=frozenset(), **detail):
+        derived.extend(move for move in moves if move[0] in names)
+        return _moves_into(log, anchor, moves, names, **detail)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qaffine.extension, "_moves_into", recorded)
+        _, trace = extend(m, *signs)
+    assert sorted(move[0] for move in derived) == sorted(_PREMISES)
+    for name, mat, shifts, spaces, targets in derived:
+        for target in targets():
+            assert first_escape(mat, shifts, spaces, target) is None, name
+    log = CheckLog(strict=True)
+    ladder = m.weights
+    a_mat, astar_mat = build_a_astar(m, log)
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log)
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log)
+    build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
+    assert trace.checks[1:1 + len(log.entries)] == log.entries
+    event(f"diameter {trace.diameter}")
 
 
 @st.composite
