@@ -10,7 +10,7 @@ entries only. The word span is the closure of vec(I) under g (x) I for the
 generators g, since vec(g W) = (g (x) I) vec(W); no word is held as dim^2
 dense entries.
 
-Irreducibility is first certified by Norton's criterion (Parker 1984, the
+Irreducibility is first decided by Norton's criterion (Parker 1984, the
 MeatAxe; Holt-Rees 1994). Let A be the algebra of words in the generators
 and theta = g - lambda I, for the first generator g in sorted order and the
 first of its rational eigenvalues lambda in increasing order whose
@@ -87,8 +87,8 @@ WORD_SPAN = "word-span"
 class IrreducibilityReport:
     """Verdict of the irreducibility test. `certificate` names what decided
     it: NORTON (Norton's criterion, word_span_dim = dim^2 by Burnside's
-    theorem), COMPOSITION (a witness W whose sub- and quotient modules are
-    Norton-certified and of different dimensions, word_span_dim counted by
+    theorem), COMPOSITION (a witness W whose sub- and quotient modules pass
+    Norton's criterion and differ in dimension, word_span_dim counted by
     the lemma of `_composition_span`) or WORD_SPAN (the exact word span)."""
 
     word_span_dim: int
@@ -334,8 +334,8 @@ def burnside_irreducible(m: "ModuleData") -> IrreducibilityReport:
     NotIrreducible, with a spin-verified proper invariant subspace as witness
     whenever one of the candidate seeds finds one. Three certificates, tried
     in turn: Norton's criterion proves the first case (NORTON); when it
-    fails, the witness search runs, and a witness with two Norton-certified
-    factors of different dimensions gives the span by the lemma of
+    fails, the witness search runs, and a witness whose two factors pass
+    Norton's criterion and differ in dimension gives the span by the lemma of
     `_composition_span` (COMPOSITION); every other case is decided by the
     exact word span (WORD_SPAN).
     """

@@ -39,8 +39,8 @@ ladder reads those sums as its own: the A-flag's tail sums are the weight
 spaces' tail sums, the A*-flag's head sums their head sums, and the sums of
 W and W* are flag sums. So a passing run builds four running sums: the head
 and tail of the weight spaces, the head of the A-flag and the tail of the
-A*-flag. The lowering suite copies the input's own q-Serre checks in R and
-L instead of evaluating them again.
+A*-flag. The lowering suite derives the input's own q-Serre checks in R
+and L instead of evaluating them again.
 A tridiagonal move, into S_(i-1) + S_i + S_(i+1), is tested against the
 ladder's own head[i+1] and tail[i-1] (clamped to its ends), which meet in
 that sum because each ladder it is checked on is a direct sum, so no
@@ -74,8 +74,12 @@ theta_i = alpha q^(2i-d) and theta*_i = 1/theta_i.
   of each space move each head (tail) sum one step. A sum check that
   passed makes the ladder's head (tail) sums the flag's own.
 
-The premises (`_PREMISES`; "weights" is the weight ladder the analyzer
-certified, on which K acts as theta_i and, with the unit relations, K^-1 as
+The derivation table `_PREMISES` maps each check that may be logged
+without evaluation to the checks it follows from, and `report.derivable`
+grants it when all of them passed on the same matrices and spaces; the one
+other table, `factory._RESTRICTED_RELATIONS`, is the restriction's. Its
+rows before the output's ("weights" is the weight ladder the analyzer
+checked, on which K acts as theta_i and, with the unit relations, K^-1 as
 theta*_i):
 
 - eigendecomp(A) with weyl(Kinv,A), weyl(A,B), weyl(Bstar,A): move(Kinv,V),
@@ -97,28 +101,30 @@ theta*_i):
   W's head sums are the A*-flag's; the same for W* against V's tails);
 - decomposition(Wstar) with serre(Bstar,B): tridiag(B,Wstar);
   decomposition(W) with serre(B,Bstar): tridiag(Bstar,W) (q-Serre, with B*
-  and B diagonal on the split spaces they were built from).
+  and B diagonal on the split spaces they were built from);
+- serre(R,L) and serre(L,R) of the input report: the lowering suite's
+  serre(R,L) and serre(L,R), the same relations on the same R and L.
 
 The K^{+-1} moves on W and W* name the flags' K^{+-1} moves, not the flag
 matches: a flag match alone says nothing of how K^{+-1} acts unless the
 weight ladder and the unit relations hold, and those are the premises of
-the flags' K^{+-1} moves. A stage derives a move only when every premise
-passed on the matrices and spaces it is handed (`Premises`): those it
-decides itself (eigendecomp, the flag matches, the sums, the relations of
-B and B*) by their outcome there, the others only when its caller hands
-them in. extend hands over the checks passed in its strict log and its
-input report, and its certified weight ladder. A stage handed no premises
-evaluates every check, because each derivation needs at least one fact
-from outside the stage, and a stage cannot know on which matrices and
-spaces an outside check was made; so a stage called on its own, or on
+the flags' K^{+-1} moves. A stage is handed the names of the checks that
+passed on the matrices and spaces it is handed, and adds those it decides
+itself (eigendecomp, the flag matches, the sums, the relations of B and
+B*) that pass there; "weights" holds when the ladder it is handed is m's
+own `weights` memo, the one the analyzer checked. extend hands over the
+checks passed in its strict log and its input report. A stage handed
+nothing evaluates every check, because each derivation needs at least one
+check from outside the stage, and a stage cannot know on which matrices
+and spaces an outside check was made; so a stage called on its own, or on
 input that fails a premise, logs the literal ledger. The four U-moves stay
 literal: on a diagonal K they take the coordinate path and form no image
 column, so the four together cost under a millisecond of a t16 extend and
 deriving them would save little. The grid moves are derived in
 build_w_grid.
 
-The output check inherits 16 of its 21 relations (`ModuleData.certified`).
-Lemma: on the assembled action e0p = R, e1p = L, e0m = eps0 l,
+The output check derives 16 of its 21 relations (the last rows of
+`_PREMISES`). Lemma: on the assembled action e0p = R, e1p = L, e0m = eps0 l,
 e1m = eps1 r, K0 = (eps0/alpha) K, K0inv = eps0 alpha Kinv,
 K1 = eps1 alpha Kinv and K1inv = (eps1/alpha) K, each of these residuals
 equals, entry for entry, a sign times a residual that extend has already
@@ -137,14 +143,12 @@ word of a q-Serre relation has three x and one y):
   commute(l,L); serre(e0m,e1m) = eps0 eps1 serre(l,r); serre(e1m,e0m) =
   eps0 eps1 serre(r,l).
 
-A source that passed has the zero residual, and so has its relation here,
-whatever the sign: its entry is copied under the new name. A source that
-failed is not copied, whatever the sign: with sign -1 its entries would be
-the negatives of the literal ones, and one rule for every sign keeps each
-copy a statement about a zero residual; that relation is evaluated. Every
-source has passed by the time the output is checked (the log is strict),
-so output-relations evaluates 5 relations, commute(K0,K1) and the four K1
-weights, whose words K^-1 e K appear in no earlier check.
+Only a passing source derives its relation: its residual is zero, and so
+is a sign times it, so the table rows carry no sign. A relation whose
+source failed is evaluated. Every source has passed by the time the output
+is checked (the log is strict), so output-relations evaluates 5 relations,
+commute(K0,K1) and the four K1 weights, whose words K^-1 e K appear in no
+earlier check.
 
 Every check failure aborts with the check's name; the engine doubles as a
 certificate generator for the whole chain of identities. Conversely, for a
@@ -158,10 +162,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 from itertools import accumulate
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .analysis import ABSOLUTELY_IRREDUCIBLE, burnside_irreducible
-from .errors import IrreducibilityError, RelationError
+from .errors import CheckFailedError, IrreducibilityError, RelationError
 from .factory import ModuleData
 from .linalg import (
     Ladder,
@@ -177,6 +181,7 @@ from .presentations import (
     AFFINE_FULL,
     UGEQ0,
     RelationWord,
+    check_presentation,
     check_relations,
     formal_sum,
     q_serre,
@@ -184,7 +189,7 @@ from .presentations import (
     weyl,
     zero_commutator,
 )
-from .report import CheckLog, CheckResult
+from .report import CheckLog, CheckResult, derivable
 from .scalars import ONE, QParam, as_scalar
 from .weights import WeightLadder
 
@@ -257,9 +262,9 @@ def _eigenvalues(q: QParam, alpha: Fraction, d: int) -> _Eigenvalues:
     return _Eigenvalues(theta, theta_star, b)
 
 
-# Each move check a stage logs as passed without forming an image, with the
-# checks it follows from (the lemmas in the module docstring). _WEIGHTS
-# stands for the weight ladder the analyzer certified.
+# Each check logged as passed without evaluation, with the checks it follows
+# from (the lemmas in the module docstring). _WEIGHTS stands for the weight
+# ladder the analyzer checked.
 _WEIGHTS = "weights"
 _PREMISES = {
     "move(Kinv,V)": ("eigendecomp(A)", "weyl(Kinv,A)"),
@@ -282,34 +287,33 @@ _PREMISES = {
     "move(Bstar,Vstar)": ("eigendecomp(Astar)", "weyl(Astar,Bstar)"),
     "tridiag(B,Wstar)": ("decomposition(Wstar)", "serre(Bstar,B)"),
     "tridiag(Bstar,W)": ("decomposition(W)", "serre(B,Bstar)"),
+    # the lowering suite's relations that are the input's own, on the same R, L
+    "serre(R,L)": ("serre(R,L)",),
+    "serre(L,R)": ("serre(L,R)",),
+    # the output relations, each a sign times the residual of its source
+    "unit(K0 K0inv)": ("unit(K Kinv)",),
+    "unit(K0inv K0)": ("unit(Kinv K)",),
+    "unit(K1 K1inv)": ("unit(Kinv K)",),
+    "unit(K1inv K1)": ("unit(K Kinv)",),
+    "weight(K0,e0p)": ("weight(K,R)",),
+    "weight(K0,e1p)": ("weight(K,L)",),
+    "serre(e0p,e1p)": ("serre(R,L)",),
+    "serre(e1p,e0p)": ("serre(L,R)",),
+    "weight(K0,e0m)": ("weight(l)",),
+    "weight(K0,e1m)": ("weight(r)",),
+    "bracket(e0p,e0m)": ("commutator(l,R)",),
+    "bracket(e1p,e1m)": ("commutator(r,L)",),
+    "commute(e0p,e1m)": ("commute(r,R)",),
+    "commute(e0m,e1p)": ("commute(l,L)",),
+    "serre(e0m,e1m)": ("serre(l,r)",),
+    "serre(e1m,e0m)": ("serre(r,l)",),
 }
 
 
-@dataclass(frozen=True)
-class Premises:
-    """What a stage may take as certified about the matrices and spaces it
-    is handed: the names of the checks that passed on them, and the weight
-    ladder the analyzer certified. The default, no premises, has the stage
-    evaluate every check."""
-
-    passed: frozenset[str] = frozenset()
-    weights: WeightLadder | None = None
-
-
-def _derived(
-    premises: Premises, decided: dict[str, bool], ladder: WeightLadder | None = None
-) -> frozenset[str]:
-    """The checks of `_PREMISES` whose premises all hold. A premise the
-    stage decided itself (decided, by name) holds when it passed there; any
-    other only when it was handed in; the weight ladder only when the one
-    the stage was handed is the certified one. With none handed in, no
-    check."""
-    if not premises.passed:
-        return frozenset()
-    decided = {**decided, _WEIGHTS: ladder is not None and ladder is premises.weights}
-    held = {name for name in premises.passed if name not in decided}
-    held.update(name for name, ok in decided.items() if ok)
-    return frozenset(name for name, needs in _PREMISES.items() if held.issuperset(needs))
+def _derived(passed: frozenset[str], decided: Iterable[CheckResult]) -> frozenset[str]:
+    """The checks of `_PREMISES` that `report.derivable` grants, once the
+    checks a stage decided itself that passed join those handed in."""
+    return derivable(_PREMISES, passed | {c.name for c in decided if c.passed})
 
 
 def _moves_into(
@@ -373,7 +377,7 @@ def _decomposition_failure(ladder: Ladder) -> str | None:
     return None
 
 
-def _certified_direct(spaces: Sequence[Subspace]) -> bool:
+def _decomposes(spaces: Sequence[Subspace]) -> bool:
     """Whether the spaces decompose the whole space: each is nonzero, their
     dimensions add up to n, and all their rows, put into one forward
     elimination, stay independent."""
@@ -389,12 +393,12 @@ def _split_spaces(
     they do); whether their head sums are the chain head; and whether their
     tail sums are the chain tail.
 
-    Each S_k lies in both chains, so once `_certified_direct` shows S direct
+    Each S_k lies in both chains, so once `_decomposes` shows S direct
     both sum checks are counts (the lemma in Ladder), and the Ladder reads
     each chain that passes as its sums. Otherwise the running sums are built
     and compared literally, so a failing run logs the same details."""
     spaces = [subspace_intersect(h, t) for h, t in zip(head, tail)]
-    if _certified_direct(spaces):
+    if _decomposes(spaces):
         head_ok = _dims_match(spaces, head)
         tail_ok = _dims_match(spaces[::-1], tail[::-1])
         split = Ladder(spaces, known_head=head if head_ok else None,
@@ -424,7 +428,7 @@ def eigen_flags(
     astar_mat: Matrix,
     ladder: WeightLadder,
     log: CheckLog,
-    premises: Premises = Premises(),
+    passed: frozenset[str] = frozenset(),
 ) -> tuple[Ladder, Ladder]:
     """Eigenspace ladders of A and A* at their closed-form eigenvalues.
 
@@ -434,7 +438,7 @@ def eigen_flags(
     one-step moves of A, A* on the weight ladder and of K^{±1} on the
     flags, and the tridiagonal action of each split operator on the other's
     flag. The K^{±1} and tridiagonal moves whose premises hold (handed in
-    about A, A* and the weight ladder, or decided here) are derived, not
+    as passed, decided here, or m's own weight ladder) are derived, not
     evaluated (`_PREMISES`).
     """
     n = m.dim
@@ -443,10 +447,10 @@ def eigen_flags(
     u = Ladder(ladder.spaces)
     v = tuple(kernel(a_mat, t) for t in ev.theta)
     vstar = tuple(kernel(astar_mat, t) for t in ev.theta_star)
-    decided = {}
+    start = len(log.entries)
     for name, flag in (("eigendecomp(A)", v), ("eigendecomp(Astar)", vstar)):
         dims = [s.dim for s in flag]
-        decided[name] = log.condition(
+        log.condition(
             name, ANCHOR_FLAGS, sum(dims) == n and all(dims),
             f"eigenspace dims {dims} do not fill dimension {n}",
         )
@@ -477,7 +481,8 @@ def eigen_flags(
         ),
         "weight spaces differ from head(A*-flag) n tail(A-flag)",
     )
-    decided.update({"flag-tail-match": tails_match, "flag-head-match": heads_match})
+    if ladder is vars(m).get("weights"):  # the ladder the analyzer checked
+        passed |= {_WEIGHTS}
     _moves_into(log, ANCHOR_FLAGS, (
         ("move(A,U)", a_mat, ev.theta, u, lambda: (u.step(1),)),
         ("move(Astar,U)", astar_mat, ev.theta_star, u, lambda: (u.step(-1),)),
@@ -488,7 +493,7 @@ def eigen_flags(
          lambda: (Ladder(vstar.head).step(-1),)),
         ("tridiag(Astar,V)", astar_mat, None, v, lambda: _nears(v)),
         ("tridiag(A,Vstar)", a_mat, None, vstar, lambda: _nears(vstar)),
-    ), _derived(premises, decided, ladder))
+    ), _derived(passed, log.entries[start:]))
     return v, vstar
 
 
@@ -500,7 +505,7 @@ def build_w_grid(
     v: Ladder,
     vstar: Ladder,
     log: CheckLog,
-    premises: Premises = Premises(),
+    passed: frozenset[str] = frozenset(),
 ) -> tuple[dict[tuple[int, int], Subspace], Ladder, Ladder]:
     """The intersection grid W(i,j) and the two split decompositions.
 
@@ -522,7 +527,7 @@ def build_w_grid(
       (K - theta_k) W_k in W_0 + ... + W_(k-1).
 
     No sum is built for these premises when W is shown direct
-    (`_certified_direct`): W_k is the intersection of the two prefixes, so
+    (`_decomposes`): W_k is the intersection of the two prefixes, so
     it lies in both, and each sum check is then a count of dimensions, by
     the containment-plus-dimension lemma in Ladder. W* is the same against
     the two flags' suffixes. A sum that passes is the flag's own, which is
@@ -551,8 +556,8 @@ def build_w_grid(
     literally, so a failing run logs the same checks and details either way.
 
     The eight ladder moves are themselves inherited from the flags when
-    their premises are handed in (`_PREMISES`, the lemmas in the module
-    docstring): W_k is vstar.head[k] n v.head[d-k] and W*_k is
+    their premises are handed in as passed (`_PREMISES`, the lemmas in the
+    module docstring): W_k is vstar.head[k] n v.head[d-k] and W*_k is
     vstar.tail[d-k] n v.tail[k]. The sums are staged before them, since two
     of those premises are sum checks.
 
@@ -594,7 +599,7 @@ def build_w_grid(
         ("ladder(Wstar):K-up", K, ev.theta, wstar, lambda: (wstar.step(1),)),
         ("ladder(Wstar):Kinv-tail", Kinv, ev.theta_star, wstar,
          lambda: (Ladder(wstar.tail).step(1),)),
-    ), _derived(premises, {c.name: c.passed for c in sums.entries}))
+    ), _derived(passed, sums.entries))
     staged.entries += sums.entries
 
     # By the lemma the grid checks hold over every cell; they run over none.
@@ -650,14 +655,23 @@ def build_w_grid(
     return grid, w, wstar
 
 
-def _projector_operator(spaces: Ladder, values: Sequence[Fraction], n: int) -> Matrix:
+def _projector_operator(
+    spaces: Ladder, values: Sequence[Fraction], n: int, check: str
+) -> Matrix:
     """The operator with spaces[i] as eigenspace for the eigenvalue values[i],
     read off the echelon form of its graph: the pairs (x, values[i] x) over
-    the reduced rows x of each spaces[i] (`Matrix.from_graph`)."""
-    return Matrix.from_graph(n, (
-        (x, {j: lam * v for j, v in x.items()})
-        for s, lam in zip(spaces, values) for x in s.pivot_rows.values()
-    ))
+    the reduced rows x of each spaces[i] (`Matrix.from_graph`). Raises
+    CheckFailedError naming ``check`` when the spaces do not decompose the
+    space, so that no such operator exists."""
+    try:
+        return Matrix.from_graph(n, (
+            (x, {j: lam * v for j, v in x.items()})
+            for s, lam in zip(spaces, values) for x in s.pivot_rows.values()
+        ))
+    except ValueError:
+        raise CheckFailedError(
+            check, f"verification failed: {check}: the split operator has no graph"
+        ) from None
 
 
 def build_b_bstar(
@@ -670,20 +684,22 @@ def build_b_bstar(
     w: Ladder,
     wstar: Ladder,
     log: CheckLog,
-    premises: Premises = Premises(),
+    passed: frozenset[str] = frozenset(),
 ) -> tuple[Matrix, Matrix]:
     """The split operators: B has eigenvalue q^(2i-d) on W_i, B* has
     eigenvalue q^(d-2i) on W*_i. Verifies the Weyl pairings with A, A* and
     K^{±1}, the q-Serre relations, and all one-step moves on the three
     ladders. The flag and tridiagonal moves whose premises hold (the
     relations checked here, and the flags' and split spaces' decompositions
-    handed in) are derived, not evaluated (`_PREMISES`)."""
+    handed in as passed) are derived, not evaluated (`_PREMISES`). W or W*
+    that do not decompose the space have no split operator: CheckFailedError
+    names decomposition(W) or decomposition(Wstar)."""
     q, alpha, n = m.q, ladder.alpha, m.dim
     ev = _eigenvalues(q, alpha, ladder.diameter)
-    b_mat = _projector_operator(w, ev.b, n)
-    bstar_mat = _projector_operator(wstar, ev.b[::-1], n)
-    relations = CheckLog()
-    check_relations(relations, ANCHOR_B, (
+    b_mat = _projector_operator(w, ev.b, n, "decomposition(W)")
+    bstar_mat = _projector_operator(wstar, ev.b[::-1], n, "decomposition(Wstar)")
+    start = len(log.entries)
+    check_relations(log, ANCHOR_B, (
         weyl("A", "B", alpha, q),
         weyl("B", "Astar", 1 / alpha, q),
         weyl("Astar", "Bstar", 1 / alpha, q),
@@ -693,8 +709,6 @@ def build_b_bstar(
         q_serre("B", "Bstar", q),
         q_serre("Bstar", "B", q),
     ), {**m.action, "A": a_mat, "Astar": astar_mat, "B": b_mat, "Bstar": bstar_mat})
-    for c in relations.entries:
-        log.reuse(c, c.anchor, c.name)
 
     u = Ladder(ladder.spaces)
     _moves_into(log, ANCHOR_B, (
@@ -706,7 +720,7 @@ def build_b_bstar(
         ("move(Bstar,U)", bstar_mat, ev.b[::-1], u, lambda: (u.step(1),)),
         ("tridiag(B,Wstar)", b_mat, None, wstar, lambda: _nears(wstar)),
         ("tridiag(Bstar,W)", bstar_mat, None, w, lambda: _nears(w)),
-    ), _derived(premises, {c.name: c.passed for c in relations.entries}))
+    ), _derived(passed, log.entries[start:]))
     return b_mat, bstar_mat
 
 
@@ -741,20 +755,20 @@ def _lowering_suite(
     b_mat: Matrix,
     bstar_mat: Matrix,
     log: CheckLog,
+    passed: frozenset[str] = frozenset(),
 ) -> tuple[Matrix, Matrix]:
     """r and l, plus the complete commutation suite they satisfy with R, L
     and K^{±1}. Its q-Serre relations in R and L are the input's own, on
-    the same R and L: their entries are copied from the input's relation
-    report, in place, not evaluated again."""
+    the same R and L: when the input's checks of them are handed in as
+    passed, they are derived (`_PREMISES`), in place, not evaluated again."""
     q, alpha = m.q, ladder.alpha
     K, Kinv = m.action["K"], m.action["Kinv"]
     denom = q.lowering_denominator
     r_mat = (K @ bstar_mat).shift(alpha).scale(-1 / denom)
     l_mat = (Kinv @ b_mat).shift(1 / alpha).scale(-1 / denom)
     assignment = {**m.action, "B": b_mat, "Bstar": bstar_mat, "r": r_mat, "l": l_mat}
-    checks = {check.name: check for check in m.relations.entries}
     check_relations(log, ANCHOR_LOWER, _lowering_relations(q, alpha), assignment,
-                    {name: checks[name] for name in ("serre(R,L)", "serre(L,R)")})
+                    derivable(_PREMISES, passed))
     return r_mat, l_mat
 
 
@@ -776,41 +790,6 @@ def assemble(
     }
 
 
-# The output relations whose residual is, on the assembled action, a sign
-# times the residual of a relation extend has already checked on the same
-# R, L, K, Kinv, r and l: output name -> (source name, the sign as a
-# function of (eps0, eps1)). The lemma is in the module docstring.
-_OUTPUT_COPIES = {
-    # from the input's ugeq0 report
-    "unit(K0 K0inv)": ("unit(K Kinv)", lambda e0, e1: 1),
-    "unit(K0inv K0)": ("unit(Kinv K)", lambda e0, e1: 1),
-    "unit(K1 K1inv)": ("unit(Kinv K)", lambda e0, e1: 1),
-    "unit(K1inv K1)": ("unit(K Kinv)", lambda e0, e1: 1),
-    "weight(K0,e0p)": ("weight(K,R)", lambda e0, e1: 1),
-    "weight(K0,e1p)": ("weight(K,L)", lambda e0, e1: 1),
-    "serre(e0p,e1p)": ("serre(R,L)", lambda e0, e1: 1),
-    "serre(e1p,e0p)": ("serre(L,R)", lambda e0, e1: 1),
-    # from the lowering suite
-    "weight(K0,e0m)": ("weight(l)", lambda e0, e1: e0),
-    "weight(K0,e1m)": ("weight(r)", lambda e0, e1: e1),
-    "bracket(e0p,e0m)": ("commutator(l,R)", lambda e0, e1: -e0),
-    "bracket(e1p,e1m)": ("commutator(r,L)", lambda e0, e1: -e1),
-    "commute(e0p,e1m)": ("commute(r,R)", lambda e0, e1: -e1),
-    "commute(e0m,e1p)": ("commute(l,L)", lambda e0, e1: e0),
-    "serre(e0m,e1m)": ("serre(l,r)", lambda e0, e1: e0 * e1),
-    "serre(e1m,e0m)": ("serre(r,l)", lambda e0, e1: e0 * e1),
-}
-
-
-def _inherited(checks: Sequence[CheckResult]) -> dict[str, CheckResult]:
-    """The output relations of `_OUTPUT_COPIES` whose source check passed,
-    each with that check: a zero residual times a sign is zero. A source
-    that failed is not copied, so its relation is evaluated."""
-    by_name = {check.name: check for check in checks}
-    return {name: by_name[source] for name, (source, _) in _OUTPUT_COPIES.items()
-            if by_name[source].passed}
-
-
 def extend(
     m: ModuleData,
     eps0: int | str | Fraction,
@@ -821,7 +800,7 @@ def extend(
 
     The full action is R, L for the raising generators, eps0*l and eps1*r for
     the lowering ones, and eps0 alpha^-1 K, eps1 alpha K^-1 for K0, K1
-    (`assemble`). Its relation report copies the 16 relations that are a
+    (`assemble`). Its relation report derives the 16 relations that are a
     sign times a passing check already made (the lemma in the module
     docstring) and evaluates the other 5. Raises RelationError,
     IrreducibilityError or CheckFailedError (naming the failed verification)
@@ -847,19 +826,19 @@ def extend(
 
     log = CheckLog(strict=True)
 
-    def premises() -> Premises:
+    def passed() -> frozenset[str]:
         """The checks passed so far, of the input report and of the log, on
-        the matrices and spaces handed on, and the certified weight ladder."""
+        the matrices and spaces handed on."""
         checks = (*input_report.entries, *log.entries)
-        return Premises(frozenset(c.name for c in checks if c.passed), ladder)
+        return frozenset(c.name for c in checks if c.passed)
 
     log.condition("input-relations", ANCHOR_SPLIT, input_report.passed)
     a_mat, astar_mat = build_a_astar(m, log)
-    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log, premises())
-    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log, premises())
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log, passed())
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log, passed())
     b_mat, bstar_mat = build_b_bstar(
-        m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log, premises())
-    r_mat, l_mat = _lowering_suite(m, ladder, b_mat, bstar_mat, log)
+        m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log, passed())
+    r_mat, l_mat = _lowering_suite(m, ladder, b_mat, bstar_mat, log, passed())
     # checks is the log's own list, so the output checks below land in it too
     trace = ExtensionTrace(
         alpha=alpha, diameter=d, weight_spaces=ladder.spaces,
@@ -876,8 +855,8 @@ def extend(
         f"extend({m.provenance}, eps0={eps0}, eps1={eps1})",
     )
     # 16 of the 21 output relations are a sign times a check already made
-    full.certified.update(_inherited([*input_report.entries, *log.entries]))
-    out_report = full.relations
+    out_report = check_presentation(AFFINE_FULL, full, derivable(_PREMISES, passed()))
+    vars(full)["relations"] = out_report  # where cached_property keeps it
     log.condition(
         "output-relations", ANCHOR_OUT, out_report.passed,
         "; ".join(c.name for c in out_report.failing()),

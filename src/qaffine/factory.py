@@ -7,11 +7,14 @@ each docstring) to valid modules, so their output is valid unchecked; the
 tests confirm it. ModuleData memoizes `relations` and `weights` (the weight
 analysis of its own presentation): each is evaluated once, on first read. A
 module derived from a checked one inherits what holds on the same matrices:
-`restrict_to_ugeq0` hands its result the weight ladder and, when the full
-module's report is at hand, the relation report of the module it restricts,
-and `extension.extend` hands its output 16 of its 21 relation checks
-(`ModuleData.certified`): each a passing check of the input report or of
-the lowering suite whose residual is a sign times that relation's.
+`restrict_to_ugeq0` fills its result's `weights` memo with the weight
+ladder of the module it restricts and, when that module's report is at
+hand, its `relations` memo with a report whose relations are derived from
+that report (`_RESTRICTED_RELATIONS`), and `extension.extend` fills its
+output's `relations` memo the same way (`extension._PREMISES`). Those two
+derivation tables are the only ones: each maps a check to the checks it
+follows from, and `report.derivable` grants a check when every one of them
+passed on the same matrices.
 
 Conventions fixed here (any consistent choice works, and the relation
 checker enforces consistency in the tests):
@@ -28,7 +31,7 @@ checker enforces consistency in the tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -43,9 +46,8 @@ from .presentations import (
     FINITE,
     UGEQ0,
     check_presentation,
-    presentation_report,
 )
-from .report import CheckResult, VerificationReport
+from .report import VerificationReport, derivable
 from .scalars import QParam, as_scalar, qint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -67,15 +69,6 @@ class ModuleData:
     q: QParam
     action: dict[str, Matrix]
     provenance: str
-    # Relation checks already made, by the relation's name here, which
-    # `check_presentation` copies instead of evaluating: each a passing
-    # check whose residual is +-1 times this relation's residual on these
-    # very matrices, so both are zero.
-    # Only the constructor that derives the module fills it, at once; it is
-    # no argument of __init__, so dataclasses.replace starts an empty one.
-    certified: dict[str, CheckResult] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
 
     @cached_property
     def relations(self) -> VerificationReport:
@@ -243,15 +236,17 @@ def twist_borel(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     return ModuleData(UGEQ0, m.dim, m.q, action, f"ktwist({m.provenance}, {alpha})")
 
 
-# Each ugeq0 relation of a restriction and the full relation it is: alpha
-# cancels and eps0^2 = 1, so the residuals are the same matrices.
+# A derivation table (`report.derivable`): each ugeq0 relation of a
+# restriction and the full relation it is. alpha cancels and eps0^2 = 1, so
+# the residuals are the same matrices. The serre(R,L) row is this identity,
+# not the lowering suite's row of the same name in extension._PREMISES.
 _RESTRICTED_RELATIONS = {
-    "unit(K Kinv)": "unit(K0 K0inv)",
-    "unit(Kinv K)": "unit(K0inv K0)",
-    "weight(K,R)": "weight(K0,e0p)",
-    "weight(K,L)": "weight(K0,e1p)",
-    "serre(R,L)": "serre(e0p,e1p)",
-    "serre(L,R)": "serre(e1p,e0p)",
+    "unit(K Kinv)": ("unit(K0 K0inv)",),
+    "unit(Kinv K)": ("unit(K0inv K0)",),
+    "weight(K,R)": ("weight(K0,e0p)",),
+    "weight(K,L)": ("weight(K0,e1p)",),
+    "serre(R,L)": ("serre(e0p,e1p)",),
+    "serre(L,R)": ("serre(e1p,e0p)",),
 }
 
 
@@ -264,9 +259,10 @@ def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     The result inherits what was found on m. Its weight ladder is m's
     weight spaces with type alpha, and no analysis runs. When m's relation
     report is at hand (m was read from a file, which checks it, or has been
-    checked since), the result's report is six of its entries, renamed
-    (`_RESTRICTED_RELATIONS`), and nothing is evaluated; otherwise the
-    result evaluates its own relations when they are first read."""
+    checked since), each relation of the result whose full relation passed
+    there is derived (`_RESTRICTED_RELATIONS`), and only the others are
+    evaluated; otherwise the result evaluates its own relations when they
+    are first read."""
     if m.kind != AFFINE_FULL:
         raise ModuleFormatError("restrict_to_ugeq0 requires an affine_full module")
     alpha = as_scalar(alpha)
@@ -286,11 +282,10 @@ def restrict_to_ugeq0(m: ModuleData, alpha: int | str | Fraction) -> ModuleData:
     # q^(2i-d), and R, L are e0p, e1p, whose moves analyze_full has checked:
     # that is analyze_ugeq0's ladder, which is not searched for again.
     memos = {"weights": weight_analysis.WeightLadder(alpha, full.diameter, full.spaces)}
-    if "relations" in vars(m):  # the full report is at hand: copy, do not evaluate
-        checks = {c.name: c for c in m.relations.entries}
-        memos["relations"] = presentation_report(UGEQ0, restricted, {
-            name: checks[source] for name, source in _RESTRICTED_RELATIONS.items()
-        })
+    if "relations" in vars(m):  # the full report is at hand: derive, do not evaluate
+        held = {c.name for c in m.relations.entries if c.passed}
+        memos["relations"] = check_presentation(
+            UGEQ0, restricted, derivable(_RESTRICTED_RELATIONS, held))
     vars(restricted).update(memos)  # where cached_property keeps `weights`, `relations`
     return restricted
 

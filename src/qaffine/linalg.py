@@ -213,12 +213,6 @@ class Matrix:
             out[j] = v
         return tuple(out)
 
-    def column(self, j: int) -> Vector:
-        return tuple(self.at(i, j) for i in range(self.rows))
-
-    def columns(self) -> list[Vector]:
-        return [tuple(col) for col in self.transpose().to_rows()]
-
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
@@ -290,14 +284,6 @@ class Matrix:
             tuple(sorted([(j, Fraction(v, den)) for j, v in row_product(row, right).items()]))
             for row in self.int_rows
         ))
-
-    def apply(self, v: Sequence[Fraction]) -> Vector:
-        """Matrix-vector product, skipping zero entries of the matrix and of v."""
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(
-            sum((a * v[j] for j, a in row if v[j]), ZERO) for row in self.sparse_rows
-        )
 
     def power(self, k: int) -> Matrix:
         if not self.is_square:
@@ -516,10 +502,6 @@ class Subspace:
     @staticmethod
     def zero(ambient_dim: int) -> Subspace:
         return Subspace(ambient_dim, {})
-
-    @staticmethod
-    def full(ambient_dim: int) -> Subspace:
-        return Subspace(ambient_dim, {i: {i: 1} for i in range(ambient_dim)})
 
     @cached_property
     def basis(self) -> Matrix:
@@ -763,7 +745,7 @@ class Ladder:
     Off its ends the ladder is the zero space. The partial sums head[i] =
     spaces[0] + ... + spaces[i] and tail[i] = spaces[i] + ... + spaces[d]
     are running sums, found once: each extends the previous sum's echelon.
-    A caller that has already certified them equal to other sums hands
+    A caller that has already shown them equal to other sums hands
     those over as `known_head` or `known_tail`, which are then read as they
     are: they must be the running sums.
 

@@ -21,7 +21,7 @@ shape, the merged words and letters of each relation, and a ``BoundList``
 pairs it with the coefficients of one call. So the lists of the extension
 pipeline, whose coefficients hold alpha, are compiled once per process,
 not once per run. A presentation's list is bound once per kind, q and set
-of copied names (``_presentation_list``), so checking a module file merges
+of derived names (``_presentation_list``), so checking a module file merges
 no relation and hashes no list shape. ``evaluate_word`` runs a bound list
 in ``int``, with the assignment checked once per list: each matrix
 contributes its integer view (den * M), each product is one inline loop
@@ -32,12 +32,13 @@ as the positions of its letters, so that product reads the letters' den
 with no name lookup. Fractions are built only for a residual's nonzero
 entries, as v / L, and every residual that cancels everywhere, as on every
 passing check, is one shared zero matrix, which `CheckLog.matrix_zero`
-logs with no scan of its entries. A single formal sum compiles to a
-``WordPlan`` (``RelationWord.plan``), the same program with its
-coefficients in it. A relation whose check is already known, perhaps under
-another name, is copied instead of evaluated (``check_relations``'
-``known``, ``ModuleData.certified``): the known residual is this
-relation's on these matrices, or, for a passing check, +-1 times it.
+logs with no scan of its entries. A single formal sum is evaluated as a
+one-relation list. ``check_relations`` and ``check_presentation`` take a
+set of derived names: each relation named there is logged as passed, in
+place, with nothing evaluated. The caller grants those names with
+`report.derivable` over one of the two derivation tables,
+``extension._PREMISES`` and ``factory._RESTRICTED_RELATIONS``, whose
+lemmas are written out in those modules.
 
 Supported presentations:
 
@@ -65,11 +66,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import lcm, prod
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Sequence
 
 from .errors import QAffineError
 from .linalg import Matrix
-from .report import CheckLog, CheckResult, VerificationReport
+from .report import CheckLog, VerificationReport
 from .scalars import ONE, QParam, qint
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -103,39 +104,23 @@ def formal_sum(*terms: Term) -> FormalSum:
 
 
 @dataclass(frozen=True)
-class WordPlan:
-    """A formal sum compiled for `evaluate_word`: a straight-line program
-    over the integer views of its letters.
+class ListPlan:
+    """A relation list compiled for `evaluate_word` into one straight-line
+    program over the integer views of its letters, with one residual per
+    relation.
 
     Operand k is the matrix of ``letters[k]`` for k < len(letters); the
     half products follow in order, each ``halves`` pair (left, right)
     naming two earlier operands. A word of two or more letters is split at
     its midpoint, w[:len(w)//2] times w[len(w)//2:], and so is each half of
-    two or more letters, so a half shared by several words is one product.
-    ``terms`` holds each distinct word with a nonzero merged coefficient,
-    as (numerator, denominator, word, left, right): the word as the
-    positions of its letters in ``letters``, then the operands of its
-    halves for two or more letters, its letter's operand and None for one
-    letter, and None twice for the empty word. ``generators`` lists the
-    letters of every term of the sum, zero terms included, in term order."""
-
-    generators: tuple[GeneratorName, ...]
-    letters: tuple[GeneratorName, ...]
-    halves: tuple[tuple[int, int], ...]
-    terms: tuple[tuple[int, int, tuple[int, ...], int | None, int | None], ...]
-
-
-@dataclass(frozen=True)
-class ListPlan:
-    """A relation list compiled for `evaluate_word` into one straight-line
-    program, with one residual per relation.
-
-    Operands and ``halves`` are those of a `WordPlan`, over the letters of
-    the whole list, so a half shared by several relations is one product.
-    ``sums`` holds, per relation, its distinct words with a nonzero merged
-    coefficient, each as (word, left, right) like the terms of a WordPlan,
-    but with no coefficient: a `BoundList` supplies those on each call. So
-    the plan depends only on the list's shape, its words and letters, and
+    two or more letters, so a half shared by several words, of one relation
+    or of several, is one product. ``sums`` holds, per relation, its
+    distinct words with a nonzero merged coefficient, each as (word, left,
+    right): the word as the positions of its letters in ``letters``, then
+    the operands of its halves for two or more letters, its letter's
+    operand and None for one letter, and None twice for the empty word. The
+    plan holds no coefficient: a `BoundList` supplies those on each call.
+    So it depends only on the list's shape, its words and letters, and
     relations whose coefficients hold alpha share one plan for every alpha.
     ``generators`` lists the letters of every term, zero terms included."""
 
@@ -173,7 +158,7 @@ def _compile(sums: Sequence[Sequence[Word]]) -> tuple[
 ]:
     """The letters, halves and (word, left, right) sums of the program that
     evaluates several sums of distinct words, every word split into halves
-    and held as its letters' positions (`WordPlan`), each half computed once
+    and held as its letters' positions (`ListPlan`), each half computed once
     for all of them."""
     letters = tuple(dict.fromkeys([g for words in sums for word in words for g in word]))
     operand = {(g,): k for k, g in enumerate(letters)}
@@ -209,15 +194,6 @@ def _merge(words: FormalSum) -> tuple[
     return tuple(kept), coefficients, generators
 
 
-def compile_words(words: FormalSum) -> WordPlan:
-    """The `WordPlan` of a formal sum: the coefficients of a repeated word
-    merged, words whose coefficient is 0 dropped, every other word split
-    into halves."""
-    kept, coeffs, generators = _merge(words)
-    letters, halves, (sum_,) = _compile([kept])
-    return WordPlan(generators, letters, halves, tuple(c + t for c, t in zip(coeffs, sum_)))
-
-
 @dataclass(frozen=True)
 class RelationWord:
     """One defining relation, lhs = rhs, both formal sums."""
@@ -229,11 +205,6 @@ class RelationWord:
     @property
     def difference(self) -> FormalSum:
         return self.lhs + tuple((-c, w) for c, w in self.rhs)
-
-    @cached_property
-    def plan(self) -> WordPlan:
-        """lhs - rhs compiled, once: the relation is frozen."""
-        return compile_words(self.difference)
 
     @cached_property
     def merged(self) -> tuple[
@@ -264,13 +235,13 @@ def bind_relations(relations: Sequence[RelationWord]) -> BoundList:
 
 
 def evaluate_word(
-    words: FormalSum | WordPlan | BoundList, assignment: Mapping[GeneratorName, Matrix]
+    words: FormalSum | BoundList, assignment: Mapping[GeneratorName, Matrix]
 ) -> Matrix | tuple[Matrix, ...]:
     """Substitute matrices for generators in a formal sum and evaluate.
 
-    ``words`` is a formal sum, compiled for this one call, or its
-    `WordPlan`, and the result is its matrix; or a `BoundList`, and the
-    result is one matrix per relation, in order. The assignment is checked
+    ``words`` is a formal sum, bound as a one-relation list for this one
+    call, and the result is its matrix; or a `BoundList`, and the result is
+    one matrix per relation, in order. The assignment is checked
     once per call. The empty word is the identity and a one-letter word is
     its matrix. Everything runs over integers and one common denominator
     per sum. A word w is N_w / D_w, where N_w is the product of its
@@ -289,12 +260,9 @@ def evaluate_word(
     Fraction(v, L) for each entry v that did not cancel. All assigned
     matrices must be square and of equal dimension.
     """
-    if isinstance(words, BoundList):
-        plan = words.plan
-        sums = [zip(c, s) for c, s in zip(words.coefficients, plan.sums)]
-    else:
-        plan = words if isinstance(words, WordPlan) else compile_words(words)
-        sums = [[(t[:2], t[2:]) for t in plan.terms]]
+    bound = words if isinstance(words, BoundList) else bind_relations(
+        [RelationWord("", tuple(words), ())])
+    plan = bound.plan
     if not assignment:
         raise QAffineError("empty assignment: dimension is undetermined")
     dims = {m.rows for m in assignment.values()} | {m.cols for m in assignment.values()}
@@ -326,9 +294,9 @@ def evaluate_word(
         operands.append(rows)
     residuals = []
     zero = None  # one zero matrix for every residual that cancels
-    for pairs in sums:
+    for coefficients, sum_ in zip(bound.coefficients, plan.sums):
         terms = [(num, den * prod([dens[k] for k in word]), left, right)
-                 for (num, den), (word, left, right) in pairs]
+                 for (num, den), (word, left, right) in zip(coefficients, sum_)]
         common = lcm(*[divisor for _, divisor, _, _ in terms])
         total: list[dict[int, int]] = [{} for _ in range(n)]  # L times the sum's rows
         for numerator, divisor, left, right in terms:
@@ -361,7 +329,7 @@ def evaluate_word(
             if zero is None:
                 zero = Matrix.zero(n, n)
             residuals.append(zero)
-    return tuple(residuals) if isinstance(words, BoundList) else residuals[0]
+    return tuple(residuals) if bound is words else residuals[0]
 
 
 def check_relations(
@@ -369,16 +337,15 @@ def check_relations(
     anchor: str,
     relations: Iterable[RelationWord],
     assignment: Mapping[GeneratorName, Matrix],
-    known: Mapping[str, CheckResult] | None = None,
+    derived: AbstractSet[str] = frozenset(),
 ) -> None:
     """Log, under ``anchor``, the exact residual lhs - rhs of each relation.
-    A relation whose check on these same matrices is in ``known``, by its
-    name, is copied from there (`CheckLog.reuse`), in place; the others are
-    evaluated by one `evaluate_word` call on their `BoundList`."""
-    known = known or {}
+    A relation named in ``derived`` (`report.derivable`) is logged as
+    passed, in place; the others are evaluated by one `evaluate_word` call
+    on their `BoundList`."""
     relations = tuple(relations)
-    bound = bind_relations([rel for rel in relations if rel.name not in known])
-    _log_residuals(log, anchor, relations, bound, assignment, known)
+    bound = bind_relations([rel for rel in relations if rel.name not in derived])
+    _log_residuals(log, anchor, relations, bound, assignment, derived)
 
 
 def _log_residuals(
@@ -387,14 +354,14 @@ def _log_residuals(
     relations: Sequence[RelationWord],
     bound: BoundList,
     assignment: Mapping[GeneratorName, Matrix],
-    known: Mapping[str, CheckResult],
+    derived: AbstractSet[str],
 ) -> None:
-    """`check_relations` with the relations not in ``known`` already bound,
-    in order, as ``bound``."""
+    """`check_relations` with the relations not in ``derived`` already
+    bound, in order, as ``bound``."""
     residuals = iter(evaluate_word(bound, assignment) if bound.coefficients else ())
     for rel in relations:
-        if rel.name in known:
-            log.reuse(known[rel.name], anchor, rel.name)
+        if rel.name in derived:
+            log.condition(rel.name, anchor, True)
         else:
             log.matrix_zero(rel.name, anchor, next(residuals))
 
@@ -505,19 +472,21 @@ def relations_for(kind: str, q: QParam) -> tuple[RelationWord, ...]:
 
 @lru_cache(maxsize=None)
 def _presentation_list(
-    kind: str, q_value: Fraction, copied: frozenset[str]
+    kind: str, q_value: Fraction, derived: frozenset[str]
 ) -> tuple[tuple[RelationWord, ...], BoundList]:
-    """The relations of a presentation at q and those not ``copied`` bound
-    as one list: merged and shaped once per kind, q and set of copied
+    """The relations of a presentation at q and those not ``derived`` bound
+    as one list: merged and shaped once per kind, q and set of derived
     names, so a check of another module binds nothing again."""
     relations = _relations(kind, q_value)
-    return relations, bind_relations([rel for rel in relations if rel.name not in copied])
+    return relations, bind_relations([rel for rel in relations if rel.name not in derived])
 
 
-def check_presentation(kind: str, data: "ModuleData") -> VerificationReport:
+def check_presentation(
+    kind: str, data: "ModuleData", derived: AbstractSet[str] = frozenset()
+) -> VerificationReport:
     """Evaluate every defining relation of ``kind`` on the module's matrices,
-    except those whose check the module inherits (`ModuleData.certified`),
-    which are copied.
+    except those named in ``derived`` (`report.derivable`), which are logged
+    as passed.
 
     The report lists, per relation, the exact residual lhs - rhs; a relation
     passes iff its residual is the zero matrix. Deterministic and pure.
@@ -530,18 +499,9 @@ def check_presentation(kind: str, data: "ModuleData") -> VerificationReport:
             f"generator alphabet mismatch for {kind}: missing "
             f"{sorted(expected - given)}, unexpected {sorted(given - expected)}"
         )
-    return presentation_report(kind, data, data.certified)
-
-
-def presentation_report(
-    kind: str, data: "ModuleData", known: Mapping[str, CheckResult]
-) -> VerificationReport:
-    """The relation report of ``kind`` on the module: each relation whose
-    check on these matrices is in ``known``, by name, copied, and every
-    other one evaluated, with no check of the alphabet."""
     log = CheckLog(strict=False)
-    relations, bound = _presentation_list(kind, data.q.q, frozenset(known))
-    _log_residuals(log, f"defining relations ({kind})", relations, bound, data.action, known)
+    relations, bound = _presentation_list(kind, data.q.q, frozenset(derived))
+    _log_residuals(log, f"defining relations ({kind})", relations, bound, data.action, derived)
     report = VerificationReport(subject=f"{kind} relations", entries=log.entries)
     report.summary.update(presentation=kind, q=str(data.q.q), dim=str(data.dim))
     return report

@@ -4,12 +4,14 @@ A CheckResult records one named verification: either a matrix identity whose
 residual must be exactly zero (every nonzero residual entry is listed), or a
 subspace condition (equality, containment, dimension count) whose failure is
 described in ``detail``. Reports aggregate checks and render both a
-human-readable table and a JSON-ready dict.
+human-readable table and a JSON-ready dict. ``derivable`` is the one gate
+for a check logged as passed without being evaluated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import AbstractSet, Iterable, Mapping
 
 from .errors import CheckFailedError
 from .linalg import Matrix
@@ -102,12 +104,14 @@ class CheckLog:
         return self._record(
             CheckResult(name, anchor, False, nz, f"{len(nz)} nonzero residual entries"))
 
-    def reuse(self, result: CheckResult, anchor: str, name: str) -> bool:
-        """Log a check already made on the same matrices, under this anchor
-        and the name the relation has here."""
-        return self._record(CheckResult(
-            name, anchor, result.passed, result.residual_entries, result.detail))
-
     def condition(self, name: str, anchor: str, ok: bool, detail: str = "") -> bool:
         """Assert a described condition (subspace equality, dimension, ...)."""
         return self._record(CheckResult(name, anchor, ok, (), "" if ok else detail))
+
+
+def derivable(table: Mapping[str, Iterable[str]], held: AbstractSet[str]) -> frozenset[str]:
+    """The checks of a derivation table that may be logged as passed without
+    being evaluated: those whose premises, the names the table maps them to,
+    are all in ``held``, the checks that passed on the same matrices and
+    spaces. Each table row is a lemma written out where the table is."""
+    return frozenset(name for name, needs in table.items() if held.issuperset(needs))

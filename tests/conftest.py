@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 import textwrap
+from contextlib import contextmanager
 from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from qaffine import EvalParams, evaluation_module, qparam, tensor_product
-from qaffine.linalg import Matrix, SpanAccumulator
+from qaffine.linalg import Matrix, SpanAccumulator, Subspace
 
 
 @pytest.fixture(scope="session")
@@ -93,6 +95,42 @@ def span(ambient, vectors):
     return acc.to_subspace()
 
 
+def matrix_column(m, j):
+    """Column j of a Matrix, as a tuple of Fractions."""
+    return tuple(m.at(i, j) for i in range(m.rows))
+
+
+def matrix_columns(m):
+    """The columns of a Matrix, as tuples of Fractions."""
+    return [tuple(col) for col in m.transpose().to_rows()]
+
+
+def matrix_apply(m, v):
+    """The product of a Matrix and a dense vector, skipping zero entries of
+    the matrix and of v."""
+    if len(v) != m.cols:
+        raise ValueError("vector length mismatch")
+    return tuple(sum((a * v[j] for j, a in row if v[j]), Fraction(0)) for row in m.sparse_rows)
+
+
+def full_space(n):
+    """The whole space F^n as a Subspace: the unit rows."""
+    return Subspace(n, {i: {i: 1} for i in range(n)})
+
+
+@contextmanager
+def literal_tables():
+    """Both derivation tables emptied (`extension._PREMISES` and
+    `factory._RESTRICTED_RELATIONS`), so that `report.derivable` grants
+    nothing and every check is evaluated by its definition."""
+    from qaffine import extension, factory
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(extension, "_PREMISES", {})
+        patch.setattr(factory, "_RESTRICTED_RELATIONS", {})
+        yield
+
+
 def naive_evaluate(words, assignment):
     """A formal sum evaluated word by word with Matrix products and sums, as
     a reference for `evaluate_word`."""
@@ -172,12 +210,19 @@ def full_analyses(monkeypatch):
 @pytest.fixture()
 def relation_checks(monkeypatch):
     """The presentation kind of every defining-relation evaluation, in order:
-    check_presentation is wrapped at each qaffine module that binds it."""
+    check_presentation is wrapped at each qaffine module that binds it. A
+    call whose third argument derives every relation evaluates none, so it
+    is not listed."""
     from qaffine import presentations
 
-    return _count_calls(
-        monkeypatch, presentations, "check_presentation", lambda kind, data: kind
-    )
+    kinds = []
+
+    def evaluated(kind, data, derived=frozenset()):
+        if {rel.name for rel in presentations.relations_for(kind, data.q)} - derived:
+            kinds.append(kind)
+
+    _count_calls(monkeypatch, presentations, "check_presentation", evaluated)
+    return kinds
 
 
 @pytest.fixture()

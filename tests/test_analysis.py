@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import direct_sum, span
+from conftest import direct_sum, full_space, span
 from qaffine import analysis
 from qaffine.analysis import (
     ABSOLUTELY_IRREDUCIBLE,
@@ -26,7 +26,7 @@ from qaffine.factory import (
     restrict_to_ugeq0,
     tensor_product,
 )
-from qaffine.linalg import Matrix, Subspace, image, kernel, kronecker, subspace_sum
+from qaffine.linalg import Matrix, image, kernel, kronecker, subspace_sum
 from qaffine.modfile import write_module
 from qaffine.presentations import AFFINE_FULL
 from qaffine.scalars import qparam
@@ -45,12 +45,12 @@ def unit_vector(n, i):
 
 def test_spin_irreducible_reaches_everything(v111):
     for i in range(2):
-        assert spin({i: 1}, v111) == Subspace.full(2)
+        assert spin({i: 1}, v111) == full_space(2)
 
 
 def test_spin_one_dimensional(q2):
     m = evaluation_module(EvalParams(0, 1, 1), q2)
-    assert spin({0: F(3)}, m) == Subspace.full(1)
+    assert spin({0: F(3)}, m) == full_space(1)
 
 
 def test_spin_finds_proper_submodule(tensor_14):
@@ -463,7 +463,7 @@ def test_no_one_dimensional_eigenspace_takes_word_span(v111):
 
 def test_spin_full_space_on_certified_modules(tensor_13):
     for i in range(4):
-        assert spin({i: 1}, tensor_13) == Subspace.full(4)
+        assert spin({i: 1}, tensor_13) == full_space(4)
 
 
 # -- raising-power isomorphisms ---------------------------------------------------

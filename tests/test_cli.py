@@ -12,7 +12,7 @@ from qaffine import cli
 from qaffine.cli import main
 from qaffine.errors import CheckFailedError
 from qaffine.factory import EvalParams, evaluation_module, tensor_product
-from qaffine.linalg import Matrix, Subspace
+from qaffine.linalg import Subspace
 from qaffine.modfile import write_module
 
 
@@ -260,8 +260,8 @@ def test_restrict_evaluates_relations_once(tmp_path, v111_file, relation_checks)
 
 def test_roundtrip_evaluates_relations_twice(v111_file, relation_checks, monkeypatch):
     # the file when it is read and the assembled output: the restriction's
-    # six relations are entries of the read report, renamed, and each check
-    # is one relation list
+    # six relations are derived from the read report, and each check is one
+    # relation list
     from qaffine import presentations
 
     lists = []
@@ -275,7 +275,7 @@ def test_roundtrip_evaluates_relations_twice(v111_file, relation_checks, monkeyp
     assert main(["roundtrip", str(v111_file), "--alpha", "2"]) == 0
     assert relation_checks == ["affine_full", "affine_full"]
     # read, A and A*, B and B*, the lowering suite, the output (16 of its 21
-    # relations copied from checks already made)
+    # relations derived from checks already made)
     assert lists == [21, 4, 8, 10, 5]
 
 
@@ -514,8 +514,10 @@ def test_analyze_irreducible(tmp_path, v111_file, capsys):
 
 @pytest.fixture()
 def dense_views(monkeypatch):
-    """The name of each dense view read, in order: Subspace.basis,
-    Matrix.column and Matrix.columns are wrapped to record it."""
+    """The name of each dense view read, in order: Subspace.basis is wrapped
+    to record it. Matrix has no dense column view (only the test helpers
+    `matrix_column` and `matrix_columns` build one), so the package reads
+    no other."""
     reads = []
     basis = Subspace.basis.func
 
@@ -524,12 +526,6 @@ def dense_views(monkeypatch):
         return basis(self)
 
     monkeypatch.setattr(Subspace, "basis", property(counting_basis))
-    for name in ("column", "columns"):
-        def counting(*args, name=name, original=getattr(Matrix, name)):
-            reads.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(Matrix, name, counting)
     return reads
 
 

@@ -1,11 +1,12 @@
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
-from conftest import span
+from conftest import literal_tables, matrix_column, span
 from test_golden import LEDGER, STAGE_FAILURES
-from test_properties import EVALUATED_OUTPUT_RELATIONS, unit_lu
+from test_properties import EVALUATED_OUTPUT_RELATIONS, audited_run, unit_lu
 
 import qaffine.extension
 import qaffine.weights
@@ -15,11 +16,8 @@ from qaffine.errors import CheckFailedError, IrreducibilityError, RelationError
 from qaffine.extension import (
     ANCHOR_FLAGS,
     ANCHOR_LOWER,
-    _OUTPUT_COPIES,
     _PREMISES,
-    Premises,
-    _certified_direct,
-    _inherited,
+    _decomposes,
     _lowering_suite,
     _moves_into,
     _nears,
@@ -39,8 +37,15 @@ from qaffine.factory import (
 )
 from qaffine.linalg import Ladder, Matrix, Subspace, subspace_intersect
 from qaffine.modfile import write_module
-from qaffine.presentations import AFFINE_FULL, UGEQ0, check_relations, q_serre
-from qaffine.report import CheckLog
+from qaffine.presentations import (
+    AFFINE_FULL,
+    UGEQ0,
+    check_presentation,
+    check_relations,
+    q_serre,
+    relations_for,
+)
+from qaffine.report import CheckLog, CheckResult, derivable
 from qaffine.scalars import qparam
 from qaffine.weights import WeightLadder, analyze_full, analyze_ugeq0
 
@@ -105,10 +110,10 @@ def test_split_pair_values(v111):
 def test_flags_of_restricted_v111(v111):
     full, trace = extend(restrict_to_ugeq0(v111, 1), 1, 1)
     assert [s.dim for s in trace.v_spaces] == [1, 1]
-    assert trace.v_spaces[0].basis.column(0) == (F(1), F(-3, 2))
-    assert trace.v_spaces[1].basis.column(0) == (F(1), F(0))
-    assert trace.vstar_spaces[0].basis.column(0) == (F(0), F(1))
-    assert trace.vstar_spaces[1].basis.column(0) == (F(1), F(-2, 3))
+    assert matrix_column(trace.v_spaces[0].basis, 0) == (F(1), F(-3, 2))
+    assert matrix_column(trace.v_spaces[1].basis, 0) == (F(1), F(0))
+    assert matrix_column(trace.vstar_spaces[0].basis, 0) == (F(0), F(1))
+    assert matrix_column(trace.vstar_spaces[1].basis, 0) == (F(1), F(-2, 3))
 
 
 def test_grid_vanishes_below_antidiagonal(v111):
@@ -194,12 +199,12 @@ def test_grid_intersects_only_the_split_spaces(tensor_13, monkeypatch):
         return contains_image(self, *args)
 
     monkeypatch.setattr(Subspace, "contains_image", counted)
-    handed = Premises(frozenset(c.name for c in flags.entries), ladder)
-    for premises, count in ((Premises(), 8 * (d + 1)), (handed, 0)):
+    handed = frozenset(c.name for c in flags.entries)
+    for passed, count in ((frozenset(), 8 * (d + 1)), (handed, 0)):
         calls.clear()
         containments.clear()
         log = CheckLog(strict=True)
-        grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, log, premises)
+        grid, _, _ = build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, log, passed)
         assert len(calls) == 2 * (d + 1)
         assert len(containments) == count
         assert grid == {}
@@ -259,26 +264,25 @@ def _handed_stages(m, ladder, handed, swap=False):
     """The split-pair, flag, grid and split-operator stages of m on one
     non-strict log, given the weight ladder `ladder`; with `handed`, each
     stage is handed the checks passed so far (the input report's and the
-    log's) and m's certified weight ladder, else no premises. W and W* are
-    swapped before the split operators when `swap`. The log's entries, and
-    the message of the ValueError raised when B has no graph."""
+    log's), else none. W and W* are swapped before the split operators when
+    `swap`. The log's entries, and the check named by the CheckFailedError
+    raised when B or B* has no graph."""
     log, raised = CheckLog(), []
 
-    def premises():
+    def passed():
         if not handed:
-            return Premises()
-        checks = (*m.relations.entries, *log.entries)
-        return Premises(frozenset(c.name for c in checks if c.passed), m.weights)
+            return frozenset()
+        return frozenset(c.name for c in (*m.relations.entries, *log.entries) if c.passed)
 
     a_mat, astar_mat = build_a_astar(m, log)
-    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log, premises())
-    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log, premises())
+    v, vstar = eigen_flags(m, a_mat, astar_mat, ladder, log, passed())
+    _, w, wstar = build_w_grid(m, ladder, a_mat, astar_mat, v, vstar, log, passed())
     if swap:
         w, wstar = wstar, w
     try:
-        build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log, premises())
-    except ValueError as err:  # W is no decomposition
-        raised.append(str(err))
+        build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log, passed())
+    except CheckFailedError as err:  # W or W* is no decomposition
+        raised.append(err.check)
     return [c.to_dict() for c in log.entries], raised
 
 
@@ -294,12 +298,10 @@ def _first_escapes(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("dim", [4, 8])
-def test_handed_premises_leave_failing_ledgers_unchanged(dim, q2, monkeypatch):
-    # Each stage is handed the checks that passed before it, on a corrupted
-    # Kinv, a corrupted R, a mirrored weight ladder and swapped W and W*:
-    # every ledger equals the all-literal one, name for name and detail for
-    # detail, and the moves whose premises held were not evaluated.
+def _corrupted_cases(dim, q2):
+    """Stage inputs that fail, on a restricted tensor of dimension dim: a
+    corrupted Kinv, a corrupted R, a mirrored weight ladder and swapped W
+    and W*, each as (module, weight ladder or None for its own, swap)."""
     m = restrict_to_ugeq0(_eval_tensor(q2, *{4: ((1, 1), (1, 3)), 8: GRID_MODULES[8]}[dim]), 1)
     n, R = m.dim, m.action["R"]
     i, j = next((i, j) for i in range(n) for j in range(n) if R.at(i, j))
@@ -312,14 +314,22 @@ def test_handed_premises_leave_failing_ledgers_unchanged(dim, q2, monkeypatch):
 
     ladder = m.weights
     mirrored = WeightLadder(ladder.alpha, ladder.diameter, ladder.spaces[::-1])
-    cases = {
+    return {
         "Kinv": (corrupted("Kinv", bump_kinv), None, False),
         "R": (corrupted("R", bump_r), None, False),
         "mirrored ladder": (m, mirrored, False),
         "swapped W": (m, None, True),
     }
+
+
+@pytest.mark.parametrize("dim", [4, 8])
+def test_handed_premises_leave_failing_ledgers_unchanged(dim, q2, monkeypatch):
+    # Each stage is handed the checks that passed before it, on a corrupted
+    # Kinv, a corrupted R, a mirrored weight ladder and swapped W and W*:
+    # every ledger equals the all-literal one, name for name and detail for
+    # detail, and the moves whose premises held were not evaluated.
     calls = _first_escapes(monkeypatch)
-    for name, (module, given, swap) in cases.items():
+    for name, (module, given, swap) in _corrupted_cases(dim, q2).items():
         given = given or module.weights
         calls.clear()
         literal = _handed_stages(module, given, False, swap)
@@ -330,10 +340,41 @@ def test_handed_premises_leave_failing_ledgers_unchanged(dim, q2, monkeypatch):
         assert len(calls) < evaluated, name
 
 
+@pytest.mark.parametrize("dim", [4, 8])
+def test_literal_tables_leave_corrupted_ledgers_unchanged(dim, q2):
+    # the audit of both derivation tables on the corrupted inputs above:
+    # with the tables emptied, each stage handed the checks passed before it
+    # logs the default ledger, entry for entry, and stops on the same check.
+    # The corrupted Kinv leaves W no decomposition, so B has no graph and
+    # the split-operator stage raises CheckFailedError naming
+    # decomposition(W).
+    for name, (module, given, swap) in _corrupted_cases(dim, q2).items():
+        given = given or module.weights
+        default = _handed_stages(module, given, True, swap)
+        with literal_tables():
+            assert _handed_stages(module, given, True, swap) == default, name
+        assert default[1] == (["decomposition(W)"] if name == "Kinv" else []), name
+
+
+def test_split_spaces_that_do_not_decompose_name_their_check(tensor_13):
+    # W or W* that do not decompose the space have no split operator: the
+    # stage raises CheckFailedError naming the decomposition with no graph,
+    # which the CLI reports as a failed pipeline check, not as bad input
+    r, ladder, a_mat, astar_mat, v, vstar = _grid_inputs(tensor_13)
+    _, w, wstar = build_w_grid(r, ladder, a_mat, astar_mat, v, vstar, CheckLog())
+    repeated = Ladder([w.spaces[0]] * len(w.spaces))
+    for spaces, check in (((repeated, wstar), "decomposition(W)"),
+                          ((w, repeated), "decomposition(Wstar)")):
+        with pytest.raises(CheckFailedError) as info:
+            build_b_bstar(r, ladder, a_mat, astar_mat, v, vstar, *spaces, CheckLog())
+        assert info.value.check == check
+
+
 def test_weight_moves_need_the_certified_ladder(tensor_13, monkeypatch):
     # move(K,V-tail) and move(Kinv,Vstar-head) follow from the weight ladder
-    # the analyzer certified: handed any other ladder, even an equal copy,
-    # the flag stage evaluates them besides the two U-moves
+    # the analyzer certified, the module's own `weights` memo: handed any
+    # other ladder, even an equal copy, the flag stage evaluates them
+    # besides the two U-moves
     r = restrict_to_ugeq0(tensor_13, 1)
     ladder = r.weights
     log = CheckLog(strict=True)
@@ -343,18 +384,33 @@ def test_weight_moves_need_the_certified_ladder(tensor_13, monkeypatch):
     for given, evaluated in ((ladder, 2), (replace(ladder), 4)):
         calls.clear()
         flags = CheckLog(strict=True)
-        eigen_flags(r, a_mat, astar_mat, given, flags, Premises(passed, ladder))
+        eigen_flags(r, a_mat, astar_mat, given, flags, passed)
         assert len(calls) == evaluated and len(flags.entries) == 13
 
 
 def test_every_premise_is_decided_before_its_check(tensor_13, monkeypatch):
-    # Each premise of a derived move is the input report's, the certified
-    # weight ladder, or a check decided earlier in the run: earlier in the
-    # ledger, or staged earlier in the same stage (the grid stage decides
-    # its sums before its ladder moves and logs them after). The 20 derived
-    # checks are ledger checks, and no U-move or grid move is among them.
+    # Every row of both derivation tables names a check its site logs, and
+    # premises that are checks decided before it, so no misspelt name turns
+    # a derivation off unseen. `_PREMISES`: each key is a ledger check or a
+    # relation of the output report; each premise is the input report's, the
+    # certified weight ladder, or a check decided earlier in the run:
+    # earlier in the ledger, or staged earlier in the same stage (the grid
+    # stage decides its sums before its ladder moves and logs them after).
+    # No U-move or grid move is derived. `_RESTRICTED_RELATIONS`: each key
+    # is a ugeq0 relation and each premise a relation of the full report the
+    # restriction reads, which is decided before the restriction is made.
+    from qaffine.factory import _RESTRICTED_RELATIONS
+
+    q = tensor_13.q
+    ugeq0 = {rel.name for rel in relations_for(UGEQ0, q)}
+    affine_full = {rel.name for rel in relations_for(AFFINE_FULL, q)}
+    assert set(_RESTRICTED_RELATIONS) == ugeq0
+    assert set().union(*_RESTRICTED_RELATIONS.values()) <= affine_full
+    held = {c.name for c in tensor_13.relations.entries if c.passed}
+    assert derivable(_RESTRICTED_RELATIONS, held) == ugeq0
     r = restrict_to_ugeq0(tensor_13, 1)
     before = {c.name for c in r.relations.entries} | {"weights"}
+    assert before == ugeq0 | {"weights"}
     decided = []
     record = CheckLog._record
 
@@ -366,9 +422,14 @@ def test_every_premise_is_decided_before_its_check(tensor_13, monkeypatch):
     monkeypatch.setattr(CheckLog, "_record", recorded)
     _, trace = extend(r, 1, 1)
     assert trace.check_names() == LEDGER
-    assert len(_PREMISES) == 20 and set(_PREMISES) < set(LEDGER)
+    moves = [name for name in _PREMISES if name.startswith(("move", "tridiag", "ladder"))]
+    output = [name for name in _PREMISES if name in affine_full]
+    assert (len(_PREMISES), len(moves), len(output)) == (38, 20, 16)
+    assert set(_PREMISES) - set(output) - set(moves) == {"serre(R,L)", "serre(L,R)"}
+    assert set(_PREMISES) <= set(LEDGER) | affine_full
     assert not {name for name in _PREMISES if name.endswith("U)") or "grid" in name}
     for name, needs in _PREMISES.items():
+        assert needs and set(needs) <= set(LEDGER) | before, name
         for premise in needs:
             assert premise in before or decided.index(premise) < decided.index(name), (
                 name, premise)
@@ -403,6 +464,30 @@ def test_passing_extend_forms_no_image_column(q2, monkeypatch):
         assert (len(calls), len(columns)) == (8, images)
 
 
+def test_literal_table_audit_on_t16(q2, monkeypatch):
+    # With both derivation tables emptied every check is evaluated by its
+    # definition. On t16 and on t16 conjugated by unit_lu(16, 1), the module
+    # of the dense CI steps, the restriction's report, extend's 71-check
+    # ledger (each entry's name, anchor, verdict, residual entries and
+    # detail), its output matrices and its relation report equal the
+    # default run's. The literal run evaluates all 28 moves, the default 8.
+    t16 = _eval_tensor(q2, (3, 1), (3, 11))
+    p = unit_lu(16, 1)
+    p_inv = p.inverse()
+    dense = replace(t16, action={g: p_inv @ a @ p for g, a in t16.action.items()})
+    calls = _first_escapes(monkeypatch)
+    for module in (t16, dense):
+        runs = []
+        for tables, moves in ((nullcontext, 8), (literal_tables, 28)):
+            calls.clear()
+            with tables():
+                runs.append(audited_run(module, (1, 1), 1))
+            assert len(calls) == moves
+        assert runs[0] == runs[1]
+        ledger = runs[0][1]
+        assert [c["name"] for c in ledger] == LEDGER and all(c["pass"] for c in ledger)
+
+
 def test_certified_direct_needs_nonzero_independent_spaces_filling_n():
     # W is certified direct only when every component is nonzero, the
     # dimensions add up to n and the rows stay independent; otherwise the
@@ -418,7 +503,7 @@ def test_certified_direct_needs_nonzero_independent_spaces_filling_n():
         ((span(3, [e0]), span(3, [e1])), False),
     ]
     for spaces, direct in cases:
-        assert _certified_direct(spaces) is direct
+        assert _decomposes(spaces) is direct
         if direct:
             assert Ladder(spaces).head[-1] == whole
 
@@ -486,10 +571,10 @@ def test_tridiagonal_checks_build_no_new_sum(tensor_13, monkeypatch):
 
 def test_lowering_suite_evaluates_ten_relations(tensor_13, monkeypatch):
     # serre(R,L) and serre(L,R) are the input's own relations on the same R
-    # and L, and its check has passed, so the lowering suite copies those
-    # two entries of the input report: it evaluates 10 of its 12 relations,
-    # as one relation list, and the ledger keeps its 71 checks in the same
-    # order.
+    # and L, and its check has passed, so the lowering suite, handed the
+    # input report's passed checks, derives those two: it evaluates 10 of
+    # its 12 relations, as one relation list, and the ledger keeps its 71
+    # checks in the same order. Handed nothing, it evaluates all 12.
     r = restrict_to_ugeq0(tensor_13, 1)
     _, trace = extend(r, 1, 1)
     assert trace.check_names() == LEDGER and len(LEDGER) == 71
@@ -501,10 +586,13 @@ def test_lowering_suite_evaluates_ten_relations(tensor_13, monkeypatch):
         return evaluate_word(plan, assignment)
 
     monkeypatch.setattr(presentations, "evaluate_word", counted)
-    log = CheckLog(strict=True)
-    _lowering_suite(r, r.weights, trace.b_mat, trace.bstar_mat, log)
-    assert sum(len(bound.plan.sums) for bound in calls) == 10
-    assert log.entries == [c for c in trace.checks if c.anchor == ANCHOR_LOWER]
+    passed = frozenset(c.name for c in r.relations.entries if c.passed)
+    for handed, evaluated in ((passed, 10), (frozenset(), 12)):
+        calls.clear()
+        log = CheckLog(strict=True)
+        _lowering_suite(r, r.weights, trace.b_mat, trace.bstar_mat, log, handed)
+        assert sum(len(bound.plan.sums) for bound in calls) == evaluated
+        assert log.entries == [c for c in trace.checks if c.anchor == ANCHOR_LOWER]
     evaluated = CheckLog()
     check_relations(evaluated, ANCHOR_LOWER, (q_serre("R", "L", r.q), q_serre("L", "R", r.q)),
                     r.action)
@@ -514,8 +602,9 @@ def test_lowering_suite_evaluates_ten_relations(tensor_13, monkeypatch):
 
 def test_output_check_evaluates_five_relations(tensor_13, monkeypatch):
     # 16 output relations are a sign times a passing check of the input
-    # report or the lowering suite (`_OUTPUT_COPIES`), so output-relations
-    # copies them at their own positions and evaluates the other 5
+    # report or the lowering suite (their rows of `_PREMISES`), so
+    # output-relations derives them at their own positions and evaluates the
+    # other 5
     # (commute(K0,K1) and the four K1 weights) as one list; the report is
     # the literal one and the ledger keeps its 71 checks
     lists = []
@@ -536,26 +625,33 @@ def test_output_check_evaluates_five_relations(tensor_13, monkeypatch):
     assert full.relations.to_dict() == literal.to_dict()
     names = [c.name for c in full.relations.entries]
     assert names == [rel.name for rel in presentations.relations_for(AFFINE_FULL, full.q)]
-    assert len(_OUTPUT_COPIES) == 16 and set(full.certified) == set(_OUTPUT_COPIES)
-    assert [name for name in names if name not in _OUTPUT_COPIES] == EVALUATED_OUTPUT_RELATIONS
+    copies = [name for name in names if name in _PREMISES]
+    assert len(copies) == 16
+    assert [name for name in names if name not in copies] == EVALUATED_OUTPUT_RELATIONS
     sources = {c.name: c for c in r.relations.entries + trace.checks}
     for entry, expected in zip(full.relations.entries, literal.entries):
-        if entry.name in _OUTPUT_COPIES:
-            source = sources[_OUTPUT_COPIES[entry.name][0]]
-            assert entry == replace(source, name=entry.name, anchor=expected.anchor)
+        if entry.name in copies:
+            (source,) = _PREMISES[entry.name]
+            assert sources[source].passed
+            assert entry == CheckResult(entry.name, expected.anchor, True)
 
 
 def test_output_inherits_only_passing_checks(tensor_13):
-    # a source check that failed is not copied, whatever its sign, so its
-    # output relation is evaluated; the others are copied as they are
+    # a source check that failed derives nothing, whatever its sign, so its
+    # output relation is evaluated; each other output relation is derived
+    # from its one source, and the report is the literal one either way
     r = restrict_to_ugeq0(tensor_13, 1)
-    _, trace = extend(r, 1, 1)
-    checks = [replace(c, passed=False) if c.name in ("unit(K Kinv)", "commute(r,R)") else c
-              for c in r.relations.entries + trace.checks]
-    inherited = _inherited(checks)
-    assert set(inherited) == set(_OUTPUT_COPIES) - {
-        "unit(K0 K0inv)", "unit(K1inv K1)", "commute(e0p,e1m)"}
-    assert all(inherited[name].name == _OUTPUT_COPIES[name][0] for name in inherited)
+    full, trace = extend(r, 1, 1)
+    names = {rel.name for rel in relations_for(AFFINE_FULL, r.q)}
+    copies = {name for name in _PREMISES if name in names}
+    assert all(len(_PREMISES[name]) == 1 for name in copies)
+    passed = {c.name for c in r.relations.entries + trace.checks}
+    failed = passed - {"unit(K Kinv)", "commute(r,R)"}
+    derived = derivable(_PREMISES, failed) & names
+    assert derived == copies - {"unit(K0 K0inv)", "unit(K1inv K1)", "commute(e0p,e1m)"}
+    assert derivable(_PREMISES, passed) & names == copies
+    literal = check_presentation(AFFINE_FULL, replace(full))
+    assert check_presentation(AFFINE_FULL, replace(full), derived).to_dict() == literal.to_dict()
 
 
 def test_second_extend_compiles_no_plan(tensor_13, monkeypatch):

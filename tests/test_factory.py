@@ -306,19 +306,34 @@ def test_restriction_inherits_the_weight_ladder(q2, monkeypatch):
         assert ladder == analyze_ugeq0(replace(r))
 
 
-def test_restriction_copies_the_full_relation_report(q2, relation_checks):
+def test_restriction_copies_the_full_relation_report(q2, relation_checks, monkeypatch):
     # each ugeq0 relation of a restriction is a full relation with alpha
-    # cancelled and eps0^2 = 1: when the full report is at hand its six
-    # entries are the restriction's, renamed, with nothing evaluated, also
-    # where they fail; without it the restriction evaluates its own
+    # cancelled and eps0^2 = 1: when the full report is at hand each one
+    # whose full relation passed there is derived (`_RESTRICTED_RELATIONS`),
+    # and only those whose full relation failed are evaluated, as one list,
+    # so the report is the literal one also where they fail; without it the
+    # restriction evaluates its own
+    from qaffine import presentations
+
+    lists = []
+    evaluate_word = presentations.evaluate_word
+
+    def recorded(words, assignment):
+        lists.append(len(words.plan.sums))
+        return evaluate_word(words, assignment)
+
+    monkeypatch.setattr(presentations, "evaluate_word", recorded)
     cases = list(_restriction_cases(q2))
     failing = set()
     for full, alpha in cases:
         full.relations
         relation_checks.clear()
+        lists.clear()
         restricted = restrict_to_ugeq0(full, alpha)
         report = restricted.relations
-        assert relation_checks == []
+        failed = [c.name for c in report.failing()]
+        assert relation_checks == ([UGEQ0] if failed else [])
+        assert lists == ([len(failed)] if failed else [])
         literal = check_presentation(UGEQ0, replace(restricted))
         assert report.to_dict() == literal.to_dict()
         assert report.text_table() == literal.text_table()

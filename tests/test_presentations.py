@@ -89,10 +89,10 @@ def test_evaluate_word_dimension_mismatch():
         )
 
 
-def test_check_relations_copies_known_checks_in_place(q2, monkeypatch):
-    # a relation whose check on the same matrices is known is copied under
-    # its own name and this anchor, at its position; the others are one
-    # relation list, evaluated once, with the assignment checked once
+def test_check_relations_logs_derived_checks_in_place(q2, monkeypatch):
+    # a relation named in derived is logged as passed under its own name and
+    # this anchor, at its position, with nothing evaluated; the others are
+    # one relation list, evaluated once, with the assignment checked once
     from qaffine import presentations
 
     k = Matrix.diagonal([2, F(1, 2)])
@@ -101,9 +101,7 @@ def test_check_relations_copies_known_checks_in_place(q2, monkeypatch):
     relations = relations_for(UGEQ0, q2)
     reference = CheckLog()
     check_relations(reference, "here", relations, action)
-    source = CheckLog()
-    check_relations(source, "there", relations[4:5], action)
-    (copied,) = source.entries
+    assert reference.entries[4].name == "serre(R,L)" and reference.entries[4].passed
     lists = []
     evaluate_word = presentations.evaluate_word
 
@@ -113,14 +111,13 @@ def test_check_relations_copies_known_checks_in_place(q2, monkeypatch):
 
     monkeypatch.setattr(presentations, "evaluate_word", recorded)
     log = CheckLog()
-    check_relations(log, "here", relations, action, {"serre(R,L)": copied})
+    check_relations(log, "here", relations, action, frozenset({"serre(R,L)"}))
     assert lists == [5]
     assert log.entries == reference.entries
     lists.clear()
-    renamed = CheckLog()
-    check_relations(renamed, "here", relations[4:5], action, {"serre(R,L)": replace(
-        copied, name="serre(e0p,e1p)")})
-    assert lists == [] and renamed.entries == reference.entries[4:5]
+    derived = CheckLog()
+    check_relations(derived, "here", relations[4:5], action, {"serre(R,L)", "serre(e0p,e1p)"})
+    assert lists == [] and derived.entries == reference.entries[4:5]
 
 
 def test_evaluate_word_cancels_inside_a_chain_product():

@@ -12,6 +12,7 @@ import copy
 import json
 import math
 import random
+from contextlib import nullcontext
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import reduce
@@ -20,7 +21,17 @@ import pytest
 from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import column_space, direct_sum, naive_evaluate, span
+from conftest import (
+    column_space,
+    direct_sum,
+    full_space,
+    literal_tables,
+    matrix_apply,
+    matrix_column,
+    matrix_columns,
+    naive_evaluate,
+    span,
+)
 import qaffine.extension
 from qaffine import linalg
 from qaffine.analysis import (
@@ -30,8 +41,8 @@ from qaffine.analysis import (
     _word_span,
     burnside_irreducible,
 )
+from qaffine.errors import CheckFailedError, QAffineError
 from qaffine.extension import (
-    _OUTPUT_COPIES,
     _PREMISES,
     _lowering_relations,
     _moves_into,
@@ -82,7 +93,7 @@ from qaffine.presentations import (
     relations_for,
     weyl,
 )
-from qaffine.report import CheckLog
+from qaffine.report import CheckLog, derivable
 from qaffine.scalars import qint, qparam
 from qaffine.weights import WeightLadder
 
@@ -141,9 +152,9 @@ def oracle_intersection(a: Subspace, b: Subspace) -> Subspace:
     coeffs = kernel(combined)
     vectors = []
     for j in range(coeffs.dim):
-        col = coeffs.basis.column(j)
+        col = matrix_column(coeffs.basis, j)
         s = col[: a.dim]
-        vectors.append(a.basis.apply(s))
+        vectors.append(matrix_apply(a.basis, s))
     return span(n, vectors)
 
 
@@ -239,8 +250,8 @@ def reference_kernel(m):
 def reference_intersect(a, b):
     """Zassenhaus on the dense block [a | a] over [b | 0]."""
     n = a.ambient_dim
-    block = [list(c) + list(c) for c in a.basis.columns()]
-    block += [list(c) + [F(0)] * n for c in b.basis.columns()]
+    block = [list(c) + list(c) for c in matrix_columns(a.basis)]
+    block += [list(c) + [F(0)] * n for c in matrix_columns(b.basis)]
     tails = [row[n:] for row in reference_rref(block) if not any(row[:n])]
     return reference_span(n, tails)
 
@@ -463,7 +474,7 @@ def test_kernel_rank_duality(m):
 def test_echelon_canonical_under_column_mixing(m):
     s = column_space(m)
     # append sums of existing columns: the span must not change
-    cols = m.columns()
+    cols = matrix_columns(m)
     if cols:
         mixed = cols + [tuple(x + y for x, y in zip(cols[0], cols[-1]))]
         assert span(m.rows, mixed) == s
@@ -792,7 +803,7 @@ def reference_projector(spaces, eigenvalues, n):
     """The operator with spaces[i] as eigenspace for eigenvalues[i] by one
     change of basis, P D P^-1, with P the concatenated echelon bases and its
     inverse from the dense reference_rref."""
-    columns = [c for s in spaces for c in s.basis.columns()]
+    columns = [c for s in spaces for c in matrix_columns(s.basis)]
     diag = [lam for s, lam in zip(spaces, eigenvalues) for _ in range(s.dim)]
     basis = from_columns(n, columns)
     return basis @ Matrix.diagonal(diag) @ reference_inverse(basis)
@@ -817,7 +828,8 @@ def test_split_operators_match_change_of_basis(m, seed):
 def reference_contains(big, small):
     """small lies in big when big's basis and small's have big's rank
     together, by the dense reference_rref."""
-    return len(reference_rref(big.basis.columns() + small.basis.columns())) == big.dim
+    both = matrix_columns(big.basis) + matrix_columns(small.basis)
+    return len(reference_rref(both)) == big.dim
 
 
 def reference_first_escape(mat, shifts, spaces, targets):
@@ -854,7 +866,7 @@ def escape_cases(draw):
         kind = draw(st.sampled_from(["zero", "full", "drawn", "image", "image+"]))
         target = {
             "zero": lambda: Subspace.zero(n),
-            "full": lambda: Subspace.full(n),
+            "full": lambda: full_space(n),
             "drawn": subspace,
             "image": lambda: image(op, space),
             "image+": lambda: subspace_sum(image(op, space), subspace()),
@@ -873,7 +885,7 @@ def hard_escape_case():
     basis = from_columns(3, rows + [[F(0), F(0), F(1)]])
     mixing = Matrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, F(5, 2**31 - 1)]])
     mat = basis @ mixing @ basis.inverse()
-    return mat, None, [plane, Subspace.full(3)], [plane, plane]
+    return mat, None, [plane, full_space(3)], [plane, plane]
 
 
 @settings(max_examples=150, deadline=None)
@@ -912,7 +924,7 @@ def test_shifted_containment_matches_shifted_matrix(m, seed, data):
     space = data.draw(st.sampled_from(["drawn", "full", "eigenspace"]))
     space = {
         "drawn": drawn,
-        "full": lambda: Subspace.full(n),
+        "full": lambda: full_space(n),
         "eigenspace": lambda: data.draw(st.sampled_from(eigenspaces)),
     }[space]()
     target = data.draw(st.sampled_from(["zero", "drawn", "image", "image+", "space"]))
@@ -977,7 +989,7 @@ def test_shifts_in_the_integer_views_match_the_shifted_matrix(case):
         event("non-square shift rejected")
         return
     op = m.shift(s) if m.is_square else m
-    moved = reference_span(m.rows, (op @ space.basis).columns())
+    moved = reference_span(m.rows, matrix_columns(op @ space.basis))
     expected = reference_contains(target, moved)
     event("contained" if expected else "escapes")
     assert image(op, space) == moved
@@ -1158,15 +1170,21 @@ def test_tridiag_checks_match_the_literal_near_sums(m, seed, fed):
         ("tridiag(A,Vstar)", a_mat, vstar.spaces),
     ])
     b = [q.pow(2 * i - d) for i in range(d + 1)]
-    try:
-        b_mat = reference_split_operator(w, b, n)
-        bstar_mat = reference_split_operator(wstar, b[::-1], n)
-    except ValueError:
-        with pytest.raises(ValueError):
+    operators, no_graph = [], []
+    for check, spaces, values in (("decomposition(W)", w, b),
+                                  ("decomposition(Wstar)", wstar, b[::-1])):
+        try:
+            operators.append(reference_split_operator(spaces, values, n))
+        except ValueError:
+            no_graph.append(check)
+    if no_graph:  # the first split list with no operator names its check
+        with pytest.raises(CheckFailedError) as info:
             build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar,
                           Ladder(w), Ladder(wstar), log)
+        assert info.value.check == no_graph[0]
         event("split operators raise")
     else:
+        b_mat, bstar_mat = operators
         build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar,
                       Ladder(w), Ladder(wstar), log)
         expected += reference_tridiag_checks([
@@ -1383,9 +1401,9 @@ def coordinate_cases(draw):
     support = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
     seed = draw(st.none() | st.integers(0, 2**16))
     p = Matrix.identity(n) if seed is None else unit_lu(n, seed)
-    target = span(n, [p.column(j) for j in support])
+    target = span(n, [matrix_column(p, j) for j in support])
     inner = sorted(draw(st.sets(st.sampled_from(support)))) if support else []
-    space = span(n, [p.column(j) for j in inner])
+    space = span(n, [matrix_column(p, j) for j in inner])
     if draw(st.booleans()):
         space = span(n, [[draw(fractions) for _ in range(n)]])
     entry = st.one_of(st.just(F(0)), fractions)
@@ -1398,7 +1416,7 @@ def coordinate_cases(draw):
     w = [F(0)] * n
     for j in support:
         c = draw(fractions)
-        w = [x + c * y for x, y in zip(w, p.column(j))]
+        w = [x + c * y for x, y in zip(w, matrix_column(p, j))]
     if draw(st.booleans()):
         w[draw(st.integers(0, n - 1))] += draw(fractions)
     event("coordinate" if seed is None else "conjugated")
@@ -1412,16 +1430,17 @@ def test_coordinate_containment_matches_a_rank_test(case):
     # holds every image; both must agree with w in S <=> dim(S + w) = dim S
     target, space, op, shift, w = case
     n = target.ambient_dim
-    units = all(sum(map(bool, row)) == 1 for row in reference_rref(target.basis.columns()))
+    units = all(sum(map(bool, row)) == 1
+                for row in reference_rref(matrix_columns(target.basis)))
     assert target.is_coordinate == units
 
     def inside(vectors):
-        return len(reference_rref(target.basis.columns() + vectors)) == target.dim
+        return len(reference_rref(matrix_columns(target.basis) + vectors)) == target.dim
 
     expected = inside([w])
     event("w contained" if expected else "w escapes")
     assert target.contains(span(n, [w])) == expected
-    moved = (op.shift(shift) @ space.basis).columns()
+    moved = matrix_columns(op.shift(shift) @ space.basis)
     expected = inside(moved)
     event("image contained" if expected else "image escapes")
     assert target.contains_image(op, space, shift) == expected
@@ -1488,16 +1507,17 @@ def test_compiled_evaluation_matches_naive(case):
     relation = RelationWord("r", lhs, rhs)
     difference = lhs + tuple((-c, w) for c, w in rhs)
     expected = naive_evaluate(difference, assignment)
-    plan = relation.plan
-    assert relation.plan is plan
+    bound = bind_relations([relation])
+    plan, (sum_,), (coefficients,) = bound.plan, bound.plan.sums, bound.coefficients
+    assert bind_relations([relation]).plan is plan
     # one product per distinct half, every product used by a later one or a word
     assert len(set(plan.halves)) == len(plan.halves)
     used = {k for pair in plan.halves for k in pair}
-    used |= {k for *_, left, right in plan.terms for k in (left, right) if k is not None}
+    used |= {k for _, left, right in sum_ for k in (left, right) if k is not None}
     assert used >= set(range(len(plan.letters) + len(plan.halves)))
-    assert len({w for _, _, w, _, _ in plan.terms}) == len(plan.terms)
-    assert all(numerator for numerator, *_ in plan.terms)
-    got = evaluate_word(plan, assignment)
+    assert len({w for w, _, _ in sum_}) == len(sum_) == len(coefficients)
+    assert all(numerator for numerator, _ in coefficients)
+    (got,) = evaluate_word(bound, assignment)
     event("zero residual" if got.is_zero() else "nonzero residual")
     assert got == expected == evaluate_word(difference, assignment)
     assert_exact_equal(got, expected)
@@ -1510,16 +1530,18 @@ def test_compiled_evaluation_matches_naive(case):
 def test_relation_plans_share_halves_and_fuse_the_last_product(q2):
     # x^3 y, x^2 y x, x y x^2, y x^3 split into the halves xx, xy, yx and
     # four fused products; k e k^-1 into e k^-1 and one fused product
-    def products(plan):
-        return len(plan.halves), sum(right is not None for *_, right in plan.terms)
+    def products(relation):
+        plan = bind_relations([relation]).plan
+        return len(plan.halves), sum(right is not None for *_, right in plan.sums[0])
 
-    assert products(q_serre("x", "y", q2).plan) == (3, 4)
+    assert products(q_serre("x", "y", q2)) == (3, 4)
     weights = [r for r in relations_for(AFFINE_FULL, q2) if r.name.startswith("weight")]
     assert len(weights) == 8
-    assert {products(r.plan) for r in weights} == {(1, 1)}
+    assert {products(r) for r in weights} == {(1, 1)}
     unit, = (r for r in relations_for(UGEQ0, q2) if r.name == "unit(K Kinv)")
-    assert products(unit.plan) == (0, 1)
-    assert unit.plan.terms[-1][:3] == (-1, 1, ())
+    assert products(unit) == (0, 1)
+    bound = bind_relations([unit])
+    assert (bound.coefficients[0][-1], bound.plan.sums[0][-1][0]) == ((-1, 1), ())
 
 
 @st.composite
@@ -1569,7 +1591,7 @@ def test_list_program_matches_naive_relation_by_relation(case):
     plan = bind_relations(first).plan
     assert bind_relations(second).plan is plan
     assert len(set(plan.halves)) == len(plan.halves)
-    if len(plan.halves) < sum(len(rel.plan.halves) for rel in first):
+    if len(plan.halves) < sum(len(bind_relations([rel]).plan.halves) for rel in first):
         event("a half shared across relations")
     for relations in (first, second):
         expected = [naive_evaluate(rel.difference, assignment) for rel in relations]
@@ -1593,6 +1615,28 @@ SIGN_PAIRS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 EVALUATED_OUTPUT_RELATIONS = [
     "commute(K0,K1)", "weight(K1,e1p)", "weight(K1,e1m)", "weight(K1,e0p)", "weight(K1,e0m)",
 ]
+# The sign, as a function of the type (eps0, eps1), of each output relation
+# extend derives, times its source's residual: the lemma in the extension
+# module docstring. Its rows of `_PREMISES` carry no sign, since only a
+# passing source, a zero residual, derives anything.
+OUTPUT_SIGNS = {
+    "unit(K0 K0inv)": lambda e0, e1: 1,
+    "unit(K0inv K0)": lambda e0, e1: 1,
+    "unit(K1 K1inv)": lambda e0, e1: 1,
+    "unit(K1inv K1)": lambda e0, e1: 1,
+    "weight(K0,e0p)": lambda e0, e1: 1,
+    "weight(K0,e1p)": lambda e0, e1: 1,
+    "serre(e0p,e1p)": lambda e0, e1: 1,
+    "serre(e1p,e0p)": lambda e0, e1: 1,
+    "weight(K0,e0m)": lambda e0, e1: e0,
+    "weight(K0,e1m)": lambda e0, e1: e1,
+    "bracket(e0p,e0m)": lambda e0, e1: -e0,
+    "bracket(e1p,e1m)": lambda e0, e1: -e1,
+    "commute(e0p,e1m)": lambda e0, e1: -e1,
+    "commute(e0m,e1p)": lambda e0, e1: e0,
+    "serre(e0m,e1m)": lambda e0, e1: e0 * e1,
+    "serre(e1m,e0m)": lambda e0, e1: e0 * e1,
+}
 
 
 @st.composite
@@ -1613,37 +1657,41 @@ def lowering_inputs(draw):
 @given(lowering_inputs())
 def test_output_copies_are_a_sign_times_their_source(case):
     # on matrices where no relation holds, each of the 16 output relations
-    # that extend copies has, literally, its sign times its source's residual
-    # on the assembled action, for every type; the other 5 are evaluated
+    # that extend derives has, literally, its sign times its source's
+    # residual (its one premise in `_PREMISES`) on the assembled action, for
+    # every type; the other 5 are evaluated
     action, q, alpha = case
     sources = {**{rel.name: rel for rel in relations_for(UGEQ0, q)},
                **{rel.name: rel for rel in _lowering_relations(q, alpha)}}
-    residuals = {source: evaluate_word(sources[source].plan, action)
-                 for source, _ in _OUTPUT_COPIES.values()}
-    assume(not any(residual.is_zero() for residual in residuals.values()))
     output = {rel.name: rel for rel in relations_for(AFFINE_FULL, q)}
-    assert len(_OUTPUT_COPIES) == 16
-    assert [name for name in output if name not in _OUTPUT_COPIES] == EVALUATED_OUTPUT_RELATIONS
+    assert set(OUTPUT_SIGNS) == {name for name in _PREMISES if name in output}
+    assert [name for name in output if name not in OUTPUT_SIGNS] == EVALUATED_OUTPUT_RELATIONS
+    residuals = {name: evaluate_word(sources[_PREMISES[name][0]].difference, action)
+                 for name in OUTPUT_SIGNS}
+    assume(not any(residual.is_zero() for residual in residuals.values()))
     for eps0, eps1 in SIGN_PAIRS:
         full = assemble(action, action["r"], action["l"], alpha, F(eps0), F(eps1))
-        for name, (source, sign) in _OUTPUT_COPIES.items():
-            got = evaluate_word(output[name].plan, full)
-            assert_exact_equal(got, sign(eps0, eps1) * residuals[source])
+        for name, sign in OUTPUT_SIGNS.items():
+            assert len(_PREMISES[name]) == 1
+            got = evaluate_word(output[name].difference, full)
+            assert_exact_equal(got, sign(eps0, eps1) * residuals[name])
 
 
 @settings(max_examples=25, deadline=None)
 @given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)),
        st.sampled_from([F(1), F(-2, 7)]))
 def test_output_report_with_copies_matches_the_literal_check(m, seed, alpha):
-    # the assembled module's report, 16 of its entries copied, against every
-    # relation evaluated on its matrices, for each of the four types, in the
-    # standard basis and conjugated into a dense one
+    # the assembled module's report, 16 of its entries derived, against
+    # every relation evaluated on its matrices, for each of the four types,
+    # in the standard basis and conjugated into a dense one
     m = conjugated(m, seed)
     r = m if m.kind == UGEQ0 else restrict_to_ugeq0(m, alpha)
     assume(burnside_irreducible(r).verdict == ABSOLUTELY_IRREDUCIBLE)
+    output = {rel.name for rel in relations_for(AFFINE_FULL, r.q)}
     for eps0, eps1 in SIGN_PAIRS:
-        full, _ = extend(r, eps0, eps1)
-        assert len(full.certified) == 16
+        full, trace = extend(r, eps0, eps1)
+        passed = {c.name for c in r.relations.entries + trace.checks if c.passed}
+        assert len(derivable(_PREMISES, passed) & output) == 16
         literal = check_presentation(AFFINE_FULL, replace(full))
         assert full.relations.to_dict() == literal.to_dict()
         assert full.relations.text_table() == literal.text_table()
@@ -1673,7 +1721,8 @@ def test_derived_moves_hold_literally(m, seed, signs, alpha):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qaffine.extension, "_moves_into", recorded)
         _, trace = extend(m, *signs)
-    assert sorted(move[0] for move in derived) == sorted(_PREMISES)
+    moves = [name for name in _PREMISES if name.startswith(("move", "tridiag", "ladder"))]
+    assert len(moves) == 20 and sorted(move[0] for move in derived) == sorted(moves)
     for name, mat, shifts, spaces, targets in derived:
         for target in targets():
             assert first_escape(mat, shifts, spaces, target) is None, name
@@ -1685,6 +1734,44 @@ def test_derived_moves_hold_literally(m, seed, signs, alpha):
     build_b_bstar(m, ladder, a_mat, astar_mat, v, vstar, w, wstar, log)
     assert trace.checks[1:1 + len(log.entries)] == log.entries
     event(f"diameter {trace.diameter}")
+
+
+def audited_run(m, signs, alpha):
+    """restrict_to_ugeq0 (when m is full, twisted to the type signs, with
+    its report at hand, as when read from a file) and extend of a fresh copy
+    of m: the restriction's report, extend's ledger, its output matrices and
+    the output's relation report, or the error that stopped the run."""
+    m = replace(m)
+    if m.kind == AFFINE_FULL:
+        m = twist_full(m, *signs)
+        m.relations
+        m = restrict_to_ugeq0(m, alpha)
+    run = [[c.to_dict() for c in m.relations.entries]]
+    try:
+        full, trace = extend(m, *signs)
+    except QAffineError as err:
+        return run + [(type(err).__name__, str(err))]
+    return run + [[c.to_dict() for c in trace.checks], full.action, full.relations.to_dict()]
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_eval_tensors(), st.one_of(st.none(), st.integers(0, 2**16)),
+       st.sampled_from(SIGN_PAIRS), st.sampled_from([F(1), F(3), F(-2, 7), F(-5, 3)]))
+def test_literal_tables_match_the_default_run(m, seed, signs, alpha):
+    # with both derivation tables emptied nothing is derived, and every
+    # check is evaluated by its definition: the restriction's report,
+    # extend's ledger (name, anchor, verdict, residual entries and detail of
+    # each entry), its output matrices and relation report are the default
+    # run's. In the standard basis and conjugated into a dense one, twisted
+    # to each of the four types, at drawn alpha; reducible input stops both
+    # runs with the same error.
+    m = conjugated(m, seed)
+    runs = []
+    for tables in (nullcontext, literal_tables):
+        with tables():
+            runs.append(audited_run(m, signs, alpha))
+    assert runs[0] == runs[1]
+    event("extended" if len(runs[0]) == 4 else "stopped")
 
 
 @st.composite
@@ -1708,7 +1795,7 @@ def coordinate_moves(draw):
 
     def target():
         kind = draw(st.sampled_from(["zero", "full", "drawn", "drawn"]))
-        return {"zero": lambda: Subspace.zero(n), "full": lambda: Subspace.full(n),
+        return {"zero": lambda: Subspace.zero(n), "full": lambda: full_space(n),
                 "drawn": coordinate}[kind]()
 
     spaces = [coordinate() for _ in range(length)]
@@ -1797,7 +1884,7 @@ def product_pairs(draw):
     null = kernel(a)
     if null.dim and draw(st.booleans()):
         coeffs = [[draw(fractions) for _ in range(null.dim)] for _ in range(cols)]
-        b = from_columns(inner, [null.basis.apply(c) for c in coeffs])
+        b = from_columns(inner, [matrix_apply(null.basis, c) for c in coeffs])
     else:
         b = Matrix.from_entries(inner, cols, tuple(draw(st.lists(
             mostly_zero, min_size=inner * cols, max_size=inner * cols
@@ -1979,8 +2066,8 @@ def test_constructors_and_views_match_dense(case):
     for i in range(rows):
         assert m.row(i) == tuple(dense[i])
         assert [m.at(i, j) for j in range(cols)] == dense[i]
-    assert m.columns() == [tuple(c) for c in columns_of(dense, cols)]
-    assert [m.column(j) for j in range(cols)] == m.columns()
+    assert matrix_columns(m) == [tuple(c) for c in columns_of(dense, cols)]
+    assert [matrix_column(m, j) for j in range(cols)] == matrix_columns(m)
     t = m.transpose()
     assert (t.rows, t.cols) == (cols, rows)
     assert t.sparse_rows == canonical(columns_of(dense, cols))

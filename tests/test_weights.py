@@ -3,7 +3,7 @@ import time
 from fractions import Fraction as F
 
 import pytest
-from conftest import column_space
+from conftest import column_space, full_space, matrix_column
 
 from qaffine.errors import WeightLadderError
 from qaffine.factory import (
@@ -15,7 +15,7 @@ from qaffine.factory import (
     tensor_product,
     twist_full,
 )
-from qaffine.linalg import Matrix, Subspace
+from qaffine.linalg import Matrix
 from qaffine.presentations import AFFINE_BOREL, AFFINE_FULL, UGEQ0
 from qaffine.scalars import qparam
 from qaffine.weights import analyze_borel, analyze_full, analyze_ugeq0, k_ladder
@@ -41,15 +41,15 @@ def test_one_dimensional(q2):
     wl = analyze_ugeq0(m)
     assert wl.alpha == 7
     assert wl.diameter == 0
-    assert wl.spaces[0] == Subspace.full(1)
+    assert wl.spaces[0] == full_space(1)
 
 
 def test_restricted_v111(v111):
     # K = diag(2, 1/2) on (v_0, v_1), so the ladder starts at v_1
     wl = analyze_ugeq0(restrict_to_ugeq0(v111, 1))
     assert (wl.alpha, wl.diameter) == (1, 1)
-    assert wl.spaces[0].basis.column(0) == (F(0), F(1))
-    assert wl.spaces[1].basis.column(0) == (F(1), F(0))
+    assert matrix_column(wl.spaces[0].basis, 0) == (F(0), F(1))
+    assert matrix_column(wl.spaces[1].basis, 0) == (F(1), F(0))
 
 
 def test_restricted_tensor(tensor_13):
